@@ -50,18 +50,32 @@ from .tuner import BackendTuner
 
 __all__ = ["ExecutionEngine", "EngineStats", "default_engine",
            "matmul_ata", "matmul_atb", "run_batch", "run_batch_atb",
-           "validate_atb_operands"]
+           "validate_dense", "validate_structured", "explicit_backend"]
 
 
-def validate_atb_operands(a: np.ndarray, b: np.ndarray) -> None:
-    """Validate an ``(A, B)`` pair for the ``atb`` operation.
+def validate_dense(a: np.ndarray, b: Optional[np.ndarray] = None) -> None:
+    """Validate the operands of a dense request: ``A`` alone for ``ata``,
+    the ``(A, B)`` pair for ``atb``.
 
-    Shared by :meth:`ExecutionEngine.run_batch_atb` and the serving
-    layer's pre-admission validation (:mod:`repro.serve.server`), so the
-    operand rules — and their error messages — can never drift between
-    the two.
+    With :func:`validate_structured` this is the one statement of the
+    operand rules: the ``matmul_*`` and batch entry points and the
+    serving layer's pre-admission check (in process and over the wire)
+    all call these, so the rules and their error types cannot drift.
     """
     validate_matrix(a, "A")
+    if b is not None:
+        _validate_b(a, b)
+
+
+def validate_structured(a, b: Optional[np.ndarray] = None) -> None:
+    """:func:`validate_dense` for a sparse or :class:`LowRank` ``A``
+    (``B`` stays a dense ndarray)."""
+    validate_operand(a, "A")
+    if b is not None:
+        _validate_b(a, b)
+
+
+def _validate_b(a, b: np.ndarray) -> None:
     validate_matrix(b, "B")
     if b.shape[0] != a.shape[0]:
         raise ShapeError("A and B must share their first dimension, "
@@ -69,6 +83,34 @@ def validate_atb_operands(a: np.ndarray, b: np.ndarray) -> None:
     if a.dtype != b.dtype:
         raise DTypeError("operands must share a dtype, got "
                          f"{sorted({str(a.dtype), str(b.dtype)})}")
+
+
+def explicit_backend(algo: str, op: str, shape: Tuple[int, ...], dtype,
+                     model: CacheModel, operand=None) -> Backend:
+    """Resolve an explicit ``algo=`` selector for this exact request.
+
+    Raises :class:`ShapeError` when the backend is unknown, does not take
+    the operand's kind, or cannot serve the shape.  Dispatch calls it for
+    every explicit ``algo``; the serving layer calls it before admission,
+    per exact shape, because its coalescing key only buckets shapes.
+    """
+    backend = get_backend(algo, op)
+    kind = operand_kind(operand) if operand is not None else "dense"
+    if kind not in backend.operands:
+        raise ShapeError(
+            f"backend {algo!r} does not accept {kind!r} operands "
+            f"(accepts {sorted(backend.operands)})")
+    if not backend.supports(op, shape, dtype, model):
+        raise ShapeError(
+            f"backend {algo!r} cannot serve {op!r} on shape {shape} "
+            f"with dtype {np.dtype(dtype)} on this host")
+    if (operand is not None
+            and not backend.supports_operand(op, operand, model)):
+        raise ShapeError(
+            f"backend {algo!r} does not accept this {kind} operand "
+            f"(shape {shape})")
+    return backend
+
 
 #: Algorithm selectors are backend names now — plain strings resolved in
 #: the registry — not closed ``Literal`` unions.  The aliases survive for
@@ -423,23 +465,10 @@ class ExecutionEngine:
         measured per density bucket.  Dense requests (``operand=None``)
         resolve byte-identically to the pre-sparse engine.
         """
-        kind = operand_kind(operand) if operand is not None else "dense"
         if algo != "auto":
-            backend = get_backend(algo, op)
-            if kind not in backend.operands:
-                raise ShapeError(
-                    f"backend {algo!r} does not accept {kind!r} operands "
-                    f"(accepts {sorted(backend.operands)})")
-            if not backend.supports(op, shape, dtype, model):
-                raise ShapeError(
-                    f"backend {algo!r} cannot serve {op!r} on shape {shape} "
-                    f"with dtype {np.dtype(dtype)} on this host")
-            if (operand is not None
-                    and not backend.supports_operand(op, operand, model)):
-                raise ShapeError(
-                    f"backend {algo!r} does not accept this {kind} operand "
-                    f"(shape {shape})")
+            backend = explicit_backend(algo, op, shape, dtype, model, operand)
             return backend, False, None, None, backend.name
+        kind = operand_kind(operand) if operand is not None else "dense"
         forced = get_config().backend
         if forced != "auto":
             try:
@@ -606,10 +635,7 @@ class ExecutionEngine:
         density bucket.  ``c`` stays a dense ndarray either way.
         """
         kind = operand_kind(a)
-        if kind == "dense":
-            validate_matrix(a, "A")
-        else:
-            validate_operand(a, "A")
+        (validate_dense if kind == "dense" else validate_structured)(a)
         m, n = a.shape
         if c is None:
             c = np.zeros((n, n), dtype=a.dtype)
@@ -658,17 +684,7 @@ class ExecutionEngine:
         the tuner arbitrating sparse-vs-densify per density bucket.
         """
         kind = operand_kind(a)
-        if kind == "dense":
-            validate_atb_operands(a, b)
-        else:
-            validate_operand(a, "A")
-            validate_matrix(b, "B")
-            if b.shape[0] != a.shape[0]:
-                raise ShapeError("A and B must share their first dimension, "
-                                 f"got {a.shape} and {b.shape}")
-            if a.dtype != b.dtype:
-                raise DTypeError("operands must share a dtype, got "
-                                 f"{sorted({str(a.dtype), str(b.dtype)})}")
+        (validate_dense if kind == "dense" else validate_structured)(a, b)
         m, n = a.shape
         k = b.shape[1]
         if c is None:
@@ -896,7 +912,7 @@ class ExecutionEngine:
         engine's scheduling mode for every matrix in the batch.
         """
         def prepare(a: np.ndarray):
-            validate_matrix(a, "A")
+            validate_dense(a)
             m, n = a.shape
             return a, None, (m, n), np.zeros((n, n), dtype=a.dtype)
 
@@ -917,7 +933,7 @@ class ExecutionEngine:
         """
         def prepare(pair):
             a, b = pair
-            validate_atb_operands(a, b)
+            validate_dense(a, b)
             m, n = a.shape
             k = b.shape[1]
             return a, b, (m, n, k), np.zeros((n, k), dtype=a.dtype)

@@ -313,7 +313,7 @@ class NetServer:
             result = await self.server.submit(
                 a, op=header.get("req_op", "ata"), b=b,
                 algo=header.get("algo", "auto"),
-                alpha=float(header.get("alpha", 1.0)),
+                alpha=header.get("alpha", 1.0),
                 timeout=header.get("timeout"),
                 client=client)
         except asyncio.CancelledError:
@@ -354,7 +354,7 @@ class NetServer:
 
         task = asyncio.ensure_future(self.server.submit_stream(
             chunks(), algo=header.get("algo", "auto"),
-            alpha=float(header.get("alpha", 1.0)),
+            alpha=header.get("alpha", 1.0),
             timeout=header.get("timeout"), client=client))
         streams[request_id] = _StreamEntry(queue, task)
 

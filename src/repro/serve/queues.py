@@ -45,9 +45,12 @@ def queue_key(op: str, algo: str, dtype, shape: Tuple[int, ...],
 
 @dataclasses.dataclass
 class Request:
-    """One admitted ``submit`` call, waiting in a queue for its batch."""
+    """One admitted request, carried from admission to settlement —
+    in a queue until its batch forms on the coalesced route, alone on
+    the direct route (where a stream's ``a`` is set by its prepare
+    step)."""
 
-    a: np.ndarray
+    a: Optional[np.ndarray]
     b: Optional[np.ndarray]
     op: str
     algo: str

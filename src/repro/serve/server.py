@@ -5,34 +5,44 @@ coroutines from any number of concurrent clients and turns them into few,
 large :meth:`~repro.engine.ExecutionEngine.run_batch` /
 :meth:`~repro.engine.ExecutionEngine.run_batch_atb` calls on **one shared
 engine**, so every client benefits from the same warm plan cache,
-workspace pool and tuner table.  The moving parts:
+workspace pool and tuner table.
 
-* **coalescing** — requests land in per-``(op, algo, dtype, shape-bucket,
-  alpha)`` :class:`~repro.serve.queues.BatchQueue`\\ s; a queue flushes
-  when ``max_batch`` requests are waiting or when the ``linger`` deadline
-  of its oldest request expires, whichever is first.  A linger of zero
-  still coalesces requests submitted in the same event-loop iteration
-  (e.g. one ``asyncio.gather`` of submits), because the flush callback
-  runs after them;
-* **admission control** — at most ``max_inflight`` requests may be
-  admitted-but-unfinished; submits beyond that raise
-  :class:`~repro.errors.QueueFullError` immediately (backpressure), and
-  submits after :meth:`close` raise
-  :class:`~repro.errors.ServerClosedError`;
-* **deadlines** — ``submit(..., timeout=)`` (default
-  ``Config.serve_default_timeout_ms``) bounds how long a request may
-  wait for its result; on expiry the awaiter gets
-  :class:`~repro.errors.DeadlineError` and the request is dropped
-  through the same dead-waiter path as cancellation, so an expired
-  request never poisons the batch its companions form.  Pair with
-  :func:`repro.serve.retry` on the client side to absorb transient
-  :class:`QueueFullError` backpressure with jittered backoff;
-* **off-loop execution** — batches run on a small
-  :class:`~concurrent.futures.ThreadPoolExecutor`, so the event loop stays
-  responsive while numpy grinds (the kernels release the GIL, so with
-  real cores a multi-worker executor overlaps distinct batches);
-* **graceful drain** — ``await server.close()`` stops admission, flushes
-  every queue immediately and waits for all admitted work to finish.
+Every request — ``submit``, ``submit_ooc`` and ``submit_stream`` alike —
+follows one lifecycle, so the admission, fairness, deadline and ledger
+rules hold in one place:
+
+* **admit** — one prologue binds the event loop, refuses submits after
+  :meth:`close` (:class:`~repro.errors.ServerClosedError`), parses
+  ``alpha`` and ``timeout``, validates the operands with the engine's
+  own validators, and claims a slot: at most ``max_inflight`` requests
+  may be admitted-but-unfinished (:class:`~repro.errors.QueueFullError`
+  beyond — backpressure), and one client id at most its fair share
+  (:class:`~repro.errors.FairnessError`).  It then creates the request's
+  future, whose done-callback books the outcome in the ledger, and arms
+  the deadline: ``timeout=`` (default
+  ``Config.serve_default_timeout_ms``) bounds the wait for a result; on
+  expiry the awaiter gets :class:`~repro.errors.DeadlineError` and the
+  request is dropped through the same dead-waiter path as cancellation;
+* **route** — dense in-memory requests take the *coalesced* route:
+  they land in per-``(op, algo, dtype, shape-bucket, alpha)``
+  :class:`~repro.serve.queues.BatchQueue`\\ s, and a queue flushes when
+  ``max_batch`` requests are waiting or when the ``linger`` deadline of
+  its oldest request expires, whichever is first (a linger of zero
+  still coalesces submits from the same event-loop iteration, because
+  the flush callback runs after them).  Structured operands,
+  out-of-core and stream requests take the *direct* route: each runs
+  alone, a stream after a prepare step that spools its chunks;
+* **execute** — one runner hops to a small
+  :class:`~concurrent.futures.ThreadPoolExecutor` (the loop stays
+  responsive while numpy grinds), times the engine call, and delivers
+  results or the shared failure to the batch's live futures;
+* **settle** — the future's done-callback is the single accounting
+  point: ``completed``, ``failed``, ``cancelled`` or ``expired``.
+
+``await server.close()`` stops admission, flushes every queue
+immediately and waits for all admitted work to finish.  Pair with
+:func:`repro.serve.retry` on the client side to absorb transient
+:class:`QueueFullError` backpressure with jittered backoff.
 
 Bit-identity is inherited, not re-established: the engine's batch entry
 points are documented to equal the corresponding ``matmul_*`` loops bit
@@ -58,12 +68,13 @@ Quickstart
 from __future__ import annotations
 
 import asyncio
+import functools
 import tempfile
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Set
+from typing import Awaitable, Callable, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -73,8 +84,9 @@ from ..cache.model import default_cache_model
 from ..config import get_config
 from ..engine import ExecutionEngine
 from ..engine.backends import get_backend
-from ..engine.dispatch import validate_atb_operands
-from ..engine.sparse import is_sparse, validate_operand
+from ..engine.dispatch import (explicit_backend, validate_dense,
+                               validate_structured)
+from ..engine.sparse import operand_kind
 from ..errors import (
     ConfigurationError,
     DeadlineError,
@@ -105,6 +117,15 @@ _CLIENT_OVERFLOW = "~client-overflow~"
 #: ledger buckets tracked per client id
 _LEDGER_FIELDS = ("submitted", "completed", "failed", "rejected",
                   "cancelled", "expired")
+
+
+def _number(name: str, value) -> float:
+    """Parse a numeric request field; wire headers carry them unchecked."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{name} must be a number, got {value!r}") from None
 
 
 def _empty_counters() -> dict:
@@ -252,38 +273,43 @@ class Server:
         return loop
 
     # -- validation ---------------------------------------------------------
-    def _validate(self, op: str, a: np.ndarray, b: Optional[np.ndarray],
-                  algo: str) -> None:
+    def _validate(self, op: str, a, b: Optional[np.ndarray], algo: str,
+                  kind: str) -> None:
         """Reject malformed requests before admission.
 
         The engine would reject them anyway, but inside a coalesced batch
         — failing every innocent companion request.  Validating up front
         means an admitted request can only fail with its whole batch.
+        The operand rules are the engine's own (:func:`validate_dense` /
+        :func:`validate_structured`), so both raise the same errors.
         """
         if op not in _OPS:
             raise ConfigurationError(
                 f"unknown operation {op!r}; expected one of {_OPS}")
-        if op == "ata":
-            if b is not None:
-                raise ShapeError("op='ata' takes no B operand")
-            validate_matrix(a, "A")
-        else:
-            if b is None:
-                raise ShapeError("op='atb' requires a B operand")
-            validate_atb_operands(a, b)
+        if op == "ata" and b is not None:
+            raise ShapeError("op='ata' takes no B operand")
+        if op == "atb" and b is None:
+            raise ShapeError("op='atb' requires a B operand")
+        (validate_dense if kind == "dense" else validate_structured)(a, b)
         if algo != "auto":
-            backend = get_backend(algo, op)  # unknown name -> ShapeError
-            shape = self._request_shape(op, a, b)
             # the batch-time resolver would reject an unsupported request
             # anyway — but inside a coalesced batch, failing every
             # innocent companion; the coalescing key buckets shapes, so a
             # shape-dependent supports() must be checked per exact shape
-            # here, with the same default model batch execution will use
-            if not backend.supports(op, shape, a.dtype,
-                                    default_cache_model(a.dtype)):
-                raise ShapeError(
-                    f"backend {algo!r} cannot serve {op!r} on shape "
-                    f"{shape} with dtype {np.dtype(a.dtype)} on this host")
+            # here, with the same default model execution will use
+            explicit_backend(algo, op, self._request_shape(op, a, b),
+                             a.dtype, default_cache_model(a.dtype),
+                             None if kind == "dense" else a)
+
+    @staticmethod
+    def _validate_ooc(a: Optional[np.ndarray], algo: str) -> None:
+        """Pre-admission check of an out-of-core or stream request (a
+        stream has no operand yet).  ``algo`` is checked by name only:
+        the engine resolves it per panel shape."""
+        if a is not None:
+            validate_dense(a)
+        if algo != "auto":
+            get_backend(algo, "ata")  # unknown name -> ShapeError
 
     # -- admission ----------------------------------------------------------
     def _client_entry(self, client: str) -> dict:
@@ -368,170 +394,19 @@ class Server:
         round-robin.  The wire front door passes its per-connection id
         automatically.
 
-        A scipy sparse ``a`` is served through the engine's sparse
-        dispatch on a direct (non-coalesced) path like
-        :meth:`submit_ooc` — sparse operands share no plan with dense
-        companions, so there is nothing to batch them with — under the
-        same admission, fairness, deadline and ledger semantics.
+        A structured ``a`` (scipy sparse or
+        :class:`~repro.engine.sparse.LowRank`) takes the direct route:
+        it runs alone through the engine's structured dispatch — it
+        shares no plan with dense companions, so there is nothing to
+        batch it with — under the same lifecycle as every request.
         """
-        if is_sparse(a):
-            return await self._submit_sparse(a, op, b, algo=algo,
-                                             alpha=alpha, timeout=timeout,
-                                             client=client)
-        loop = self._bind_loop()
-        if self._closing:
-            raise ServerClosedError("server is closed to new submissions")
-        if timeout is None:
-            timeout = self.default_timeout_seconds
-        timeout = float(timeout)
-        if timeout < 0:
-            raise ConfigurationError(
-                f"timeout must be >= 0 seconds, got {timeout}")
-        client = str(client)
-        self._validate(op, a, b, algo)
-        self._admit(client)
-        future = loop.create_future()
-        future.add_done_callback(
-            lambda fut: self._on_request_done(fut, client))
-        request = Request(a=a, b=b, op=op, algo=algo, alpha=float(alpha),
-                          future=future, client=client)
-        key = queue_key(op, algo, a.dtype, self._request_shape(op, a, b),
-                        float(alpha))
-        with self._lock:  # stats() iterates the queue map from any thread
-            queue = self._queues.get(key)
-            if queue is None:
-                queue = self._queues[key] = BatchQueue(key)
-            queue.append(request)
-        if timeout > 0:
-            deadline_timer = loop.call_later(
-                timeout, self._expire, future, timeout, queue)
-            # the timer must not outlive the request, however it settles
-            future.add_done_callback(
-                lambda _, handle=deadline_timer: handle.cancel())
-        # the flush threshold counts *live* futures: the deque may also
-        # hold cancelled/expired husks that take() will drop, and under
-        # deadline churn counting those would dispatch premature partial
-        # batches
-        if queue.live_count() >= self.max_batch:
-            self._flush(queue)
-        elif queue.timer is None:
-            if self.linger_seconds <= 0:
-                queue.timer = loop.call_soon(self._flush, queue)
-            else:
-                queue.timer = loop.call_later(self.linger_seconds,
-                                              self._flush, queue)
-        return await future
+        kind = operand_kind(a)
+        return await self._serve(
+            lambda: self._validate(op, a, b, algo, kind),
+            None if kind == "dense" else self._engine_matmul,
+            op=op, a=a, b=b, algo=algo, alpha=alpha, timeout=timeout,
+            client=client)
 
-    @staticmethod
-    def _request_shape(op: str, a: np.ndarray,
-                       b: Optional[np.ndarray]) -> tuple:
-        if op == "ata":
-            return a.shape
-        return (a.shape[0], a.shape[1], b.shape[1])
-
-    # -- sparse submission --------------------------------------------------
-    def _validate_sparse(self, op: str, a, b, algo: str) -> None:
-        """Pre-admission validation of a sparse request — the sparse
-        counterpart of :meth:`_validate` (whose dense-operand rules a
-        sparse matrix cannot satisfy)."""
-        if op not in _OPS:
-            raise ConfigurationError(
-                f"unknown operation {op!r}; expected one of {_OPS}")
-        validate_operand(a, "A")
-        if op == "ata":
-            if b is not None:
-                raise ShapeError("op='ata' takes no B operand")
-        else:
-            if b is None:
-                raise ShapeError("op='atb' requires a B operand")
-            validate_matrix(b, "B")
-            if b.shape[0] != a.shape[0]:
-                raise ShapeError("A and B must share their first "
-                                 f"dimension, got {a.shape} and {b.shape}")
-            if np.dtype(a.dtype) != b.dtype:
-                raise ShapeError("operands must share a dtype, got "
-                                 f"{sorted({str(a.dtype), str(b.dtype)})}")
-        if algo != "auto":
-            backend = get_backend(algo, op)  # unknown name -> ShapeError
-            shape = self._request_shape(op, a, b)
-            if "sparse" not in backend.operands:
-                raise ShapeError(
-                    f"backend {algo!r} does not accept sparse operands "
-                    f"(accepts {sorted(backend.operands)})")
-            if (not backend.supports(op, shape, a.dtype,
-                                     default_cache_model(a.dtype))
-                    or not backend.supports_operand(
-                        op, a, default_cache_model(a.dtype))):
-                raise ShapeError(
-                    f"backend {algo!r} cannot serve {op!r} on this sparse "
-                    f"operand of shape {shape} with dtype "
-                    f"{np.dtype(a.dtype)} on this host")
-
-    async def _submit_sparse(self, a, op: str, b, *, algo: str,
-                             alpha: float, timeout: Optional[float],
-                             client: str) -> np.ndarray:
-        """Direct execution path for sparse operands (see :meth:`submit`):
-        admission, fairness, deadlines and the ledger apply exactly as on
-        the coalescing path, but the request runs alone on the executor —
-        through the engine's sparse dispatch, where the measured tuner
-        arbitrates sparse-vs-densify per density bucket."""
-        loop = self._bind_loop()
-        if self._closing:
-            raise ServerClosedError("server is closed to new submissions")
-        if timeout is None:
-            timeout = self.default_timeout_seconds
-        timeout = float(timeout)
-        if timeout < 0:
-            raise ConfigurationError(
-                f"timeout must be >= 0 seconds, got {timeout}")
-        client = str(client)
-        self._validate_sparse(op, a, b, algo)
-        self._admit(client)
-        future = loop.create_future()
-        future.add_done_callback(
-            lambda fut: self._on_request_done(fut, client))
-        task = loop.create_task(
-            self._run_sparse(future, a, op, b, algo, float(alpha)))
-        self._batch_tasks.add(task)
-        task.add_done_callback(self._batch_tasks.discard)
-        if timeout > 0:
-            deadline_timer = loop.call_later(
-                timeout, self._expire, future, timeout, None)
-            future.add_done_callback(
-                lambda _, handle=deadline_timer: handle.cancel())
-        return await future
-
-    async def _run_sparse(self, future: "asyncio.Future", a, op: str, b,
-                          algo: str, alpha: float) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            result = await loop.run_in_executor(
-                self._executor, self._execute_sparse, a, op, b, algo, alpha)
-        except asyncio.CancelledError:
-            if not future.done():
-                future.set_exception(ServerClosedError(
-                    "sparse request aborted by server shutdown"))
-            raise
-        except BaseException as exc:
-            if not future.done():
-                future.set_exception(exc)
-            return
-        if not future.done():
-            future.set_result(result)
-
-    def _execute_sparse(self, a, op: str, b, algo: str,
-                        alpha: float) -> np.ndarray:
-        """Runs on an executor thread, like :meth:`_execute_batch`."""
-        start = time.monotonic()
-        try:
-            if op == "ata":
-                return self.engine.matmul_ata(a, alpha=alpha, algo=algo)
-            return self.engine.matmul_atb(a, b, alpha=alpha, algo=algo)
-        finally:
-            with self._lock:
-                self._metrics.observe_run(time.monotonic() - start)
-
-    # -- out-of-core / streaming submission ---------------------------------
     async def submit_ooc(self, a: np.ndarray, *, algo: str = "auto",
                          alpha: float = 1.0,
                          timeout: Optional[float] = None,
@@ -542,45 +417,22 @@ class Server:
 
         ``a`` is typically a :class:`numpy.memmap` (or any 2-D float
         array) too tall to be worth materialising per-request copies of:
-        the request bypasses batching — there is nothing to coalesce a
-        multi-gigabyte operand with — and runs
+        the request takes the direct route — there is nothing to
+        coalesce a multi-gigabyte operand with — and runs
         :meth:`~repro.engine.ExecutionEngine.run_ooc` on the executor,
         streaming panels through the shared engine's plan cache.  All
-        the *other* serving guarantees are inherited: the request passes
-        admission control (and the fairness share for ``client``), holds
-        its slot until settled, honours ``timeout`` with
-        :class:`DeadlineError`, is ledgered like any other request, and
-        is awaited by :meth:`close`.  Extra keyword arguments
+        the *other* serving guarantees are the one lifecycle's: the
+        request passes admission control (and the fairness share for
+        ``client``), holds its slot until settled, honours ``timeout``
+        with :class:`DeadlineError`, is ledgered like any other request,
+        and is awaited by :meth:`close`.  Extra keyword arguments
         (``budget=``, ``panel_rows=``, ``procs=``, ...) pass through to
         ``run_ooc``.
         """
-        loop = self._bind_loop()
-        if self._closing:
-            raise ServerClosedError("server is closed to new submissions")
-        if timeout is None:
-            timeout = self.default_timeout_seconds
-        timeout = float(timeout)
-        if timeout < 0:
-            raise ConfigurationError(
-                f"timeout must be >= 0 seconds, got {timeout}")
-        client = str(client)
-        validate_matrix(a, "A")
-        if algo != "auto":
-            get_backend(algo, "ata")  # unknown name -> ShapeError, pre-admission
-        self._admit(client)
-        future = loop.create_future()
-        future.add_done_callback(
-            lambda fut: self._on_request_done(fut, client))
-        task = loop.create_task(
-            self._run_ooc(future, a, algo, float(alpha), ooc_kwargs))
-        self._batch_tasks.add(task)
-        task.add_done_callback(self._batch_tasks.discard)
-        if timeout > 0:
-            deadline_timer = loop.call_later(
-                timeout, self._expire, future, timeout, None)
-            future.add_done_callback(
-                lambda _, handle=deadline_timer: handle.cancel())
-        return await future
+        return await self._serve(
+            lambda: self._validate_ooc(a, algo),
+            functools.partial(self._engine_ooc, ooc_kwargs),
+            a=a, algo=algo, alpha=alpha, timeout=timeout, client=client)
 
     async def submit_stream(self, chunks, *, algo: str = "auto",
                             alpha: float = 1.0,
@@ -591,72 +443,119 @@ class Server:
         of row-chunks, without ever materialising it in memory.
 
         ``chunks`` is a sync or async iterable of 2-D arrays sharing a
-        dtype and column count; they are spooled in arrival order to an
-        anonymous temporary file, wrapped as a read-only
-        :class:`numpy.memmap`, and handed to the out-of-core path
-        exactly like :meth:`submit_ooc` (whose admission / fairness /
-        deadline / ledger semantics this shares — the admission slot is
-        claimed before spooling starts, so streaming clients feel
-        backpressure too).  This is how the wire front door serves
-        batches far larger than RAM: frames stream off the socket
-        straight into the spool.
+        dtype and column count.  The request is a :meth:`submit_ooc`
+        request with one prepare step in front of the out-of-core call:
+        the chunks are spooled in arrival order to an anonymous
+        temporary file, wrapped as a read-only :class:`numpy.memmap`.
+        The admission slot is claimed before spooling starts, so
+        streaming clients feel backpressure too.  This is how the wire
+        front door serves batches far larger than RAM: frames stream off
+        the socket straight into the spool.
+        """
+        return await self._serve(
+            lambda: self._validate_ooc(None, algo),
+            functools.partial(self._engine_ooc, ooc_kwargs),
+            prepare=functools.partial(self._spool, chunks),
+            a=None, algo=algo, alpha=alpha, timeout=timeout, client=client)
+
+    @staticmethod
+    def _request_shape(op: str, a: np.ndarray,
+                       b: Optional[np.ndarray]) -> tuple:
+        if op == "ata":
+            return a.shape
+        return (a.shape[0], a.shape[1], b.shape[1])
+
+    # -- the request lifecycle: admit -> route -> execute -> settle ----------
+    async def _serve(self, validate: Callable[[], None],
+                     execute: Optional[Callable[[Request], np.ndarray]],
+                     *, a, algo: str, alpha, timeout, client,
+                     op: str = "ata", b: Optional[np.ndarray] = None,
+                     prepare: Optional[Callable[[Request], Awaitable[None]]]
+                     = None) -> np.ndarray:
+        """Carry one request from submission to its settled result.
+
+        **Admit**: bind the loop, refuse submits after :meth:`close`,
+        parse ``alpha`` and ``timeout``, run ``validate``, claim an
+        admission and fair-share slot, create the future whose
+        done-callback settles the ledger, and arm the deadline timer.
+        **Route**: with no ``execute`` the request joins its coalescing
+        queue; otherwise it takes the direct route and runs alone as
+        ``execute(request)``, after the optional async ``prepare(request)``
+        step.  **Execute** and **settle** are :meth:`_run`'s, for both
+        routes.
         """
         loop = self._bind_loop()
         if self._closing:
             raise ServerClosedError("server is closed to new submissions")
-        if timeout is None:
-            timeout = self.default_timeout_seconds
-        timeout = float(timeout)
+        alpha = _number("alpha", alpha)
+        timeout = (self.default_timeout_seconds if timeout is None
+                   else _number("timeout", timeout))
         if timeout < 0:
             raise ConfigurationError(
                 f"timeout must be >= 0 seconds, got {timeout}")
         client = str(client)
-        if algo != "auto":
-            get_backend(algo, "ata")
+        validate()
         self._admit(client)
         future = loop.create_future()
         future.add_done_callback(
             lambda fut: self._on_request_done(fut, client))
-        task = loop.create_task(
-            self._run_stream(future, chunks, algo, float(alpha), ooc_kwargs))
-        self._batch_tasks.add(task)
-        task.add_done_callback(self._batch_tasks.discard)
+        request = Request(a=a, b=b, op=op, algo=algo, alpha=alpha,
+                          future=future, client=client)
+        queue = None
+        if execute is None:
+            queue = self._enqueue(request)
+        else:
+            self._spawn(self._run([request], lambda: [execute(request)],
+                                  prepare=prepare))
         if timeout > 0:
             deadline_timer = loop.call_later(
-                timeout, self._expire, future, timeout, None)
+                timeout, self._expire, future, timeout, queue)
+            # the timer must not outlive the request, however it settles
             future.add_done_callback(
                 lambda _, handle=deadline_timer: handle.cancel())
         return await future
 
-    async def _run_ooc(self, future: "asyncio.Future", a: np.ndarray,
-                       algo: str, alpha: float, ooc_kwargs: dict) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            result = await loop.run_in_executor(
-                self._executor, self._execute_ooc, a, algo, alpha,
-                ooc_kwargs)
-        except asyncio.CancelledError:
-            if not future.done():
-                future.set_exception(ServerClosedError(
-                    "out-of-core request aborted by server shutdown"))
-            raise
-        except BaseException as exc:
-            if not future.done():
-                future.set_exception(exc)
-            return
-        if not future.done():
-            future.set_result(result)
+    def _enqueue(self, request: Request) -> BatchQueue:
+        """The coalesced route: park ``request`` in its queue, then flush
+        a full queue or arm the linger timer."""
+        key = queue_key(request.op, request.algo, request.a.dtype,
+                        self._request_shape(request.op, request.a,
+                                            request.b),
+                        request.alpha)
+        with self._lock:  # stats() iterates the queue map from any thread
+            queue = self._queues.get(key)
+            if queue is None:
+                queue = self._queues[key] = BatchQueue(key)
+            queue.append(request)
+        # the flush threshold counts *live* futures: the deque may also
+        # hold cancelled/expired husks that take() will drop, and under
+        # deadline churn counting those would dispatch premature partial
+        # batches
+        if queue.live_count() >= self.max_batch:
+            self._flush(queue)
+        elif queue.timer is None:
+            if self.linger_seconds <= 0:
+                queue.timer = self._loop.call_soon(self._flush, queue)
+            else:
+                queue.timer = self._loop.call_later(self.linger_seconds,
+                                                    self._flush, queue)
+        return queue
 
-    async def _run_stream(self, future: "asyncio.Future", chunks,
-                          algo: str, alpha: float,
-                          ooc_kwargs: dict) -> None:
-        loop = asyncio.get_running_loop()
-        spool = tempfile.TemporaryFile(prefix="repro-serve-stream-")
-        try:
-            rows = 0
-            cols: Optional[int] = None
-            dtype: Optional[np.dtype] = None
+    def _spawn(self, coro) -> None:
+        """Run ``coro`` as a task that :meth:`close` awaits."""
+        task = self._loop.create_task(coro)
+        self._batch_tasks.add(task)
+        task.add_done_callback(self._batch_tasks.discard)
 
+    async def _spool(self, chunks, request: Request) -> None:
+        """The prepare step of a stream request: spool ``chunks`` to an
+        anonymous temporary file and map it read-only as ``request.a``
+        (the mapping keeps the unlinked file alive once it is closed)."""
+        loop = asyncio.get_running_loop()
+        rows = 0
+        cols: Optional[int] = None
+        dtype: Optional[np.dtype] = None
+        with tempfile.TemporaryFile(prefix="repro-serve-stream-") as spool:
             def spool_chunk(chunk) -> int:
                 nonlocal cols, dtype
                 validate_matrix(chunk, "stream chunk")
@@ -684,48 +583,20 @@ class Server:
             if rows == 0:
                 raise ShapeError("stream produced no rows")
             spool.flush()
-            a = np.memmap(spool, dtype=dtype, mode="r", shape=(rows, cols))
-            result = await loop.run_in_executor(
-                self._executor, self._execute_ooc, a, algo, alpha,
-                ooc_kwargs)
-        except asyncio.CancelledError:
-            if not future.done():
-                future.set_exception(ServerClosedError(
-                    "streaming request aborted by server shutdown"))
-            raise
-        except BaseException as exc:
-            if not future.done():
-                future.set_exception(exc)
-            return
-        else:
-            if not future.done():
-                future.set_result(result)
-        finally:
-            spool.close()
-
-    def _execute_ooc(self, a: np.ndarray, algo: str, alpha: float,
-                     ooc_kwargs: dict) -> np.ndarray:
-        """Runs on an executor thread, like :meth:`_execute_batch`."""
-        start = time.monotonic()
-        try:
-            result, _ = self.engine.run_ooc(a, alpha=alpha, algo=algo,
-                                            **ooc_kwargs)
-            return result
-        finally:
-            with self._lock:
-                self._metrics.observe_run(time.monotonic() - start)
+            request.a = np.memmap(spool, dtype=dtype, mode="r",
+                                  shape=(rows, cols))
 
     def _expire(self, future: "asyncio.Future", timeout: float,
                 queue: Optional[BatchQueue]) -> None:
         """Deadline timer callback (runs on the event loop).
 
         Settling the future is the whole drop: :meth:`BatchQueue.take`
-        skips done futures when forming a batch, and :meth:`_run_batch`
+        skips done futures when forming a batch, and :meth:`_run`
         skips them when zipping results back — the same two-sided path
         that makes cancellation batch-safe.  The sweep of the queue's
         settled husks piggybacks here so expiry storms do not leave the
-        deque full of dead entries between flushes (out-of-core requests
-        pass no queue — they never sit in one).
+        deque full of dead entries between flushes (direct-route
+        requests pass no queue — they never sit in one).
         """
         if not future.done():
             future.set_exception(DeadlineError(
@@ -759,7 +630,7 @@ class Server:
                 self._completed += 1
                 entry["completed"] += 1
 
-    # -- batching -----------------------------------------------------------
+    # -- execution ----------------------------------------------------------
     def _flush(self, queue: BatchQueue) -> None:
         """Dispatch every live pending request of ``queue`` in batches of
         at most ``max_batch`` (runs on the event loop: from a linger
@@ -775,25 +646,37 @@ class Server:
                 # wait_seconds for every batch after the first
                 waits = queue.note_dispatch(batch)
                 self._metrics.observe_dispatch(waits, len(batch))
-            task = self._loop.create_task(self._run_batch(queue, batch))
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
+            self._spawn(self._run(
+                batch, functools.partial(self._engine_batch, batch), queue))
         # a flush that dispatched nothing (every waiter cancelled) leaves
         # the queue drained with no batch task to retire it later
         self._maybe_retire(queue)
 
-    async def _run_batch(self, queue: BatchQueue,
-                         batch: List[Request]) -> None:
+    async def _run(self, batch: List[Request],
+                   call: Callable[[], List[np.ndarray]],
+                   queue: Optional[BatchQueue] = None,
+                   prepare: Optional[Callable[[Request], Awaitable[None]]]
+                   = None) -> None:
+        """Execute one coalesced batch, or one direct-route request, on
+        the executor and settle its futures.
+
+        Results are zipped back positionally onto the batch; a failure
+        reaches every live request in it; a shutdown that cancels this
+        task fails them with :class:`ServerClosedError`.  Requests that
+        already settled (cancelled or expired) are skipped.
+        """
         loop = asyncio.get_running_loop()
         try:
             try:
+                if prepare is not None:
+                    await prepare(batch[0])
                 results = await loop.run_in_executor(
-                    self._executor, self._execute_batch, queue, batch)
+                    self._executor, self._execute, call, queue)
             except asyncio.CancelledError:
                 for request in batch:
                     if not request.future.done():
                         request.future.set_exception(ServerClosedError(
-                            "batch aborted by server shutdown"))
+                            "request aborted by server shutdown"))
                 raise
             except BaseException as exc:  # delivered, not swallowed: every
                 # live client of the batch observes the same failure
@@ -805,8 +688,9 @@ class Server:
                 if not request.future.done():
                     request.future.set_result(result)
         finally:
-            queue.outstanding -= 1
-            self._maybe_retire(queue)
+            if queue is not None:
+                queue.outstanding -= 1
+                self._maybe_retire(queue)
 
     def _maybe_retire(self, queue: BatchQueue) -> None:
         """Drop a fully drained queue from the live map, folding its
@@ -834,35 +718,54 @@ class Server:
                     _merge_counters(overflow, self._retired.pop(oldest))
             _merge_counters(entry, queue.snapshot())
 
-    def _execute_batch(self, queue: BatchQueue,
-                       batch: List[Request]) -> List[np.ndarray]:
+    def _execute(self, call: Callable[[], List[np.ndarray]],
+                 queue: Optional[BatchQueue]) -> List[np.ndarray]:
         """Runs on an executor thread; the engine is thread-safe.
 
         ``run_seconds`` is measured here — around the engine call itself —
-        so a batch queued behind others in the executor charges that delay
-        to neither wait (pre-dispatch) nor run accounting.
+        so a request queued behind others in the executor charges that
+        delay to neither wait (pre-dispatch) nor run accounting.
         """
-        head = batch[0]
         start = time.monotonic()
         try:
-            # chaos sites: a failing batch dispatch and a slow engine call
-            # (the latter drives deadline expiry in the chaos suite)
-            faults.maybe("serve.batch")
-            faults.maybe("serve.engine")
-            if head.op == "ata":
-                return self.engine.run_batch(
-                    [request.a for request in batch],
-                    algo=head.algo, alpha=head.alpha)
-            return self.engine.run_batch_atb(
-                [(request.a, request.b) for request in batch],
-                algo=head.algo, alpha=head.alpha)
+            return call()
         finally:
             with self._lock:
                 elapsed = time.monotonic() - start
-                queue.run_seconds += elapsed
+                if queue is not None:
+                    queue.run_seconds += elapsed
                 self._metrics.observe_run(elapsed)
 
-    # -- lifecycle ----------------------------------------------------------
+    def _engine_batch(self, batch: List[Request]) -> List[np.ndarray]:
+        """The engine call of a coalesced batch."""
+        head = batch[0]
+        # chaos sites: a failing batch dispatch and a slow engine call
+        # (the latter drives deadline expiry in the chaos suite)
+        faults.maybe("serve.batch")
+        faults.maybe("serve.engine")
+        if head.op == "ata":
+            return self.engine.run_batch(
+                [request.a for request in batch],
+                algo=head.algo, alpha=head.alpha)
+        return self.engine.run_batch_atb(
+            [(request.a, request.b) for request in batch],
+            algo=head.algo, alpha=head.alpha)
+
+    def _engine_matmul(self, request: Request) -> np.ndarray:
+        """The engine call of a structured-operand request."""
+        if request.op == "ata":
+            return self.engine.matmul_ata(request.a, alpha=request.alpha,
+                                          algo=request.algo)
+        return self.engine.matmul_atb(request.a, request.b,
+                                      alpha=request.alpha, algo=request.algo)
+
+    def _engine_ooc(self, ooc_kwargs: dict, request: Request) -> np.ndarray:
+        """The engine call of an out-of-core or stream request."""
+        result, _ = self.engine.run_ooc(request.a, alpha=request.alpha,
+                                        algo=request.algo, **ooc_kwargs)
+        return result
+
+    # -- shutdown -----------------------------------------------------------
     async def close(self, *, drain: bool = True) -> None:
         """Stop admission and settle every admitted request.
 
