@@ -7,9 +7,11 @@ MKL is not available in this environment, so these functions play its role:
 * they perform the *classical* operation counts (no Strassen), which is the
   essential property for the comparison — MKL's advantage is a highly tuned
   constant factor, its disadvantage the ``Θ(n^3)`` exponent;
-* they dispatch to numpy's underlying optimised BLAS (the same engine the
-  recursive algorithms bottom out into), so measured wall-clock comparisons
-  on the reproduction host are apples-to-apples;
+* they dispatch to the same optimised BLAS the recursive algorithms bottom
+  out into (``mkl_syrk`` is one call of the bound ``?syrk``, through
+  :func:`repro.blas.direct.syrk_leaf`; ``mkl_gemm_t`` is numpy's ``@``),
+  so measured wall-clock comparisons on the reproduction host are
+  apples-to-apples;
 * they record their classical flop counts under dedicated counter
   categories (``mkl_syrk`` / ``mkl_gemm``) so the performance model can
   price them on the paper's hardware;
@@ -29,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from ..blas import counters
+from ..blas.direct import syrk_leaf
 from ..blas.kernels import validate_matrix
 from ..errors import ShapeError
 
@@ -53,9 +56,11 @@ def mkl_syrk(a: np.ndarray, c: Optional[np.ndarray] = None, alpha: float = 1.0, 
         c = np.zeros((n, n), dtype=a.dtype)
     if c.shape != (n, n):
         raise ShapeError(f"C must have shape ({n}, {n}), got {c.shape}")
-    full = a.T @ a
-    idx = np.tril_indices(n) if lower else np.triu_indices(n)
-    c[idx] += alpha * full[idx]
+    if lower:
+        syrk_leaf(a, c, alpha)
+    else:
+        idx = np.triu_indices(n)
+        c[idx] += alpha * (a.T @ a)[idx]
     counters.record("mkl_syrk", flops=m * n * (n + 1), bytes=a.nbytes + c.nbytes)
     return c
 

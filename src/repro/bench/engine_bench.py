@@ -1,5 +1,5 @@
-"""Engine experiments: plan-cache amortisation, DAG-parallel execution and
-measured backend auto-tuning.
+"""Engine experiments: plan-cache amortisation, DAG-parallel execution,
+the default base case and measured backend auto-tuning.
 
 ``engine_plan_cache`` measures compile-once/execute-many: under repeated
 traffic the recursion walk, the cache-fit checks and the workspace
@@ -26,6 +26,10 @@ DAG shape (steps, edges, critical path, width).  Genuine speedup needs
 real cores — on a single-core host the ratio degrades to ≈ 0.7–1.0×, which
 the table records honestly; ``benchmarks/test_engine_dag.py`` enforces the
 ≥ 1.3× bar on hosts with ≥ 4 cores.
+
+``engine_base_case`` sweeps ``base_case_elements`` over the benchmark's
+``gram_dense`` shapes at default dispatch: the measurement behind the
+2**20-element default (see :data:`repro.config.DEFAULT_BASE_CASE_ELEMENTS`).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .harness import register
 from .reporting import ExperimentTable
 from .workloads import random_matrix
 
-__all__ = ["engine_plan_cache", "engine_dag_parallel",
+__all__ = ["engine_plan_cache", "engine_dag_parallel", "engine_base_case",
            "engine_backend_tuner"]
 
 
@@ -158,6 +162,54 @@ def engine_dag_parallel(sizes: Optional[Sequence[int]] = None,
                    "steps retire in plan order), so the speedup column is "
                    "a pure scheduling effect; expect <= 1x without real "
                    "cores to overlap the GIL-releasing kernels")
+    return [table]
+
+
+#: the benchmark's ``gram_dense`` shapes: ``(m, n)`` AtA, ``(m, n, k)`` AtB
+GRAM_DENSE_SHAPES = ((1024, 1024), (4096, 256), (512, 512), (1024, 512, 512))
+
+
+@register("engine_base_case",
+          "Default-path throughput of the gram_dense shapes across base cases",
+          "Section 3.4 base case (DESIGN.md, \"Leaf kernels and the base case\")")
+def engine_base_case(base_cases: Sequence[int] = (1 << 12, 1 << 16, 1 << 18,
+                                                  1 << 19, 1 << 20, 1 << 21),
+                     repeats: int = 3) -> List[ExperimentTable]:
+    """Sweep ``base_case_elements`` over the ``gram_dense`` shapes.
+
+    Each base case gets a fresh engine, one untimed pass that compiles
+    the plans, then ``repeats`` timed passes over every shape through
+    default dispatch; the best pass is reported as useful GFLOP/s
+    (``m·n·(n+1)`` per AtA, ``2·m·n·k`` per AtB).  The default base case
+    is the smallest value at which this curve stops rising.
+    """
+    table = ExperimentTable(
+        "engine_base_case",
+        "warm-pass seconds and useful GFLOP/s of the gram_dense shape set",
+        ["base_case_elements", "pass_seconds", "gflops", "ata_1024_steps"])
+    operands = [tuple(random_matrix(shape[0], d, seed=i + d)
+                      for d in shape[1:])
+                for i, shape in enumerate(GRAM_DENSE_SHAPES)]
+    flops = sum(m * n * (n + 1) if len(rest) == 0 else 2 * m * n * rest[0]
+                for m, n, *rest in GRAM_DENSE_SHAPES)
+
+    def one_pass(engine) -> None:
+        for ops in operands:
+            if len(ops) == 1:
+                engine.matmul_ata(ops[0])
+            else:
+                engine.matmul_atb(*ops)
+
+    for base in base_cases:
+        with configured(base_case_elements=base):
+            engine = ExecutionEngine()
+            one_pass(engine)
+            best = _best_of(lambda: one_pass(engine), repeats)
+        steps = sum(plan.n_steps for plan in engine.plans.snapshot()
+                    if plan.shape == (1024, 1024))
+        table.add_row(base, best, flops / best / 1e9, steps)
+    table.add_note("BLAS thread count is inherited from the environment; "
+                   "pin OPENBLAS_NUM_THREADS=1 to reproduce EXPERIMENTS.md")
     return [table]
 
 

@@ -33,6 +33,7 @@ from ..core import (
     strassen_multiplications,
 )
 from ..cache.model import default_cache_model
+from ..config import configured
 from ..distributed import ata_distributed, costs as dcosts
 from ..engine import default_engine
 from ..parallel import ata_shared
@@ -96,9 +97,10 @@ def fig3(measured_sizes: Optional[Sequence[int]] = None,
                    "the n^3 / n^{log2 7} asymptotics")
 
     measured = ExperimentTable(
-        "fig3_measured", "measured single-core seconds on scaled-down sizes",
-        ["n", "ata_seconds", "dsyrk_seconds", "ata_eff_gflops", "dsyrk_eff_gflops"])
-    sizes = measured_sizes if measured_sizes is not None else [256, 384, 512]
+        "fig3_measured", "measured seconds: default matmul_ata vs one bound ?syrk call",
+        ["n", "ata_seconds", "dsyrk_seconds", "ata_eff_gflops", "dsyrk_eff_gflops",
+         "ata_over_dsyrk"])
+    sizes = measured_sizes if measured_sizes is not None else [1024, 2048]
     engine = default_engine()
     for n in sizes:
         a = random_matrix(n, n, seed=n)
@@ -108,7 +110,12 @@ def fig3(measured_sizes: Optional[Sequence[int]] = None,
         run_syrk = time_callable(lambda: mkl_syrk(a), repeats=repeats)
         measured.add_row(n, run_ata.seconds, run_syrk.seconds,
                          effective_gflops(n, run_ata.seconds, r=1),
-                         effective_gflops(n, run_syrk.seconds, r=1))
+                         effective_gflops(n, run_syrk.seconds, r=1),
+                         run_ata.seconds / run_syrk.seconds)
+    measured.add_note("at n*n <= base_case_elements (2**20 by default) AtA is itself "
+                      "one ?syrk leaf, so the paper's claim is only tested above it; "
+                      "EXPERIMENTS.md reports the single-threaded outcome on the "
+                      "container (one dsyrk wins)")
     return [paper, measured]
 
 
@@ -137,7 +144,8 @@ def fig4(measured_sizes: Optional[Sequence[int]] = None,
     measured = ExperimentTable(
         "fig4_measured", "measured single-core seconds on scaled-down sizes",
         ["n", "strassen_seconds", "dgemm_seconds", "strassen_eff_gflops", "dgemm_eff_gflops"])
-    sizes = measured_sizes if measured_sizes is not None else [256, 384, 512]
+    # large enough that the default base case recurses (2n^2 > 2**20)
+    sizes = measured_sizes if measured_sizes is not None else [1024, 2048]
     for n in sizes:
         a = random_matrix(n, n, seed=n)
         b = random_matrix(n, n, seed=n + 1)
@@ -319,21 +327,24 @@ def ablation_workspace(n: int = 384, repeats: int = 3) -> List[ExperimentTable]:
     a = random_matrix(n, n, seed=11)
     b = random_matrix(n, n, seed=12)
 
-    ws = StrassenWorkspace(n, n, n, dtype=a.dtype)
-    run_pre = time_callable(lambda: (ws.reset(), fast_strassen(a, b, workspace=ws)),
-                            repeats=repeats)
-    table.add_row(n, "pre-allocated (FastStrassen)", run_pre.seconds, 3, ws.total_elements)
-
     def run_naive_once():
         naive = NaiveWorkspace(dtype=a.dtype)
         fast_strassen(a, b, workspace=naive)
         return naive
 
-    run_naive = time_callable(run_naive_once, repeats=repeats)
+    # the workspace strategy only matters while Strassen recurses: run in
+    # the paper's L1 base case, not the default (where small n is one leaf)
+    with configured(base_case_elements=4096):
+        ws = StrassenWorkspace(n, n, n, dtype=a.dtype)
+        run_pre = time_callable(lambda: (ws.reset(), fast_strassen(a, b, workspace=ws)),
+                                repeats=repeats)
+        run_naive = time_callable(run_naive_once, repeats=repeats)
+    table.add_row(n, "pre-allocated (FastStrassen)", run_pre.seconds, 3, ws.total_elements)
     naive_ws = run_naive.result
     table.add_row(n, "allocate per recursive step", run_naive.seconds,
                   naive_ws.allocations, naive_ws.allocated_elements)
-    table.add_note("the pre-allocated strategy bounds scratch space by 3/2 n^2 (Eq. 4)")
+    table.add_note("the pre-allocated strategy bounds scratch space by 3/2 n^2 (Eq. 4); "
+                   "base case pinned to the paper's 4096 elements")
     return [table]
 
 

@@ -1,54 +1,63 @@
 """BLAS-direct bindings: call ``?syrk``/``?gemm`` in a real BLAS library.
 
-The instrumented kernels in :mod:`repro.blas.kernels` express every product
-through numpy's ``@`` operator, which costs an extra temporary and a
-Python-level triangle fold per call.  This module goes one layer lower and
-binds the vendor routines themselves, through two providers tried in
-order:
+numpy's ``@`` cannot compute one triangle of ``A^T A``: it forms the whole
+product, and the lower-triangular update then needs a scatter through
+index arrays.  This module binds the vendor routines themselves through
+:mod:`ctypes`, with row-major CBLAS prototypes so C-ordered operands are
+read in place.  Candidate libraries, best first: the private OpenBLAS
+numpy vendors under ``numpy.libs`` (already loaded, so no second BLAS
+thread pool), the one scipy vendors under ``scipy.libs`` (when scipy is
+imported), then a system CBLAS found with :func:`ctypes.util.find_library`.
 
-``ctypes``
-    A CBLAS shared library (OpenBLAS / reference BLAS / MKL, plus the
-    private copies numpy and scipy vendor under ``numpy.libs`` /
-    ``scipy.libs``) located with :func:`ctypes.util.find_library` or a
-    filesystem probe, bound with row-major CBLAS prototypes so our
-    C-contiguous arrays are updated **in place** with no copies.
-``scipy``
-    The f2py wrappers in :mod:`scipy.linalg.blas` (``dsyrk``/``ssyrk``,
-    ``dgemm``/``sgemm``) when scipy is importable; operands are copied to
-    Fortran order by the wrapper, so this path trades copies for
-    portability.
+The vendored builds export *prefixed* symbols, and the integer ABI is a
+property of each symbol, not of the file: ``scipy_cblas_dsyrk`` (LP64,
+``scipy.libs``) takes C ``int`` arguments, ``scipy_cblas_dsyrk64_``
+(ILP64, ``numpy.libs`` — the only BLAS when scipy is absent) takes
+64-bit ones.  Each library is probed for every symbol scheme and bound
+with the matching prototypes; :func:`_selftest` then vets the binding in
+both precisions before it is trusted.
 
-When neither provider is importable the module stays cleanly absent:
-:func:`is_available` returns ``False`` and the ``blas_direct`` execution
-backend (see :mod:`repro.engine.backends`) drops out of the candidate set
-instead of erroring.  Set ``REPRO_BLAS_DIRECT=0`` to force that state.
+:func:`syrk_leaf` is the one lower-triangular ``syrk`` leaf of the whole
+package: :func:`repro.blas.kernels.syrk`, the plan interpreter's
+``OP_SYRK``, generated fused kernels and :func:`direct_syrk` all call
+it, so they are bit-identical to each other by construction.  The leaf
+asks the bound ``?syrk`` for ``alpha * A^T A`` with ``beta = 0`` in a
+scratch buffer and then adds that buffer's lower triangle into ``C``.
+It never accumulates in place with ``beta = 1``: OpenBLAS blocks the
+reduction (row) dimension inside the kernel, so ``kernel(C)`` and
+``C + kernel(0)`` differ in the last bit once ``A`` has more than a few
+hundred rows, and the process farm's bit-identity contract (see
+:mod:`repro.engine.farm`) needs ``kernel(C) == C + kernel(0)`` exactly.
+Without a provider, or for operands the prototypes cannot address
+(dtype, negative or non-unit inner strides), the leaf evaluates the
+numpy expression instead.
 
-Only real ``float32``/``float64`` operands are supported — exactly the
-dtypes the paper's MKL experiments use.  Results are deterministic per
-provider (repeated calls are bit-identical) but are *not* bit-identical to
-:func:`repro.blas.kernels.syrk`: a different BLAS kernel rounds
-differently, which is precisely why the auto-tuner compares backends by
-measured time, never by mixing their outputs.
+When no provider binds, :func:`is_available` returns ``False`` and the
+``blas_direct`` execution backend (see :mod:`repro.engine.backends`)
+drops out of the candidate set instead of erroring.  Set
+``REPRO_BLAS_DIRECT=0`` to force that state (the leaf then always takes
+the numpy expression).  Only real ``float32``/``float64`` operands bind
+— exactly the dtypes the paper's MKL experiments use.
 """
 
 from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import functools
 import glob
 import os
 import sys
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..config import get_config
 from ..errors import DTypeError, ShapeError
-from . import counters
-from .kernels import gemm_flops, syrk_flops, validate_matrix
+from . import counters, kernels
 
-__all__ = ["is_available", "provider", "direct_syrk", "direct_gemm_t",
-           "supported_dtype"]
+__all__ = ["is_available", "provider", "binding", "syrk_leaf", "direct_syrk",
+           "direct_gemm_t", "supported_dtype"]
 
 # CBLAS enums (row-major convention keeps our C-contiguous arrays in place)
 _CBLAS_ROW_MAJOR = 101
@@ -58,6 +67,13 @@ _CBLAS_LOWER = 122
 
 _SUPPORTED = (np.dtype(np.float32), np.dtype(np.float64))
 
+#: ``(prefix, suffix, integer type)`` of every CBLAS symbol scheme probed,
+#: most specific first: numpy's ILP64 OpenBLAS, scipy's LP64 OpenBLAS,
+#: then a plain system CBLAS.
+_SCHEMES = (("scipy_cblas_", "64_", ctypes.c_int64),
+            ("scipy_cblas_", "", ctypes.c_int),
+            ("cblas_", "", ctypes.c_int))
+
 
 def supported_dtype(dtype) -> bool:
     """Whether the BLAS-direct path handles ``dtype`` (real f4/f8 only)."""
@@ -65,87 +81,59 @@ def supported_dtype(dtype) -> bool:
 
 
 class _CtypesProvider:
-    """Row-major CBLAS ``?syrk``/``?gemm`` bound through :mod:`ctypes`."""
+    """Row-major CBLAS ``?syrk``/``?gemm`` bound through :mod:`ctypes`
+    under one symbol scheme (see :data:`_SCHEMES`)."""
 
     name = "ctypes"
 
-    def __init__(self, lib: ctypes.CDLL) -> None:
-        self._fns = {}
-        for sym, scalar in (("cblas_dsyrk", ctypes.c_double),
-                            ("cblas_ssyrk", ctypes.c_float)):
-            fn = getattr(lib, sym)
+    def __init__(self, lib: ctypes.CDLL, prefix: str, suffix: str,
+                 int_t) -> None:
+        self.binding = (lib._name, f"{prefix}dsyrk{suffix}")
+        self._syrk = {}
+        self._gemm = {}
+        for dtype, char, scalar in ((np.dtype(np.float64), "d", ctypes.c_double),
+                                    (np.dtype(np.float32), "s", ctypes.c_float)):
+            fn = getattr(lib, f"{prefix}{char}syrk{suffix}")
             fn.restype = None
             fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int,
-                           ctypes.c_int, ctypes.c_int, scalar,
-                           ctypes.c_void_p, ctypes.c_int, scalar,
-                           ctypes.c_void_p, ctypes.c_int]
-            self._fns[sym] = fn
-        for sym, scalar in (("cblas_dgemm", ctypes.c_double),
-                            ("cblas_sgemm", ctypes.c_float)):
-            fn = getattr(lib, sym)
+                           int_t, int_t, scalar, ctypes.c_void_p, int_t,
+                           scalar, ctypes.c_void_p, int_t]
+            self._syrk[dtype] = fn
+            fn = getattr(lib, f"{prefix}{char}gemm{suffix}")
             fn.restype = None
             fn.argtypes = [ctypes.c_int, ctypes.c_int, ctypes.c_int,
-                           ctypes.c_int, ctypes.c_int, ctypes.c_int, scalar,
-                           ctypes.c_void_p, ctypes.c_int,
-                           ctypes.c_void_p, ctypes.c_int, scalar,
-                           ctypes.c_void_p, ctypes.c_int]
-            self._fns[sym] = fn
+                           int_t, int_t, int_t, scalar,
+                           ctypes.c_void_p, int_t, ctypes.c_void_p, int_t,
+                           scalar, ctypes.c_void_p, int_t]
+            self._gemm[dtype] = fn
 
-    @staticmethod
-    def _ptr(a: np.ndarray) -> ctypes.c_void_p:
-        return ctypes.c_void_p(a.ctypes.data)
-
-    def syrk(self, a: np.ndarray, c: np.ndarray, alpha: float) -> None:
+    def syrk(self, a: np.ndarray, s: np.ndarray, alpha: float,
+             lda: int) -> None:
+        """``low(S) = alpha * A^T A`` (``beta = 0``) for a C-contiguous
+        ``n x n`` ``S``; ``lda`` is ``A``'s row stride in elements."""
         m, n = a.shape
-        sym = "cblas_dsyrk" if a.dtype == np.float64 else "cblas_ssyrk"
-        self._fns[sym](_CBLAS_ROW_MAJOR, _CBLAS_LOWER, _CBLAS_TRANS,
-                       n, m, alpha, self._ptr(a), n, 1.0, self._ptr(c), n)
+        self._syrk[a.dtype](_CBLAS_ROW_MAJOR, _CBLAS_LOWER, _CBLAS_TRANS,
+                            n, m, alpha, a.ctypes.data, lda, 0.0,
+                            s.ctypes.data, n)
 
     def gemm_t(self, a: np.ndarray, b: np.ndarray, c: np.ndarray,
                alpha: float) -> None:
+        """``C += alpha * A^T B`` on C-contiguous operands."""
         m, n = a.shape
         k = b.shape[1]
-        sym = "cblas_dgemm" if a.dtype == np.float64 else "cblas_sgemm"
-        self._fns[sym](_CBLAS_ROW_MAJOR, _CBLAS_TRANS, _CBLAS_NO_TRANS,
-                       n, k, m, alpha, self._ptr(a), n,
-                       self._ptr(b), k, 1.0, self._ptr(c), k)
+        self._gemm[a.dtype](_CBLAS_ROW_MAJOR, _CBLAS_TRANS, _CBLAS_NO_TRANS,
+                            n, k, m, alpha, a.ctypes.data, n,
+                            b.ctypes.data, k, 1.0, c.ctypes.data, k)
 
 
-class _ScipyProvider:
-    """``scipy.linalg.blas`` f2py wrappers (copying, but always importable
-    wherever scipy is)."""
-
-    name = "scipy"
-
-    def __init__(self, blas_module) -> None:
-        self._syrk = {np.dtype(np.float64): blas_module.dsyrk,
-                      np.dtype(np.float32): blas_module.ssyrk}
-        self._gemm = {np.dtype(np.float64): blas_module.dgemm,
-                      np.dtype(np.float32): blas_module.sgemm}
-
-    def syrk(self, a: np.ndarray, c: np.ndarray, alpha: float) -> None:
-        n = a.shape[1]
-        product = self._syrk[a.dtype](alpha, a, trans=1, lower=1)
-        idx = np.tril_indices(n)
-        c[idx] += product[idx]
-
-    def gemm_t(self, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-               alpha: float) -> None:
-        c += self._gemm[a.dtype](alpha, a, b, trans_a=1)
-
-
-def _candidate_libraries() -> list:
+def _candidate_libraries() -> Iterator[str]:
     """Shared-library paths that may expose CBLAS symbols, best first.
 
-    Libraries advertising an ILP64 build (``openblas64``, ``ilp64``) are
-    excluded: their 64-bit integer ABI silently mismatches the 32-bit
-    ``c_int`` prototypes bound below.
-    """
-    paths = []
-    for stem in ("openblas", "cblas", "blas", "mkl_rt"):
-        found = ctypes.util.find_library(stem)
-        if found:
-            paths.append(found)
+    Lazy: :func:`ctypes.util.find_library` runs the compiler and linker
+    in subprocesses (a hundred milliseconds or more, varying from call
+    to call), so the system search runs only once no vendored build
+    has bound."""
+    seen = set()
     # numpy/scipy vendor private BLAS builds next to their packages
     for module in ("numpy", "scipy"):
         mod = sys.modules.get(module)
@@ -154,9 +142,15 @@ def _candidate_libraries() -> list:
         site = os.path.dirname(os.path.dirname(mod.__file__))
         for pattern in (f"{module}.libs/*openblas*", f"{module}/.libs/*openblas*",
                         f"{module}.libs/*blas*"):
-            paths.extend(sorted(glob.glob(os.path.join(site, pattern))))
-    return [p for p in paths
-            if "64" not in os.path.basename(p).replace("x86_64", "")]
+            for path in sorted(glob.glob(os.path.join(site, pattern))):
+                if path not in seen:
+                    seen.add(path)
+                    yield path
+    for stem in ("openblas", "cblas", "blas", "mkl_rt"):
+        found = ctypes.util.find_library(stem)
+        if found and found not in seen:
+            seen.add(found)
+            yield found
 
 
 def _selftest(active) -> bool:
@@ -168,9 +162,9 @@ def _selftest(active) -> bool:
     try:
         for dtype in (np.float64, np.float32):
             a = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], dtype=dtype)
-            c = np.zeros((2, 2), dtype=dtype)
-            active.syrk(a, c, 1.0)
-            if not np.allclose(np.tril(c), np.tril(a.T @ a), rtol=1e-5):
+            s = np.zeros((2, 2), dtype=dtype)
+            active.syrk(a, s, 1.0, 2)
+            if not np.allclose(np.tril(s), np.tril(a.T @ a), rtol=1e-5):
                 return False
             b = np.array([[1.0], [0.5], [-1.0]], dtype=dtype)
             d = np.zeros((2, 1), dtype=dtype)
@@ -182,29 +176,29 @@ def _selftest(active) -> bool:
         return False
 
 
-def _load_provider() -> Optional[object]:
+def _load_provider() -> Optional[_CtypesProvider]:
     if os.environ.get("REPRO_BLAS_DIRECT", "1") in ("0", "false", ""):
         return None
     for path in _candidate_libraries():
         try:
-            candidate = _CtypesProvider(ctypes.CDLL(path))
-        except (OSError, AttributeError):
-            continue  # unloadable, or loadable but without CBLAS symbols
-        if _selftest(candidate):
-            return candidate
-    try:
-        from scipy.linalg import blas as scipy_blas
-        candidate = _ScipyProvider(scipy_blas)
-    except Exception:
-        return None
-    return candidate if _selftest(candidate) else None
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for scheme in _SCHEMES:
+            try:
+                candidate = _CtypesProvider(lib, *scheme)
+            except AttributeError:
+                continue  # this library does not export the scheme
+            if _selftest(candidate):
+                return candidate
+    return None
 
 
-_PROVIDER: Optional[object] = None
+_PROVIDER: Optional[_CtypesProvider] = None
 _LOADED = False
 
 
-def _provider() -> Optional[object]:
+def _provider() -> Optional[_CtypesProvider]:
     global _PROVIDER, _LOADED
     if not _LOADED:
         _PROVIDER = _load_provider()
@@ -218,9 +212,63 @@ def is_available() -> bool:
 
 
 def provider() -> Optional[str]:
-    """Name of the active provider (``"ctypes"`` / ``"scipy"``) or ``None``."""
+    """Name of the active provider (``"ctypes"``) or ``None``."""
     active = _provider()
     return active.name if active is not None else None
+
+
+def binding() -> Optional[Tuple[str, str]]:
+    """``(library path, double-precision syrk symbol)`` of the active
+    provider, or ``None`` — e.g. ``(".../numpy.libs/libscipy_openblas64_
+    -....so", "scipy_cblas_dsyrk64_")`` for numpy's ILP64 build."""
+    active = _provider()
+    return active.binding if active is not None else None
+
+
+def _leading_dim(a: np.ndarray, c: np.ndarray) -> int:
+    """``A``'s row stride in elements when the bound ``?syrk`` can read
+    ``A`` in place (and write ``C``'s dtype), else ``0``."""
+    m, n = a.shape
+    if a.dtype not in _SUPPORTED or c.dtype != a.dtype or not m or not n:
+        return 0
+    row, col = a.strides
+    itemsize = a.itemsize
+    if (col != itemsize and n > 1) or row % itemsize or not a.flags.aligned:
+        return 0
+    lda = row // itemsize
+    return lda if lda >= n else 0
+
+
+@functools.lru_cache(maxsize=32)
+def _small_tril_mask(n: int) -> np.ndarray:
+    mask = np.tri(n, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _tril_mask(n: int) -> np.ndarray:
+    """Lower-triangle mask of an ``n x n`` matrix.  Building one costs
+    about as much as a tiny leaf's ``?syrk``, so masks up to 512 wide
+    (256 KiB) are cached; beyond that the product dwarfs the build."""
+    return _small_tril_mask(n) if n <= 512 else np.tri(n, dtype=bool)
+
+
+def syrk_leaf(a: np.ndarray, c: np.ndarray, alpha: float) -> None:
+    """``low(C) += alpha * A^T A`` — the package's single syrk leaf.
+
+    No validation (callers validate once, or replay a validated plan);
+    the strict upper triangle of ``C`` is never touched.
+    """
+    n = a.shape[1]
+    active = _provider()
+    lda = _leading_dim(a, c) if active is not None else 0
+    if lda:
+        s = np.empty((n, n), dtype=a.dtype)
+        active.syrk(a, s, alpha, lda)
+        np.add(c, s, out=c, where=_tril_mask(n))
+    else:
+        idx = np.tril_indices(n)
+        c[idx] += alpha * (a.T @ a)[idx]
 
 
 def _require(a: np.ndarray) -> None:
@@ -240,34 +288,16 @@ def direct_syrk(a: np.ndarray, c: np.ndarray, alpha: float = 1.0, *,
                 count: Optional[bool] = None) -> np.ndarray:
     """Lower-triangular ``C += alpha * A^T A`` through the bound BLAS.
 
-    Same contract as :func:`repro.blas.kernels.syrk` (``lower=True``);
-    raises :class:`RuntimeError` when no provider is available — callers
-    are expected to gate on :func:`is_available`.
+    :func:`repro.blas.kernels.syrk` (``lower=True``) with the provider
+    required: both run :func:`syrk_leaf`, so the results are
+    bit-identical.  Raises :class:`RuntimeError` when no provider is
+    available — callers are expected to gate on :func:`is_available`.
     """
-    active = _provider()
-    if active is None:
+    if _provider() is None:
         raise RuntimeError("no BLAS-direct provider available on this host")
-    validate_matrix(a, "A")
-    validate_matrix(c, "C")
+    kernels.validate_matrix(a, "A")
     _require(a)
-    m, n = a.shape
-    if c.shape != (n, n):
-        raise ShapeError(f"C must have shape ({n}, {n}) for A of shape "
-                         f"{a.shape}, got {c.shape}")
-    if a.dtype != c.dtype:
-        raise DTypeError(f"A and C must share a dtype, got {a.dtype} and {c.dtype}")
-    a = _dense(a)
-    if c.flags.c_contiguous:
-        active.syrk(a, c, float(alpha))
-    else:
-        dense = np.ascontiguousarray(c)
-        active.syrk(a, dense, float(alpha))
-        c[...] = dense
-    if count if count is not None else get_config().count_flops:
-        itemsize = a.dtype.itemsize
-        counters.record("syrk", flops=syrk_flops(m, n),
-                        bytes=itemsize * (m * n + n * (n + 1) // 2))
-    return c
+    return kernels.syrk(a, c, alpha, count=count)
 
 
 def direct_gemm_t(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -278,9 +308,9 @@ def direct_gemm_t(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     active = _provider()
     if active is None:
         raise RuntimeError("no BLAS-direct provider available on this host")
-    validate_matrix(a, "A")
-    validate_matrix(b, "B")
-    validate_matrix(c, "C")
+    kernels.validate_matrix(a, "A")
+    kernels.validate_matrix(b, "B")
+    kernels.validate_matrix(c, "C")
     _require(a)
     m, n = a.shape
     mb, k = b.shape
@@ -301,6 +331,6 @@ def direct_gemm_t(a: np.ndarray, b: np.ndarray, c: np.ndarray,
         c[...] = dense
     if count if count is not None else get_config().count_flops:
         itemsize = a.dtype.itemsize
-        counters.record("gemm", flops=gemm_flops(m, n, k),
+        counters.record("gemm", flops=kernels.gemm_flops(m, n, k),
                         bytes=itemsize * (m * n + m * k + n * k))
     return c

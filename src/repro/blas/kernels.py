@@ -3,12 +3,13 @@
 The paper's implementation calls Intel MKL routines — ``?syrk`` for the
 A^T A base case, ``?gemm`` for the A^T B base case and ``?axpy`` for matrix
 additions.  This module provides the same operations on numpy arrays.  The
-matrix products dispatch to numpy's underlying optimised BLAS (via ``@``),
-so the *relative* cost of the algorithms built on top of them is faithful;
-every kernel also records its floating-point operation count and byte
-traffic into the active :class:`~repro.blas.counters.CounterSet` so the
-performance model can convert work into modeled time on the paper's
-hardware.
+lower-triangular ``syrk`` calls the bound ``?syrk`` through
+:func:`repro.blas.direct.syrk_leaf`; the other products dispatch to numpy's
+underlying optimised BLAS (via ``@``), so the *relative* cost of the
+algorithms built on top of them is faithful.  Every kernel also records
+its floating-point operation count and byte traffic into the active
+:class:`~repro.blas.counters.CounterSet` so the performance model can
+convert work into modeled time on the paper's hardware.
 
 All kernels follow BLAS semantics: they *update* the output operand in
 place (``C += alpha * ...``) and return it, never allocating a new result
@@ -29,7 +30,7 @@ import numpy as np
 
 from ..config import get_config
 from ..errors import DTypeError, ShapeError
-from . import counters
+from . import counters, direct
 
 __all__ = [
     "syrk",
@@ -126,12 +127,11 @@ def syrk(a: np.ndarray, c: np.ndarray, alpha: float = 1.0, *, lower: bool = True
         raise ShapeError(f"C must have shape ({n}, {n}) for A of shape {a.shape}, got {c.shape}")
     _check_same_dtype(a, c)
 
-    product = a.T @ a
     if lower:
-        idx = np.tril_indices(n)
+        direct.syrk_leaf(a, c, alpha)
     else:
         idx = np.triu_indices(n)
-    c[idx] += alpha * product[idx]
+        c[idx] += alpha * (a.T @ a)[idx]
 
     if count if count is not None else get_config().count_flops:
         itemsize = a.dtype.itemsize

@@ -8,8 +8,8 @@ and an optimal replacement policy.  This module provides
   cache-oblivious base-case predicates of Algorithm 1 / Algorithm 2, and
 * :class:`CacheHierarchy` — a small description of a real machine's cache
   levels, used by the performance model to translate counted memory traffic
-  into modeled time and by :func:`default_cache_model` to pick a realistic
-  default base case.
+  into modeled time, and
+* :func:`default_cache_model` — the model the configured base case implies.
 
 The *algorithms* only consume the predicates (:meth:`CacheModel.fits_ata`,
 :meth:`CacheModel.fits_gemm`); everything else exists for analysis and for
@@ -142,7 +142,12 @@ def default_cache_model(dtype=None) -> CacheModel:
 
     The configured ``base_case_elements`` is interpreted as the ideal-cache
     capacity in words; the line size is taken from the Xeon hierarchy (64
-    bytes) for the given dtype.
+    bytes) for the given dtype.  The default capacity is not a hardware
+    cache: the recursion here is interpreted, so "fits in cache" is read
+    as "the point where the BLAS leaf's efficiency saturates" (2**20
+    elements, see :data:`repro.config.DEFAULT_BASE_CASE_ELEMENTS`).  The
+    paper's L1 reading (4096 words) remains available through
+    ``configured(base_case_elements=4096)``.
     """
     cfg = get_config()
     itemsize = np.dtype(dtype if dtype is not None else cfg.default_dtype).itemsize

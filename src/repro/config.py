@@ -32,11 +32,16 @@ import numpy as np
 from .errors import ConfigurationError
 
 #: Default number of matrix *elements* below which the recursion stops and a
-#: BLAS kernel is invoked.  The paper uses "fits in cache"; 32 KiB of L1
-#: data cache holds 4096 doubles, and the paper's base case compares the
-#: *product* of the sub-matrix dimensions against the cache size, so the
-#: default mirrors that: m*n <= 4096.
-DEFAULT_BASE_CASE_ELEMENTS = 4096
+#: BLAS kernel is invoked (the test compares the *product* m*n of the
+#: sub-matrix dimensions).  The paper stops when the operand "fits in
+#: cache" — m*n <= 4096, one 32 KiB L1 of doubles — which assumes a
+#: compiled recursion.  Here every recursion step costs microseconds of
+#: interpreter time, so "fits in cache" is read as "the point where the
+#: BLAS leaf's efficiency saturates": a single-threaded sweep on the
+#: gram_dense shapes (EXPERIMENTS.md) climbs from 2.4 GFLOP/s at 2**12 to
+#: ~38 GFLOP/s at 2**20 and is flat beyond.  ``configured(
+#: base_case_elements=4096)`` restores the paper's regime.
+DEFAULT_BASE_CASE_ELEMENTS = 1 << 20
 
 #: Default dtype for workloads and workspaces when the caller does not
 #: specify one.

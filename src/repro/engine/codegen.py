@@ -42,11 +42,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..blas.direct import syrk_leaf
 from .plan import (OP_ADD, OP_FUSED, OP_GEMM, OP_GEMM_STORE, OP_LINCOMB,
                    OP_SCALE_STORE, OP_SYRK,
                    _ARENA_P, _ARENA_Q, _BASE_A, _BASE_B, _BASE_C,
-                   ExecutionPlan, FusedStep, _interpret_fused, _resolve,
-                   _tril_indices)
+                   ExecutionPlan, FusedStep, _interpret_fused, _resolve)
 
 __all__ = ["available", "emit_fused_source", "prepare_plan",
            "verify_first_use"]
@@ -116,12 +116,11 @@ def emit_fused_source(fused: FusedStep) -> Tuple[str, dict]:
     expression copied from :func:`~repro.engine.plan.run_step` — including
     the runtime ``alpha == 1.0`` short-circuit branches, so the compiled
     kernel and the interpreter execute the *same* floating-point
-    expression tree for any alpha.  Triangle index arrays for syrk
-    micro-ops are precomputed into the context (they are pure functions of
-    the tile size, shared with the interpreter's cache).
+    expression tree for any alpha.  Syrk micro-ops call the interpreter's
+    own leaf, :func:`~repro.blas.direct.syrk_leaf`.
     """
     lines: List[str] = ["def _fused_kernel(a, b, c, p, q, m, alpha):"]
-    context: Dict[str, object] = {"np": np}
+    context: Dict[str, object] = {"np": np, "syrk_leaf": syrk_leaf}
     for i, ref in enumerate(fused.refs):
         base = ref[0]
         if base in _BUF_NAMES:
@@ -200,13 +199,7 @@ def emit_fused_source(fused: FusedStep) -> Tuple[str, dict]:
             else:
                 lines.append(f"    v{mop[1]} += {coef!r} * v{mop[2]}")
         elif code == OP_SYRK:
-            n = mop[3]
-            tri = f"_tri{n}"
-            if tri not in context:
-                context[tri] = _tril_indices(n)
-            tmp += 1
-            lines.append(f"    _p{tmp} = v{mop[1]}.T @ v{mop[1]}")
-            lines.append(f"    v{mop[2]}[{tri}] += alpha * _p{tmp}[{tri}]")
+            lines.append(f"    syrk_leaf(v{mop[1]}, v{mop[2]}, alpha)")
         else:  # OP_ZERO
             lines.append(f"    v{mop[1]}[...] = 0")
     return "\n".join(lines) + "\n", context

@@ -36,7 +36,13 @@ afterwards.  For the single-kernel backends (``syrk``, ``tiled``,
 ``recursive_gemm``, ``blas_direct`` — and every backend when the panel
 fits the configured base case) the two chains are identical bit for bit,
 because those kernels update each ``C`` element exactly once:
-``kernel(c) == c + kernel(0)`` exactly.  The recursive ``ata`` backend
+``kernel(c) == c + kernel(0)`` exactly.  For ``syrk`` this holds by
+construction of the one syrk leaf, :func:`repro.blas.direct.syrk_leaf`:
+it has the bound ``?syrk`` write ``alpha * A_p^T A_p`` into scratch with
+``beta = 0`` and then adds that into ``C``.  An in-place ``beta = 1``
+update would break the identity for panels taller than a few hundred
+rows, because OpenBLAS folds the row blocks of ``A_p`` into ``C`` one
+at a time.  The recursive ``ata`` backend
 above its base case updates elements more than once, so there — as with
 any re-blocked BLAS reduction — the farm agrees with the in-process
 result only to rounding.  The test suite pins both statements.
@@ -95,7 +101,9 @@ uninterruptible kernel call, masked signals) is escalated to
 ``Process.kill()``, and the arenas are unlinked whatever happened before.
 
 Workers are forked where the platform supports it (runtime-registered
-backends and the live configuration carry over for free); elsewhere the
+backends, the live configuration and the bound BLAS provider — resolved
+in the parent before the first fork, so no worker repeats the library
+search — carry over for free); elsewhere the
 pool falls back to the default start method and workers rebuild their
 state from the pickled :class:`~repro.config.Config` snapshot — custom
 backends registered at runtime do not survive that fallback.
@@ -121,6 +129,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .. import faults
+from ..blas import direct
 from ..config import Config, get_config, set_config
 from ..errors import BudgetError, FarmError, ShapeError
 from .cpu import available_cpus
@@ -582,6 +591,7 @@ class PanelFarm:
         n = c.shape[1]
         dtype = c.dtype
         context = _farm_context()
+        direct.is_available()  # bind BLAS once here, not in every fork
         config = get_config()
         if isinstance(config, Config):  # defensive: always true today
             config = config.replace()

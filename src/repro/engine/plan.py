@@ -82,6 +82,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..blas.direct import syrk_leaf
 from ..blas.kernels import gemm_flops, syrk_flops
 from ..cache.model import CacheModel
 from ..config import get_config
@@ -105,7 +106,7 @@ _ARENA_Q = 4
 _ARENA_M = 5
 
 # Step opcodes (first element of a frozen step tuple).
-OP_SYRK = 0   # (OP_SYRK, a_ref, c_ref, n)               c[tril(n)] += alpha*(a.T@a)[tril(n)]
+OP_SYRK = 0   # (OP_SYRK, a_ref, c_ref, n)               low(c) += alpha*a.T@a (syrk_leaf)
 OP_GEMM = 1   # (OP_GEMM, a_ref, b_ref, c_ref, use_alpha) c += coef * a.T @ b
 OP_ADD = 2    # (OP_ADD, dst_ref, src_ref, coef, use_alpha) dst += coef*src (prefix-truncated)
 OP_ZERO = 3   # (OP_ZERO, ref)                            view[...] = 0
@@ -1255,30 +1256,6 @@ def compile_plan(algo: str, shape: Tuple[int, ...], dtype, model: CacheModel,
                        build_dag=build_dag, fuse=fuse)
 
 
-#: Shared cache of np.tril_indices results keyed by n, bounded both in
-#: entry count and in per-entry size: a triangle larger than
-#: _TRIL_CACHE_MAX_N is computed transiently (exactly what the direct syrk
-#: kernel does on every call) instead of being pinned in process memory.
-_TRIL_CACHE: Dict[int, tuple] = {}
-_TRIL_CACHE_MAX = 64
-_TRIL_CACHE_MAX_N = 1024  # ~8 MB of int64 indices per entry at the cap
-
-
-def _tril_indices(n: int) -> tuple:
-    if n > _TRIL_CACHE_MAX_N:
-        return np.tril_indices(n)
-    idx = _TRIL_CACHE.get(n)
-    if idx is None:
-        idx = np.tril_indices(n)
-        if len(_TRIL_CACHE) >= _TRIL_CACHE_MAX:
-            try:
-                _TRIL_CACHE.pop(next(iter(_TRIL_CACHE)), None)
-            except (StopIteration, RuntimeError):  # concurrent mutation
-                pass
-        _TRIL_CACHE[n] = idx
-    return idx
-
-
 def _resolve(ref, a, b, c, p, q, m):
     """Materialise a frozen operand reference into a live numpy view."""
     base = ref[0]
@@ -1298,10 +1275,10 @@ def run_step(step, a, b, c, p, q, m, alpha: float) -> None:
     """Execute one frozen plan step against live operands.
 
     The kernel expressions reproduce the base-case kernels of
-    :mod:`repro.blas.kernels` exactly (same numpy expressions, same
-    ``alpha == 1.0`` short-circuits), which is what keeps plan execution —
-    sequential or DAG-scheduled — bit-for-bit identical to the direct
-    recursions.  Both :func:`execute_plan` and the
+    :mod:`repro.blas.kernels` exactly (the same syrk leaf, the same numpy
+    expressions, the same ``alpha == 1.0`` short-circuits), which is what
+    keeps plan execution — sequential or DAG-scheduled — bit-for-bit
+    identical to the direct recursions.  Both :func:`execute_plan` and the
     :class:`~repro.engine.dag.DagExecutor` route every step through this
     single function so the two paths cannot drift apart.  The store
     opcodes only appear in fused plans (see :func:`_peephole_store`):
@@ -1352,11 +1329,8 @@ def run_step(step, a, b, c, p, q, m, alpha: float) -> None:
         t2 = s2 if c2 == 1.0 else c2 * s2
         np.add(t1, t2, out=_resolve(step[1], a, b, c, p, q, m))
     elif op == OP_SYRK:
-        av = _resolve(step[1], a, b, c, p, q, m)
-        cv = _resolve(step[2], a, b, c, p, q, m)
-        idx = _tril_indices(step[3])
-        product = av.T @ av
-        cv[idx] += alpha * product[idx]
+        syrk_leaf(_resolve(step[1], a, b, c, p, q, m),
+                  _resolve(step[2], a, b, c, p, q, m), alpha)
     elif op == OP_ZERO:
         _resolve(step[1], a, b, c, p, q, m)[...] = 0
     else:  # OP_FUSED
@@ -1414,11 +1388,7 @@ def _interpret_fused(fused: FusedStep, a, b, c, p, q, m, alpha: float) -> None:
             t2 = views[mop[5]] if c2 == 1.0 else c2 * views[mop[5]]
             np.add(t1, t2, out=views[mop[1]])
         elif code == OP_SYRK:
-            av = views[mop[1]]
-            cv = views[mop[2]]
-            idx = _tril_indices(mop[3])
-            product = av.T @ av
-            cv[idx] += alpha * product[idx]
+            syrk_leaf(views[mop[1]], views[mop[2]], alpha)
         else:  # OP_ZERO
             views[mop[1]][...] = 0
 

@@ -1,9 +1,14 @@
-"""Tests for the instrumented BLAS kernels (repro.blas.kernels)."""
+"""Tests for the instrumented BLAS kernels (repro.blas.kernels) and the
+BLAS binding their syrk leaf calls (repro.blas.direct)."""
+
+import glob
+import importlib.util
+import os
 
 import numpy as np
 import pytest
 
-from repro.blas import counters
+from repro.blas import counters, direct
 from repro.blas.kernels import (
     add_into,
     axpy,
@@ -80,6 +85,88 @@ class TestSyrk:
             syrk(a, np.zeros((8, 8)))
         assert cs["syrk"].calls == 1
         assert cs["syrk"].flops == syrk_flops(16, 8)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("m", [64, 512, 1024])
+    def test_update_equals_existing_plus_fresh_product(self, rng, m, dtype):
+        """``syrk(a, c) == c + syrk(a, 0)`` bit for bit, also for panels
+        taller than the BLAS's internal row blocking (the process farm's
+        partial-fold contract rests on it), and the strict upper triangle
+        of ``c`` is never written."""
+        n = 40
+        a = rng.standard_normal((m, n)).astype(dtype)
+        c0 = rng.standard_normal((n, n)).astype(dtype)
+        c = syrk(a, c0.copy(), alpha=0.5)
+        fresh = syrk(a, np.zeros((n, n), dtype=dtype), alpha=0.5)
+        assert np.array_equal(c, c0 + fresh)
+        iu = np.triu_indices(n, k=1)
+        assert np.array_equal(c[iu], c0[iu])
+
+    def test_strided_operands(self, rng):
+        """Column windows (row stride > n) bind in place; a non-unit inner
+        stride takes the numpy expression; both stay correct."""
+        base = rng.standard_normal((30, 20))
+        for a in (base[:, 3:11], base[::2, ::2], base.T):
+            n = a.shape[1]
+            c = np.zeros((n, n))
+            syrk(a, c)
+            assert np.allclose(np.tril(c), np.tril(a.T @ a))
+            assert np.array_equal(np.triu(c, 1), np.zeros((n, n)))
+
+
+def _vendored_openblas() -> list:
+    """The ``scipy_openblas`` builds numpy and scipy ship next to their
+    packages (found without importing scipy)."""
+    paths = []
+    for name in ("numpy", "scipy"):
+        spec = importlib.util.find_spec(name)
+        if spec is None or not spec.origin:
+            continue
+        site = os.path.dirname(os.path.dirname(spec.origin))
+        paths += glob.glob(os.path.join(site, f"{name}.libs", "*scipy_openblas*"))
+    return paths
+
+
+class TestBlasBinding:
+    @pytest.mark.skipif(not _vendored_openblas(),
+                        reason="no vendored scipy_openblas library")
+    def test_vendored_openblas_binds_in_place(self, monkeypatch):
+        """A wheel-vendored OpenBLAS always yields the ctypes provider,
+        with the ILP64 symbol exactly when the library is the ILP64 build."""
+        try:
+            import scipy  # noqa: F401  (puts scipy.libs on the candidate list)
+        except ImportError:
+            pass
+        monkeypatch.setattr(direct, "_PROVIDER", None)
+        monkeypatch.setattr(direct, "_LOADED", False)
+        monkeypatch.delenv("REPRO_BLAS_DIRECT", raising=False)
+        assert direct.provider() == "ctypes"
+        library, symbol = direct.binding()
+        ilp64 = "openblas64_" in os.path.basename(library)
+        assert symbol.endswith("64_") == ilp64
+
+    @pytest.mark.skipif(not _vendored_openblas(),
+                        reason="no vendored scipy_openblas library")
+    def test_vendored_binding_skips_system_search(self, monkeypatch):
+        """``find_library`` runs the compiler and linker in subprocesses;
+        it must not run once a vendored build has bound."""
+        def no_search(name):
+            raise AssertionError(f"system library search for {name!r}")
+
+        monkeypatch.setattr(direct.ctypes.util, "find_library", no_search)
+        monkeypatch.setattr(direct, "_PROVIDER", None)
+        monkeypatch.setattr(direct, "_LOADED", False)
+        monkeypatch.delenv("REPRO_BLAS_DIRECT", raising=False)
+        assert direct.provider() == "ctypes"
+
+    @pytest.mark.skipif(not direct.is_available(),
+                        reason="no BLAS-direct provider on this host")
+    def test_direct_syrk_is_kernel_syrk(self, rng):
+        a = rng.standard_normal((700, 24))
+        c0 = rng.standard_normal((24, 24))
+        expected = syrk(a, c0.copy(), alpha=1.5)
+        got = direct.direct_syrk(a, c0.copy(), 1.5)
+        assert np.array_equal(got, expected)
 
 
 class TestGemmT:

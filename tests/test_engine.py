@@ -23,7 +23,7 @@ from repro.engine import (
     matmul_atb,
     run_batch,
 )
-from repro.cache.model import CacheModel
+from repro.cache.model import CacheModel, default_cache_model
 from repro.errors import ShapeError
 
 
@@ -68,6 +68,15 @@ class TestNumericalIdentity:
             ref = recursive_gemm(a, b)
             got = engine.matmul_atb(a, b, algo="recursive_gemm")
         assert np.array_equal(ref, got)
+
+    def test_ata_bitwise_at_default_base_case(self, engine, rng):
+        """At the default base case an operand above ``2**20`` elements
+        still recurses, and the plan replays the recursion's bound-BLAS
+        syrk leaves bit for bit."""
+        a = rng.standard_normal((1100, 1000))
+        plan = compile_plan("ata", a.shape, a.dtype, default_cache_model())
+        assert plan.n_steps > 1
+        assert np.array_equal(ata(a), engine.matmul_ata(a, algo="ata"))
 
     def test_counter_parity_with_direct_call(self, engine, rng):
         """Aggregated plan counters equal the recursion's per-kernel ones."""

@@ -160,6 +160,15 @@ class TestBitIdentity:
         got = farm_run(a, procs=procs, panel_rows=31, algo="syrk")
         assert np.array_equal(got, expected)
 
+    def test_tall_panels_match_in_process(self, rng):
+        """Panels taller than the BLAS's internal row blocking: the syrk
+        leaf's ``kernel(c) == c + kernel(0)`` must survive them."""
+        a = rng.standard_normal((1536, 48))
+        expected = in_process_reference(a, panel_rows=512, algo="syrk")
+        got, _ = PanelFarm(ExecutionEngine(), procs=2).run(
+            a, algo="syrk", panel_rows=512)
+        assert np.array_equal(got, expected)
+
     def test_recursive_ata_matches_own_reduction_tree(self, rng,
                                                       small_base_case):
         """Above the base case the recursive ``ata`` backend multi-updates
@@ -233,6 +242,18 @@ class TestWiring:
         expected = in_process_reference(a, panel_rows=21, algo="syrk")
         got = matmul_ata_ooc(a, algo="syrk", panel_rows=21, procs=2)
         assert np.array_equal(got, expected)
+
+    def test_blas_bound_in_parent_before_fork(self, rng, monkeypatch):
+        """The parent resolves the BLAS provider before it forks, so
+        workers inherit the binding instead of each repeating the
+        library search on every run."""
+        from repro.blas import direct
+        monkeypatch.setattr(direct, "_PROVIDER", None)
+        monkeypatch.setattr(direct, "_LOADED", False)
+        a = rng.standard_normal((64, 12))
+        PanelFarm(ExecutionEngine(), procs=2).run(a, algo="syrk",
+                                                  panel_rows=21)
+        assert direct._LOADED
 
     def test_negative_config_rejected(self):
         from repro.errors import ConfigurationError
