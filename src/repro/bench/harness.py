@@ -93,7 +93,7 @@ def register(name: str, description: str, paper_reference: str
 def registry() -> Dict[str, Experiment]:
     """The registered experiments, keyed by name (fig3, fig4, ... table1)."""
     # importing figures lazily avoids a circular import at package load
-    from . import engine_bench, farm_bench, figures, fusion_bench, ooc_bench, serve_bench, sparse_bench  # noqa: F401  (registration side effect)
+    from . import engine_bench, farm_bench, figures, ooc_bench, serve_bench, sparse_bench  # noqa: F401  (registration side effect)
     return dict(_REGISTRY)
 
 

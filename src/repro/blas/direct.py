@@ -19,8 +19,8 @@ both precisions before it is trusted.
 
 :func:`syrk_leaf` is the one lower-triangular ``syrk`` leaf of the whole
 package: :func:`repro.blas.kernels.syrk`, the plan interpreter's
-``OP_SYRK``, generated fused kernels and :func:`direct_syrk` all call
-it, so they are bit-identical to each other by construction.  The leaf
+``OP_SYRK`` and :func:`direct_syrk` all call it, so they are
+bit-identical to each other by construction.  The leaf
 asks the bound ``?syrk`` for ``alpha * A^T A`` with ``beta = 0`` in a
 scratch buffer and then adds that buffer's lower triangle into ``C``.
 It never accumulates in place with ``beta = 1``: OpenBLAS blocks the

@@ -114,12 +114,6 @@ DEFAULT_SERVE_FAIR_SHARE = 1.0
 #: ``submit(timeout=...)`` overrides win.
 DEFAULT_SERVE_TIMEOUT_MS = 0.0
 
-#: Modes the ``fuse`` field / ``REPRO_FUSE`` env var accept.
-FUSE_MODES = ("off", "on", "auto")
-
-#: Modes the ``codegen`` field / ``REPRO_CODEGEN`` env var accept.
-CODEGEN_MODES = ("off", "on", "auto")
-
 #: Modes the ``tuner_mode`` field / ``REPRO_TUNER`` env var accept.
 TUNER_MODES = ("off", "measured", "frozen")
 
@@ -229,22 +223,6 @@ class Config:
         (default) keeps every fault site a zero-overhead no-op — never
         set in production; this exists for chaos tests and failure
         drills.
-    fuse:
-        Plan-fusion mode for ``algo="auto"`` dispatch: ``"on"`` (default)
-        compiles plans with the step-fusion pass (bit-identical to the
-        unfused replay, fewer Python dispatches), ``"off"`` disables it,
-        and ``"auto"`` defers the fused-vs-unfused choice to an attached
-        measured tuner per (op, dtype, shape-bucket) — identical to
-        ``"on"`` on engines without a tuner.  Explicit ``algo=`` calls
-        and direct :func:`repro.engine.plan.compile_plan` calls are
-        unaffected.
-    codegen:
-        Compiled lowering of fused units (:mod:`repro.engine.codegen`):
-        ``"off"`` (default) always interprets; ``"on"``/``"auto"`` lower
-        fused units to jitted kernels when a provider (numba) is
-        importable, verifying each kernel bit-for-bit against the
-        interpreter on its first call and falling back bit-identically
-        when the toolchain is absent or a kernel miscompiles.
     tuner_mode:
         How the *default* engine attaches the measured auto-tuner:
         ``"off"`` (default) keeps heuristic dispatch, ``"measured"``
@@ -275,8 +253,6 @@ class Config:
     farm_max_retries: int = DEFAULT_FARM_MAX_RETRIES
     serve_default_timeout_ms: float = DEFAULT_SERVE_TIMEOUT_MS
     faults: str = ""
-    fuse: str = "on"
-    codegen: str = "off"
     tuner_mode: str = "off"
 
     def __post_init__(self) -> None:
@@ -355,15 +331,6 @@ class Config:
             # the faults module keyed on (spec, seed)
             from .faults import compile_spec
             compile_spec(self.faults, self.seed)
-        if self.fuse not in FUSE_MODES:
-            raise ConfigurationError(
-                f"unknown fuse mode {self.fuse!r}; expected one of {FUSE_MODES}"
-            )
-        if self.codegen not in CODEGEN_MODES:
-            raise ConfigurationError(
-                f"unknown codegen mode {self.codegen!r}; expected one of "
-                f"{CODEGEN_MODES}"
-            )
         if self.tuner_mode not in TUNER_MODES:
             raise ConfigurationError(
                 f"unknown tuner_mode {self.tuner_mode!r}; expected one of "
@@ -375,81 +342,50 @@ class Config:
         return dataclasses.replace(self, **changes)
 
 
+def _flag(text: str) -> bool:
+    return text not in ("0", "false", "")
+
+
+#: The ``REPRO_*`` environment variables the initial configuration
+#: honours: ``(variable, Config field, parser)``.  Values a parser accepts
+#: are still range-checked by :meth:`Config.validate`.
+_ENV_FIELDS = (
+    ("REPRO_BASE_CASE", "base_case_elements", int),
+    ("REPRO_COUNT_FLOPS", "count_flops", _flag),     # "0"/"false" = off
+    ("REPRO_SEED", "seed", int),
+    ("REPRO_BACKEND", "backend", str),               # one of KNOWN_BACKENDS
+    ("REPRO_TUNER_PATH", "tuner_path", str),
+    ("REPRO_SERVE_MAX_BATCH", "serve_max_batch", int),
+    ("REPRO_SERVE_MAX_INFLIGHT", "serve_max_inflight", int),
+    ("REPRO_SERVE_LINGER_MS", "serve_linger_ms", float),
+    ("REPRO_SERVE_PORT", "serve_port", int),         # 0 = ephemeral
+    ("REPRO_SERVE_FAIR_SHARE", "serve_fair_share", float),  # 1 = off
+    ("REPRO_MEMORY_BUDGET", "memory_budget", int),   # bytes, 0 = unbounded
+    ("REPRO_FARM_PROCS", "farm_procs", int),         # 0 = in-process
+    ("REPRO_FARM_MAX_RETRIES", "farm_max_retries", int),
+    ("REPRO_SERVE_TIMEOUT_MS", "serve_default_timeout_ms", float),
+    ("REPRO_FAULTS", "faults", str),                 # repro.faults grammar
+    ("REPRO_TUNER", "tuner_mode", str),              # one of TUNER_MODES
+)
+
+
 def _config_from_env() -> Config:
-    """Build the initial configuration, honouring ``REPRO_*`` env vars.
+    """Build the initial configuration, honouring the ``REPRO_*``
+    variables listed in :data:`_ENV_FIELDS`.
 
-    Recognised variables:
-
-    ``REPRO_BASE_CASE``     integer, base-case element count.
-    ``REPRO_COUNT_FLOPS``   "0"/"1", toggle instrumentation.
-    ``REPRO_SEED``          integer, default workload seed.
-    ``REPRO_BACKEND``       backend name forcing ``algo="auto"`` dispatch
-                            (one of :data:`KNOWN_BACKENDS`); unknown names
-                            raise :class:`ConfigurationError`.
-    ``REPRO_TUNER_PATH``    path of the auto-tuner's persisted timing table.
-    ``REPRO_SERVE_MAX_BATCH``     integer, serving coalesced-batch bound.
-    ``REPRO_SERVE_MAX_INFLIGHT``  integer, serving admission-control bound.
-    ``REPRO_SERVE_LINGER_MS``     float, serving queue linger (milliseconds).
-    ``REPRO_SERVE_PORT``          integer, serving TCP port (0 = ephemeral).
-    ``REPRO_SERVE_FAIR_SHARE``    float in (0, 1], per-client share of the
-                                  serving admission window (1 = off).
-    ``REPRO_MEMORY_BUDGET``       integer, out-of-core working-set budget in
-                                  bytes (0 = unbounded).
-    ``REPRO_FARM_PROCS``          integer, default panel-farm worker-process
-                                  count (0 = in-process).
-    ``REPRO_FARM_MAX_RETRIES``    integer, per-panel retry budget of the
-                                  self-healing farm (0 = degrade on the
-                                  first failure).
-    ``REPRO_SERVE_TIMEOUT_MS``    float, default serving deadline in
-                                  milliseconds (0 = no deadline).
-    ``REPRO_FAULTS``              fault-injection spec (:mod:`repro.faults`
-                                  grammar); empty = all sites disarmed.
-    ``REPRO_FUSE``                plan-fusion mode (one of
-                                  :data:`FUSE_MODES`).
-    ``REPRO_CODEGEN``             compiled-lowering mode (one of
-                                  :data:`CODEGEN_MODES`).
-    ``REPRO_TUNER``               default-engine tuner mode (one of
-                                  :data:`TUNER_MODES`).
+    A value its parser rejects (``REPRO_BASE_CASE=abc``) or that fails
+    validation raises :class:`ConfigurationError`.
     """
     kwargs: dict[str, Any] = {}
-    if "REPRO_BASE_CASE" in os.environ:
-        kwargs["base_case_elements"] = int(os.environ["REPRO_BASE_CASE"])
-    if "REPRO_COUNT_FLOPS" in os.environ:
-        kwargs["count_flops"] = os.environ["REPRO_COUNT_FLOPS"] not in ("0", "false", "")
-    if "REPRO_SEED" in os.environ:
-        kwargs["seed"] = int(os.environ["REPRO_SEED"])
-    if "REPRO_BACKEND" in os.environ:
-        kwargs["backend"] = os.environ["REPRO_BACKEND"]
-    if "REPRO_TUNER_PATH" in os.environ:
-        kwargs["tuner_path"] = os.environ["REPRO_TUNER_PATH"]
-    if "REPRO_SERVE_MAX_BATCH" in os.environ:
-        kwargs["serve_max_batch"] = int(os.environ["REPRO_SERVE_MAX_BATCH"])
-    if "REPRO_SERVE_MAX_INFLIGHT" in os.environ:
-        kwargs["serve_max_inflight"] = int(os.environ["REPRO_SERVE_MAX_INFLIGHT"])
-    if "REPRO_SERVE_LINGER_MS" in os.environ:
-        kwargs["serve_linger_ms"] = float(os.environ["REPRO_SERVE_LINGER_MS"])
-    if "REPRO_SERVE_PORT" in os.environ:
-        kwargs["serve_port"] = int(os.environ["REPRO_SERVE_PORT"])
-    if "REPRO_SERVE_FAIR_SHARE" in os.environ:
-        kwargs["serve_fair_share"] = float(
-            os.environ["REPRO_SERVE_FAIR_SHARE"])
-    if "REPRO_MEMORY_BUDGET" in os.environ:
-        kwargs["memory_budget"] = int(os.environ["REPRO_MEMORY_BUDGET"])
-    if "REPRO_FARM_PROCS" in os.environ:
-        kwargs["farm_procs"] = int(os.environ["REPRO_FARM_PROCS"])
-    if "REPRO_FARM_MAX_RETRIES" in os.environ:
-        kwargs["farm_max_retries"] = int(os.environ["REPRO_FARM_MAX_RETRIES"])
-    if "REPRO_SERVE_TIMEOUT_MS" in os.environ:
-        kwargs["serve_default_timeout_ms"] = float(
-            os.environ["REPRO_SERVE_TIMEOUT_MS"])
-    if "REPRO_FAULTS" in os.environ:
-        kwargs["faults"] = os.environ["REPRO_FAULTS"]
-    if "REPRO_FUSE" in os.environ:
-        kwargs["fuse"] = os.environ["REPRO_FUSE"]
-    if "REPRO_CODEGEN" in os.environ:
-        kwargs["codegen"] = os.environ["REPRO_CODEGEN"]
-    if "REPRO_TUNER" in os.environ:
-        kwargs["tuner_mode"] = os.environ["REPRO_TUNER"]
+    for variable, field, parse in _ENV_FIELDS:
+        if variable in os.environ:
+            text = os.environ[variable]
+            try:
+                kwargs[field] = parse(text)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{variable}={text!r} is not a valid {parse.__name__}"
+                ) from None
     return Config(**kwargs)
 
 

@@ -76,30 +76,23 @@ The plan-key contract
 A compiled plan is a pure function of its key::
 
     (backend, plan_kind, shape, dtype.str, cache_model.capacity_words,
-     cache_model.line_words, scratch_lanes, fused)
+     cache_model.line_words, scratch_lanes)
 
 The key leads with the **backend id** so two backends compiling the same
 plan kind (possible for registered custom backends) can never collide in
 the cache.  A plan additionally depends on the *plan-affecting
-configuration fields* ``base_case_elements``, ``max_recursion_depth`` and
-the ``fuse`` mode.  Those fields are deliberately **not** in the key;
+configuration fields* ``base_case_elements`` and ``max_recursion_depth``.
+Those fields are deliberately **not** in the key;
 instead the plan cache fingerprints them and drops every cached plan the
 first time it observes a change (see
 :class:`~repro.engine.cache.PlanCache`).  ``scratch_lanes`` is in the key
 because it changes the workspace layout the plan's arena offsets are baked
 against (sequential engines use one lane; DAG-capable engines spread
-scratch over ``min(workers, 4)`` lanes by default).  ``fused`` is in the
-key because the compiler's fusion pass (see
-:class:`~repro.engine.plan.FusedStep` and :mod:`repro.engine.codegen`)
-produces a structurally different step sequence for the same recursion: a
-fused and an unfused compilation of one shape must never alias — the
-per-plan flag keeps them apart even within one config fingerprint, which
-is what lets the measured tuner arbitrate fused-vs-unfused per shape
-bucket.  Anything else — matrix values, ``alpha``/``beta``, counter
+scratch over ``min(workers, 4)`` lanes by default).  Anything else — matrix values, ``alpha``/``beta``, counter
 settings, worker count — is resolved at execution time, so a cached plan
 can never go stale through it.  Executing a plan replays the exact kernel
 sequence of the live recursion, making engine results bit-for-bit
-identical to the direct calls — sequentially, DAG-scheduled, fused, or
+identical to the direct calls — sequentially, DAG-scheduled or
 batch-interleaved.
 
 Quickstart
@@ -150,7 +143,6 @@ from .ooc import (
 )
 from .plan import (
     ExecutionPlan,
-    FusedStep,
     StepDag,
     compile_plan,
     execute_plan,
@@ -172,7 +164,6 @@ __all__ = [
     "ExecutionEngine",
     "EngineStats",
     "ExecutionPlan",
-    "FusedStep",
     "StepDag",
     "DagExecutor",
     "DagRunStats",

@@ -26,19 +26,14 @@ from .plan import ExecutionPlan
 __all__ = ["PlanCache", "plan_config_fingerprint"]
 
 
-def plan_config_fingerprint(cfg: Config) -> Tuple[int, int, str]:
+def plan_config_fingerprint(cfg: Config) -> Tuple[int, int]:
     """The config fields a compiled plan can depend on.
 
     Shared with :mod:`repro.engine.tuner`: a change in these fields means
     a backend executes a structurally different plan, so both the plan
     cache and the tuner's timing table must invalidate on the same tuple.
-    The fuse mode is part of it — fused and unfused compilations of the
-    same shape are different step sequences with different timings (plan
-    *keys* additionally carry a per-plan fused flag, so a tuner-arbitrated
-    mix of fused and unfused plans coexists inside one fingerprint
-    generation).
     """
-    return (cfg.base_case_elements, cfg.max_recursion_depth, cfg.fuse)
+    return (cfg.base_case_elements, cfg.max_recursion_depth)
 
 
 _config_fingerprint = plan_config_fingerprint

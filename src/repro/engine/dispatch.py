@@ -187,13 +187,6 @@ class EngineStats:
     #: panels completed by the farm's in-process degradation path after
     #: the per-panel retry budget (``Config.farm_max_retries``) ran out
     farm_degraded: int = 0
-    #: primitive steps executed inside fused dispatch units, summed over
-    #: every fused-plan execution (0 = fusion off or no chains found)
-    fused_steps: int = 0
-    #: compiled kernels attached to fused units by the codegen layer
-    #: (each is verified bit-for-bit against the interpreter on its first
-    #: call before being trusted)
-    codegen_kernels: int = 0
     #: batch invocations whose entries were interleaved through one
     #: cross-entry super-DAG instead of executing serially
     interleaved_batches: int = 0
@@ -260,21 +253,6 @@ class ExecutionEngine:
         through to the heuristic on unsampled buckets — deterministic
         choices across runs); an explicit :class:`BackendTuner` instance
         is used as-is (several engines may share one).
-    fuse:
-        Plan-fusion mode for this engine (``None`` reads ``Config.fuse``
-        per call): ``"on"`` compiles ``algo="auto"`` plans with the
-        compiler's step-fusion pass, ``"off"`` disables it, ``"auto"``
-        lets an attached measured tuner arbitrate fused-vs-unfused per
-        (op, dtype, shape-bucket) exactly as it arbitrates backends
-        (without a tuner, ``"auto"`` behaves like ``"on"``).  Fused
-        execution is bit-identical to the unfused replay.
-    codegen:
-        Compiled lowering of fused units (``None`` reads
-        ``Config.codegen``): ``"on"``/``"auto"`` attach jitted kernels to
-        fused units when a provider is importable (see
-        :mod:`repro.engine.codegen`); ``"off"`` always interprets.
-        Absence-clean: with no provider, execution is exactly the
-        interpreter.
 
     Notes
     -----
@@ -293,22 +271,12 @@ class ExecutionEngine:
     def __init__(self, plan_capacity: int = 128, pool_size: int = 8,
                  workers: int = 1, parallel: ParallelMode = "auto",
                  scratch_lanes: Optional[int] = None,
-                 tuner: Union[str, BackendTuner, None] = None,
-                 fuse: Optional[str] = None,
-                 codegen: Optional[str] = None) -> None:
+                 tuner: Union[str, BackendTuner, None] = None) -> None:
         if parallel not in _PARALLEL_MODES:
             raise ConfigurationError(f"unknown parallel mode {parallel!r}; "
                                      "expected 'auto', 'dag' or 'off'")
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if fuse is not None and fuse not in ("off", "on", "auto"):
-            raise ConfigurationError(f"unknown fuse mode {fuse!r}; "
-                                     "expected 'off', 'on' or 'auto'")
-        if codegen is not None and codegen not in ("off", "on", "auto"):
-            raise ConfigurationError(f"unknown codegen mode {codegen!r}; "
-                                     "expected 'off', 'on' or 'auto'")
-        self._fuse = fuse
-        self._codegen = codegen
         if scratch_lanes is not None and scratch_lanes < 1:
             raise ConfigurationError(
                 f"scratch_lanes must be >= 1, got {scratch_lanes}")
@@ -370,52 +338,28 @@ class ExecutionEngine:
         # counters would misattribute other engines' decisions
         self._tuner_hits = 0
         self._tuner_explores = 0
-        self._fused_steps = 0
-        self._codegen_kernels = 0
         self._sparse_runs = 0
         self._densify_crossovers = 0
         self._sparse_nnz = 0
         self._interleaved_batches = 0
         self._interleaved_items = 0
-        # a tuner-arbitrated fused-vs-unfused decision must reach _plan()
-        # through Backend.run, whose signature is frozen (custom backends
-        # registered by callers predate the fuse knob); backend.run
-        # executes synchronously on the calling thread, so a thread-local
-        # override set around the call is race-free
-        self._fuse_local = threading.local()
         self._stats_lock = threading.Lock()
 
     # -- plan acquisition ---------------------------------------------------
-    def _fuse_mode(self) -> str:
-        return self._fuse if self._fuse is not None else get_config().fuse
-
-    def _codegen_mode(self) -> str:
-        return self._codegen if self._codegen is not None else get_config().codegen
-
     def _plan(self, backend: str, kind: str, shape: tuple, dtype,
-              model: CacheModel,
-              fuse: Optional[bool] = None) -> ExecutionPlan:
+              model: CacheModel) -> ExecutionPlan:
         """Fetch (or compile) the plan for ``(backend, kind, shape)``.
 
         The key leads with the backend id, so two backends compiling the
-        same plan kind can never collide in the cache, and carries the
-        resolved fused flag, so fused and unfused plans never alias.
-        ``fuse=None`` resolves through the per-call thread-local override
-        (a tuner-arbitrated decision) and then the engine's fuse mode.
+        same plan kind can never collide in the cache.
         """
-        if fuse is None:
-            fuse = getattr(self._fuse_local, "value", None)
-            if fuse is None:
-                fuse = self._fuse_mode() != "off"
-        fuse = bool(fuse)
         lanes = self._lanes if self._dag_capable else 1
         key = (backend, kind, shape, np.dtype(dtype).str,
-               model.capacity_words, model.line_words, lanes, fuse)
+               model.capacity_words, model.line_words, lanes)
         return self.plans.get_or_compile(
             key, lambda: compile_plan(kind, shape, dtype, model, key=key,
                                       lanes=lanes,
-                                      build_dag=self._dag_capable,
-                                      fuse=fuse))
+                                      build_dag=self._dag_capable))
 
     # -- backend resolution -------------------------------------------------
     def _effective_sched(self, parallel: Optional[str]) -> Optional[str]:
@@ -438,25 +382,15 @@ class ExecutionEngine:
                          model: CacheModel, algo: str,
                          parallel: Optional[str] = None,
                          operand=None, density: Optional[str] = None
-                         ) -> Tuple[Backend, bool, Optional[str],
-                                    Optional[bool], str]:
+                         ) -> Tuple[Backend, bool, Optional[str]]:
         """Resolve a request to a backend.
 
-        Returns ``(backend, measured, sched, fuse, record_name)`` where
-        ``measured`` marks a tuner decision whose execution should be
-        timed, ``sched`` is the scheduling signature that decision was
-        filed under (threaded through to the matching ``record`` so the
-        two can never disagree), ``fuse`` is the tuner-arbitrated
-        fused-vs-unfused decision (``None`` = engine default), and
-        ``record_name`` the candidate name the timing is recorded under
-        (``"<backend>+fused"`` for arbitrated fused variants).
-        Precedence: explicit ``algo`` > configured ``Config.backend`` >
-        tuner > modeled-cost heuristic.
-
-        With fuse mode ``"auto"`` and a tuner attached, every
-        plan-compiled candidate enters the table twice — plain and
-        ``"+fused"`` — and the measured table arbitrates the pair exactly
-        as it arbitrates distinct backends.
+        Returns ``(backend, measured, sched)`` where ``measured`` marks a
+        tuner decision whose execution should be timed and ``sched`` is
+        the scheduling signature that decision was filed under (threaded
+        through to the matching ``record`` so the two can never
+        disagree).  Precedence: explicit ``algo`` > configured
+        ``Config.backend`` > tuner > modeled-cost heuristic.
 
         A structured ``operand`` (scipy sparse / :class:`LowRank`) flips
         the candidate axis to its kind — only backends declaring that
@@ -466,8 +400,8 @@ class ExecutionEngine:
         resolve byte-identically to the pre-sparse engine.
         """
         if algo != "auto":
-            backend = explicit_backend(algo, op, shape, dtype, model, operand)
-            return backend, False, None, None, backend.name
+            return (explicit_backend(algo, op, shape, dtype, model, operand),
+                    False, None)
         kind = operand_kind(operand) if operand is not None else "dense"
         forced = get_config().backend
         if forced != "auto":
@@ -479,41 +413,28 @@ class ExecutionEngine:
                     and backend.supports(op, shape, dtype, model)
                     and (operand is None
                          or backend.supports_operand(op, operand, model))):
-                return backend, False, None, None, backend.name
+                return backend, False, None
         pool = candidates(op, shape, dtype, model, kind=kind, operand=operand)
-        if self.tuner is not None:
-            arbitrate = self._fuse_mode() == "auto"
-            names = [b.name for b in pool]
-            if arbitrate:
-                names += [b.name + "+fused" for b in pool
-                          if isinstance(b, PlanBackend)]
-            if len(names) > 1:
-                sched = self._effective_sched(parallel)
-                name, explored = self.tuner.choose(op, shape, dtype,
-                                                   tuple(names),
-                                                   model=model, sched=sched,
-                                                   density=density)
-                if name is not None:  # a frozen tuner may abstain
-                    with self._stats_lock:
-                        if explored:
-                            self._tuner_explores += 1
-                        else:
-                            self._tuner_hits += 1
-                    # only explore decisions are timed: recording further
-                    # samples for an already-converged winner can only lower
-                    # its own best time, never flip the decision, so exploit
-                    # calls skip the measurement overhead entirely
-                    fuse: Optional[bool] = None
-                    base = name
-                    if name.endswith("+fused"):
-                        base = name[:-len("+fused")]
-                        fuse = True
-                    elif arbitrate:
-                        fuse = False
-                    backend = next(b for b in pool if b.name == base)
-                    return backend, explored, sched, fuse, name
+        if self.tuner is not None and len(pool) > 1:
+            sched = self._effective_sched(parallel)
+            name, explored = self.tuner.choose(op, shape, dtype,
+                                               tuple(b.name for b in pool),
+                                               model=model, sched=sched,
+                                               density=density)
+            if name is not None:  # a frozen tuner may abstain
+                with self._stats_lock:
+                    if explored:
+                        self._tuner_explores += 1
+                    else:
+                        self._tuner_hits += 1
+                # only explore decisions are timed: recording further
+                # samples for an already-converged winner can only lower
+                # its own best time, never flip the decision, so exploit
+                # calls skip the measurement overhead entirely
+                backend = next(b for b in pool if b.name == name)
+                return backend, explored, sched
         return (choose_heuristic(op, shape, dtype, model, pool,
-                                 operand=operand), False, None, None, "")
+                                 operand=operand), False, None)
 
     def _run_backend(self, backend: Backend, op: str, shape: Tuple[int, ...],
                      a: np.ndarray, c: np.ndarray, alpha: float,
@@ -521,34 +442,22 @@ class ExecutionEngine:
                      parallel: Optional[str], measured: bool,
                      sched: Optional[str] = None,
                      held: Optional[dict] = None,
-                     fuse: Optional[bool] = None,
-                     record_name: str = "",
                      density: Optional[str] = None) -> None:
         """Execute through ``backend``, timing the call into the tuner's
         table when it was a tuner explore decision (``sched`` is the cell
-        signature, ``record_name`` the candidate name the decision was
-        filed under, and ``density`` the structured-operand density bucket
-        the decision was scoped to).  A tuner-arbitrated ``fuse`` decision
-        travels to ``_plan`` through a thread-local override —
-        ``backend.run`` executes synchronously on this thread, and its
-        frozen signature cannot carry the flag."""
-        self._fuse_local.value = fuse
-        try:
-            if measured and self.tuner is not None:
-                start = self.tuner.timer()
-                backend.run(self, op, a, c, alpha, b, model, parallel, held)
-                self.tuner.record(op, shape, a.dtype,
-                                  record_name or backend.name,
-                                  self.tuner.timer() - start, model=model,
-                                  sched=sched, density=density)
-            else:
-                backend.run(self, op, a, c, alpha, b, model, parallel, held)
-        finally:
-            self._fuse_local.value = None
-        run_name = record_name or backend.name
+        signature and ``density`` the structured-operand density bucket
+        the decision was scoped to)."""
+        if measured and self.tuner is not None:
+            start = self.tuner.timer()
+            backend.run(self, op, a, c, alpha, b, model, parallel, held)
+            self.tuner.record(op, shape, a.dtype, backend.name,
+                              self.tuner.timer() - start, model=model,
+                              sched=sched, density=density)
+        else:
+            backend.run(self, op, a, c, alpha, b, model, parallel, held)
         with self._stats_lock:
-            self._backend_runs[run_name] = \
-                self._backend_runs.get(run_name, 0) + 1
+            self._backend_runs[backend.name] = \
+                self._backend_runs.get(backend.name, 0) + 1
 
     # -- scheduling ---------------------------------------------------------
     def _resolve_parallel(self, parallel: Optional[str]) -> str:
@@ -568,15 +477,6 @@ class ExecutionEngine:
     def _execute(self, plan: ExecutionPlan, a: np.ndarray, c: np.ndarray,
                  alpha: float, workspace, b: Optional[np.ndarray],
                  parallel: Optional[str]) -> None:
-        if plan.fused_steps:
-            with self._stats_lock:
-                self._fused_steps += plan.fused_steps
-            if self._codegen_mode() != "off":
-                from . import codegen
-                attached = codegen.prepare_plan(plan)
-                if attached:
-                    with self._stats_lock:
-                        self._codegen_kernels += attached
         mode = self._resolve_parallel(parallel)
         use_dag = (self.dag is not None and plan.dag is not None
                    and mode != "off"
@@ -649,13 +549,12 @@ class ExecutionEngine:
         model = cache if cache is not None else default_cache_model(a.dtype)
         operand = a if kind != "dense" else None
         density = density_bucket(a) if operand is not None else None
-        backend, measured, sched, fuse, record_name = self._resolve_backend(
+        backend, measured, sched = self._resolve_backend(
             "ata", (m, n), a.dtype, model, algo, parallel,
             operand=operand, density=density)
         scale(c, beta)
         self._run_backend(backend, "ata", (m, n), a, c, alpha, None, model,
-                          parallel, measured, sched, fuse=fuse,
-                          record_name=record_name, density=density)
+                          parallel, measured, sched, density=density)
         if operand is not None:
             with self._stats_lock:
                 self._sparse_runs += 1
@@ -702,12 +601,11 @@ class ExecutionEngine:
         model = cache if cache is not None else default_cache_model(a.dtype)
         operand = a if kind != "dense" else None
         density = density_bucket(a) if operand is not None else None
-        backend, measured, sched, fuse, record_name = self._resolve_backend(
+        backend, measured, sched = self._resolve_backend(
             "atb", (m, n, k), a.dtype, model, algo, parallel,
             operand=operand, density=density)
         self._run_backend(backend, "atb", (m, n, k), a, c, alpha, b, model,
-                          parallel, measured, sched, fuse=fuse,
-                          record_name=record_name, density=density)
+                          parallel, measured, sched, density=density)
         if operand is not None:
             with self._stats_lock:
                 self._sparse_runs += 1
@@ -834,18 +732,16 @@ class ExecutionEngine:
         try:
             for i, (a, b, shape, c) in enumerate(prepared):
                 model = cache if cache is not None else default_cache_model(a.dtype)
-                backend, measured, sched, fuse, record_name = \
-                    self._resolve_backend(op, shape, a.dtype, model, algo,
-                                          parallel)
+                backend, measured, sched = self._resolve_backend(
+                    op, shape, a.dtype, model, algo, parallel)
                 if (can_weave and not measured
                         and type(backend).run is PlanBackend.run):
                     plan = self._plan(backend.name, backend.kinds[op], shape,
-                                      a.dtype, model, fuse=fuse)
+                                      a.dtype, model)
                     woven.append((i, plan, a, b, c, backend.name))
                     continue
                 self._run_backend(backend, op, shape, a, c, alpha, b,
-                                  model, parallel, measured, sched, held=held,
-                                  fuse=fuse, record_name=record_name)
+                                  model, parallel, measured, sched, held=held)
                 results[i] = c
             interleave = (len(woven) > 1
                           and sum(t[1].n_steps for t in woven) >= _DAG_MIN_STEPS
@@ -879,16 +775,6 @@ class ExecutionEngine:
     def _run_interleaved(self, woven: List[tuple], alpha: float,
                          mode: str) -> None:
         """Execute plan-backed batch entries as one cross-entry super-DAG."""
-        for _, plan, a, b, c, _ in woven:
-            if plan.fused_steps:
-                with self._stats_lock:
-                    self._fused_steps += plan.fused_steps
-                if self._codegen_mode() != "off":
-                    from . import codegen
-                    attached = codegen.prepare_plan(plan)
-                    if attached:
-                        with self._stats_lock:
-                            self._codegen_kernels += attached
         cap = self._auto_workers if mode == "auto" else None
         entries = [(plan, a, b, c) for _, plan, a, b, c, _ in woven]
         self.dag.execute_batch(entries, alpha,
@@ -976,8 +862,6 @@ class ExecutionEngine:
             farm_respawns=self._farm_respawns,
             farm_retried_panels=self._farm_retried_panels,
             farm_degraded=self._farm_degraded,
-            fused_steps=self._fused_steps,
-            codegen_kernels=self._codegen_kernels,
             interleaved_batches=self._interleaved_batches,
             interleaved_items=self._interleaved_items,
             pool_bytes_high=self.pool.bytes_high_water,

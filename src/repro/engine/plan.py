@@ -52,27 +52,6 @@ sequence is itself properly nested — and the workspace requirement grows
 to the sum of the per-lane high-water marks (at most ``K``× the sequential
 requirement).  Scratch placement never changes values: every arena buffer
 is zero-filled by an explicit plan step before it is read.
-
-Step fusion
------------
-With ``fuse=True`` the compiler runs a fusion pass over the freshly built
-DAG: every step whose *only* successor lies in some unit is absorbed into
-that unit, growing **in-trees** of steps that end at a single sink (a
-FastStrassen operand combine — zero + adds — typically fuses with its
-consuming gemm, and ``syrk`` accumulation chains into a shared output
-block collapse pairwise).  Each multi-step unit freezes into one
-:class:`FusedStep` executed as a single dispatch: its distinct operand
-references are resolved **once** and its members replay in plan order
-through the exact kernel expressions of :func:`run_step`, so fused
-execution is bit-identical to the unfused replay — absorbing a step into
-its sole successor can never create a cycle (any path out of the step
-enters the unit directly), every cross-unit edge leaves a unit's sink,
-and units ordered by sink index replay as a topological order of the
-original DAG.  A unit may only span a single scratch lane (operand-only
-steps are lane-neutral), so fusion never collapses work the lane layout
-deliberately decoupled; the contracted :class:`StepDag` carries
-flop-weighted priorities so the DAG executor drains the critical path
-first.
 """
 
 from __future__ import annotations
@@ -91,9 +70,8 @@ from ..core.strassen import STRASSEN_PRODUCTS
 from ..core.workspace import _Requirement
 from ..errors import ConfigurationError, ShapeError
 
-__all__ = ["ExecutionPlan", "StepDag", "FusedStep", "compile_plan",
-           "execute_plan", "run_step", "run_fused", "record_plan_counters",
-           "split_rows", "PLAN_KINDS"]
+__all__ = ["ExecutionPlan", "StepDag", "compile_plan", "execute_plan",
+           "run_step", "record_plan_counters", "split_rows", "PLAN_KINDS"]
 
 PLAN_KINDS = ("syrk", "ata", "strassen", "recursive_gemm", "tiled")
 
@@ -110,19 +88,6 @@ OP_SYRK = 0   # (OP_SYRK, a_ref, c_ref, n)               low(c) += alpha*a.T@a (
 OP_GEMM = 1   # (OP_GEMM, a_ref, b_ref, c_ref, use_alpha) c += coef * a.T @ b
 OP_ADD = 2    # (OP_ADD, dst_ref, src_ref, coef, use_alpha) dst += coef*src (prefix-truncated)
 OP_ZERO = 3   # (OP_ZERO, ref)                            view[...] = 0
-OP_FUSED = 4  # (OP_FUSED, FusedStep)                     replay members in one dispatch
-
-# Peephole opcodes: produced by the fusion peepholes (see
-# :func:`_peephole_store`), never by the step emitters.  Each replaces a
-# ``zero → first accumulate`` pair (or, for OP_LINCOMB, a folded
-# ``store → first add``) with one direct store, eliminating the zeroing
-# pass and the read-modify-write of the accumulate.  They appear inside
-# ``FusedStep.micro`` and — when a peephole shrinks a unit to a single
-# micro-op and :func:`_micro_to_step` unwraps it — as top-level steps of
-# fused plans; unfused plans never contain them.
-OP_GEMM_STORE = 5   # (OP_GEMM_STORE, a_ref, b_ref, c_ref, use_alpha) c[...] = coef*(a.T@b)
-OP_SCALE_STORE = 6  # (OP_SCALE_STORE, dst_ref, src_ref, coef, use_alpha) dst[...] = coef*src
-OP_LINCOMB = 7      # (OP_LINCOMB, dst_ref, s1_ref, c1, u1, s2_ref, c2, u2) dst[...] = c1*s1 + c2*s2
 
 
 class _Region:
@@ -487,330 +452,6 @@ def _build_dag(pending_steps: List[tuple],
                    priorities=priorities)
 
 
-class FusedStep:
-    """A run of plan steps collapsed into one dispatch unit.
-
-    ``refs`` is the deduplicated tuple of frozen operand references the
-    members touch; ``micro`` mirrors the members' opcodes with operands
-    replaced by indices into ``refs``, so execution resolves each distinct
-    reference exactly once and replays the members in plan order through
-    the same kernel expressions as :func:`run_step` — bit-identical to the
-    unfused replay by construction.
-
-    The ``kernel``/``kernel_state``/``source`` slots are the only mutable
-    state: :mod:`repro.engine.codegen` may attach a compiled kernel
-    (``kernel_state`` walks ``"cold" → "verify" → "ready"`` or
-    ``"rejected"``; a kernel must reproduce the interpreter bit-for-bit on
-    its first call or it is rejected and the unit permanently falls back
-    to interpretation).
-    """
-
-    __slots__ = ("refs", "micro", "n_members", "kernel", "kernel_state",
-                 "source")
-
-    def __init__(self, refs: tuple, micro: tuple, n_members: int) -> None:
-        self.refs = refs
-        self.micro = micro
-        self.n_members = n_members
-        self.kernel = None
-        self.kernel_state = "cold"
-        self.source = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"FusedStep(members={self.n_members}, refs={len(self.refs)}, "
-                f"kernel={self.kernel_state})")
-
-
-def _ref_key(ref) -> tuple:
-    """A hashable identity for a frozen operand reference.
-
-    Frozen operand refs embed ``slice`` objects, which are unhashable on
-    Python 3.11, so the fusion ref-table dedup keys on this flattened
-    tuple instead.
-    """
-    if ref[0] in (_BASE_A, _BASE_B, _BASE_C):
-        rows, cols = ref[1]
-        return (ref[0], rows.start, rows.stop, cols.start, cols.stop)
-    window = ref[5]
-    if window is not None:
-        window = (window[0].start, window[0].stop,
-                  window[1].start, window[1].stop)
-    return (ref[0], ref[1], ref[2], ref[3], ref[4], window)
-
-
-def _refs_overlap(ra, rb) -> bool:
-    """Whether two frozen operand references can touch the same memory.
-
-    Conservative: arena references compare their flat ``[start, stop)``
-    intervals (ignoring any refining window), operand references their
-    bounding rectangles.  Distinct bases never overlap (the P/Q/M arenas
-    are separate buffers, as are A/B/C).
-    """
-    if ra[0] != rb[0]:
-        return False
-    if ra[0] in (_BASE_A, _BASE_B, _BASE_C):
-        (ar, ac), (br, bc) = ra[1], rb[1]
-        return (ar.start < br.stop and br.start < ar.stop
-                and ac.start < bc.stop and bc.start < ac.stop)
-    return ra[1] < rb[2] and rb[1] < ra[2]
-
-
-def _step_lanes(step) -> frozenset:
-    """The scratch lanes a pending step touches (operand-only steps: none)."""
-    return frozenset(region.lane for region, _ in _step_accesses(step)
-                     if region.base >= _ARENA_P)
-
-
-#: Fused units stop absorbing members past this size: units large enough
-#: to amortise dispatch overhead, small enough that generated kernel
-#: sources stay compilable.
-_FUSE_MAX_MEMBERS = 64
-
-
-def _fuse_groups(dag: StepDag, pending_steps: List[tuple]) -> Tuple[List[List[int]], List[int]]:
-    """Partition steps into fused units by in-tree absorption.
-
-    Walking steps from last to first, a step whose successors *all*
-    belong to one unit is absorbed into that unit when the union of
-    their scratch-lane sets stays within a single lane (so fusion never
-    serialises work the lane layout deliberately decoupled).  Absorption
-    is safe unconditionally: every out-edge of the absorbed step enters
-    the absorbing unit, so contracting it cannot create a cycle, and
-    every remaining cross-unit edge leaves a unit's *sink* (its
-    highest-index member) — ordering units by sink with members in plan
-    order is therefore a topological order of the original DAG, which is
-    what keeps fused replay bit-identical.  (Walking downward means a
-    successor's unit assignment is already final when it is read, so the
-    single lookup ``unit[succ]`` resolves the whole absorption chain.)
-
-    Returns ``(groups, unit)``: member index lists in execution order, and
-    the per-step unit-root (sink index) map.
-    """
-    n = len(pending_steps)
-    succs = dag.succs
-    unit = list(range(n))
-    lanesets: List[frozenset] = [_step_lanes(s) for s in pending_steps]
-    unit_lanes: Dict[int, frozenset] = {}
-    unit_sizes: Dict[int, int] = {}
-    for u in range(n - 1, -1, -1):
-        out = succs[u]
-        if out:
-            root = unit[out[0]]
-            if all(unit[v] == root for v in out[1:]):
-                merged = unit_lanes.get(root, lanesets[root]) | lanesets[u]
-                size = unit_sizes.get(root, 1)
-                if len(merged) <= 1 and size < _FUSE_MAX_MEMBERS:
-                    unit[u] = root
-                    unit_lanes[root] = merged
-                    unit_sizes[root] = size + 1
-    members: Dict[int, List[int]] = {}
-    for i in range(n):
-        members.setdefault(unit[i], []).append(i)
-    groups = [members[root] for root in sorted(members)]
-    return groups, unit
-
-
-def _contract_dag(dag: StepDag, groups: List[List[int]], unit: List[int],
-                  costs: List[int]) -> StepDag:
-    """Contract a step DAG onto its fused units.
-
-    Unit positions follow ascending sink index, so contracted edges still
-    point forward (every cross-unit edge leaves a sink, and sinks order
-    the units); unit cost is the sum of member costs.
-    """
-    n_units = len(groups)
-    pos = {grp[-1]: j for j, grp in enumerate(groups)}  # sink -> position
-    upos = [pos[root] for root in unit] if unit else []
-    succ_sets: List[set] = [set() for _ in range(n_units)]
-    preds = [0] * n_units
-    for u, out in enumerate(dag.succs):
-        pu = upos[u]
-        for v in out:
-            pv = upos[v]
-            if pv != pu and pv not in succ_sets[pu]:
-                succ_sets[pu].add(pv)
-                preds[pv] += 1
-    succs = tuple(tuple(sorted(s)) for s in succ_sets)
-    unit_costs = [sum(costs[i] for i in grp) for grp in groups]
-    critical_path, max_width, priorities = _dag_metrics(succs, unit_costs)
-    return StepDag(preds=tuple(preds), succs=succs,
-                   n_edges=sum(len(s) for s in succ_sets),
-                   critical_path=critical_path, max_width=max_width,
-                   costs=tuple(unit_costs), priorities=priorities)
-
-
-def _micro_accesses(mop) -> Tuple[tuple, int]:
-    """``(read ref indices, written ref index)`` of one micro-op.
-
-    The accumulate ops (gemm/add/syrk) read their destination too, but
-    that read is what the peepholes reason about explicitly, so only the
-    *source* reads are listed here.  Store ops genuinely do not read
-    their destination.
-    """
-    code = mop[0]
-    if code in (OP_GEMM, OP_GEMM_STORE):
-        return (mop[1], mop[2]), mop[3]
-    if code in (OP_ADD, OP_SCALE_STORE):
-        return (mop[2],), mop[1]
-    if code == OP_SYRK:
-        return (mop[1],), mop[2]
-    if code == OP_LINCOMB:
-        return (mop[2], mop[5]), mop[1]
-    return (), mop[1]  # OP_ZERO
-
-
-def _peephole_store(micro: tuple, refs: tuple) -> tuple:
-    """Fold ``zero → first accumulate`` pairs into direct stores.
-
-    A zeroed region whose next touch is a gemm or add accumulating into
-    *exactly* that region never exposes the zeros: ``0 + x`` and ``x``
-    are equal for every float (they differ only in the sign of a zero, to
-    which ``np.array_equal`` — the engine's identity check — is
-    insensitive).  The pair becomes one :data:`OP_GEMM_STORE` /
-    :data:`OP_SCALE_STORE` micro-op, dropping both the zeroing pass and
-    the read-modify-write of the accumulate.  This is the optimisation
-    fusion uniquely unlocks: as separate plan steps the pair crosses a
-    dispatch boundary and each side must stay a complete kernel.
-
-    The fold is withheld whenever anything could observe the zeros first:
-    an intervening micro-op that reads or writes memory overlapping the
-    zeroed region (checked conservatively via :func:`_refs_overlap`), a
-    syrk consumer (it writes only the lower triangle, so the upper
-    triangle needs the explicit zeros), or an accumulate whose region is
-    not the identical reference.
-    """
-    out = list(micro)
-    pending: Dict[int, int] = {}  # ref index -> position of its OP_ZERO
-    for pos, mop in enumerate(micro):
-        code = mop[0]
-        reads, dst = _micro_accesses(mop)
-        for ri in list(pending):
-            zref = refs[ri]
-            if any(r == ri or _refs_overlap(refs[r], zref) for r in reads):
-                del pending[ri]
-        if code != OP_ZERO:
-            zpos = pending.pop(dst, None)
-            if zpos is not None and code == OP_GEMM:
-                out[zpos] = None
-                out[pos] = (OP_GEMM_STORE,) + mop[1:]
-            elif zpos is not None and code == OP_ADD:
-                out[zpos] = None
-                out[pos] = (OP_SCALE_STORE,) + mop[1:]
-            # OP_SYRK consumes the zeros for real (upper triangle): the
-            # popped zero stays materialised in ``out``.
-        dref = refs[dst]
-        for ri in list(pending):
-            if ri != dst and _refs_overlap(dref, refs[ri]):
-                del pending[ri]
-        if code == OP_ZERO:
-            pending[dst] = pos
-    return _peephole_lincomb([m for m in out if m is not None], refs)
-
-
-def _peephole_lincomb(micro: List[tuple], refs: tuple) -> tuple:
-    """Fold ``scale-store → first accumulate`` pairs into one combined add.
-
-    After :func:`_peephole_store`, a ``dst[...] = c1*s1`` whose next touch
-    is ``dst += c2*s2`` computes ``np.add(c1*s1, c2*s2, out=dst)`` — the
-    very expression the pair evaluated, with the round-trip through
-    ``dst`` elided, so this fold is *strictly* bit-identical (same float
-    operations on the same values).  The same overlap discipline as the
-    store pass applies: any intervening read or write of memory
-    overlapping the stored region, or a source aliasing the destination,
-    withholds the fold.
-    """
-    out = list(micro)
-    pending: Dict[int, int] = {}  # ref index -> position of its SCALE_STORE
-    for pos, mop in enumerate(micro):
-        code = mop[0]
-        reads, dst = _micro_accesses(mop)
-        for ri in list(pending):
-            sref = refs[ri]
-            if any(r == ri or _refs_overlap(refs[r], sref) for r in reads):
-                del pending[ri]
-        if code != OP_SCALE_STORE:
-            spos = pending.pop(dst, None)
-            if spos is not None and code == OP_ADD:
-                store = out[spos]
-                out[spos] = None
-                out[pos] = (OP_LINCOMB, dst, store[2], store[3], store[4],
-                            mop[2], mop[3], mop[4])
-        dref = refs[dst]
-        for ri in list(pending):
-            # the fold defers the store's source read to the accumulate's
-            # position, so a write into the *source* region kills the
-            # pending just like a write into the stored region does
-            # (scratch-arena reuse regenerates sources in place)
-            src = micro[pending[ri]][2]
-            if ri != dst and (_refs_overlap(dref, refs[ri])
-                              or _refs_overlap(dref, refs[src])):
-                del pending[ri]
-        if code == OP_SCALE_STORE and not _refs_overlap(refs[dst],
-                                                        refs[mop[2]]):
-            pending[dst] = pos
-    return tuple(m for m in out if m is not None)
-
-
-def _fuse_frozen(member_steps: List[tuple]) -> FusedStep:
-    """Freeze a multi-step unit into a :class:`FusedStep`.
-
-    Operand references are deduplicated into a table so execution (and a
-    generated kernel) resolves each distinct view once, and the
-    :func:`_peephole_store` pass folds ``zero → accumulate`` member pairs
-    into single direct stores — ``n_members`` keeps counting the original
-    plan steps the unit absorbed, so ``len(micro)`` may be smaller.
-    """
-    refs: List[tuple] = []
-    index: Dict[tuple, int] = {}
-
-    def rid(ref) -> int:
-        key = _ref_key(ref)
-        i = index.get(key)
-        if i is None:
-            i = index[key] = len(refs)
-            refs.append(ref)
-        return i
-
-    micro: List[tuple] = []
-    for step in member_steps:
-        op = step[0]
-        if op == OP_SYRK:
-            micro.append((OP_SYRK, rid(step[1]), rid(step[2]), step[3]))
-        elif op == OP_GEMM:
-            micro.append((OP_GEMM, rid(step[1]), rid(step[2]), rid(step[3]),
-                          step[4]))
-        elif op == OP_ADD:
-            micro.append((OP_ADD, rid(step[1]), rid(step[2]), step[3],
-                          step[4]))
-        else:  # OP_ZERO
-            micro.append((OP_ZERO, rid(step[1])))
-    frozen_refs = tuple(refs)
-    return FusedStep(frozen_refs, _peephole_store(tuple(micro), frozen_refs),
-                     len(member_steps))
-
-
-def _micro_to_step(mop: tuple, refs: tuple) -> tuple:
-    """Re-freeze a lone micro-op as a top-level plan step (indices → refs).
-
-    A two-member unit whose peephole folded it down to a single store
-    needs no :class:`FusedStep` indirection at all — dispatching it as a
-    plain step through :func:`run_step` skips the per-call ref-table
-    resolution and interpreter frames, which is most of a one-op unit's
-    runtime.
-    """
-    code = mop[0]
-    if code in (OP_GEMM, OP_GEMM_STORE):
-        return (code, refs[mop[1]], refs[mop[2]], refs[mop[3]], mop[4])
-    if code in (OP_ADD, OP_SCALE_STORE):
-        return (code, refs[mop[1]], refs[mop[2]], mop[3], mop[4])
-    if code == OP_LINCOMB:
-        return (code, refs[mop[1]], refs[mop[2]], mop[3], mop[4],
-                refs[mop[5]], mop[6], mop[7])
-    if code == OP_SYRK:
-        return (code, refs[mop[1]], refs[mop[2]], mop[3])
-    return (code, refs[mop[1]])  # OP_ZERO
-
-
 @dataclasses.dataclass(frozen=True)
 class ExecutionPlan:
     """An immutable compiled execution plan.
@@ -851,17 +492,7 @@ class ExecutionPlan:
         Number of scratch lanes the plan's arena offsets were laid out for.
     dag:
         The step dependency graph (:class:`StepDag`), or ``None`` when the
-        plan was compiled for sequential replay only.  On fused plans the
-        DAG is contracted onto the dispatch units.
-    fused:
-        Whether the compiler's fusion pass ran (plans compiled with and
-        without it carry distinct cache keys so they never alias).
-    fused_steps:
-        Number of primitive steps the fusion pass collapsed — members of
-        multi-member :class:`FusedStep` units plus the zero->accumulate
-        pairs unwrapped into direct-store steps (``0`` when fusion found
-        no chains);
-        ``n_steps`` counts dispatch units after fusion.
+        plan was compiled for sequential replay only.
     """
 
     key: tuple
@@ -876,8 +507,6 @@ class ExecutionPlan:
     step_counters: Tuple[Tuple[str, int], ...]
     lanes: int = 1
     dag: Optional[StepDag] = None
-    fused: bool = False
-    fused_steps: int = 0
 
     @property
     def n_steps(self) -> int:
@@ -1104,7 +733,7 @@ class _Compiler:
     def finish(self, key: tuple, algo: str, shape: Tuple[int, ...],
                out_shape: Tuple[int, int], dtype,
                ws_shape: Optional[Tuple[int, int, int]],
-               build_dag: bool = False, fuse: bool = False) -> ExecutionPlan:
+               build_dag: bool = False) -> ExecutionPlan:
         needs_ws = self.p.high_water or self.q.high_water or self.m.high_water
         requirement = None
         if needs_ws:
@@ -1118,44 +747,16 @@ class _Compiler:
             requirement = per_lane[0]
             for extra in per_lane[1:]:
                 requirement = requirement + extra
-        fused_steps = 0
-        if fuse:
-            # the fusion pass needs the full step DAG even when the plan is
-            # compiled for sequential replay (the contracted DAG is only
-            # attached when requested)
-            full = _build_dag(self.steps, self.costs)
-            groups, unit = _fuse_groups(full, self.steps)
-            frozen = self._freeze_steps()
-            steps: List[tuple] = []
-            for grp in groups:
-                if len(grp) == 1:
-                    steps.append(frozen[grp[0]])
-                else:
-                    fused = _fuse_frozen([frozen[i] for i in grp])
-                    if len(fused.micro) == 1:
-                        # a zero->accumulate pair the store peephole
-                        # folded to one op: dispatch it as a plain step
-                        steps.append(_micro_to_step(fused.micro[0],
-                                                    fused.refs))
-                    else:
-                        steps.append((OP_FUSED, fused))
-                    fused_steps += len(grp)
-            steps = tuple(steps)
-            dag = (_contract_dag(full, groups, unit, self.costs)
-                   if build_dag else None)
-        else:
-            steps = self._freeze_steps()
-            dag = _build_dag(self.steps, self.costs) if build_dag else None
+        dag = _build_dag(self.steps, self.costs) if build_dag else None
         return ExecutionPlan(
             key=key, algo=algo, shape=shape, out_shape=out_shape,
-            dtype=np.dtype(dtype), steps=steps,
+            dtype=np.dtype(dtype), steps=self._freeze_steps(),
             requirement=requirement,
             ws_shape=ws_shape if needs_ws else None,
             kernel_counters=tuple((cat, t[0], t[1], t[2])
                                   for cat, t in self.kernel_totals.items()),
             step_counters=tuple(self.step_totals.items()),
-            lanes=self.lanes, dag=dag, fused=bool(fuse),
-            fused_steps=fused_steps,
+            lanes=self.lanes, dag=dag,
         )
 
 
@@ -1179,8 +780,7 @@ def split_rows(m: int, max_rows: int) -> Tuple[Tuple[int, int], ...]:
 
 def compile_plan(algo: str, shape: Tuple[int, ...], dtype, model: CacheModel,
                  key: Optional[tuple] = None, lanes: int = 1,
-                 build_dag: Optional[bool] = None,
-                 fuse: bool = False) -> ExecutionPlan:
+                 build_dag: Optional[bool] = None) -> ExecutionPlan:
     """Compile one execution plan.
 
     Parameters
@@ -1206,12 +806,6 @@ def compile_plan(algo: str, shape: Tuple[int, ...], dtype, model: CacheModel,
     build_dag:
         Whether to derive the step dependency graph; defaults to
         ``lanes > 1``.  Sequential replay ignores the DAG either way.
-    fuse:
-        Run the fusion pass (see *Step fusion* in the module docstring),
-        collapsing in-tree step chains into :class:`FusedStep` dispatch
-        units.  Fused execution is bit-identical to the unfused replay;
-        the default cache key carries the flag so fused and unfused plans
-        never alias.
     """
     if algo not in PLAN_KINDS:
         raise ShapeError(f"unknown plan kind {algo!r}; expected one of {PLAN_KINDS}")
@@ -1250,10 +844,9 @@ def compile_plan(algo: str, shape: Tuple[int, ...], dtype, model: CacheModel,
         else:
             comp.recursive_gemm(a, b, c, depth=0)
     if key is None:
-        key = (algo, shape, np.dtype(dtype).str, model.capacity_words, lanes,
-               bool(fuse))
+        key = (algo, shape, np.dtype(dtype).str, model.capacity_words, lanes)
     return comp.finish(key, algo, tuple(shape), out_shape, dtype, ws_shape,
-                       build_dag=build_dag, fuse=fuse)
+                       build_dag=build_dag)
 
 
 def _resolve(ref, a, b, c, p, q, m):
@@ -1280,10 +873,7 @@ def run_step(step, a, b, c, p, q, m, alpha: float) -> None:
     keeps plan execution — sequential or DAG-scheduled — bit-for-bit
     identical to the direct recursions.  Both :func:`execute_plan` and the
     :class:`~repro.engine.dag.DagExecutor` route every step through this
-    single function so the two paths cannot drift apart.  The store
-    opcodes only appear in fused plans (see :func:`_peephole_store`):
-    each writes ``x`` where its zero->accumulate pair wrote ``0 + x`` —
-    equal under ``np.array_equal`` for every float.
+    single function so the two paths cannot drift apart.
     """
     op = step[0]
     if op == OP_GEMM:
@@ -1303,116 +893,11 @@ def run_step(step, a, b, c, p, q, m, alpha: float) -> None:
             dst += src
         else:
             dst += coef * src
-    elif op == OP_SCALE_STORE:
-        dst = _resolve(step[1], a, b, c, p, q, m)
-        src = _resolve(step[2], a, b, c, p, q, m)
-        coef = step[3] * (alpha if step[4] else 1.0)
-        if coef == 1.0:
-            dst[...] = src
-        else:
-            np.multiply(src, coef, out=dst)
-    elif op == OP_GEMM_STORE:
-        av = _resolve(step[1], a, b, c, p, q, m)
-        bv = _resolve(step[2], a, b, c, p, q, m)
-        cv = _resolve(step[3], a, b, c, p, q, m)
-        coef = alpha if step[4] else 1.0
-        if coef == 1.0:
-            np.matmul(av.T, bv, out=cv)
-        else:
-            np.multiply(av.T @ bv, coef, out=cv)
-    elif op == OP_LINCOMB:
-        s1 = _resolve(step[2], a, b, c, p, q, m)
-        s2 = _resolve(step[5], a, b, c, p, q, m)
-        c1 = step[3] * (alpha if step[4] else 1.0)
-        c2 = step[6] * (alpha if step[7] else 1.0)
-        t1 = s1 if c1 == 1.0 else c1 * s1
-        t2 = s2 if c2 == 1.0 else c2 * s2
-        np.add(t1, t2, out=_resolve(step[1], a, b, c, p, q, m))
     elif op == OP_SYRK:
         syrk_leaf(_resolve(step[1], a, b, c, p, q, m),
                   _resolve(step[2], a, b, c, p, q, m), alpha)
-    elif op == OP_ZERO:
+    else:  # OP_ZERO
         _resolve(step[1], a, b, c, p, q, m)[...] = 0
-    else:  # OP_FUSED
-        run_fused(step[1], a, b, c, p, q, m, alpha)
-
-
-def _interpret_fused(fused: FusedStep, a, b, c, p, q, m, alpha: float) -> None:
-    """Replay a fused unit's members through the interpreter.
-
-    Each distinct operand reference resolves to a view exactly once (views
-    alias storage, not values, so hoisting the resolution out of the member
-    loop cannot change results); the member expressions are the
-    :func:`run_step` kernel expressions verbatim, including the
-    ``coef == 1.0`` short-circuits — fused replay is bit-identical to
-    running the members as individual steps.  The exception is the
-    :func:`_peephole_store` micro-ops, which store ``x`` where the member
-    pair would have stored ``0 + x``: equal for every float under
-    ``np.array_equal`` (only a zero's sign can differ).
-    """
-    views = [_resolve(ref, a, b, c, p, q, m) for ref in fused.refs]
-    for mop in fused.micro:
-        code = mop[0]
-        if code == OP_GEMM:
-            cv = views[mop[3]]
-            coef = alpha if mop[4] else 1.0
-            if coef == 1.0:
-                cv += views[mop[1]].T @ views[mop[2]]
-            else:
-                cv += coef * (views[mop[1]].T @ views[mop[2]])
-        elif code == OP_ADD:
-            dst = views[mop[1]]
-            coef = mop[3] * (alpha if mop[4] else 1.0)
-            if coef == 1.0:
-                dst += views[mop[2]]
-            else:
-                dst += coef * views[mop[2]]
-        elif code == OP_GEMM_STORE:
-            cv = views[mop[3]]
-            coef = alpha if mop[4] else 1.0
-            if coef == 1.0:
-                np.matmul(views[mop[1]].T, views[mop[2]], out=cv)
-            else:
-                np.multiply(views[mop[1]].T @ views[mop[2]], coef, out=cv)
-        elif code == OP_SCALE_STORE:
-            dst = views[mop[1]]
-            coef = mop[3] * (alpha if mop[4] else 1.0)
-            if coef == 1.0:
-                dst[...] = views[mop[2]]
-            else:
-                np.multiply(views[mop[2]], coef, out=dst)
-        elif code == OP_LINCOMB:
-            c1 = mop[3] * (alpha if mop[4] else 1.0)
-            c2 = mop[6] * (alpha if mop[7] else 1.0)
-            t1 = views[mop[2]] if c1 == 1.0 else c1 * views[mop[2]]
-            t2 = views[mop[5]] if c2 == 1.0 else c2 * views[mop[5]]
-            np.add(t1, t2, out=views[mop[1]])
-        elif code == OP_SYRK:
-            syrk_leaf(views[mop[1]], views[mop[2]], alpha)
-        else:  # OP_ZERO
-            views[mop[1]][...] = 0
-
-
-def run_fused(fused: FusedStep, a, b, c, p, q, m, alpha: float) -> None:
-    """Execute one fused unit: compiled kernel when verified, else interpret.
-
-    A kernel attached by :mod:`repro.engine.codegen` runs its first call
-    in ``"verify"`` state — executed against cloned outputs and compared
-    bit-for-bit with the interpreter before it is trusted (see
-    ``codegen.verify_first_use``).  ``"cold"`` and ``"rejected"`` units
-    always interpret.
-    """
-    state = fused.kernel_state
-    if state == "ready":
-        kernel = fused.kernel
-        if kernel is not None:
-            kernel(a, b, c, p, q, m, alpha)
-            return
-    elif state == "verify":
-        from .codegen import verify_first_use
-        verify_first_use(fused, a, b, c, p, q, m, alpha)
-        return
-    _interpret_fused(fused, a, b, c, p, q, m, alpha)
 
 
 def record_plan_counters(plan: ExecutionPlan, itemsize: int) -> None:

@@ -511,6 +511,57 @@ class TestTunerPersistence:
             back = BackendTuner(path, timer=FakeClock())
             assert back.best("ata", (64, 64), np.float64) == "b"
 
+    def test_table_with_fused_candidates_loads_and_is_ignored(
+            self, tmp_path, rng):
+        """A table persisted while plans could be fused keys its
+        sub-table on a fingerprint ending in the fuse mode and offers
+        ``"<backend>+fused"`` candidates.  It loads without error, no
+        decision ever names a fused candidate, and the engine explores
+        afresh under the current fingerprint while the old sub-table
+        survives in the file."""
+        from repro.engine.tuner import TABLE_VERSION, _bucket_key
+        path = tmp_path / "tuner.json"
+        shape = (64, 48)
+        old_fingerprint = "64,64,on"
+        with configured(base_case_elements=64, tuner_path=str(path)):
+            names = ata_candidate_names()
+            key = _bucket_key("ata", np.float64, shape_bucket(shape), None)
+            cell = {name: {"count": 4, "total": 4.0, "best": 1.0}
+                    for name in names}
+            # the fused twins were the fastest cells: served, they would win
+            cell.update({name + "+fused": {"count": 4, "total": 4e-6,
+                                           "best": 1e-6}
+                         for name in names})
+            path.write_text(json.dumps(
+                {"version": TABLE_VERSION,
+                 "tables": {old_fingerprint: {key: cell}}}))
+
+            # persist=False: this tuner's samples must not reach the file
+            # the engine below starts from
+            tuner = BackendTuner(str(path), timer=FakeClock(), persist=False)
+            assert tuner.load() is False  # no sub-table for this config
+            assert tuner.load_failures == 0
+            for _ in range(3 * len(names)):
+                name, _ = tuner.choose("ata", shape, np.float64, names)
+                assert not name.endswith("+fused")
+                tuner.record("ata", shape, np.float64, name, 1.0)
+
+            engine = ExecutionEngine(parallel="off", tuner="measured")
+            a = rng.standard_normal(shape)
+            expect = np.tril(a.T @ a)
+            for _ in range(8):
+                assert np.allclose(np.tril(engine.matmul_ata(a)), expect)
+            stats = engine.stats()
+            engine.close()
+        assert stats.tuner_explores > 0
+        assert not any(name.endswith("+fused") for name in stats.backend_runs)
+        tables = json.loads(path.read_text())["tables"]
+        assert tables[old_fingerprint] == {key: cell}
+        assert not any(name.endswith("+fused")
+                       for fp, sub in tables.items() if fp != old_fingerprint
+                       for per_backend in sub.values()
+                       for name in per_backend)
+
     def test_path_frozen_at_construction(self, tmp_path):
         """A configured(tuner_path=...) excursion must not redirect
         autosaves of a table loaded from one file into another."""
@@ -828,3 +879,41 @@ class TestLockSidecarHygiene:
         tuner.record("ata", (256, 128), "float64", "blocked", 0.02)
         assert tuner.save()
         assert not (tmp_path / "tuner.json.lock").exists()
+
+
+class TestFrozenTuner:
+    def test_frozen_tuner_abstains_cold(self):
+        tuner = BackendTuner(persist=False, frozen=True)
+        name, explore = tuner.choose("ata", (64, 64), np.float64,
+                                     ["ata", "syrk"])
+        assert name is None and explore is False
+
+    def test_frozen_tuner_exploits_sampled_best_and_ignores_records(self):
+        warm = BackendTuner(persist=False)
+        for _ in range(4):
+            warm.record("ata", (64, 64), np.float64, "ata", 0.002)
+            warm.record("ata", (64, 64), np.float64, "syrk", 0.001)
+        frozen = BackendTuner(persist=False, frozen=True)
+        frozen._table = warm._table
+        name, explore = frozen.choose("ata", (64, 64), np.float64,
+                                      ["ata", "syrk", "tiled"])
+        assert name == "syrk" and explore is False
+        frozen.record("ata", (64, 64), np.float64, "tiled", 1e-9)
+        name, _ = frozen.choose("ata", (64, 64), np.float64,
+                                ["ata", "syrk", "tiled"])
+        assert name == "syrk", "frozen tables must not learn"
+
+    def test_engine_frozen_mode_is_deterministic(self, rng, tmp_path):
+        with configured(base_case_elements=64,
+                        tuner_path=str(tmp_path / "tuner.json")):
+            a = rng.standard_normal((64, 48))
+            ref = ExecutionEngine(parallel="off").matmul_ata(a)
+            eng = ExecutionEngine(parallel="off", tuner="frozen")
+            first = eng.matmul_ata(a)
+            runs_after_first = dict(eng.stats().backend_runs)
+            second = eng.matmul_ata(a)
+            # an empty frozen table abstains: both calls fall to the same
+            # heuristic backend as the plain engine, bit-identically
+            assert np.array_equal(first, ref)
+            assert np.array_equal(second, ref)
+            assert len(runs_after_first) == 1

@@ -41,6 +41,10 @@ class TestConfigValidation:
         monkeypatch.setenv("REPRO_MEMORY_BUDGET", str(1 << 20))
         assert _config_from_env().memory_budget == 1 << 20
 
+    def test_invalid_tuner_mode_rejected(self):
+        with pytest.raises(ConfigurationError):
+            Config(tuner_mode="warm").validate()
+
     def test_replace_returns_new_instance(self):
         cfg = Config()
         other = cfg.replace(base_case_elements=128)
@@ -84,3 +88,24 @@ class TestSetConfig:
             assert get_config().seed == 1234
         finally:
             set_config(previous)
+
+
+class TestEnvKnobs:
+    def test_env_parsing(self, monkeypatch):
+        from repro.config import _config_from_env
+        monkeypatch.setenv("REPRO_TUNER", "frozen")
+        cfg = _config_from_env()
+        assert cfg.tuner_mode == "frozen"
+
+    @pytest.mark.parametrize("variable,value", [
+        ("REPRO_BASE_CASE", "abc"),
+        ("REPRO_SERVE_LINGER_MS", "fast"),
+    ])
+    def test_malformed_numeric_env_names_variable(self, monkeypatch,
+                                                  variable, value):
+        from repro.config import _config_from_env
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ConfigurationError) as info:
+            _config_from_env()
+        assert variable in str(info.value)
+        assert repr(value) in str(info.value)

@@ -19,7 +19,7 @@ import concurrent.futures
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache.model import CacheModel
 from repro.config import configured
@@ -40,6 +40,17 @@ from repro.errors import ConfigurationError, ShapeError
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0xDA6)
+
+
+def _run(plan, a, b, out_shape, alpha=1.0):
+    """Replay one plan sequentially on a fresh workspace."""
+    ws = None
+    if plan.needs_workspace:
+        ws = StrassenWorkspace(*plan.ws_shape, dtype=a.dtype,
+                               requirement=plan.requirement)
+    c = np.zeros(out_shape, dtype=a.dtype)
+    execute_plan(plan, a, c, alpha, ws, b=b)
+    return c
 
 
 def _dag_result(plan, a, b, out_shape, workers, alpha=1.0):
@@ -64,37 +75,47 @@ class TestBitIdentity:
 
     @given(m=st.integers(1, 70), n=st.integers(1, 70),
            workers=st.sampled_from([1, 2, 8]),
-           lanes=st.sampled_from([1, 2, 4]))
-    @settings(max_examples=25, deadline=None)
-    def test_ata_shape_sweep(self, m, n, workers, lanes):
+           lanes=st.sampled_from([1, 2, 4]),
+           kind=st.sampled_from(["ata", "syrk", "tiled"]),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           alpha=st.sampled_from([1.0, 1.25]),
+           bce=st.sampled_from([16, 32, 64]))
+    # tall-thin tails pack many scratch-arena generations into few columns
+    @example(m=127, n=3, workers=8, lanes=1, kind="ata", dtype=np.float64,
+             alpha=1.0, bce=32)
+    @example(m=97, n=3, workers=8, lanes=4, kind="ata", dtype=np.float64,
+             alpha=1.25, bce=16)
+    @settings(max_examples=40, deadline=None)
+    def test_ata_shape_sweep(self, m, n, workers, lanes, kind, dtype, alpha,
+                             bce):
         a = np.random.default_rng(m * 1000 + n).standard_normal((m, n))
-        with configured(base_case_elements=64):
-            model = CacheModel(capacity_words=64)
-            plan = compile_plan("ata", (m, n), a.dtype, model,
+        a = a.astype(dtype)
+        with configured(base_case_elements=bce):
+            model = CacheModel(capacity_words=bce)
+            plan = compile_plan(kind, (m, n), a.dtype, model,
                                 lanes=lanes, build_dag=True)
-            expected = ata(a.copy())
-            sequential = np.zeros((n, n))
-            ws = (StrassenWorkspace(*plan.ws_shape, dtype=a.dtype,
-                                    requirement=plan.requirement)
-                  if plan.needs_workspace else None)
-            execute_plan(plan, a, sequential, 1.0, ws)
-            got = _dag_result(plan, a, None, (n, n), workers)
-        assert np.array_equal(sequential, expected)
-        assert np.array_equal(got, expected)
+            sequential = _run(plan, a, None, (n, n), alpha)
+            got = _dag_result(plan, a, None, (n, n), workers, alpha)
+            if kind == "ata":
+                assert np.array_equal(sequential, ata(a.copy(), alpha=alpha))
+        assert np.array_equal(got, sequential)
 
     @pytest.mark.parametrize("algo", ["strassen", "recursive_gemm"])
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_atb_algorithms(self, rng, algo, workers):
-        a = rng.standard_normal((45, 23))
-        b = rng.standard_normal((45, 31))
-        with configured(base_case_elements=64):
-            model = CacheModel(capacity_words=64)
-            plan = compile_plan(algo, (45, 23, 31), a.dtype, model,
-                                lanes=4, build_dag=True)
-            direct = (fast_strassen(a, b) if algo == "strassen"
-                      else recursive_gemm(a, b))
-            got = _dag_result(plan, a, b, (23, 31), workers)
-        assert np.array_equal(got, direct)
+        for dtype in (np.float64, np.float32):
+            for alpha in (1.0, 1.25):
+                a = rng.standard_normal((45, 23)).astype(dtype)
+                b = rng.standard_normal((45, 31)).astype(dtype)
+                with configured(base_case_elements=64):
+                    model = CacheModel(capacity_words=64)
+                    plan = compile_plan(algo, (45, 23, 31), a.dtype, model,
+                                        lanes=4, build_dag=True)
+                    direct = (fast_strassen(a, b, alpha=alpha)
+                              if algo == "strassen"
+                              else recursive_gemm(a, b, alpha=alpha))
+                    got = _dag_result(plan, a, b, (23, 31), workers, alpha)
+                assert np.array_equal(got, direct)
 
     @pytest.mark.parametrize("algo", ["tiled", "syrk"])
     def test_workspace_free_plans(self, rng, algo):
@@ -161,6 +182,14 @@ class TestStepDagStructure:
                 # later must be reachable from earlier; with direct
                 # conflict tracking the edge is immediate
                 assert later in plan.dag.succs[earlier]
+
+    def test_bottom_level_priorities_dominate_costs(self):
+        dag = self._plan("ata", (64, 64), lanes=2).dag
+        for u, succs in enumerate(dag.succs):
+            expect = dag.costs[u]
+            if succs:
+                expect += max(dag.priorities[v] for v in succs)
+            assert dag.priorities[u] == expect
 
     def test_single_step_plan(self):
         plan = self._plan(algo="syrk", shape=(8, 8))
@@ -292,6 +321,104 @@ class TestEngineWiring:
             finally:
                 engine.close()
         assert np.array_equal(expected, got)
+
+
+class TestInterleaving:
+    def test_run_batch_bit_identical_and_counted(self, rng):
+        with configured(base_case_elements=256):
+            eng = ExecutionEngine(parallel="dag", workers=4)
+            mats = [rng.standard_normal(s)
+                    for s in [(48, 32), (64, 64), (96, 40), (33, 17),
+                              (64, 64)]]
+            outs = eng.run_batch(mats, alpha=1.25)
+            ref_eng = ExecutionEngine(parallel="off")
+            for out, a in zip(outs, mats):
+                assert np.array_equal(out, ref_eng.matmul_ata(a, alpha=1.25))
+            stats = eng.stats()
+            assert stats.interleaved_batches == 1
+            assert stats.interleaved_items == len(mats)
+
+    def test_run_batch_atb_bit_identical(self, rng):
+        with configured(base_case_elements=256):
+            eng = ExecutionEngine(parallel="dag", workers=4)
+            pairs = [(rng.standard_normal((m, n)), rng.standard_normal((m, k)))
+                     for m, n, k in [(48, 32, 24), (64, 40, 40), (40, 64, 8)]]
+            outs = eng.run_batch_atb(pairs, alpha=0.5)
+            ref_eng = ExecutionEngine(parallel="off")
+            for out, (a, b) in zip(outs, pairs):
+                assert np.array_equal(
+                    out, ref_eng.matmul_atb(a, b, alpha=0.5))
+            assert eng.stats().interleaved_batches == 1
+
+    def test_sequential_engine_batches_do_not_interleave(self, rng):
+        with configured(base_case_elements=256):
+            eng = ExecutionEngine(parallel="off")
+            mats = [rng.standard_normal((48, 32)) for _ in range(3)]
+            outs = eng.run_batch(mats)
+            ref_eng = ExecutionEngine(parallel="off")
+            for out, a in zip(outs, mats):
+                assert np.array_equal(out, ref_eng.matmul_ata(a))
+            assert eng.stats().interleaved_batches == 0
+
+    def test_execute_batch_direct(self, rng):
+        with configured(base_case_elements=64):
+            model = CacheModel(capacity_words=64)
+            pool = WorkspacePool()
+            entries = []
+            refs = []
+            for m, n in [(48, 32), (64, 64), (40, 24)]:
+                a = rng.standard_normal((m, n))
+                plan = compile_plan("ata", (m, n), a.dtype, model,
+                                    lanes=2, build_dag=True)
+                c = np.zeros((n, n))
+                entries.append((plan, a, None, c))
+                refs.append(_run(plan, a, None, (n, n), alpha=2.0))
+            executor = DagExecutor(4)
+            try:
+                stats = executor.execute_batch(
+                    entries, alpha=2.0, acquire=pool.acquire,
+                    release=pool.release)
+            finally:
+                executor.shutdown()
+            assert stats.steps == sum(len(p.steps) for p, *_ in entries)
+            for (_, _, _, c), ref in zip(entries, refs):
+                assert np.array_equal(c, ref)
+
+    def test_execute_batch_sequential_fallback(self, rng):
+        with configured(base_case_elements=64):
+            model = CacheModel(capacity_words=64)
+            pool = WorkspacePool()
+            a = rng.standard_normal((48, 32))
+            plan = compile_plan("ata", (48, 32), a.dtype, model,
+                                lanes=1, build_dag=True)
+            c = np.zeros((32, 32))
+            executor = DagExecutor(1)
+            try:
+                stats = executor.execute_batch(
+                    [(plan, a, None, c)], acquire=pool.acquire,
+                    release=pool.release)
+            finally:
+                executor.shutdown()
+            assert stats.workers == 1
+            assert np.array_equal(c, _run(plan, a, None, (32, 32)))
+
+    def test_execute_batch_releases_workspaces_on_failure(self, rng):
+        with configured(base_case_elements=64):
+            model = CacheModel(capacity_words=64)
+            pool = WorkspacePool()
+            a = rng.standard_normal((64, 64))
+            plan = compile_plan("ata", (64, 64), a.dtype, model,
+                                lanes=2, build_dag=True)
+            bad = np.zeros((1, 1))  # wrong output shape => kernel raises
+            executor = DagExecutor(4)
+            try:
+                with pytest.raises(Exception):
+                    executor.execute_batch(
+                        [(plan, a, None, bad)], acquire=pool.acquire,
+                        release=pool.release)
+            finally:
+                executor.shutdown()
+            assert pool.footprint() == pool._bytes_idle  # nothing checked out
 
 
 class TestStress:

@@ -12,11 +12,13 @@ import pytest
 
 from repro.blas.counters import counting
 from repro.config import configured
+from repro.core.workspace import StrassenWorkspace
 from repro.core.ata import ata
 from repro.core.recursive_gemm import recursive_gemm
 from repro.core.strassen import fast_strassen
 from repro.engine import (
     ExecutionEngine,
+    WorkspacePool,
     compile_plan,
     default_engine,
     matmul_ata,
@@ -340,3 +342,52 @@ class TestModuleLevelFrontend:
                 results = list(pool.map(lambda _: engine.matmul_ata(a), range(16)))
         for got in results:
             assert np.array_equal(expected, got)
+
+
+class TestPoolAccounting:
+    def test_acquire_release_tracks_bytes(self, rng):
+        with configured(base_case_elements=64):
+            model = CacheModel(capacity_words=64)
+            plan = compile_plan("ata", (96, 64), np.float64, model,
+                                lanes=1, build_dag=False)
+            pool = WorkspacePool()
+            assert pool.footprint() == 0
+            ws = pool.acquire(plan, np.float64)
+            nbytes = ws.total_elements * np.dtype(np.float64).itemsize
+            assert pool.footprint() == nbytes
+            assert pool.bytes_high_water == nbytes
+            pool.release(ws)
+            assert pool.footprint() == nbytes  # idle now, still resident
+            pool.trim(0)
+            assert pool.footprint() == 0
+            assert pool.trims == 1
+            assert pool.bytes_high_water == nbytes  # high water is sticky
+
+    def test_trim_evicts_largest_first(self, rng):
+        with configured(base_case_elements=64):
+            model = CacheModel(capacity_words=64)
+            pool = WorkspacePool()
+            sizes = {}
+            for shape in [(48, 32), (96, 64)]:
+                plan = compile_plan("ata", shape, np.float64, model,
+                                    lanes=1, build_dag=False)
+                ws = pool.acquire(plan, np.float64)
+                sizes[shape] = ws.total_elements * 8
+                pool.release(ws)
+            keep = sizes[(48, 32)]
+            dropped = pool.trim(keep)
+            assert dropped == 1
+            assert pool.idle_sizes() == [sizes[(48, 32)] // 8]
+
+    def test_foreign_release_clamps_at_zero(self):
+        pool = WorkspacePool()
+        ws = StrassenWorkspace(16, 16, 16, dtype=np.float64)
+        pool.release(ws)  # never acquired here: must not go negative
+        assert pool.footprint() >= 0
+        assert pool._bytes_in_use == 0
+
+    def test_engine_stats_surface_pool_high_water(self, rng):
+        with configured(base_case_elements=64):
+            eng = ExecutionEngine(parallel="off")
+            eng.matmul_ata(rng.standard_normal((96, 64)))
+            assert eng.stats().pool_bytes_high > 0

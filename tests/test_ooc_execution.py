@@ -437,3 +437,36 @@ class TestFrontEnds:
             finally:
                 dag_engine.close()
             assert np.array_equal(got, reference_panel_sum(a, 50))
+
+
+class TestOocBudgetCoordination:
+    def test_idle_scratch_trimmed_to_fit_budget(self, rng):
+        with configured(base_case_elements=64):
+            eng = ExecutionEngine(parallel="off")
+            # leave a large idle workspace in the pool
+            eng.matmul_ata(rng.standard_normal((256, 64)))
+            assert eng.pool.footprint() > 0
+            a = rng.standard_normal((128, 16))
+            budget = (16 * 16 + 2 * 32 * 16) * 8 + 512
+            sharded = ShardedAtA(eng, budget=budget, panel_rows=32,
+                                 prefetch=False)
+            c, stats = sharded.run(a)
+            # multi-panel contract: bit-identical to per-panel accumulation
+            # in schedule order (not to one whole-matrix call)
+            ref_eng = ExecutionEngine(parallel="off")
+            ref = np.zeros((16, 16))
+            for lo in range(0, 128, 32):
+                ref_eng.matmul_ata(a[lo:lo + 32], ref)
+            assert np.array_equal(c, ref)
+            assert stats.workspace_trimmed >= 1
+            assert stats.workspace_bytes <= max(
+                0, budget - stats.bytes_resident_high) + eng.pool.footprint()
+
+    def test_unbounded_budget_never_trims(self, rng):
+        with configured(base_case_elements=64):
+            eng = ExecutionEngine(parallel="off")
+            eng.matmul_ata(rng.standard_normal((128, 64)))
+            sharded = ShardedAtA(eng, budget=0, panel_rows=32,
+                                 prefetch=False)
+            _, stats = sharded.run(rng.standard_normal((96, 16)))
+            assert stats.workspace_trimmed == 0
