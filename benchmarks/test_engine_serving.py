@@ -46,7 +46,7 @@ class TestCoalescingDistribution:
 
         async def wave():
             engine = ExecutionEngine()
-            async with Server(engine, max_batch=8, linger_ms=5.0) as server:
+            async with Server(engine, max_batch=8) as server:
                 await server.submit(mats[0])  # warm-up compile
                 results = await asyncio.gather(
                     *(server.submit(a) for a in mats))
@@ -80,8 +80,7 @@ class TestServingOverheadBounded:
 
             async def wave():
                 engine = ExecutionEngine()
-                async with Server(engine, max_batch=8,
-                                  linger_ms=1.0) as server:
+                async with Server(engine, max_batch=8) as server:
                     await server.submit(mats[0])  # warm
                     start = time.perf_counter()
                     await asyncio.gather(*(server.submit(a) for a in mats))
@@ -115,7 +114,7 @@ class TestRegressionTrackingMicrobenchmarks:
                 engine = ExecutionEngine()
 
                 async def make_server() -> Server:
-                    server = Server(engine, max_batch=8, linger_ms=1.0)
+                    server = Server(engine, max_batch=8)
                     await server.submit(wave_matrices[0])  # warm compile
                     return server
 
@@ -171,8 +170,7 @@ class TestWireTierMicrobenchmarks:
                 engine = ExecutionEngine()
 
                 async def make_net():
-                    net = NetServer(engine=engine, max_batch=8,
-                                    linger_ms=1.0)
+                    net = NetServer(engine=engine, max_batch=8)
                     await net.start()
                     client = Client(port=net.port)
                     await client.connect()

@@ -33,7 +33,7 @@ async def main() -> None:
                 for i in range(CLIENTS)]
 
     engine = ExecutionEngine()
-    async with repro.Server(engine, max_batch=8, linger_ms=5.0) as server:
+    async with repro.Server(engine, max_batch=8) as server:
         results = await asyncio.gather(*(client(server, a) for a in matrices))
         stats = server.stats()
 

@@ -43,8 +43,7 @@ async def main() -> None:
                 for _ in range(CONNECTIONS * REQUESTS_PER_CONNECTION)]
 
     engine = ExecutionEngine()
-    async with NetServer(engine=engine, max_batch=8,
-                         linger_ms=5.0) as net:
+    async with NetServer(engine=engine, max_batch=8) as net:
         waves = [matrices[i::CONNECTIONS] for i in range(CONNECTIONS)]
         results = await asyncio.gather(
             *(wire_client(net.port, f"tcp-client-{i}", wave)

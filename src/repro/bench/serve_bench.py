@@ -32,7 +32,6 @@ __all__ = ["engine_serving"]
 def engine_serving(clients: Sequence[int] = (4, 16, 64),
                    n: int = 192,
                    max_batch: int = 8,
-                   linger_ms: float = 5.0,
                    base_case_elements: int = 256) -> List[ExperimentTable]:
     """Measure request coalescing through :class:`repro.serve.Server`.
 
@@ -45,9 +44,6 @@ def engine_serving(clients: Sequence[int] = (4, 16, 64),
         Square problem size every client submits.
     max_batch:
         Server batch bound (``Config.serve_max_batch`` analogue).
-    linger_ms:
-        Server linger; concurrent submits on one loop iteration coalesce
-        even at 0.
     base_case_elements:
         Base-case threshold for the sweep.
     """
@@ -63,7 +59,6 @@ def engine_serving(clients: Sequence[int] = (4, 16, 64),
         import time
         engine = ExecutionEngine()
         async with Server(engine, max_batch=max_batch,
-                          linger_ms=linger_ms,
                           max_inflight=max(256, 2 * count)) as server:
             warm = random_matrix(n, n, seed=0)
             await server.submit(warm)  # compile + pool once
@@ -105,7 +100,6 @@ def serving_tcp(connections: Sequence[int] = (1, 4),
                 requests_per_connection: int = 16,
                 n: int = 192,
                 max_batch: int = 8,
-                linger_ms: float = 5.0,
                 base_case_elements: int = 256) -> List[ExperimentTable]:
     """Measure the wire tier end to end over loopback TCP.
 
@@ -132,7 +126,6 @@ def serving_tcp(connections: Sequence[int] = (1, 4),
         engine = ExecutionEngine()
         async with NetServer(
                 server=None, engine=engine, max_batch=max_batch,
-                linger_ms=linger_ms,
                 max_inflight=max(256, 2 * count
                                  * requests_per_connection)) as net:
             warm = random_matrix(n, n, seed=0)
@@ -175,9 +168,9 @@ def serving_tcp(connections: Sequence[int] = (1, 4),
                 round(1e3 * rtts[max(0, int(0.99 * len(rtts)) - 1)], 3),
                 ledger_ok, round(wall, 4))
     table.add_note("round trips cross real loopback sockets: the latency "
-                   "includes framing, the linger window and coalesced "
-                   "execution, which is why rtt >> per-request engine "
-                   "time at high concurrency")
+                   "includes framing, the wait for a free executor worker "
+                   "and coalesced execution, which is why rtt >> "
+                   "per-request engine time at high concurrency")
     table.add_note("ledger_ok asserts the admission identity submitted == "
                    "completed+failed+rejected+cancelled+expired after the "
                    "wave drains")

@@ -65,19 +65,15 @@ KNOWN_BACKENDS = ("auto", "syrk", "ata", "tiled", "recursive_gemm",
 DEFAULT_TUNER_EXPLORE = 3
 
 #: Default maximum number of requests the serving layer coalesces into one
-#: ``run_batch`` call.
+#: ``run_batch`` call.  A queue that reaches it dispatches at once; a
+#: partial batch goes when an executor worker is free (there is no timer:
+#: requests coalesce only while every worker is busy).
 DEFAULT_SERVE_MAX_BATCH = 8
 
 #: Default bound on a server's in-flight requests (pending in a coalescing
 #: queue or executing); submits beyond it are rejected with
 #: :class:`repro.errors.QueueFullError`.
 DEFAULT_SERVE_MAX_INFLIGHT = 256
-
-#: Default linger: how long (milliseconds) a coalescing queue holds its
-#: first request open for companions before flushing a partial batch.
-#: ``0`` still coalesces requests submitted in the same event-loop
-#: iteration (the flush runs after the currently scheduled callbacks).
-DEFAULT_SERVE_LINGER_MS = 2.0
 
 #: Default out-of-core memory budget in **bytes**.  ``0`` means unbounded:
 #: the out-of-core executor runs the whole input as a single panel unless
@@ -173,9 +169,6 @@ class Config:
         Default admission-control bound of :class:`repro.serve.Server`:
         in-flight requests beyond it are rejected with
         :class:`repro.errors.QueueFullError`.
-    serve_linger_ms:
-        Default milliseconds a serving queue holds its first request open
-        for coalescing companions before flushing a partial batch.
     serve_port:
         Default TCP port of the serving network front door
         (:class:`repro.serve.NetServer`); ``0`` (default) binds an
@@ -245,7 +238,6 @@ class Config:
     tuner_explore: int = DEFAULT_TUNER_EXPLORE
     serve_max_batch: int = DEFAULT_SERVE_MAX_BATCH
     serve_max_inflight: int = DEFAULT_SERVE_MAX_INFLIGHT
-    serve_linger_ms: float = DEFAULT_SERVE_LINGER_MS
     serve_port: int = DEFAULT_SERVE_PORT
     serve_fair_share: float = DEFAULT_SERVE_FAIR_SHARE
     memory_budget: int = DEFAULT_MEMORY_BUDGET
@@ -290,10 +282,6 @@ class Config:
         if self.serve_max_inflight < 1:
             raise ConfigurationError(
                 f"serve_max_inflight must be >= 1, got {self.serve_max_inflight}"
-            )
-        if not (self.serve_linger_ms >= 0):
-            raise ConfigurationError(
-                f"serve_linger_ms must be >= 0, got {self.serve_linger_ms}"
             )
         if not (0 <= self.serve_port <= 65535):
             raise ConfigurationError(
@@ -357,7 +345,6 @@ _ENV_FIELDS = (
     ("REPRO_TUNER_PATH", "tuner_path", str),
     ("REPRO_SERVE_MAX_BATCH", "serve_max_batch", int),
     ("REPRO_SERVE_MAX_INFLIGHT", "serve_max_inflight", int),
-    ("REPRO_SERVE_LINGER_MS", "serve_linger_ms", float),
     ("REPRO_SERVE_PORT", "serve_port", int),         # 0 = ephemeral
     ("REPRO_SERVE_FAIR_SHARE", "serve_fair_share", float),  # 1 = off
     ("REPRO_MEMORY_BUDGET", "memory_budget", int),   # bytes, 0 = unbounded

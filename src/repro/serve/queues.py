@@ -1,17 +1,17 @@
 """Per-shape coalescing queues for the asyncio serving front-end.
 
 A :class:`BatchQueue` holds the pending requests of one coalescing key —
-``(op, algo, dtype, shape bucket, alpha)`` — until either ``max_batch``
-requests are waiting or the ``linger`` deadline of the oldest one expires,
-at which point the server flushes them as one ``run_batch`` /
-``run_batch_atb`` call.  Shapes are bucketed with the auto-tuner's
-power-of-two :func:`~repro.engine.tuner.shape_bucket`: the batch entry
-points resolve plans per matrix, so requests in one bucket need not match
-exactly — bucketing just keeps traffic that *will* share warm plans and
-workspaces together, and traffic that won't apart.
+``(op, algo, dtype, shape bucket, alpha)`` — until the server dispatches
+them as one ``run_batch`` / ``run_batch_atb`` call: at once when
+``max_batch`` requests are waiting, else when a worker is free and this
+queue's oldest live request has waited longest.  Shapes are bucketed
+with the auto-tuner's power-of-two :func:`~repro.engine.tuner.shape_bucket`:
+the batch entry points resolve plans per matrix, so requests in one
+bucket need not match exactly — bucketing just keeps traffic that *will*
+share warm plans and workspaces together, and traffic that won't apart.
 
 Everything in this module runs on the server's event loop (appends from
-``submit``, flushes from timer callbacks), so no locking is needed here;
+``submit``, takes from the dispatcher), so no locking is needed here;
 the server guards the counters it reads from other threads.
 """
 
@@ -65,22 +65,20 @@ class Request:
 class BatchQueue:
     """Pending requests of one coalescing key, plus their accounting.
 
-    The server owns the flush logic (it needs the loop, the executor and
-    the engine); the queue owns the pending deque, the linger timer handle
-    and the per-queue counters.
+    The server owns the dispatch logic (it needs the loop, the executor
+    and the engine); the queue owns the pending deque and the per-queue
+    counters.
     """
 
     def __init__(self, key: str) -> None:
         self.key = key
         self.pending: Deque[Request] = deque()
-        #: the armed linger timer (an ``asyncio.TimerHandle``), or ``None``
-        self.timer: Any = None
         #: round-robin rotation of the client drain order across batches
         self._rr = 0
         #: dispatched batches not yet finished — the server retires a
         #: queue (drops it from the live map, folding its counters into
-        #: the retired aggregate) only when pending, timer and
-        #: outstanding are all clear
+        #: the retired aggregate) only when pending and outstanding are
+        #: both clear
         self.outstanding = 0
         self.submitted = 0
         self.batches = 0
@@ -94,11 +92,6 @@ class BatchQueue:
         self.pending.append(request)
         self.submitted += 1
 
-    def cancel_timer(self) -> None:
-        if self.timer is not None:
-            self.timer.cancel()
-            self.timer = None
-
     def live_count(self) -> int:
         """Pending requests whose future is still unsettled.
 
@@ -110,6 +103,11 @@ class BatchQueue:
         """
         return sum(1 for request in self.pending
                    if not request.future.done())
+
+    def oldest_live(self) -> Optional[float]:
+        """Enqueue time of the oldest live pending request, or ``None``."""
+        return next((request.enqueued for request in self.pending
+                     if not request.future.done()), None)
 
     def prune(self) -> None:
         """Drop settled husks from the pending deque.

@@ -25,11 +25,12 @@ rules hold in one place:
   request is dropped through the same dead-waiter path as cancellation;
 * **route** — dense in-memory requests take the *coalesced* route:
   they land in per-``(op, algo, dtype, shape-bucket, alpha)``
-  :class:`~repro.serve.queues.BatchQueue`\\ s, and a queue flushes when
-  ``max_batch`` requests are waiting or when the ``linger`` deadline of
-  its oldest request expires, whichever is first (a linger of zero
-  still coalesces submits from the same event-loop iteration, because
-  the flush callback runs after them).  Structured operands,
+  :class:`~repro.serve.queues.BatchQueue`\\ s, dispatched on demand:
+  with an executor worker free, a submit dispatches on the next loop
+  iteration (same-iteration submits coalesce); with every worker busy,
+  queues hold, and each freed worker takes one batch from the queue
+  whose oldest live request has waited longest.  A queue holding
+  ``max_batch`` live requests flushes at once.  Structured operands,
   out-of-core and stream requests take the *direct* route: each runs
   alone, a stream after a prepare step that spools its chunks;
 * **execute** — one runner hops to a small
@@ -164,14 +165,11 @@ class Server:
     max_inflight:
         Admission bound on admitted-but-unfinished requests (default:
         ``Config.serve_max_inflight`` / ``$REPRO_SERVE_MAX_INFLIGHT``).
-    linger_ms:
-        How long a queue holds its first request open for coalescing
-        companions before flushing a partial batch (default:
-        ``Config.serve_linger_ms`` / ``$REPRO_SERVE_LINGER_MS``).
     workers:
         Executor threads running batches off the event loop.  One thread
         already keeps the loop responsive; more overlap distinct batches
-        only when the host has cores to run them.
+        only when the host has cores to run them.  Queues hold requests
+        for coalescing only while every worker is busy.
 
     Notes
     -----
@@ -185,7 +183,6 @@ class Server:
     def __init__(self, engine: Optional[ExecutionEngine] = None, *,
                  max_batch: Optional[int] = None,
                  max_inflight: Optional[int] = None,
-                 linger_ms: Optional[float] = None,
                  fair_share: Optional[float] = None,
                  workers: int = 1) -> None:
         cfg = get_config()
@@ -193,7 +190,6 @@ class Server:
                              else cfg.serve_max_batch)
         self.max_inflight = int(max_inflight if max_inflight is not None
                                 else cfg.serve_max_inflight)
-        linger = linger_ms if linger_ms is not None else cfg.serve_linger_ms
         share = fair_share if fair_share is not None else cfg.serve_fair_share
         self.default_timeout_seconds = float(cfg.serve_default_timeout_ms) / 1000.0
         if self.max_batch < 1:
@@ -202,14 +198,12 @@ class Server:
         if self.max_inflight < 1:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {self.max_inflight}")
-        if not (float(linger) >= 0):
-            raise ConfigurationError(f"linger_ms must be >= 0, got {linger}")
         if not (0.0 < float(share) <= 1.0):
             raise ConfigurationError(
                 f"fair_share must be in (0, 1], got {share}")
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.linger_seconds = float(linger) / 1000.0
+        self.workers = int(workers)
         self.fair_share = float(share)
         #: admission slots one client id may hold; ``fair_share == 1``
         #: disables the per-client bound (any client may fill the window)
@@ -219,12 +213,15 @@ class Server:
         self.engine = engine if engine is not None else ExecutionEngine()
         self._owns_engine = engine is None
         self._executor = ThreadPoolExecutor(
-            max_workers=int(workers), thread_name_prefix="repro-serve")
+            max_workers=self.workers, thread_name_prefix="repro-serve")
         self._queues: Dict[str, BatchQueue] = {}
         #: counters of drained-and-dropped queues, per key (bounded; the
         #: oldest entries merge into the ``_OVERFLOW_KEY`` bucket)
         self._retired: Dict[str, dict] = {}
         self._batch_tasks: Set[asyncio.Task] = set()
+        #: tasks holding an executor worker (may exceed ``workers``)
+        self._running = 0
+        self._dispatch_handle: Optional[asyncio.Handle] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closing = False
         self._closed = False
@@ -258,15 +255,12 @@ class Server:
                 "Server is bound to another event loop with work in "
                 "flight; drain it there before using it from a new loop")
         if self._loop is not None:
-            # idle rebind across loops: timer handles minted on the old
-            # loop will never fire, so a surviving one would suppress
-            # flush scheduling forever; idle means every admitted request
-            # has settled, so any pending entries are cancelled husks.
-            # Draining a queue here leaves it eligible for retirement —
-            # retire it now, or it lingers in the live map until
-            # unrelated same-key traffic happens to flush it again
+            # idle rebind across loops: a dispatch scheduled on the old
+            # loop never runs, and its surviving handle would suppress
+            # dispatch forever.  Idle means any pending entries are
+            # cancelled husks: drop them and retire their queues now
+            self._dispatch_handle = None
             for queue in list(self._queues.values()):
-                queue.cancel_timer()
                 queue.pending.clear()
                 self._maybe_retire(queue)
         self._loop = loop
@@ -517,7 +511,7 @@ class Server:
 
     def _enqueue(self, request: Request) -> BatchQueue:
         """The coalesced route: park ``request`` in its queue, then flush
-        a full queue or arm the linger timer."""
+        a full queue at once, or schedule a dispatch if a worker is free."""
         key = queue_key(request.op, request.algo, request.a.dtype,
                         self._request_shape(request.op, request.a,
                                             request.b),
@@ -533,12 +527,8 @@ class Server:
         # batches
         if queue.live_count() >= self.max_batch:
             self._flush(queue)
-        elif queue.timer is None:
-            if self.linger_seconds <= 0:
-                queue.timer = self._loop.call_soon(self._flush, queue)
-            else:
-                queue.timer = self._loop.call_later(self.linger_seconds,
-                                                    self._flush, queue)
+        elif self._running < self.workers and self._dispatch_handle is None:
+            self._dispatch_handle = self._loop.call_soon(self._dispatch)
         return queue
 
     def _spawn(self, coro) -> None:
@@ -631,23 +621,46 @@ class Server:
                 entry["completed"] += 1
 
     # -- execution ----------------------------------------------------------
+    def _dispatch(self, freed: bool = False) -> None:
+        """Give each free executor worker, and always the one a finishing
+        task ``freed``, a batch from the queue whose oldest live request
+        has waited longest (runs on the loop).  Direct-route requests and
+        full-queue flushes do not wait for a free worker, so the busy
+        count may stay at ``workers`` or above; the freed worker still
+        serves a waiter, and no key starves.  A no-op once closing."""
+        self._dispatch_handle = None
+        slots = max(self.workers - self._running, int(freed))
+        while not self._closing and slots > 0:
+            for queue in list(self._queues.values()):
+                if queue.oldest_live() is None:
+                    self._flush(queue)  # husks only: drop them and retire
+            waiting = [queue for queue in self._queues.values()
+                       if queue.pending]
+            if not waiting:
+                return
+            self._send(min(waiting, key=BatchQueue.oldest_live))
+            slots -= 1
+
+    def _send(self, queue: BatchQueue) -> bool:
+        """Dispatch one batch of ``queue``'s live pending requests to the
+        executor, free worker or not; ``False`` when none are live."""
+        batch = queue.take(self.max_batch)
+        if not batch:
+            return False
+        with self._lock:
+            waits = queue.note_dispatch(batch)  # samples the clock per batch
+            self._metrics.observe_dispatch(waits, len(batch))
+        self._running += 1
+        self._spawn(self._run(
+            batch, functools.partial(self._engine_batch, batch), queue))
+        return True
+
     def _flush(self, queue: BatchQueue) -> None:
-        """Dispatch every live pending request of ``queue`` in batches of
-        at most ``max_batch`` (runs on the event loop: from a linger
-        timer, a full queue in ``submit``, or ``close``)."""
-        queue.cancel_timer()
-        while queue.pending:
-            batch = queue.take(self.max_batch)
-            if not batch:
-                break  # only cancelled stragglers remained
-            with self._lock:
-                # note_dispatch samples the clock per batch: charging one
-                # pre-loop timestamp to a multi-batch flush understated
-                # wait_seconds for every batch after the first
-                waits = queue.note_dispatch(batch)
-                self._metrics.observe_dispatch(waits, len(batch))
-            self._spawn(self._run(
-                batch, functools.partial(self._engine_batch, batch), queue))
+        """Dispatch every live pending request of ``queue`` (runs on the
+        loop: for a full queue in ``submit``, a husk-only queue in
+        :meth:`_dispatch`, and in ``close``)."""
+        while self._send(queue):
+            pass
         # a flush that dispatched nothing (every waiter cancelled) leaves
         # the queue drained with no batch task to retire it later
         self._maybe_retire(queue)
@@ -663,13 +676,18 @@ class Server:
         Results are zipped back positionally onto the batch; a failure
         reaches every live request in it; a shutdown that cancels this
         task fails them with :class:`ServerClosedError`.  Requests that
-        already settled (cancelled or expired) are skipped.
+        already settled (cancelled or expired) are skipped.  A batch
+        claims its worker at dispatch, a direct request after ``prepare``.
         """
         loop = asyncio.get_running_loop()
+        holding = queue is not None
         try:
             try:
                 if prepare is not None:
                     await prepare(batch[0])
+                if not holding:
+                    self._running += 1
+                    holding = True
                 results = await loop.run_in_executor(
                     self._executor, self._execute, call, queue)
             except asyncio.CancelledError:
@@ -691,6 +709,9 @@ class Server:
             if queue is not None:
                 queue.outstanding -= 1
                 self._maybe_retire(queue)
+            if holding:
+                self._running -= 1
+                self._dispatch(freed=True)
 
     def _maybe_retire(self, queue: BatchQueue) -> None:
         """Drop a fully drained queue from the live map, folding its
@@ -701,7 +722,7 @@ class Server:
         distinct alpha or shape bucket is a key).  Retired counters stay
         visible through :meth:`stats`, merged back under the queue's key.
         """
-        if queue.pending or queue.timer is not None or queue.outstanding:
+        if queue.pending or queue.outstanding:
             return
         with self._lock:
             if self._queues.get(queue.key) is not queue:
@@ -770,10 +791,10 @@ class Server:
         """Stop admission and settle every admitted request.
 
         With ``drain=True`` (default) all pending queues flush immediately
-        (no linger) and the call returns once every admitted request has
-        its result; with ``drain=False`` pending requests fail with
-        :class:`ServerClosedError` and only already-dispatched batches are
-        awaited.  Idempotent; afterwards ``submit`` raises
+        (busy workers or not) and the call returns once every admitted
+        request has its result; with ``drain=False`` pending requests fail
+        with :class:`ServerClosedError` and only already-dispatched
+        batches are awaited.  Idempotent; afterwards ``submit`` raises
         :class:`ServerClosedError`.
 
         The shutdown itself is **single-flight**: the first call's
@@ -794,7 +815,6 @@ class Server:
 
     async def _shutdown(self, drain: bool) -> None:
         for queue in list(self._queues.values()):
-            queue.cancel_timer()
             if drain:
                 self._flush(queue)
             else:

@@ -8,10 +8,14 @@ configuration around each test that requests it.
 
 from __future__ import annotations
 
+import asyncio
+import threading
+
 import numpy as np
 import pytest
 
 from repro.config import configured, get_config, set_config
+from repro.engine import ExecutionEngine
 
 
 @pytest.fixture
@@ -61,6 +65,71 @@ def tiny_base_case():
     """Shrink the base case to the minimum that still terminates quickly."""
     with configured(base_case_elements=8) as cfg:
         yield cfg
+
+
+class GatedEngine(ExecutionEngine):
+    """An engine whose entry points wait on :attr:`gate` — holds a
+    request in execution for as long as a test needs, without sleeps.
+
+    A server dispatches coalesced batches only to free executor workers,
+    so :meth:`hold` makes a one-worker server park every later dense
+    request in its queue until the test sets the gate.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gate = threading.Event()
+        self.gate.set()
+        #: set by every entry point on arrival, before it waits
+        self.entered = threading.Event()
+
+    def _wait(self) -> None:
+        self.entered.set()
+        assert self.gate.wait(60), "test never opened the gate"
+
+    def matmul_ata(self, *args, **kwargs):
+        self._wait()
+        return super().matmul_ata(*args, **kwargs)
+
+    def matmul_atb(self, *args, **kwargs):
+        self._wait()
+        return super().matmul_atb(*args, **kwargs)
+
+    def run_batch(self, *args, **kwargs):
+        self._wait()
+        return super().run_batch(*args, **kwargs)
+
+    def run_ooc(self, *args, hold: bool = False, **kwargs):
+        self._wait()
+        if hold:
+            raise RuntimeError("held worker released")
+        return super().run_ooc(*args, **kwargs)
+
+    async def hold(self, server) -> "asyncio.Future":
+        """Close the gate and occupy one of ``server``'s executor workers
+        with a holder: an out-of-core request that blocks until the gate
+        opens, then fails with :class:`RuntimeError`, so it adds no
+        completion to the ledger.  Returns the holder's task once the
+        holder is blocked inside the engine on a worker thread."""
+        self.gate.clear()
+        self.entered.clear()
+        holder = asyncio.ensure_future(
+            server.submit_ooc(np.zeros((2, 2)), hold=True))
+        for _ in range(60_000):
+            if self.entered.is_set():
+                return holder
+            await asyncio.sleep(0.001)
+        raise AssertionError("the holder never reached the engine")
+
+
+@pytest.fixture
+def gated_engine():
+    """A :class:`GatedEngine`, its gate opened at teardown so no executor
+    thread stays parked after a failed test."""
+    engine = GatedEngine()
+    yield engine
+    engine.gate.set()
+    engine.close()
 
 
 def random_matrix(rng: np.random.Generator, m: int, n: int, dtype=np.float64) -> np.ndarray:

@@ -99,7 +99,7 @@ class TestEnvKnobs:
 
     @pytest.mark.parametrize("variable,value", [
         ("REPRO_BASE_CASE", "abc"),
-        ("REPRO_SERVE_LINGER_MS", "fast"),
+        ("REPRO_SERVE_FAIR_SHARE", "fast"),
     ])
     def test_malformed_numeric_env_names_variable(self, monkeypatch,
                                                   variable, value):

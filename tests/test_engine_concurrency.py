@@ -190,8 +190,7 @@ class TestServingPathConcurrency:
 
         async def scenario():
             engine = ExecutionEngine(plan_capacity=3, pool_size=2)
-            async with Server(engine, max_batch=4, linger_ms=0.5,
-                              workers=4) as server:
+            async with Server(engine, max_batch=4, workers=4) as server:
                 results = await asyncio.gather(
                     *(server.submit(a) for a in mats))
                 return results, engine

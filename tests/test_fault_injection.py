@@ -251,8 +251,7 @@ class TestServingChaos:
         a = rng.standard_normal((64, 16))
 
         async def scenario():
-            async with Server(max_batch=4, max_inflight=6,
-                              linger_ms=1) as server:
+            async with Server(max_batch=4, max_inflight=6) as server:
                 results = await asyncio.gather(
                     *(server.submit(a, timeout=0.05) for _ in range(12)),
                     return_exceptions=True)
@@ -274,7 +273,7 @@ class TestServingChaos:
         expected = ExecutionEngine().matmul_ata(a, algo="syrk")
 
         async def scenario():
-            async with Server(max_batch=2, linger_ms=50) as server:
+            async with Server(max_batch=2) as server:
                 impatient, patient = await asyncio.gather(
                     server.submit(a, algo="syrk", timeout=0.05),
                     server.submit(a, algo="syrk"),
@@ -292,7 +291,7 @@ class TestServingChaos:
         a = rng.standard_normal((64, 16))
 
         async def scenario():
-            async with Server(max_batch=2, linger_ms=0) as server:
+            async with Server(max_batch=2) as server:
                 return await server.submit(a)
 
         with configured(faults="serve.engine:slow0.3@always",
@@ -304,7 +303,7 @@ class TestServingChaos:
         a = rng.standard_normal((64, 16))
 
         async def scenario():
-            async with Server(max_batch=2, linger_ms=0) as server:
+            async with Server(max_batch=2) as server:
                 return await server.submit(a, timeout=0)
 
         with configured(faults="serve.engine:slow0.1@always",
@@ -326,7 +325,7 @@ class TestServingChaos:
         a = rng.standard_normal((64, 16))
 
         async def scenario():
-            async with Server(max_batch=4, linger_ms=1) as server:
+            async with Server(max_batch=4) as server:
                 results = await asyncio.gather(
                     *(server.submit(a) for _ in range(4)),
                     return_exceptions=True)

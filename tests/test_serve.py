@@ -67,7 +67,7 @@ class TestBitIdentity:
         mats = [rng.standard_normal(shape).astype(dtype) for _ in range(6)]
 
         async def scenario():
-            async with Server(ExecutionEngine(), linger_ms=2.0) as server:
+            async with Server(ExecutionEngine()) as server:
                 return await asyncio.gather(
                     *(server.submit(a, algo=algo) for a in mats))
 
@@ -89,7 +89,7 @@ class TestBitIdentity:
                  for _ in range(6)]
 
         async def scenario():
-            async with Server(ExecutionEngine(), linger_ms=2.0) as server:
+            async with Server(ExecutionEngine()) as server:
                 return await asyncio.gather(
                     *(server.submit(a, "atb", b, algo=algo) for a, b in pairs))
 
@@ -106,7 +106,7 @@ class TestBitIdentity:
         pairs = [(rng.standard_normal((45, 23)), rng.standard_normal((45, 31)))]
 
         async def scenario():
-            async with Server(ExecutionEngine(), linger_ms=2.0) as server:
+            async with Server(ExecutionEngine()) as server:
                 ata = [server.submit(a, alpha=2.5) for a in mats]
                 atb = [server.submit(a, "atb", b, alpha=0.5) for a, b in pairs]
                 return await asyncio.gather(*ata, *atb)
@@ -125,7 +125,7 @@ class TestBitIdentity:
         mats = [rng.standard_normal((96, 48)) for _ in range(8)]
 
         async def scenario(engine):
-            async with Server(engine, linger_ms=2.0) as server:
+            async with Server(engine) as server:
                 return await asyncio.gather(*(server.submit(a) for a in mats))
 
         with configured(base_case_elements=64):
@@ -145,7 +145,7 @@ class TestBitIdentity:
         b = rng.standard_normal((m, max(1, n // 2))) if op == "atb" else None
 
         async def scenario():
-            async with Server(ExecutionEngine(), linger_ms=0.0) as server:
+            async with Server(ExecutionEngine()) as server:
                 return await asyncio.gather(
                     *(server.submit(a, op, b) for _ in range(3)))
 
@@ -173,7 +173,7 @@ class TestConcurrencyStress:
         async def scenario():
             engine = ExecutionEngine()
             async with Server(engine, max_batch=8, max_inflight=512,
-                              linger_ms=1.0, workers=workers) as server:
+                              workers=workers) as server:
                 results = await asyncio.gather(
                     *(server.submit(a) for a in mats))
                 return results, server.stats(), engine.stats()
@@ -202,7 +202,7 @@ class TestConcurrencyStress:
 
         async def scenario():
             async with Server(ExecutionEngine(), max_batch=4,
-                              linger_ms=0.5, workers=2) as server:
+                              workers=2) as server:
                 return await asyncio.gather(*(server.submit(a) for a in mats))
 
         with configured(base_case_elements=64):
@@ -222,7 +222,7 @@ class TestCoalescing:
 
         async def scenario():
             engine = ExecutionEngine()
-            async with Server(engine, max_batch=8, linger_ms=5.0) as server:
+            async with Server(engine, max_batch=8) as server:
                 await server.submit(a_warm)  # warm-up: compiles the plan
                 results = await asyncio.gather(
                     *(server.submit(a) for a in mats))
@@ -251,7 +251,7 @@ class TestCoalescing:
         b = rng.standard_normal((64, 16))
 
         async def scenario():
-            async with Server(ExecutionEngine(), linger_ms=2.0) as server:
+            async with Server(ExecutionEngine()) as server:
                 await asyncio.gather(
                     server.submit(a64),
                     server.submit(a32),
@@ -279,8 +279,7 @@ class TestCoalescing:
         mats = [rng.standard_normal((64, 32)) for _ in range(12)]
 
         async def scenario():
-            async with Server(ExecutionEngine(), max_batch=4,
-                              linger_ms=1.0) as server:
+            async with Server(ExecutionEngine(), max_batch=4) as server:
                 await asyncio.gather(*(server.submit(a) for a in mats))
                 return server.stats()
 

@@ -5,7 +5,7 @@ Four contracts from ISSUE 4:
 * backpressure raises cleanly — a submit beyond ``max_inflight`` fails
   with :class:`~repro.errors.QueueFullError` without disturbing admitted
   work;
-* drain completes all admitted work — ``close()`` flushes lingering
+* drain completes all admitted work — ``close()`` flushes pending
   queues and returns only when every admitted request has its result;
 * cancelling a waiting request never corrupts a coalesced batch — the
   cancelled request is dropped before batching, its companions' results
@@ -58,14 +58,13 @@ class TestBackpressure:
         mats = [rng.standard_normal((48, 24)) for _ in range(3)]
 
         async def scenario():
-            server = Server(ExecutionEngine(), max_inflight=2,
-                            linger_ms=10_000.0)
+            server = Server(ExecutionEngine(), max_inflight=2)
             waiting = [asyncio.ensure_future(server.submit(a))
                        for a in mats[:2]]
             await asyncio.sleep(0)  # let both reach their queues
             with pytest.raises(QueueFullError):
                 await server.submit(mats[2])
-            await server.close()  # drain flushes the lingering queue
+            await server.close()  # drain flushes the pending queue
             results = await asyncio.gather(*waiting)
             return results, server.stats()
 
@@ -88,8 +87,7 @@ class TestBackpressure:
         a = rng.standard_normal((48, 24))
 
         async def scenario():
-            async with Server(ExecutionEngine(), max_inflight=1,
-                              linger_ms=0.0) as server:
+            async with Server(ExecutionEngine(), max_inflight=1) as server:
                 first = await server.submit(a)   # completes: slot freed
                 second = await server.submit(a)  # admitted again
                 return first, second, server.stats()
@@ -103,8 +101,7 @@ class TestBackpressure:
         a = rng.standard_normal((32, 16))
 
         async def scenario():
-            server = Server(ExecutionEngine(), max_inflight=1,
-                            linger_ms=10_000.0)
+            server = Server(ExecutionEngine(), max_inflight=1)
             waiting = asyncio.ensure_future(server.submit(a))
             await asyncio.sleep(0)
             for _ in range(5):
@@ -125,12 +122,11 @@ class TestBackpressure:
 
 class TestDrain:
     def test_close_completes_all_admitted_work(self, rng):
-        """Requests parked behind a long linger still complete on close."""
+        """Requests still pending in their queue complete on close."""
         mats = [rng.standard_normal((48, 24)) for _ in range(7)]
 
         async def scenario():
-            server = Server(ExecutionEngine(), max_batch=16,
-                            linger_ms=10_000.0)
+            server = Server(ExecutionEngine(), max_batch=16)
             waiting = [asyncio.ensure_future(server.submit(a)) for a in mats]
             await asyncio.sleep(0)
             assert server.stats().depth == len(mats)  # all parked, none run
@@ -164,7 +160,7 @@ class TestDrain:
         mats = [rng.standard_normal((48, 24)) for _ in range(3)]
 
         async def scenario():
-            server = Server(ExecutionEngine(), linger_ms=10_000.0)
+            server = Server(ExecutionEngine())
             waiting = [asyncio.ensure_future(server.submit(a)) for a in mats]
             await asyncio.sleep(0)
             await server.close(drain=False)
@@ -192,7 +188,7 @@ class TestDrain:
         a = rng.standard_normal((32, 16))
 
         async def scenario():
-            server = Server(ExecutionEngine(), linger_ms=10_000.0)
+            server = Server(ExecutionEngine())
             assert not server.closing and not server.closed
             pending = asyncio.ensure_future(server.submit(a))
             await asyncio.sleep(0)
@@ -219,8 +215,7 @@ class TestCancellation:
         mats = [rng.standard_normal((48, 24)) for _ in range(4)]
 
         async def scenario():
-            server = Server(ExecutionEngine(), max_batch=16,
-                            linger_ms=10_000.0)
+            server = Server(ExecutionEngine(), max_batch=16)
             waiting = [asyncio.ensure_future(server.submit(a)) for a in mats]
             await asyncio.sleep(0)
             waiting[1].cancel()
@@ -252,7 +247,7 @@ class TestCancellation:
         mats = [rng.standard_normal((64, 32)) for _ in range(2)]
 
         async def scenario():
-            server = Server(ExecutionEngine(), max_batch=2, linger_ms=0.0)
+            server = Server(ExecutionEngine(), max_batch=2)
             waiting = [asyncio.ensure_future(server.submit(a)) for a in mats]
             await asyncio.sleep(0)  # both admitted; batch of 2 dispatched
             waiting[1].cancel()
@@ -287,7 +282,7 @@ class TestFailureDelivery:
 
         async def scenario():
             engine = ExplodingEngine()
-            server = Server(engine, max_batch=4, linger_ms=2.0)
+            server = Server(engine, max_batch=4)
             outcomes = await asyncio.gather(
                 *(server.submit(a) for a in mats), return_exceptions=True)
             engine.detonate = False  # the server survives a failed batch
@@ -338,23 +333,23 @@ class TestFailureDelivery:
 
 class TestLoopRebindAndRetirement:
     def test_idle_rebind_after_cancelled_waiter_does_not_wedge(self, rng):
-        """A linger timer armed on a dead loop must not suppress flushing
+        """A dispatch scheduled on a dead loop must not suppress flushing
         after the documented idle rebind across asyncio.run calls."""
         a = rng.standard_normal((32, 16))
         with configured(base_case_elements=64):
-            server = Server(ExecutionEngine(), linger_ms=10_000.0)
+            server = Server(ExecutionEngine())
 
             async def abandoned():
                 waiting = asyncio.ensure_future(server.submit(a))
-                await asyncio.sleep(0)  # enqueued; linger timer armed
+                await asyncio.sleep(0)  # enqueued; dispatch scheduled
                 waiting.cancel()
                 await asyncio.sleep(0)  # settles -> server is idle again
 
             asyncio.run(abandoned())
 
             async def second_loop():
-                # must complete promptly: the stale timer is cleared on
-                # rebind, so this submit arms a fresh one
+                # must complete promptly: a stale dispatch handle is
+                # cleared on rebind, so this submit schedules a fresh one
                 server_result = await asyncio.wait_for(
                     server.submit(a), timeout=30)
                 await server.close()
@@ -373,7 +368,7 @@ class TestLoopRebindAndRetirement:
         a = rng.standard_normal((32, 16))
 
         async def scenario():
-            server = Server(ExecutionEngine(), linger_ms=0.0)
+            server = Server(ExecutionEngine())
             for i in range(12):
                 await server.submit(a, alpha=1.0 + i)  # 12 distinct keys
             live = len(server._queues)
@@ -390,17 +385,17 @@ class TestLoopRebindAndRetirement:
 
     def test_fully_cancelled_queues_retire_too(self, rng):
         """A queue whose every waiter cancelled before flush dispatches no
-        batch — it must still leave the live map when its timer fires."""
+        batch — it must still leave the live map when the dispatch runs."""
         a = rng.standard_normal((32, 16))
 
         async def scenario():
-            server = Server(ExecutionEngine(), linger_ms=1.0)
+            server = Server(ExecutionEngine())
             waiting = [asyncio.ensure_future(server.submit(a, alpha=1.0 + i))
                        for i in range(6)]  # six distinct coalescing keys
             await asyncio.sleep(0)
             for task in waiting:
                 task.cancel()
-            await asyncio.sleep(0.05)  # linger timers fire on empty queues
+            await asyncio.sleep(0.05)  # the dispatch finds only husks
             live = len(server._queues)
             await server.close()
             return live, server.stats()
@@ -420,7 +415,7 @@ class TestLoopRebindAndRetirement:
         a = rng.standard_normal((32, 16))
 
         async def scenario():
-            server = Server(ExecutionEngine(), linger_ms=0.0)
+            server = Server(ExecutionEngine())
             for i in range(8):
                 await server.submit(a, alpha=1.0 + i)
             await server.close()
@@ -441,27 +436,21 @@ class TestConfigKnobs:
         with pytest.raises(ConfigurationError):
             Server(ExecutionEngine(), max_inflight=0)
         with pytest.raises(ConfigurationError):
-            Server(ExecutionEngine(), linger_ms=-1.0)
-        with pytest.raises(ConfigurationError):
             Server(ExecutionEngine(), workers=0)
 
     def test_config_defaults_resolved_at_construction(self):
-        with configured(serve_max_batch=3, serve_max_inflight=7,
-                        serve_linger_ms=0.0):
+        with configured(serve_max_batch=3, serve_max_inflight=7):
             server = Server(ExecutionEngine())
         assert server.max_batch == 3
         assert server.max_inflight == 7
-        assert server.linger_seconds == 0.0
 
     def test_env_knobs_parse(self, monkeypatch):
         from repro.config import _config_from_env
         monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "5")
         monkeypatch.setenv("REPRO_SERVE_MAX_INFLIGHT", "11")
-        monkeypatch.setenv("REPRO_SERVE_LINGER_MS", "7.5")
         cfg = _config_from_env()
         assert cfg.serve_max_batch == 5
         assert cfg.serve_max_inflight == 11
-        assert cfg.serve_linger_ms == 7.5
 
     def test_invalid_config_values_rejected(self):
         from repro.config import Config
@@ -469,8 +458,6 @@ class TestConfigKnobs:
             Config(serve_max_batch=0)
         with pytest.raises(ConfigurationError):
             Config(serve_max_inflight=0)
-        with pytest.raises(ConfigurationError):
-            Config(serve_linger_ms=-0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +496,10 @@ class TestDispatchClockSampling:
         mats = [rng.standard_normal((32, 16)) for _ in range(6)]
 
         async def scenario():
-            server = Server(ExecutionEngine(), max_batch=2,
-                            linger_ms=10_000.0)
+            server = Server(ExecutionEngine(), max_batch=2)
             waiters = [asyncio.ensure_future(server.submit(a))
                        for a in mats]
-            await asyncio.sleep(0)  # all queued behind the long linger
+            await asyncio.sleep(0)  # all queued; dispatch not yet run
             await server.close()  # one flush, three batches
             await asyncio.gather(*waiters)
             stats = server.stats()
@@ -526,12 +512,13 @@ class TestDispatchClockSampling:
 class TestLiveCountFlushThreshold:
     """The flush threshold counts live futures, not deque husks."""
 
-    def test_cancelled_husks_do_not_trigger_premature_flush(self, rng):
+    def test_cancelled_husks_do_not_trigger_premature_flush(
+            self, rng, gated_engine):
         a = rng.standard_normal((32, 16))
 
         async def scenario():
-            server = Server(ExecutionEngine(), max_batch=2,
-                            linger_ms=10_000.0)
+            server = Server(gated_engine, max_batch=2)
+            holder = await gated_engine.hold(server)  # requests park
             doomed = asyncio.ensure_future(server.submit(a))
             await asyncio.sleep(0)
             doomed.cancel()
@@ -543,7 +530,11 @@ class TestLiveCountFlushThreshold:
             assert server.stats().batches == 0
             # the second live request reaches the threshold for real
             companion = asyncio.ensure_future(server.submit(a))
+            await asyncio.sleep(0)
+            gated_engine.gate.set()
             await asyncio.gather(live, companion)
+            with pytest.raises(RuntimeError):
+                await holder
             stats = server.stats()
             await server.close()
             assert stats.batches == 1
@@ -551,12 +542,13 @@ class TestLiveCountFlushThreshold:
             assert _reconciled(stats) and stats.cancelled == 1
         run(scenario())
 
-    def test_expiry_prunes_settled_husks_from_the_deque(self, rng):
+    def test_expiry_prunes_settled_husks_from_the_deque(
+            self, rng, gated_engine):
         a = rng.standard_normal((32, 16))
 
         async def scenario():
-            server = Server(ExecutionEngine(), max_batch=64,
-                            linger_ms=10_000.0)
+            server = Server(gated_engine, max_batch=64)
+            holder = await gated_engine.hold(server)  # requests park
             doomed = [asyncio.ensure_future(
                 server.submit(a, timeout=0.02)) for _ in range(4)]
             await asyncio.sleep(0.1)  # all deadlines fire
@@ -564,9 +556,12 @@ class TestLiveCountFlushThreshold:
                                            return_exceptions=True)
             assert all(isinstance(c, DeadlineError) for c in results)
             # the deadline timer's prune swept the husks out of the
-            # pending deque — no dead entries linger until close
+            # pending deque — no dead entries stay until close
             assert server.stats().depth == 0
+            gated_engine.gate.set()
             await server.close()
+            with pytest.raises(RuntimeError):
+                await holder
             stats = server.stats()
             assert stats.expired == 4
             assert _reconciled(stats)
@@ -577,12 +572,12 @@ class TestIdleRebindRetiresHuskQueues:
     """An idle cross-loop rebind retires drained queues instead of
     leaking them in the live map forever."""
 
-    def test_husk_queue_is_retired_at_rebind(self, rng):
+    def test_husk_queue_is_retired_at_rebind(self, rng, gated_engine):
         a = rng.standard_normal((32, 16))
-        server = Server(ExecutionEngine(), max_batch=8,
-                        linger_ms=10_000.0)
+        server = Server(gated_engine, max_batch=8)
 
         async def first_loop():
+            holder = await gated_engine.hold(server)  # requests park
             doomed = asyncio.ensure_future(server.submit(a, alpha=3.0))
             await asyncio.sleep(0)
             doomed.cancel()
@@ -590,8 +585,11 @@ class TestIdleRebindRetiresHuskQueues:
                 await doomed
             except asyncio.CancelledError:
                 pass
-            # the queue still holds the husk and an armed linger timer
+            # the queue still holds the husk behind the busy worker
             assert len(server._queues) == 1
+            gated_engine.gate.set()
+            with pytest.raises(RuntimeError):
+                await holder
 
         async def second_loop():
             # binding a new loop while idle must retire the old queue
@@ -620,11 +618,10 @@ class TestSingleFlightClose:
         mats = [rng.standard_normal((32, 16)) for _ in range(4)]
 
         async def scenario():
-            server = Server(ExecutionEngine(), max_batch=64,
-                            linger_ms=10_000.0)
+            server = Server(ExecutionEngine(), max_batch=64)
             waiters = [asyncio.ensure_future(server.submit(a))
                        for a in mats]
-            await asyncio.sleep(0)  # queued, lingering
+            await asyncio.sleep(0)  # queued; dispatch not yet run
             first = asyncio.ensure_future(server.close(drain=True))
             second = asyncio.ensure_future(server.close(drain=False))
             await asyncio.gather(first, second)
@@ -638,17 +635,23 @@ class TestSingleFlightClose:
             assert _reconciled(stats)
         run(scenario())
 
-    def test_first_policy_wins_when_drain_false_is_first(self, rng):
+    def test_first_policy_wins_when_drain_false_is_first(
+            self, rng, gated_engine):
         mats = [rng.standard_normal((32, 16)) for _ in range(3)]
 
         async def scenario():
-            server = Server(ExecutionEngine(), max_batch=64,
-                            linger_ms=10_000.0)
+            server = Server(gated_engine, max_batch=64)
+            holder = await gated_engine.hold(server)  # requests park
             waiters = [asyncio.ensure_future(server.submit(a))
                        for a in mats]
             await asyncio.sleep(0)
             first = asyncio.ensure_future(server.close(drain=False))
             second = asyncio.ensure_future(server.close(drain=True))
+            # the holder's waiter leaves (booked cancelled), so the
+            # ledger below counts only the parked requests
+            holder.cancel()
+            await asyncio.wait(waiters, timeout=WAIT / 2)
+            gated_engine.gate.set()
             await asyncio.gather(first, second)
             results = await asyncio.gather(*waiters,
                                            return_exceptions=True)
@@ -675,8 +678,7 @@ class TestSingleFlightClose:
         mats = [rng.standard_normal((32, 16)) for _ in range(2)]
 
         async def scenario():
-            server = Server(ExecutionEngine(), max_batch=64,
-                            linger_ms=10_000.0)
+            server = Server(ExecutionEngine(), max_batch=64)
             waiters = [asyncio.ensure_future(server.submit(a))
                        for a in mats]
             await asyncio.sleep(0)

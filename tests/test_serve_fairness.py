@@ -70,11 +70,10 @@ class TestAdmissionShares:
         a = rng.standard_normal((48, 24))
 
         async def scenario():
-            server = Server(max_inflight=4, fair_share=0.5, max_batch=4,
-                            linger_ms=100)
+            server = Server(max_inflight=4, fair_share=0.5, max_batch=4)
             hog = [asyncio.ensure_future(
                 server.submit(a, client="hog")) for _ in range(2)]
-            await asyncio.sleep(0)  # both admitted, queued behind linger
+            await asyncio.sleep(0)  # both admitted, still queued
             with pytest.raises(FairnessError) as excinfo:
                 await server.submit(a, client="hog")
             assert isinstance(excinfo.value, QueueFullError)  # retryable
@@ -101,7 +100,7 @@ class TestAdmissionShares:
 
         async def scenario():
             server = Server(max_inflight=8, fair_share=0.25,
-                            max_batch=4, linger_ms=1)
+                            max_batch=4)
 
             async def flood(i):
                 try:
@@ -141,7 +140,7 @@ class TestAdmissionShares:
 
         async def scenario():
             server = Server(max_inflight=4, fair_share=0.5,
-                            max_batch=4, linger_ms=5)
+                            max_batch=4)
             async with NetServer(server) as net:
                 async with Client(port=net.port, client_id="wire-hog") as c:
                     outcomes = await asyncio.gather(

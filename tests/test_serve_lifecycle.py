@@ -15,8 +15,12 @@ so the refusal, fairness, deadline and ledger rules are one contract:
   after each of these.
 
 The suite also pins the operand rules shared by the engine and the
-server (one error type for one malformed request, on every surface) and
-the wire's handling of a malformed ``stream_begin``.
+server (one error type for one malformed request, on every surface), the
+wire's handling of a malformed ``stream_begin``, and the demand-driven
+dispatch rule of the coalesced route: a queue dispatches as soon as an
+executor worker is free, holds while every worker is busy, and a freed
+worker serves the key whose oldest live request has waited longest —
+also when direct-route traffic keeps every worker busy.
 """
 
 import asyncio
@@ -71,35 +75,6 @@ def _csr(rng, m, n, dtype=np.float64):
                                dtype=dtype, random_state=rng)
 
 
-class GatedEngine(ExecutionEngine):
-    """An engine whose entry points wait on :attr:`gate` — holds a
-    request in execution for as long as a test needs, without sleeps."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.gate = threading.Event()
-        self.gate.set()
-
-    def _wait(self) -> None:
-        assert self.gate.wait(WAIT), "test never opened the gate"
-
-    def matmul_ata(self, *args, **kwargs):
-        self._wait()
-        return super().matmul_ata(*args, **kwargs)
-
-    def matmul_atb(self, *args, **kwargs):
-        self._wait()
-        return super().matmul_atb(*args, **kwargs)
-
-    def run_batch(self, *args, **kwargs):
-        self._wait()
-        return super().run_batch(*args, **kwargs)
-
-    def run_ooc(self, *args, **kwargs):
-        self._wait()
-        return super().run_ooc(*args, **kwargs)
-
-
 def _submitter(kind, rng, tmp_path):
     """``submit(server, **kw)`` issuing one fresh request of ``kind``."""
     a = rng.standard_normal((64, 16))
@@ -123,14 +98,14 @@ KINDS = ["dense", pytest.param("csr", marks=needs_scipy), "ooc", "stream"]
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_request_kinds_share_one_contract(kind, rng, tmp_path):
+def test_request_kinds_share_one_contract(kind, rng, tmp_path,
+                                         gated_engine):
     submit = _submitter(kind, rng, tmp_path)
 
     async def scenario():
-        engine = GatedEngine()
+        engine = gated_engine
         # fair_share 0.25 of 4 slots: one in-flight request per client
-        server = Server(engine, max_inflight=4, fair_share=0.25,
-                        linger_ms=0)
+        server = Server(engine, max_inflight=4, fair_share=0.25)
         try:
             with pytest.raises(ConfigurationError):
                 await submit(server, timeout=-1.0, client="c")
@@ -163,7 +138,6 @@ def test_request_kinds_share_one_contract(kind, rng, tmp_path):
         finally:
             engine.gate.set()
             await server.close()
-            engine.close()
         before = server.stats()
         with pytest.raises(ServerClosedError):
             await submit(server, client="c")
@@ -249,3 +223,207 @@ def test_bad_stream_begin_fields_get_a_typed_reply(rng):
     reference.close()
     assert stats.submitted == 1 and stats.completed == 1
     assert _reconciled(stats)
+
+
+# ---------------------------------------------------------------------------
+# demand-driven dispatch
+# ---------------------------------------------------------------------------
+
+def test_lone_request_on_an_idle_server_does_not_wait(rng):
+    """With a worker free, a queue dispatches on the next loop iteration:
+    sequential lone requests spend (almost) nothing queued."""
+    a = rng.standard_normal((32, 16))
+
+    async def scenario():
+        async with Server(ExecutionEngine()) as server:
+            for _ in range(10):
+                await server.submit(a)
+            return server.stats()
+
+    stats = run(scenario())
+    assert stats.batches == 10 and stats.size_histogram == {1: 10}
+    (queue,) = stats.queues.values()
+    assert queue.wait_seconds / queue.batched_requests < 1e-3
+
+
+def test_requests_hold_while_the_worker_is_busy(rng, gated_engine):
+    """Three requests submitted in three loop iterations behind a busy
+    worker run as one batch of 3 once it frees."""
+    mats = [rng.standard_normal((32, 16)) for _ in range(3)]
+
+    async def scenario():
+        server = Server(gated_engine, max_batch=8)
+        holder = await gated_engine.hold(server)
+        waiters = []
+        for a in mats:
+            waiters.append(asyncio.ensure_future(server.submit(a)))
+            await asyncio.sleep(0)
+        assert server.stats().depth == 3 and server.stats().batches == 0
+        gated_engine.gate.set()
+        results = await asyncio.gather(*waiters)
+        with pytest.raises(RuntimeError):
+            await holder
+        await server.close()
+        return results, server.stats()
+
+    results, stats = run(scenario())
+    for a, c in zip(mats, results):
+        assert np.array_equal(c, gated_engine.matmul_ata(a))
+    assert stats.size_histogram == {3: 1}
+    assert _reconciled(stats)
+
+
+def test_two_workers_run_two_keys_concurrently(rng):
+    """With ``workers=2`` two requests on different keys run at the same
+    time: each batch waits at a two-party barrier inside the engine."""
+    a = rng.standard_normal((32, 16))
+    barrier = threading.Barrier(2, timeout=WAIT / 2)
+
+    class BarrierEngine(ExecutionEngine):
+        def run_batch(self, matrices, **kwargs):
+            barrier.wait()  # BrokenBarrierError if the batches serialise
+            return super().run_batch(matrices, **kwargs)
+
+    async def scenario():
+        async with Server(BarrierEngine(), workers=2) as server:
+            await asyncio.gather(server.submit(a, alpha=1.0),
+                                 server.submit(a, alpha=2.0))
+            return server.stats()
+
+    stats = run(scenario())
+    assert stats.completed == 2 and stats.batches == 2
+
+
+def test_freed_worker_serves_the_oldest_waiting_key(rng, gated_engine):
+    """Queue A is created first, but its first request is cancelled, so
+    queue B holds the oldest live request and must run first."""
+    a = rng.standard_normal((32, 16))
+    alphas = []
+    run_batch = gated_engine.run_batch
+
+    def recording_run_batch(matrices, **kwargs):
+        alphas.append(kwargs["alpha"])
+        return run_batch(matrices, **kwargs)
+
+    gated_engine.run_batch = recording_run_batch
+
+    async def scenario():
+        server = Server(gated_engine)
+        holder = await gated_engine.hold(server)
+        doomed = asyncio.ensure_future(server.submit(a, alpha=1.0))
+        await asyncio.sleep(0)
+        first_b = asyncio.ensure_future(server.submit(a, alpha=2.0))
+        await asyncio.sleep(0)
+        doomed.cancel()
+        later_a = asyncio.ensure_future(server.submit(a, alpha=1.0))
+        await asyncio.sleep(0)
+        assert len(server._queues) == 2
+        gated_engine.gate.set()
+        await asyncio.gather(first_b, later_a)
+        with pytest.raises(RuntimeError):
+            await holder
+        await server.close()
+        return server.stats()
+
+    stats = run(scenario())
+    assert alphas == [2.0, 1.0]
+    assert stats.cancelled == 1 and stats.completed == 2
+    assert _reconciled(stats)
+
+
+def test_direct_route_traffic_cannot_starve_a_held_request(rng):
+    """Direct-route requests claim a worker without waiting for a free
+    one, so the busy count can exceed ``workers``.  Two clients keep one
+    out-of-core request each in flight on a one-worker server, each
+    resubmitting when its request finishes, so the busy count swings
+    between 2 and 1 and never reaches 0; a dense request queued behind
+    them must still be served while they cycle."""
+    a = rng.standard_normal((32, 16))
+    tall = rng.standard_normal((64, 16))
+
+    class PerRequestGateEngine(ExecutionEngine):
+        def run_ooc(self, a, *, gate, **kwargs):
+            assert gate.wait(WAIT), "test never opened the gate"
+            return super().run_ooc(a, **kwargs)
+
+    async def scenario():
+        x1_gate, y1_gate, x2_gate = (threading.Event() for _ in range(3))
+        async with Server(PerRequestGateEngine(), workers=1) as server:
+            def ooc(client, gate):
+                return asyncio.ensure_future(server.submit_ooc(
+                    tall, client=client, gate=gate, procs=0))
+
+            x1, y1 = ooc("x", x1_gate), ooc("y", y1_gate)
+            await asyncio.sleep(0)  # both admitted; both claim a worker
+            dense = asyncio.ensure_future(server.submit(a))
+            await asyncio.sleep(0)  # queued: the busy count is 2
+            x1_gate.set()
+            await x1  # busy count 2 -> 1
+            x2 = ooc("x", x2_gate)
+            await asyncio.sleep(0)
+            await asyncio.sleep(0)  # x2 admitted, then claims a worker
+            y1_gate.set()
+            await y1  # y's request finishes while x2 is held
+            try:
+                c = await asyncio.wait_for(dense, WAIT / 4)
+                assert not x2.done()
+            finally:
+                x2_gate.set()
+            await x2
+            return c, server.stats()
+
+    c, stats = run(scenario())
+    reference = ExecutionEngine()
+    assert np.array_equal(c, reference.matmul_ata(a))
+    reference.close()
+    assert stats.completed == 4 and _reconciled(stats)
+
+
+def test_close_without_drain_fails_requests_a_dispatch_was_scheduled_for(
+        rng):
+    """Three requests pending on an idle server have a dispatch scheduled
+    for the next loop iteration; ``close(drain=False)`` must still fail
+    them, not let that dispatch run them."""
+    mats = [rng.standard_normal((32, 16)) for _ in range(3)]
+
+    async def scenario():
+        server = Server(ExecutionEngine())
+        waiters = [asyncio.ensure_future(server.submit(a)) for a in mats]
+        await asyncio.sleep(0)
+        assert server.stats().depth == 3
+        await server.close(drain=False)
+        outcomes = await asyncio.gather(*waiters, return_exceptions=True)
+        return outcomes, server.stats()
+
+    outcomes, stats = run(scenario())
+    assert all(isinstance(o, ServerClosedError) for o in outcomes)
+    assert stats.failed == 3 and stats.completed == 0
+    assert _reconciled(stats)
+
+
+def test_a_spooling_stream_does_not_hold_the_worker(rng):
+    """A stream claims its worker only once its chunks are spooled, so a
+    dense request is served while the stream's upload is still open."""
+    a = rng.standard_normal((32, 16))
+
+    async def scenario():
+        more = asyncio.Event()
+
+        async def chunks():
+            yield a[:16]
+            await more.wait()
+            yield a[16:]
+
+        async with Server(ExecutionEngine()) as server:
+            stream = asyncio.ensure_future(
+                server.submit_stream(chunks(), procs=0))
+            await asyncio.sleep(0)
+            dense = await asyncio.wait_for(server.submit(a), WAIT / 2)
+            more.set()
+            return dense, await stream
+
+    dense, streamed = run(scenario())
+    reference = ExecutionEngine()
+    assert np.array_equal(dense, reference.matmul_ata(a))
+    assert np.allclose(streamed, reference.matmul_ata(a))
+    reference.close()

@@ -208,7 +208,7 @@ class TestWireBitIdentity:
 
         async def scenario():
             reference = ExecutionEngine()
-            async with NetServer(max_batch=8, linger_ms=10) as net:
+            async with NetServer(max_batch=8) as net:
                 async with Client(port=net.port) as client:
                     results = await asyncio.gather(
                         *(client.submit(a, algo=algo) for a in mats))
@@ -229,7 +229,7 @@ class TestWireBitIdentity:
 
         async def scenario():
             reference = ExecutionEngine()
-            async with NetServer(max_batch=8, linger_ms=10) as net:
+            async with NetServer(max_batch=8) as net:
                 async with Client(port=net.port) as client:
                     results = await asyncio.gather(
                         *(client.submit(a, "atb", b, algo=algo)
@@ -251,8 +251,7 @@ class TestWireBitIdentity:
         async def scenario():
             reference = ExecutionEngine()
             expected = reference.matmul_ata(a)
-            async with NetServer(max_batch=16, linger_ms=25,
-                                 workers=2) as net:
+            async with NetServer(max_batch=16, workers=2) as net:
                 clients = [await Client(port=net.port).connect()
                            for _ in range(4)]
                 try:
@@ -307,7 +306,7 @@ class TestRemoteErrors:
         mats = [rng.standard_normal((48, 24)) for _ in range(12)]
 
         async def scenario():
-            server = Server(max_inflight=2, max_batch=2, linger_ms=0)
+            server = Server(max_inflight=2, max_batch=2)
             async with NetServer(server) as net:
                 async with Client(port=net.port) as client:
                     outcomes = await asyncio.gather(
@@ -327,7 +326,7 @@ class TestRemoteErrors:
 
         async def scenario():
             with configured(faults="serve.engine:slow0.5@always"):
-                async with NetServer(linger_ms=0) as net:
+                async with NetServer() as net:
                     async with Client(port=net.port) as client:
                         with pytest.raises(DeadlineError):
                             await client.submit(a, timeout=0.05)
@@ -362,7 +361,7 @@ class TestConnectionChaos:
 
         async def scenario():
             with configured(faults="serve.conn:kill@p3*99"):
-                async with NetServer(max_batch=8, linger_ms=50) as net:
+                async with NetServer(max_batch=8) as net:
                     failures = 0
                     for _ in range(3):
                         client = await Client(port=net.port).connect()
@@ -384,17 +383,23 @@ class TestConnectionChaos:
                     assert _reconciled(stats)
         run(scenario())
 
-    def test_abrupt_client_disconnect_does_not_leak_inflight(self, rng):
+    def test_abrupt_client_disconnect_does_not_leak_inflight(
+            self, rng, gated_engine):
         a = rng.standard_normal((64, 32))
 
         async def scenario():
-            async with NetServer(max_batch=64, linger_ms=200) as net:
+            async with NetServer(engine=gated_engine, max_batch=64) as net:
+                # an in-process holder keeps the only worker busy, so the
+                # wire requests park in their queue
+                holder = await gated_engine.hold(net.server)
                 client = await Client(port=net.port).connect()
                 waiters = [asyncio.ensure_future(client.submit(a))
                            for _ in range(8)]
                 await asyncio.sleep(0.05)  # frames reach the server
                 await client.aclose()      # vanish before any flush
                 await asyncio.gather(*waiters, return_exceptions=True)
+                gated_engine.gate.set()
+                await asyncio.gather(holder, return_exceptions=True)
                 deadline = asyncio.get_running_loop().time() + WAIT / 2
                 while net.server.stats().inflight:
                     assert asyncio.get_running_loop().time() < deadline
@@ -493,7 +498,7 @@ class TestWireMetrics:
         a = rng.standard_normal((64, 32))
 
         async def scenario():
-            async with NetServer(max_batch=4, linger_ms=10) as net:
+            async with NetServer(max_batch=4) as net:
                 async with Client(port=net.port,
                                   client_id="scraper") as client:
                     await asyncio.gather(*(client.submit(a)
