@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from collections import Counter
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,9 +81,23 @@ def _validate_b(a, b: np.ndarray) -> None:
     if b.shape[0] != a.shape[0]:
         raise ShapeError("A and B must share their first dimension, "
                          f"got {a.shape} and {b.shape}")
-    if a.dtype != b.dtype:
+    _check_dtype(a, b)
+
+
+def _validate_c(a, c: np.ndarray, shape: Tuple[int, int]) -> None:
+    """Check an output ``C`` of ``shape``.  A dtype mismatch is refused up
+    front: plans inline the kernels that catch it on the direct path."""
+    validate_matrix(c, "C")
+    if c.shape != shape:
+        raise ShapeError(f"C must have shape {shape} for A of shape "
+                         f"{a.shape}, got {c.shape}")
+    _check_dtype(a, c)
+
+
+def _check_dtype(a, other: np.ndarray) -> None:
+    if a.dtype != other.dtype:
         raise DTypeError("operands must share a dtype, got "
-                         f"{sorted({str(a.dtype), str(b.dtype)})}")
+                         f"{sorted({str(a.dtype), str(other.dtype)})}")
 
 
 def explicit_backend(algo: str, op: str, shape: Tuple[int, ...], dtype,
@@ -129,27 +144,36 @@ _DAG_MIN_STEPS = 8
 @dataclasses.dataclass(frozen=True)
 class EngineStats:
     """A point-in-time snapshot of an engine's cache, pool, scheduler,
-    backend and tuner accounting."""
+    backend and tuner accounting.  The plan, pool and DAG fields are read
+    from those objects; every other int field is a key of the engine's
+    tally (see :meth:`ExecutionEngine._count`)."""
 
-    plan_hits: int
-    plan_misses: int
-    plan_invalidations: int
-    plan_evictions: int
-    cached_plans: int
-    pool_allocations: int
-    pool_reuses: int
-    pool_idle: int
+    plan_hits: int = 0
+    plan_misses: int = 0
+    plan_invalidations: int = 0
+    plan_evictions: int = 0
+    cached_plans: int = 0
+    pool_allocations: int = 0
+    pool_reuses: int = 0
+    pool_idle: int = 0
     pool_evictions: int = 0
+    #: lifetime high-water mark (bytes) of the engine's pooled workspaces
+    #: (idle + checked out) — the figure the out-of-core executor charges
+    #: against ``Config.memory_budget``
+    pool_bytes_high: int = 0
     dag_runs: int = 0
     dag_steps: int = 0
     sequential_runs: int = 0
     #: executions per backend name (every completed matmul_* increments
     #: exactly one bucket)
-    backend_runs: Mapping[str, int] = dataclasses.field(default_factory=dict)
-    #: tuner decisions served from the measured table (exploit)
-    tuner_hits: int = 0
-    #: tuner decisions that sampled an under-measured backend (explore)
-    tuner_explores: int = 0
+    backend_runs: Mapping[str, int] = dataclasses.field(
+        default_factory=dict, metadata={"label": "backend"})
+    #: the same executions by why dispatch chose their backend:
+    #: ``explicit`` (``algo=``), ``config`` (``Config.backend``),
+    #: ``tuner_explore`` / ``tuner_exploit`` (a measured tuner decision)
+    #: or ``heuristic`` (the modeled-cost fallback)
+    dispatch_reasons: Mapping[str, int] = dataclasses.field(
+        default_factory=dict, metadata={"label": "reason"})
     #: completed ``run_batch`` / ``run_batch_atb`` invocations
     batch_calls: int = 0
     #: requests those batch invocations carried in total — the serving
@@ -192,10 +216,6 @@ class EngineStats:
     interleaved_batches: int = 0
     #: batch entries those interleaved invocations carried in total
     interleaved_items: int = 0
-    #: lifetime high-water mark (bytes) of the engine's pooled workspaces
-    #: (idle + checked out) — the figure the out-of-core executor charges
-    #: against ``Config.memory_budget``
-    pool_bytes_high: int = 0
     #: completed matmul_* calls whose operand was structured (scipy
     #: sparse or :class:`repro.engine.sparse.LowRank`)
     sparse_runs: int = 0
@@ -218,6 +238,16 @@ class EngineStats:
     @property
     def mean_batch_size(self) -> float:
         return self.batch_items / self.batch_calls if self.batch_calls else 0.0
+
+    @property
+    def tuner_hits(self) -> int:
+        """Tuner decisions served from the measured table (exploit)."""
+        return self.dispatch_reasons.get("tuner_exploit", 0)
+
+    @property
+    def tuner_explores(self) -> int:
+        """Tuner decisions that sampled an under-measured backend."""
+        return self.dispatch_reasons.get("tuner_explore", 0)
 
 
 class ExecutionEngine:
@@ -319,30 +349,12 @@ class ExecutionEngine:
         # cross-pollute a shared table
         self._tuner_sched = (f"w{self.workers}l{self._lanes}"
                              if self._dag_capable else None)
-        self._sequential_runs = 0
-        self._batch_calls = 0
-        self._batch_items = 0
-        self._ooc_runs = 0
-        self._ooc_panels = 0
-        self._ooc_resident_high = 0
-        self._ooc_budget = 0
-        self._farm_runs = 0
-        self._farm_panels = 0
-        self._farm_procs = 0
-        self._farm_resident_high = 0
-        self._farm_respawns = 0
-        self._farm_retried_panels = 0
-        self._farm_degraded = 0
-        self._backend_runs: Dict[str, int] = {}
-        # per-engine tuner accounting: a shared BackendTuner's lifetime
-        # counters would misattribute other engines' decisions
-        self._tuner_hits = 0
-        self._tuner_explores = 0
-        self._sparse_runs = 0
-        self._densify_crossovers = 0
-        self._sparse_nnz = 0
-        self._interleaved_batches = 0
-        self._interleaved_items = 0
+        # per-engine accounting (a shared BackendTuner's lifetime counters
+        # would misattribute other engines' decisions): ``_tally`` holds
+        # the EngineStats fields by name, the other two count executions
+        self._tally: Counter = Counter()
+        self._backend_runs: Counter = Counter()
+        self._dispatch_reasons: Counter = Counter()
         self._stats_lock = threading.Lock()
 
     # -- plan acquisition ---------------------------------------------------
@@ -382,15 +394,17 @@ class ExecutionEngine:
                          model: CacheModel, algo: str,
                          parallel: Optional[str] = None,
                          operand=None, density: Optional[str] = None
-                         ) -> Tuple[Backend, bool, Optional[str]]:
+                         ) -> Tuple[Backend, str, Optional[str]]:
         """Resolve a request to a backend.
 
-        Returns ``(backend, measured, sched)`` where ``measured`` marks a
-        tuner decision whose execution should be timed and ``sched`` is
-        the scheduling signature that decision was filed under (threaded
-        through to the matching ``record`` so the two can never
-        disagree).  Precedence: explicit ``algo`` > configured
-        ``Config.backend`` > tuner > modeled-cost heuristic.
+        Returns ``(backend, reason, sched)``.  ``reason`` names the
+        precedence level that decided — ``"explicit"`` ``algo`` >
+        ``"config"`` (``Config.backend``) > ``"tuner_explore"`` /
+        ``"tuner_exploit"`` > ``"heuristic"`` (modeled cost) — and a
+        ``"tuner_explore"`` execution is timed into the tuner's table.
+        ``sched`` is the scheduling signature a tuner decision was filed
+        under (threaded through to the matching ``record`` so the two can
+        never disagree).
 
         A structured ``operand`` (scipy sparse / :class:`LowRank`) flips
         the candidate axis to its kind — only backends declaring that
@@ -401,7 +415,7 @@ class ExecutionEngine:
         """
         if algo != "auto":
             return (explicit_backend(algo, op, shape, dtype, model, operand),
-                    False, None)
+                    "explicit", None)
         kind = operand_kind(operand) if operand is not None else "dense"
         forced = get_config().backend
         if forced != "auto":
@@ -413,7 +427,7 @@ class ExecutionEngine:
                     and backend.supports(op, shape, dtype, model)
                     and (operand is None
                          or backend.supports_operand(op, operand, model))):
-                return backend, False, None
+                return backend, "config", None
         pool = candidates(op, shape, dtype, model, kind=kind, operand=operand)
         if self.tuner is not None and len(pool) > 1:
             sched = self._effective_sched(parallel)
@@ -422,32 +436,26 @@ class ExecutionEngine:
                                                model=model, sched=sched,
                                                density=density)
             if name is not None:  # a frozen tuner may abstain
-                with self._stats_lock:
-                    if explored:
-                        self._tuner_explores += 1
-                    else:
-                        self._tuner_hits += 1
-                # only explore decisions are timed: recording further
-                # samples for an already-converged winner can only lower
-                # its own best time, never flip the decision, so exploit
-                # calls skip the measurement overhead entirely
                 backend = next(b for b in pool if b.name == name)
-                return backend, explored, sched
+                return (backend,
+                        "tuner_explore" if explored else "tuner_exploit",
+                        sched)
         return (choose_heuristic(op, shape, dtype, model, pool,
-                                 operand=operand), False, None)
+                                 operand=operand), "heuristic", None)
 
     def _run_backend(self, backend: Backend, op: str, shape: Tuple[int, ...],
                      a: np.ndarray, c: np.ndarray, alpha: float,
                      b: Optional[np.ndarray], model: CacheModel,
-                     parallel: Optional[str], measured: bool,
+                     parallel: Optional[str], reason: str,
                      sched: Optional[str] = None,
                      held: Optional[dict] = None,
                      density: Optional[str] = None) -> None:
-        """Execute through ``backend``, timing the call into the tuner's
-        table when it was a tuner explore decision (``sched`` is the cell
-        signature and ``density`` the structured-operand density bucket
-        the decision was scoped to)."""
-        if measured and self.tuner is not None:
+        """Execute through ``backend`` and count the run under ``reason``.
+
+        Only explore decisions are timed into the tuner's table, in the
+        cell ``(sched, density)`` they were scoped to: more samples of a
+        converged winner could never flip the decision."""
+        if reason == "tuner_explore":
             start = self.tuner.timer()
             backend.run(self, op, a, c, alpha, b, model, parallel, held)
             self.tuner.record(op, shape, a.dtype, backend.name,
@@ -455,9 +463,23 @@ class ExecutionEngine:
                               sched=sched, density=density)
         else:
             backend.run(self, op, a, c, alpha, b, model, parallel, held)
+        self._count_run(backend.name, reason)
+
+    def _count_run(self, backend: str, reason: str) -> None:
         with self._stats_lock:
-            self._backend_runs[backend.name] = \
-                self._backend_runs.get(backend.name, 0) + 1
+            self._backend_runs[backend] += 1
+            self._dispatch_reasons[reason] += 1
+
+    def _count(self, *, high: Mapping[str, int] = {},
+               last: Mapping[str, int] = {}, **sums: int) -> None:
+        """Fold one update into the tally, atomically: ``sums`` add,
+        ``high`` keeps each field's maximum, ``last`` overwrites."""
+        with self._stats_lock:
+            self._tally.update(sums)
+            for name, value in high.items():
+                self._tally[name] = max(self._tally[name], value)
+            for name, value in last.items():
+                self._tally[name] = value
 
     # -- scheduling ---------------------------------------------------------
     def _resolve_parallel(self, parallel: Optional[str]) -> str:
@@ -491,8 +513,7 @@ class ExecutionEngine:
             self.dag.execute(plan, a, c, alpha, workspace, b=b,
                              max_workers=cap)
         else:
-            with self._stats_lock:
-                self._sequential_runs += 1
+            self._count(sequential_runs=1)
             execute_plan(plan, a, c, alpha, workspace, b=b)
 
     # -- A^T A --------------------------------------------------------------
@@ -536,32 +557,12 @@ class ExecutionEngine:
         """
         kind = operand_kind(a)
         (validate_dense if kind == "dense" else validate_structured)(a)
-        m, n = a.shape
+        n = a.shape[1]
         if c is None:
             c = np.zeros((n, n), dtype=a.dtype)
-        validate_matrix(c, "C")
-        if c.shape != (n, n):
-            raise ShapeError(f"C must have shape ({n}, {n}) for A of shape "
-                             f"{a.shape}, got {c.shape}")
-        if a.dtype != c.dtype:
-            raise ShapeError(f"A and C must share a dtype, got {a.dtype} and {c.dtype}")
-
-        model = cache if cache is not None else default_cache_model(a.dtype)
-        operand = a if kind != "dense" else None
-        density = density_bucket(a) if operand is not None else None
-        backend, measured, sched = self._resolve_backend(
-            "ata", (m, n), a.dtype, model, algo, parallel,
-            operand=operand, density=density)
-        scale(c, beta)
-        self._run_backend(backend, "ata", (m, n), a, c, alpha, None, model,
-                          parallel, measured, sched, density=density)
-        if operand is not None:
-            with self._stats_lock:
-                self._sparse_runs += 1
-                self._sparse_nnz += operand_nnz(a)
-                if backend.name == "densify":
-                    self._densify_crossovers += 1
-        return c
+        _validate_c(a, c, (n, n))
+        return self._run_request("ata", a.shape, kind, a, None, c, alpha,
+                                 beta, algo, cache, parallel)
 
     # -- A^T B --------------------------------------------------------------
     def matmul_atb(self, a: np.ndarray, b: np.ndarray,
@@ -584,34 +585,31 @@ class ExecutionEngine:
         """
         kind = operand_kind(a)
         (validate_dense if kind == "dense" else validate_structured)(a, b)
-        m, n = a.shape
-        k = b.shape[1]
+        n, k = a.shape[1], b.shape[1]
         if c is None:
             c = np.zeros((n, k), dtype=a.dtype)
-        validate_matrix(c, "C")
-        if c.shape != (n, k):
-            raise ShapeError(f"C must have shape ({n}, {k}), got {c.shape}")
-        if c.dtype != a.dtype:
-            # the base-case kernels of the direct path enforce this; the
-            # plan executor inlines them, so enforce it up front instead of
-            # silently computing through a reduced-precision workspace
-            raise DTypeError("operands must share a dtype, got "
-                             f"{sorted({str(a.dtype), str(c.dtype)})}")
+        _validate_c(a, c, (n, k))
+        return self._run_request("atb", (*a.shape, k), kind, a, b, c,
+                                 alpha, 1.0, algo, cache, parallel)
 
+    def _run_request(self, op: str, shape: Tuple[int, ...], kind: str,
+                     a, b: Optional[np.ndarray], c: np.ndarray, alpha: float,
+                     beta: float, algo: str, cache: Optional[CacheModel],
+                     parallel: Optional[ParallelMode]) -> np.ndarray:
+        """Resolve, pre-scale ``c`` by ``beta`` and run one validated
+        request, counting a structured operand's run and nnz."""
         model = cache if cache is not None else default_cache_model(a.dtype)
         operand = a if kind != "dense" else None
         density = density_bucket(a) if operand is not None else None
-        backend, measured, sched = self._resolve_backend(
-            "atb", (m, n, k), a.dtype, model, algo, parallel,
+        backend, reason, sched = self._resolve_backend(
+            op, shape, a.dtype, model, algo, parallel,
             operand=operand, density=density)
-        self._run_backend(backend, "atb", (m, n, k), a, c, alpha, b, model,
-                          parallel, measured, sched, density=density)
+        scale(c, beta)
+        self._run_backend(backend, op, shape, a, c, alpha, b, model,
+                          parallel, reason, sched, density=density)
         if operand is not None:
-            with self._stats_lock:
-                self._sparse_runs += 1
-                self._sparse_nnz += operand_nnz(a)
-                if backend.name == "densify":
-                    self._densify_crossovers += 1
+            self._count(sparse_runs=1, sparse_nnz=operand_nnz(a),
+                        densify_crossovers=int(backend.name == "densify"))
         return c
 
     # -- out-of-core --------------------------------------------------------
@@ -678,27 +676,20 @@ class ExecutionEngine:
                                     prefetch=prefetch)
 
     def _record_ooc(self, stats) -> None:
-        """Fold one :class:`~repro.engine.ooc.OocRunStats` into the
-        engine's accounting (called by the out-of-core executor)."""
-        with self._stats_lock:
-            self._ooc_runs += 1
-            self._ooc_panels += stats.panels
-            self._ooc_resident_high = max(self._ooc_resident_high,
-                                          stats.bytes_resident_high)
-            self._ooc_budget = stats.budget_bytes
+        """Fold one :class:`~repro.engine.ooc.OocRunStats` into the tally."""
+        self._count(ooc_runs=1, ooc_panels=stats.panels,
+                    high={"ooc_bytes_resident_high": stats.bytes_resident_high},
+                    last={"ooc_budget_bytes": stats.budget_bytes})
 
     def _record_farm(self, stats) -> None:
         """Fold one :class:`~repro.engine.farm.FarmRunStats` into the
-        engine's accounting (called by the multi-process farm)."""
-        with self._stats_lock:
-            self._farm_runs += 1
-            self._farm_panels += stats.panels
-            self._farm_procs = stats.procs
-            self._farm_resident_high = max(self._farm_resident_high,
-                                           stats.bytes_resident_high)
-            self._farm_respawns += stats.respawns
-            self._farm_retried_panels += stats.retried_panels
-            self._farm_degraded += stats.degraded_panels
+        tally."""
+        self._count(farm_runs=1, farm_panels=stats.panels,
+                    farm_respawns=stats.respawns,
+                    farm_retried_panels=stats.retried_panels,
+                    farm_degraded=stats.degraded_panels,
+                    high={"farm_bytes_resident_high": stats.bytes_resident_high},
+                    last={"farm_procs": stats.procs})
 
     # -- batching -----------------------------------------------------------
     def _batched(self, op: str, items, prepare, algo: str, alpha: float,
@@ -727,31 +718,35 @@ class ExecutionEngine:
                      and (mode == "dag" or self._auto_workers > 1))
         held: dict = {}
         prepared = [prepare(item) for item in items]
-        results: List[Optional[np.ndarray]] = [None] * len(prepared)
-        woven: List[tuple] = []  # (index, plan, a, b, c, backend_name)
+        woven: List[tuple] = []  # (plan, a, b, c, backend_name, reason)
         try:
-            for i, (a, b, shape, c) in enumerate(prepared):
+            for a, b, shape, c in prepared:
                 model = cache if cache is not None else default_cache_model(a.dtype)
-                backend, measured, sched = self._resolve_backend(
+                backend, reason, sched = self._resolve_backend(
                     op, shape, a.dtype, model, algo, parallel)
-                if (can_weave and not measured
+                if (can_weave and reason != "tuner_explore"
                         and type(backend).run is PlanBackend.run):
                     plan = self._plan(backend.name, backend.kinds[op], shape,
                                       a.dtype, model)
-                    woven.append((i, plan, a, b, c, backend.name))
+                    woven.append((plan, a, b, c, backend.name, reason))
                     continue
                 self._run_backend(backend, op, shape, a, c, alpha, b,
-                                  model, parallel, measured, sched, held=held)
-                results[i] = c
+                                  model, parallel, reason, sched, held=held)
             interleave = (len(woven) > 1
-                          and sum(t[1].n_steps for t in woven) >= _DAG_MIN_STEPS
-                          and all(t[1].dag is not None for t in woven))
+                          and sum(t[0].n_steps for t in woven) >= _DAG_MIN_STEPS
+                          and all(t[0].dag is not None for t in woven))
             if interleave:
-                self._run_interleaved(woven, alpha, mode)
+                # one cross-entry super-DAG; "auto" caps at the host cores
+                self.dag.execute_batch(
+                    [t[:4] for t in woven], alpha, acquire=self.pool.acquire,
+                    release=self.pool.release,
+                    max_workers=self._auto_workers if mode == "auto" else None)
+                self._count(interleaved_batches=1,
+                            interleaved_items=len(woven))
             else:
                 # too little work to interleave: replay the held-workspace
                 # serial path (exactly what PlanBackend.run does)
-                for i, plan, a, b, c, name in woven:
+                for plan, a, b, c, _, _ in woven:
                     workspace = None
                     if plan.needs_workspace:
                         workspace = held.get(plan.key)
@@ -759,31 +754,13 @@ class ExecutionEngine:
                             workspace = held[plan.key] = \
                                 self.pool.acquire(plan, a.dtype)
                     self._execute(plan, a, c, alpha, workspace, b, parallel)
-            for i, plan, a, b, c, name in woven:
-                results[i] = c
-                with self._stats_lock:
-                    self._backend_runs[name] = \
-                        self._backend_runs.get(name, 0) + 1
-            with self._stats_lock:
-                self._batch_calls += 1
-                self._batch_items += len(results)
+            for *_, name, reason in woven:
+                self._count_run(name, reason)
+            self._count(batch_calls=1, batch_items=len(prepared))
         finally:
             for workspace in held.values():
                 self.pool.release(workspace)
-        return results
-
-    def _run_interleaved(self, woven: List[tuple], alpha: float,
-                         mode: str) -> None:
-        """Execute plan-backed batch entries as one cross-entry super-DAG."""
-        cap = self._auto_workers if mode == "auto" else None
-        entries = [(plan, a, b, c) for _, plan, a, b, c, _ in woven]
-        self.dag.execute_batch(entries, alpha,
-                               acquire=self.pool.acquire,
-                               release=self.pool.release,
-                               max_workers=cap)
-        with self._stats_lock:
-            self._interleaved_batches += 1
-            self._interleaved_items += len(entries)
+        return [c for *_, c in prepared]
 
     def run_batch(self, matrices: Sequence[np.ndarray], *,
                   algo: AtaAlgo = "auto", alpha: float = 1.0,
@@ -830,9 +807,12 @@ class ExecutionEngine:
     # -- maintenance --------------------------------------------------------
     def stats(self) -> EngineStats:
         """Snapshot the plan-cache, workspace-pool, DAG-scheduler, backend
-        and tuner accounting."""
+        and tuner accounting.  The tally is copied under one lock hold, so
+        the snapshot never mixes two halves of one update."""
         with self._stats_lock:
+            tally = dict(self._tally)
             backend_runs = dict(self._backend_runs)
+            reasons = dict(self._dispatch_reasons)
         return EngineStats(
             plan_hits=self.plans.hits,
             plan_misses=self.plans.misses,
@@ -843,32 +823,12 @@ class ExecutionEngine:
             pool_reuses=self.pool.reuses,
             pool_idle=self.pool.idle_count,
             pool_evictions=self.pool.evictions,
+            pool_bytes_high=self.pool.bytes_high_water,
             dag_runs=self.dag.runs if self.dag is not None else 0,
             dag_steps=self.dag.steps_retired if self.dag is not None else 0,
-            sequential_runs=self._sequential_runs,
             backend_runs=backend_runs,
-            tuner_hits=self._tuner_hits,
-            tuner_explores=self._tuner_explores,
-            batch_calls=self._batch_calls,
-            batch_items=self._batch_items,
-            ooc_runs=self._ooc_runs,
-            ooc_panels=self._ooc_panels,
-            ooc_bytes_resident_high=self._ooc_resident_high,
-            ooc_budget_bytes=self._ooc_budget,
-            farm_runs=self._farm_runs,
-            farm_panels=self._farm_panels,
-            farm_procs=self._farm_procs,
-            farm_bytes_resident_high=self._farm_resident_high,
-            farm_respawns=self._farm_respawns,
-            farm_retried_panels=self._farm_retried_panels,
-            farm_degraded=self._farm_degraded,
-            interleaved_batches=self._interleaved_batches,
-            interleaved_items=self._interleaved_items,
-            pool_bytes_high=self.pool.bytes_high_water,
-            sparse_runs=self._sparse_runs,
-            densify_crossovers=self._densify_crossovers,
-            sparse_nnz=self._sparse_nnz,
-        )
+            dispatch_reasons=reasons,
+            **tally)
 
     def clear(self) -> None:
         """Drop all cached plans and pooled workspaces (stats and tuner

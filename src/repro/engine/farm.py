@@ -569,9 +569,7 @@ class PanelFarm:
                              respawns=recovery.respawns,
                              retried_panels=recovery.retried_panels,
                              degraded_panels=recovery.degraded_panels)
-        record = getattr(self.engine, "_record_farm", None)
-        if record is not None:
-            record(stats)
+        self.engine._record_farm(stats)
         return c, stats
 
     def _fan_out(self, source, bounds, c: np.ndarray, alpha: float,

@@ -736,9 +736,9 @@ class ShardedAtA:
         # shed it down to the headroom the schedule leaves.  This frees
         # memory only — the schedule above is already fixed, so results
         # are unaffected; per-panel plans re-acquire scratch as needed.
-        pool = getattr(self.engine, "pool", None)
+        pool = self.engine.pool
         trimmed = 0
-        if pool is not None and eff_budget:
+        if eff_budget:
             trimmed = pool.trim(max(0, eff_budget - resident_high))
         stream_state = {"prefetch_degraded": False}
         consumed = 0
@@ -763,12 +763,9 @@ class ShardedAtA:
                             budget_bytes=eff_budget,
                             prefetched=use_prefetch,
                             prefetch_degraded=stream_state["prefetch_degraded"],
-                            workspace_bytes=(pool.footprint()
-                                             if pool is not None else 0),
+                            workspace_bytes=pool.footprint(),
                             workspace_trimmed=trimmed)
-        record = getattr(self.engine, "_record_ooc", None)
-        if record is not None:
-            record(stats)
+        self.engine._record_ooc(stats)
         return c, stats
 
 

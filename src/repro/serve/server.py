@@ -69,6 +69,7 @@ Quickstart
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import functools
 import tempfile
 import threading
@@ -118,6 +119,12 @@ _CLIENT_OVERFLOW = "~client-overflow~"
 #: ledger buckets tracked per client id
 _LEDGER_FIELDS = ("submitted", "completed", "failed", "rejected",
                   "cancelled", "expired")
+
+
+def _label(value: str) -> str:
+    """Escape a Prometheus label value."""
+    return (value.replace("\\", r"\\").replace('"', r'\"')
+            .replace("\n", r"\n"))
 
 
 def _number(name: str, value) -> float:
@@ -921,7 +928,11 @@ class Server:
         ``window`` seconds of samples; a spike ages out of the scrape
         instead of flattening into day-old totals) and time-decayed
         EWMA gauges of wait latency, run latency and coalesced batch
-        size; then the per-client ledger, labelled by client id.
+        size; then the per-client ledger, labelled by client id; last the
+        engine's :class:`~repro.engine.EngineStats`, one
+        ``repro_engine_<field>`` gauge per int field and one labelled
+        ``repro_engine_<field>_total`` family per mapping field
+        (``backend_runs`` by backend, ``dispatch_reasons`` by reason).
         """
         stats = self.stats()
         lines: List[str] = []
@@ -998,11 +1009,25 @@ class Server:
         lines.append("# TYPE repro_serve_client_requests_total counter")
         for cid in sorted(stats.clients):
             snap = stats.clients[cid]
-            label = (cid.replace("\\", r"\\").replace('"', r'\"')
-                     .replace("\n", r"\n"))
             for outcome in _LEDGER_FIELDS:
                 lines.append(
                     'repro_serve_client_requests_total'
-                    f'{{client="{label}",outcome="{outcome}"}} '
+                    f'{{client="{_label(cid)}",outcome="{outcome}"}} '
                     f'{getattr(snap, outcome)}')
+
+        engine = self.engine.stats()
+        for field in dataclasses.fields(engine):
+            value = getattr(engine, field.name)
+            label = field.metadata.get("label")
+            if label is None:
+                counter(f"repro_engine_{field.name}", value,
+                        f"EngineStats.{field.name} of the serving engine.",
+                        kind="gauge")
+                continue
+            name = f"repro_engine_{field.name}_total"
+            lines.append(f"# HELP {name} Engine executions by {label} "
+                         f"(EngineStats.{field.name}).")
+            lines.append(f"# TYPE {name} counter")
+            for key in sorted(value):
+                lines.append(f'{name}{{{label}="{_label(key)}"}} {value[key]}')
         return "\n".join(lines) + "\n"

@@ -172,6 +172,12 @@ class TestPlanCache:
         b = rng.standard_normal((40, 24))  # float64
         with pytest.raises(DTypeError):
             engine.matmul_atb(a, b)
+        # a mismatched output C is the same mistake, refused alike by both ops
+        a64 = a.astype(np.float64)
+        with pytest.raises(DTypeError):
+            engine.matmul_ata(a64, np.zeros((20, 20), dtype=np.float32))
+        with pytest.raises(DTypeError):
+            engine.matmul_atb(a64, b, np.zeros((20, 24), dtype=np.float32))
 
 
 class TestWorkspacePool:
@@ -316,6 +322,43 @@ class TestBackendStats:
         assert stats.tuner_explores >= 1
         assert stats.tuner_hits >= 1
         assert stats.tuner_explores + stats.tuner_hits == stats.total_backend_runs
+
+    @pytest.mark.parametrize("route, reason", [
+        ("explicit", "explicit"),
+        ("config", "config"),
+        ("tuner_explore", "tuner_explore"),
+        ("tuner_exploit", "tuner_exploit"),
+        ("heuristic", "heuristic"),
+        ("frozen_abstains", "heuristic"),
+    ])
+    def test_dispatch_reason_per_route(self, rng, tmp_path, route, reason):
+        """Every resolution route counts its last call under its reason."""
+        from repro.engine import BackendTuner, backend_names
+
+        a = rng.standard_normal((64, 64))
+        table = str(tmp_path / "t.json")
+        calls, tuner, config = 1, None, {}
+        if route == "tuner_explore":
+            tuner = BackendTuner(table, explore_budget=1)
+        elif route == "tuner_exploit":
+            # one explore per candidate, then the table is converged
+            tuner = BackendTuner(table, explore_budget=1)
+            calls = len(backend_names("ata")) + 1
+        elif route == "frozen_abstains":
+            tuner = BackendTuner(table, frozen=True)  # empty table
+        elif route == "config":
+            config = {"backend": "tiled"}
+        with configured(base_case_elements=64, **config):
+            engine = ExecutionEngine(tuner=tuner)
+            for _ in range(calls - 1):
+                engine.matmul_ata(a)
+            before = engine.stats().dispatch_reasons
+            engine.matmul_ata(a, algo="tiled" if route == "explicit" else "auto")
+        after = engine.stats()
+        assert {k: v - before.get(k, 0)
+                for k, v in after.dispatch_reasons.items()
+                if v != before.get(k, 0)} == {reason: 1}
+        assert sum(after.dispatch_reasons.values()) == after.total_backend_runs
 
 
 class TestModuleLevelFrontend:

@@ -12,6 +12,7 @@ observing the same immutable plan instance.
 """
 
 import asyncio
+import sys
 import threading
 
 import numpy as np
@@ -231,6 +232,24 @@ class TestServingPathConcurrency:
         assert stats.plan_hits + stats.plan_misses == 60
         assert stats.plan_misses >= 1
         assert stats.pool_allocations + stats.pool_reuses == 60
+        # one backend run and one dispatch reason per call
+        assert stats.total_backend_runs == 60
+        assert sum(stats.dispatch_reasons.values()) == 60
+
+    def test_counter_tally_loses_no_update(self):
+        """Tally updates are read-modify-writes; with threads switching
+        every microsecond, an unlocked update would drop counts."""
+        engine = ExecutionEngine()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _hammer(lambda _: [engine.run_batch([]) for _ in range(2000)],
+                    n_threads=6)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = engine.stats()
+        assert stats.batch_calls == 6 * 2000
+        assert stats.batch_items == 0
 
 
 def run_async(coro, timeout: float = 60.0):

@@ -520,6 +520,13 @@ class TestWireMetrics:
         # per-client ledger lines carry the pinned id
         key = 'repro_serve_client_requests_total{client="scraper",outcome="completed"}'
         assert samples[key] == 8
+        # the serving engine's counters ride in the same exposition
+        runs = {k: v for k, v in samples.items()
+                if k.startswith("repro_engine_backend_runs_total{")}
+        assert sum(runs.values()) == 8
+        assert any(k.startswith("repro_engine_dispatch_reasons_total{")
+                   for k in samples)
+        assert samples["repro_engine_batch_items"] == 8
 
     def test_window_histograms_decay_but_cumulative_counters_do_not(self):
         """The decaying-vs-cumulative split: ageing the injectable clock
