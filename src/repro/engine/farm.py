@@ -55,7 +55,9 @@ must reproduce across worker counts.
 
 Memory budget
 -------------
-The working set charged against ``Config.memory_budget`` is::
+The working set charged against ``Config.memory_budget`` is the one
+:func:`~repro.engine.ooc.panel_schedule` solves, with ``procs`` output
+accumulators and ``procs`` panel buffers::
 
     resident = (1 + procs) * n*n*itemsize   (C + one output arena/worker)
              + procs * panel_rows * n*itemsize  (one input arena/worker)
@@ -131,10 +133,10 @@ import numpy as np
 from .. import faults
 from ..blas import direct
 from ..config import Config, get_config, set_config
-from ..errors import BudgetError, FarmError, ShapeError
+from ..errors import FarmError, ShapeError
 from .cpu import available_cpus
-from .ooc import as_source
-from .plan import split_rows
+from .ooc import (as_source, executor_engine, panel_schedule,
+                  prepare_output, working_set_bytes)
 
 __all__ = ["PanelFarm", "FarmRunStats", "run_farm"]
 
@@ -240,6 +242,15 @@ def _worker_main(worker_id: int, spec: dict, conn) -> None:
             conn.close()
         except Exception:
             pass
+
+
+def _checked_panel(panel, rows: int, n: int):
+    """``panel`` if it has the scheduled ``(rows, n)`` shape — a custom
+    source may yield anything."""
+    if panel.shape != (rows, n):
+        raise ShapeError(f"source yielded a panel of shape {panel.shape}, "
+                         f"expected ({rows}, {n})")
+    return panel
 
 
 class _Worker:
@@ -363,21 +374,14 @@ class PanelFarm:
                  budget: Optional[int] = None,
                  panel_rows: Optional[int] = None,
                  max_retries: Optional[int] = None) -> None:
-        if engine is None:
-            from .dispatch import default_engine
-            engine = default_engine()
         if procs is None:
             procs = available_cpus()
         if procs < 1:
             raise ShapeError(f"procs must be >= 1, got {procs}")
-        if panel_rows is not None and panel_rows < 1:
-            raise ShapeError(f"panel_rows must be >= 1, got {panel_rows}")
-        if budget is not None and budget < 0:
-            raise BudgetError(f"budget must be >= 0 bytes, got {budget}")
         if max_retries is not None and max_retries < 0:
             raise ShapeError(
                 f"max_retries must be >= 0, got {max_retries}")
-        self.engine = engine
+        self.engine = executor_engine(engine, budget, panel_rows)
         self.procs = int(procs)
         self.budget = budget
         self.panel_rows = panel_rows
@@ -397,49 +401,15 @@ class PanelFarm:
         even one-row panels overflow.  ``procs`` is clamped to the panel
         count — idle workers would only cost arenas.
         """
-        m, n = shape
-        if m < 1 or n < 1:
-            raise ShapeError(f"A must have positive dimensions, got {shape}")
-        if procs is None:
-            procs = self.procs
-        procs = int(procs)
+        procs = self.procs if procs is None else int(procs)
         if procs < 1:
             raise ShapeError(f"procs must be >= 1, got {procs}")
-        if budget is None:
-            budget = self.budget
-        if budget is None:
-            budget = get_config().memory_budget
-        budget = int(budget)
-        if budget < 0:
-            raise BudgetError(f"budget must be >= 0 bytes, got {budget}")
-        if panel_rows is None:
-            panel_rows = self.panel_rows
-        itemsize = np.dtype(dtype).itemsize
-        c_bytes = n * n * itemsize
-        row_bytes = n * itemsize
-        if budget:
-            headroom = budget - (1 + procs) * c_bytes
-            fit = headroom // (procs * row_bytes) if headroom > 0 else 0
-            if panel_rows is None:
-                panel_rows = int(min(m, fit))
-            else:
-                panel_rows = min(panel_rows, m)
-            if panel_rows < 1 or panel_rows > fit:
-                rows = max(panel_rows, 1)
-                raise BudgetError(
-                    f"memory budget of {budget} bytes cannot hold the "
-                    f"{n}x{n} output plus {procs} worker output arena(s) "
-                    f"({(1 + procs) * c_bytes} bytes) plus {procs} input "
-                    f"arena(s) of {rows} x {n} rows "
-                    f"({procs * rows * row_bytes} bytes); the smallest "
-                    f"feasible working set for procs={procs} is "
-                    f"{(1 + procs) * c_bytes + procs * row_bytes} bytes — "
-                    "raise REPRO_MEMORY_BUDGET / Config.memory_budget, "
-                    "shrink the panel, or use fewer workers")
-        elif panel_rows is None:
-            panel_rows = m
-        panel_rows = min(panel_rows, m)
-        bounds = split_rows(m, panel_rows)
+        bounds, budget = panel_schedule(
+            shape, dtype, self.budget if budget is None else budget,
+            self.panel_rows if panel_rows is None else panel_rows,
+            outputs=procs, buffers=procs, buffer_noun="input arena(s)",
+            remedy=f"shrink the panel or run fewer than procs={procs} "
+                   "workers")
         return bounds, budget, min(procs, len(bounds))
 
     def _worker_engine_spec(self) -> dict:
@@ -540,25 +510,12 @@ class PanelFarm:
         passes them through.
         """
         source = as_source(a)
-        m, n = source.shape
         bounds, eff_budget, procs = self.schedule(
-            (m, n), source.dtype, budget, panel_rows, procs)
-        dtype = np.dtype(source.dtype)
-        if c is None:
-            c = np.zeros((n, n), dtype=dtype)
-        else:
-            if c.shape != (n, n):
-                raise ShapeError(f"C must have shape ({n}, {n}) for A of "
-                                 f"shape ({m}, {n}), got {c.shape}")
-            if c.dtype != dtype:
-                raise ShapeError("A and C must share a dtype, got "
-                                 f"{dtype} and {c.dtype}")
-
-        from ..blas.kernels import scale
-        scale(c, beta)  # partials fold with += after one pre-scale
+            source.shape, source.dtype, budget, panel_rows, procs)
+        c = prepare_output(source, c, beta)
         widest = max(hi - lo for lo, hi in bounds)
-        resident_high = ((1 + procs) * n * n
-                         + procs * widest * n) * dtype.itemsize
+        resident_high = working_set_bytes(c.shape[1], c.itemsize, procs,
+                                          procs * widest)
         recovery = _Recovery()
         self._fan_out(source, bounds, c, alpha, procs, widest, recovery,
                       algo=algo, cache=cache, parallel=parallel)
@@ -632,11 +589,7 @@ class PanelFarm:
             def stage(panel_idx: int, worker: _Worker) -> None:
                 lo, hi = bounds[panel_idx]
                 rows = hi - lo
-                panel = next(panels)
-                if panel.shape != (rows, n):
-                    raise ShapeError(
-                        f"source yielded a panel of shape {panel.shape}, "
-                        f"expected ({rows}, {n})")
+                panel = _checked_panel(next(panels), rows, n)
                 arena = np.ndarray((rows, n), dtype=dtype,
                                    buffer=worker.in_shm.buf)
                 try:
@@ -800,11 +753,7 @@ class PanelFarm:
                     panel = np.ndarray((rows, n), dtype=c.dtype,
                                        buffer=worker.in_shm.buf)
                 else:
-                    panel = next(panels)
-                    if panel.shape != (rows, n):
-                        raise ShapeError(
-                            f"source yielded a panel of shape {panel.shape},"
-                            f" expected ({rows}, {n})")
+                    panel = _checked_panel(next(panels), rows, n)
                 partial.fill(0)
                 try:
                     self.engine.matmul_ata(panel, partial, alpha, algo=algo,

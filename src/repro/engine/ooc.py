@@ -95,6 +95,19 @@ Bounds = Tuple[Tuple[int, int], ...]
 # sources
 # ---------------------------------------------------------------------------
 
+def check_chunk(chunk, n: int, dtype: np.dtype) -> None:
+    """The per-chunk rule of every row stream: ``n`` columns wide and of
+    the stream's ``dtype`` — declared up front by a :class:`ChunkSource`,
+    fixed by the first chunk of a served stream."""
+    if len(chunk.shape) != 2 or chunk.shape[1] != n:
+        raise ShapeError(
+            f"stream chunk must have shape (rows, {n}), got {chunk.shape}")
+    if np.dtype(chunk.dtype) != dtype:
+        raise DTypeError(
+            f"stream chunk dtype {chunk.dtype} does not match the "
+            f"declared {dtype}")
+
+
 class ArraySource:
     """Panel source over an in-memory ``ndarray`` — panels are row views.
 
@@ -170,8 +183,18 @@ class ChunkSource:
         self.shape = (int(m), int(n))
         self.dtype = np.dtype(dtype)
 
+    def _check(self, chunk) -> np.ndarray:
+        """Validate one delivered chunk and return it ready to stitch."""
+        chunk = np.asarray(chunk)
+        check_chunk(chunk, self.shape[1], self.dtype)
+        return chunk
+
+    @staticmethod
+    def _join(parts: list) -> np.ndarray:
+        return np.concatenate(parts)
+
     def panels(self, bounds: Bounds) -> Iterator[np.ndarray]:
-        m, n = self.shape
+        m = self.shape[0]
         pending: list = []          # buffered rows not yet handed out
         pending_rows = 0
         consumed = 0                # rows already handed out as panels
@@ -184,19 +207,10 @@ class ChunkSource:
             need = hi - lo
             while pending_rows < need and not exhausted:
                 try:
-                    chunk = next(self._chunks)
+                    chunk = self._check(next(self._chunks))
                 except StopIteration:
                     exhausted = True
                     break
-                chunk = np.asarray(chunk)
-                if chunk.ndim != 2 or chunk.shape[1] != n:
-                    raise ShapeError(
-                        f"stream chunk must have shape (rows, {n}), got "
-                        f"{chunk.shape}")
-                if chunk.dtype != self.dtype:
-                    raise DTypeError(
-                        f"stream chunk dtype {chunk.dtype} does not match "
-                        f"the declared {self.dtype}")
                 if chunk.shape[0]:
                     pending.append(chunk)
                     pending_rows += chunk.shape[0]
@@ -220,7 +234,7 @@ class ChunkSource:
                     pending[0] = chunk[split:]
                     taken = need
             pending_rows -= need
-            panel = take[0] if len(take) == 1 else np.concatenate(take)
+            panel = take[0] if len(take) == 1 else self._join(take)
             consumed += need
             yield panel
         if pending_rows:
@@ -229,15 +243,10 @@ class ChunkSource:
                 f"(at least {consumed + pending_rows})")
         if not exhausted:
             # drain the tail with the same validation as the main loop, so
-            # a malformed trailing chunk gets the same ShapeError and
-            # empty trailing chunks cannot mask an over-long stream
+            # a malformed trailing chunk gets the same error and empty
+            # trailing chunks cannot mask an over-long stream
             for extra in self._chunks:
-                extra = np.asarray(extra)
-                if extra.ndim != 2 or extra.shape[1] != n:
-                    raise ShapeError(
-                        f"stream chunk must have shape (rows, {n}), got "
-                        f"{extra.shape}")
-                if extra.shape[0]:
+                if self._check(extra).shape[0]:
                     raise ShapeError(
                         f"stream carries more rows than the declared {m}")
 
@@ -279,12 +288,12 @@ class SparseSource:
             yield self._a[lo:hi]
 
 
-class SparseChunkSource:
+class SparseChunkSource(ChunkSource):
     """Forward-only iterator of sparse row chunks, stitched into panels.
 
     The sparse counterpart of :class:`ChunkSource`: chunks are scipy
     sparse matrices of ``n`` columns arriving in row order with arbitrary
-    heights; an internal stitch buffer re-slices them into the scheduled
+    heights; the same stitch buffer re-slices them into the scheduled
     panel bounds (splitting only the boundary chunk — CSR row slicing —
     and stacking with ``scipy.sparse.vstack``), with the same
     forward-only, short-stream and over-long-stream validation.  Panels
@@ -297,84 +306,19 @@ class SparseChunkSource:
             raise DTypeError(
                 "SparseChunkSource requires scipy; stream dense chunks "
                 "through ChunkSource instead")
-        m, n = shape
-        if m < 1 or n < 1:
-            raise ShapeError(f"declared shape must be positive, got {shape}")
-        self._chunks = iter(chunks)
-        self.shape = (int(m), int(n))
-        self.dtype = np.dtype(dtype)
+        super().__init__(chunks, shape, dtype)
 
-    def panels(self, bounds: Bounds):
-        m, n = self.shape
-        pending: list = []
-        pending_rows = 0
-        consumed = 0
-        exhausted = False
-        for lo, hi in bounds:
-            if lo != consumed:
-                raise ShapeError(
-                    f"chunk sources are forward-only: panel [{lo}, {hi}) "
-                    f"requested but the stream is at row {consumed}")
-            need = hi - lo
-            while pending_rows < need and not exhausted:
-                try:
-                    chunk = next(self._chunks)
-                except StopIteration:
-                    exhausted = True
-                    break
-                if not is_sparse(chunk):
-                    raise DTypeError(
-                        "sparse stream chunk must be a scipy sparse "
-                        f"matrix, got {type(chunk).__name__}")
-                if len(chunk.shape) != 2 or chunk.shape[1] != n:
-                    raise ShapeError(
-                        f"stream chunk must have shape (rows, {n}), got "
-                        f"{chunk.shape}")
-                if np.dtype(chunk.dtype) != self.dtype:
-                    raise DTypeError(
-                        f"stream chunk dtype {chunk.dtype} does not match "
-                        f"the declared {self.dtype}")
-                if chunk.shape[0]:
-                    pending.append(chunk.tocsr())
-                    pending_rows += chunk.shape[0]
-            if pending_rows < need:
-                raise ShapeError(
-                    f"stream ended early: declared {m} rows but only "
-                    f"{consumed + pending_rows} arrived")
-            take = []
-            taken = 0
-            while taken < need:
-                chunk = pending[0]
-                if taken + chunk.shape[0] <= need:
-                    take.append(pending.pop(0))
-                    taken += chunk.shape[0]
-                else:
-                    split = need - taken
-                    take.append(chunk[:split])
-                    pending[0] = chunk[split:]
-                    taken = need
-            pending_rows -= need
-            panel = take[0] if len(take) == 1 else _sps.vstack(take,
-                                                               format="csr")
-            consumed += need
-            yield panel
-        if pending_rows:
-            raise ShapeError(
-                f"stream carries more rows than the declared {m} "
-                f"(at least {consumed + pending_rows})")
-        if not exhausted:
-            for extra in self._chunks:
-                if not is_sparse(extra):
-                    raise DTypeError(
-                        "sparse stream chunk must be a scipy sparse "
-                        f"matrix, got {type(extra).__name__}")
-                if len(extra.shape) != 2 or extra.shape[1] != n:
-                    raise ShapeError(
-                        f"stream chunk must have shape (rows, {n}), got "
-                        f"{extra.shape}")
-                if extra.shape[0]:
-                    raise ShapeError(
-                        f"stream carries more rows than the declared {m}")
+    def _check(self, chunk):
+        if not is_sparse(chunk):
+            raise DTypeError(
+                "sparse stream chunk must be a scipy sparse "
+                f"matrix, got {type(chunk).__name__}")
+        check_chunk(chunk, self.shape[1], self.dtype)
+        return chunk.tocsr()
+
+    @staticmethod
+    def _join(parts: list):
+        return _sps.vstack(parts, format="csr")
 
 
 def as_source(a) -> Union[ArraySource, MemmapSource, ChunkSource,
@@ -406,6 +350,95 @@ def as_source(a) -> Union[ArraySource, MemmapSource, ChunkSource,
 # ---------------------------------------------------------------------------
 # executor
 # ---------------------------------------------------------------------------
+
+def executor_engine(engine, budget: Optional[int],
+                    panel_rows: Optional[int]):
+    """The constructor checks both out-of-core executors share; returns
+    ``engine``, or the process-wide engine when it is ``None``."""
+    if panel_rows is not None and panel_rows < 1:
+        raise ShapeError(f"panel_rows must be >= 1, got {panel_rows}")
+    if budget is not None and budget < 0:
+        raise BudgetError(f"budget must be >= 0 bytes, got {budget}")
+    if engine is None:
+        from .dispatch import default_engine
+        engine = default_engine()
+    return engine
+
+
+def working_set_bytes(n: int, itemsize: int, outputs: int, rows: int) -> int:
+    """Bytes an out-of-core executor holds with ``rows`` panel rows
+    staged: ``C`` and ``outputs`` more ``n x n`` accumulators, plus the
+    staged rows."""
+    return ((1 + outputs) * n * n + rows * n) * itemsize
+
+
+def panel_schedule(shape: Tuple[int, int], dtype, budget: Optional[int],
+                   panel_rows: Optional[int], *, outputs: int, buffers: int,
+                   buffer_noun: str, remedy: str) -> Tuple[Bounds, int]:
+    """Solve an out-of-core panel schedule: ``(panel bounds, budget)``.
+
+    Every out-of-core executor holds ``C``, ``outputs`` more ``n x n``
+    accumulators and ``buffers`` panels of ``rows`` rows at once::
+
+        resident = (1 + outputs)·n²·s + buffers·rows·n·s  <=  budget
+
+    The in-process stream has ``outputs = 0`` and one buffer (two while
+    prefetching); the process farm has ``outputs = buffers = procs``.  A
+    finite budget sizes ``rows`` as large as fits and validates an
+    explicit ``panel_rows``; :class:`BudgetError` names the working set
+    (``buffer_noun``), the smallest feasible one and the ``remedy``.
+    ``budget=None`` reads ``Config.memory_budget``; 0 is unbounded.
+    """
+    m, n = shape
+    if m < 1 or n < 1:
+        raise ShapeError(f"A must have positive dimensions, got {shape}")
+    if budget is None:
+        budget = get_config().memory_budget
+    budget = int(budget)
+    if budget < 0:
+        raise BudgetError(f"budget must be >= 0 bytes, got {budget}")
+    if budget:
+        itemsize = np.dtype(dtype).itemsize
+        held = working_set_bytes(n, itemsize, outputs, 0)
+        row_bytes = n * itemsize
+        headroom = budget - held
+        fit = headroom // (buffers * row_bytes) if headroom > 0 else 0
+        if panel_rows is None:
+            panel_rows = int(min(m, fit))
+        else:
+            panel_rows = min(panel_rows, m)
+        if panel_rows < 1 or panel_rows > fit:
+            rows = max(panel_rows, 1)
+            outputs_text = (f" plus {outputs} worker output arena(s)"
+                            if outputs else "")
+            raise BudgetError(
+                f"memory budget of {budget} bytes cannot hold the {n}x{n} "
+                f"output{outputs_text} ({held} bytes) plus {buffers} "
+                f"{buffer_noun} of {rows} x {n} rows "
+                f"({buffers * rows * row_bytes} bytes); the smallest "
+                f"feasible working set is {held + buffers * row_bytes} "
+                "bytes — raise REPRO_MEMORY_BUDGET / Config.memory_budget, "
+                f"or {remedy}")
+    elif panel_rows is None:
+        panel_rows = m
+    return split_rows(m, min(panel_rows, m)), budget
+
+
+def prepare_output(source, c: Optional[np.ndarray], beta: float
+                   ) -> np.ndarray:
+    """``C`` for an out-of-core run over ``source``: allocated, or checked
+    exactly as :meth:`~repro.engine.dispatch.ExecutionEngine.matmul_ata`
+    checks it; then pre-scaled by ``beta`` once, so panels accumulate
+    with ``beta = 1``."""
+    from ..blas.kernels import scale
+    from .dispatch import _validate_c
+    n = source.shape[1]
+    if c is None:
+        c = np.zeros((n, n), dtype=source.dtype)
+    _validate_c(source, c, (n, n))
+    scale(c, beta)
+    return c
+
 
 @dataclasses.dataclass(frozen=True)
 class OocRunStats:
@@ -484,28 +517,12 @@ class ShardedAtA:
     def __init__(self, engine=None, *, budget: Optional[int] = None,
                  panel_rows: Optional[int] = None,
                  prefetch: Optional[bool] = None) -> None:
-        if engine is None:
-            from .dispatch import default_engine
-            engine = default_engine()
-        if panel_rows is not None and panel_rows < 1:
-            raise ShapeError(f"panel_rows must be >= 1, got {panel_rows}")
-        if budget is not None and budget < 0:
-            raise BudgetError(f"budget must be >= 0 bytes, got {budget}")
-        self.engine = engine
+        self.engine = executor_engine(engine, budget, panel_rows)
         self.budget = budget
         self.panel_rows = panel_rows
         self.prefetch = prefetch
 
     # -- schedule -----------------------------------------------------------
-    def _resolve_budget(self, budget: Optional[int]) -> int:
-        if budget is None:
-            budget = self.budget
-        if budget is None:
-            budget = get_config().memory_budget
-        if budget < 0:
-            raise BudgetError(f"budget must be >= 0 bytes, got {budget}")
-        return int(budget)
-
     def _resolve_prefetch(self, prefetch: Optional[bool]) -> bool:
         if prefetch is None:
             prefetch = self.prefetch
@@ -528,42 +545,14 @@ class ShardedAtA:
         :class:`BudgetError` names the shortfall when not even one row
         fits (or when an explicit ``panel_rows`` overshoots).
         """
-        m, n = shape
-        if m < 1 or n < 1:
-            raise ShapeError(f"A must have positive dimensions, got {shape}")
-        itemsize = np.dtype(dtype).itemsize
-        budget = self._resolve_budget(budget)
         use_prefetch = self._resolve_prefetch(prefetch)
-        if panel_rows is None:
-            panel_rows = self.panel_rows
-        c_bytes = n * n * itemsize
-        row_bytes = n * itemsize
-        buffers = 2 if use_prefetch else 1
-        if budget:
-            headroom = budget - c_bytes
-            fit = headroom // (buffers * row_bytes) if headroom > 0 else 0
-            if panel_rows is None:
-                panel_rows = int(min(m, fit))
-            else:
-                panel_rows = min(panel_rows, m)
-            if panel_rows < 1 or panel_rows > fit:
-                rows = max(panel_rows, 1)
-                raise BudgetError(
-                    f"memory budget of {budget} bytes cannot hold the "
-                    f"{n}x{n} output ({c_bytes} bytes) plus {buffers} "
-                    f"panel buffer(s) of {rows} x {n} rows "
-                    f"({buffers * rows * row_bytes} bytes); the smallest "
-                    "feasible working set is "
-                    f"{c_bytes + buffers * row_bytes} bytes — raise "
-                    "REPRO_MEMORY_BUDGET / Config.memory_budget or shrink "
-                    "the panel")
-        elif panel_rows is None:
-            panel_rows = m
-        panel_rows = min(panel_rows, m)
-        bounds = split_rows(m, panel_rows)
-        if len(bounds) == 1:
-            use_prefetch = False  # nothing to overlap with a lone panel
-        return bounds, budget, use_prefetch
+        bounds, budget = panel_schedule(
+            shape, dtype, self.budget if budget is None else budget,
+            self.panel_rows if panel_rows is None else panel_rows,
+            outputs=0, buffers=2 if use_prefetch else 1,
+            buffer_noun="panel buffer(s)", remedy="shrink the panel")
+        # nothing to overlap with a lone panel
+        return bounds, budget, use_prefetch and len(bounds) > 1
 
     # -- streaming ----------------------------------------------------------
     @staticmethod
@@ -700,36 +689,24 @@ class ShardedAtA:
         call is exactly ``matmul_ata(a, c, alpha, beta=beta, ...)``.
         """
         source = as_source(a)
-        m, n = source.shape
         bounds, eff_budget, use_prefetch = self.schedule(
-            (m, n), source.dtype, budget, panel_rows, prefetch)
-        itemsize = np.dtype(source.dtype).itemsize
-        if c is None:
-            c = np.zeros((n, n), dtype=source.dtype)
-        else:
-            if c.shape != (n, n):
-                raise ShapeError(f"C must have shape ({n}, {n}) for A of "
-                                 f"shape ({m}, {n}), got {c.shape}")
-            if c.dtype != np.dtype(source.dtype):
-                raise ShapeError("A and C must share a dtype, got "
-                                 f"{np.dtype(source.dtype)} and {c.dtype}")
-
-        from ..blas.kernels import scale
-        scale(c, beta)  # panels accumulate with beta=1 after one pre-scale
+            source.shape, source.dtype, budget, panel_rows, prefetch)
+        c = prepare_output(source, c, beta)
         widest = max(hi - lo for lo, hi in bounds)
         # the scheduled panel window is charged uniformly across source
         # kinds (for a view source it is borrowed rather than copied):
         # admission and accounting always agree, and a budget-derived
         # schedule — hence the result, bit for bit — is the same whether
         # the matrix arrives as an array, a memmap or a stream
-        if use_prefetch and len(bounds) > 1:
+        if use_prefetch:  # never on for a lone panel
             # double buffer: panel k resident while k+1 is staged
             staged_rows = max((bounds[i][1] - bounds[i][0])
                               + (bounds[i + 1][1] - bounds[i + 1][0])
                               for i in range(len(bounds) - 1))
         else:
             staged_rows = widest
-        resident_high = (n * n + staged_rows * n) * itemsize
+        resident_high = working_set_bytes(c.shape[1], c.itemsize, 0,
+                                          staged_rows)
         # budget coordination with the engine's workspace pool: idle
         # pooled scratch left over from earlier (possibly larger) traffic
         # counts against the same budget as the panel-resident set, so

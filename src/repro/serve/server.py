@@ -88,6 +88,7 @@ from ..engine import ExecutionEngine
 from ..engine.backends import get_backend
 from ..engine.dispatch import (explicit_backend, validate_dense,
                                validate_structured)
+from ..engine.ooc import check_chunk
 from ..engine.sparse import operand_kind
 from ..errors import (
     ConfigurationError,
@@ -556,16 +557,9 @@ class Server:
             def spool_chunk(chunk) -> int:
                 nonlocal cols, dtype
                 validate_matrix(chunk, "stream chunk")
-                if cols is None:
+                if cols is None:  # the first chunk fixes the stream's kind
                     cols, dtype = chunk.shape[1], chunk.dtype
-                elif chunk.shape[1] != cols:
-                    raise ShapeError(
-                        f"stream chunk has {chunk.shape[1]} columns; "
-                        f"earlier chunks had {cols}")
-                elif chunk.dtype != dtype:
-                    raise ShapeError(
-                        f"stream chunk dtype {chunk.dtype} differs from "
-                        f"earlier chunks' {dtype}")
+                check_chunk(chunk, cols, dtype)
                 spool.write(np.ascontiguousarray(chunk))
                 return chunk.shape[0]
 

@@ -46,7 +46,8 @@ from repro.engine import (
     split_rows,
 )
 from repro.engine.backends import Backend, register_backend, unregister_backend
-from repro.errors import BudgetError, FarmError, ShapeError
+from repro.errors import (BudgetError, DTypeError, FarmError,
+                          ShapeError)
 
 pytestmark = pytest.mark.timeout(120)  # a hung farm must fail, not stall CI
 
@@ -265,6 +266,17 @@ class TestWiring:
             PanelFarm(ExecutionEngine(), procs=0)
         with pytest.raises(ShapeError):
             PanelFarm(ExecutionEngine(), procs=-2)
+
+    def test_c_operand_validation(self, rng):
+        """``C`` is checked as ``matmul_ata`` checks it, before any worker
+        is spawned."""
+        a = rng.standard_normal((30, 10))
+        farm = PanelFarm(ExecutionEngine(), procs=2)
+        with pytest.raises(ShapeError, match="shape"):
+            farm.run(a, c=np.zeros((5, 5)), panel_rows=10)
+        with pytest.raises(DTypeError):
+            farm.run(a, c=np.zeros((10, 10), dtype=np.float32),
+                     panel_rows=10)
 
 
 # ---------------------------------------------------------------------------

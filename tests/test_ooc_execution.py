@@ -28,6 +28,7 @@ from repro.engine import (
     ChunkSource,
     ExecutionEngine,
     MemmapSource,
+    PanelFarm,
     ShardedAtA,
     as_source,
     matmul_ata_ooc,
@@ -238,6 +239,49 @@ class TestBudgetErrors:
             ExecutionEngine().matmul_ata_ooc(a, budget=-1)
 
 
+class TestPanelSchedule:
+    """The one panel-schedule solver, through both executors' ``schedule``:
+    ``(1 + outputs)·n²·s + buffers·rows·n·s <= budget`` with the largest
+    ``rows`` that fits — outputs = 0 and buffers = 1 or 2 (prefetch) in
+    process, outputs = buffers = procs in the farm."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 3000), n=st.integers(1, 48),
+           dtype=st.sampled_from([np.float32, np.float64, np.complex128]),
+           budget=st.integers(0, 1 << 17), procs=st.integers(0, 3),
+           prefetch=st.booleans())
+    def test_largest_panel_that_fits(self, m, n, dtype, budget, procs,
+                                     prefetch):
+        engine = ExecutionEngine()
+        if procs:
+            outputs = buffers = procs
+            executor, options = PanelFarm(engine, procs=procs), {}
+        else:
+            outputs, buffers = 0, 2 if prefetch else 1
+            executor, options = ShardedAtA(engine), {"prefetch": prefetch}
+        s = np.dtype(dtype).itemsize
+
+        def resident(rows):
+            return (1 + outputs) * n * n * s + buffers * rows * n * s
+
+        if budget and resident(1) > budget:
+            with pytest.raises(BudgetError) as excinfo:
+                executor.schedule((m, n), dtype, budget, **options)
+            assert (f"smallest feasible working set is {resident(1)} bytes"
+                    in str(excinfo.value))
+            return
+        bounds, eff_budget, _ = executor.schedule((m, n), dtype, budget,
+                                                  **options)
+        assert eff_budget == budget
+        assert bounds == split_rows(m, bounds[0][1])
+        rows = bounds[0][1]
+        if not budget:
+            assert rows == m  # unbounded: one panel
+            return
+        assert resident(rows) <= budget
+        assert rows == m or resident(rows + 1) > budget
+
+
 class TestStatsReconciliation:
     @pytest.mark.parametrize("algo", ["syrk", "tiled"])
     def test_sum_of_panel_flops_equals_direct_flops(self, rng, algo):
@@ -397,7 +441,7 @@ class TestFrontEnds:
         engine = ExecutionEngine()
         with pytest.raises(ShapeError, match="shape"):
             engine.matmul_ata_ooc(a, c=np.zeros((5, 5)))
-        with pytest.raises(ShapeError, match="dtype"):
+        with pytest.raises(DTypeError):
             engine.matmul_ata_ooc(a, c=np.zeros((10, 10), dtype=np.float32))
 
     def test_module_level_conveniences_use_default_engine(self, rng):

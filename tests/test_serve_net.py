@@ -29,6 +29,7 @@ from repro.config import configured
 from repro.engine import HAVE_SCIPY, ExecutionEngine
 from repro.errors import (
     DeadlineError,
+    DTypeError,
     ProtocolError,
     ServerClosedError,
     ShapeError,
@@ -438,6 +439,31 @@ class TestWireStreaming:
                         yield rng.standard_normal((16, 8))
                         yield rng.standard_normal((16, 9))  # column drift
                     with pytest.raises(ShapeError):
+                        await client.submit_stream(chunks())
+                stats = net.server.stats()
+                assert stats.failed == 1
+                assert _reconciled(stats)
+        run(scenario())
+
+    def test_stream_dtype_drift_reports_dtype_error(self, rng):
+        """A chunk whose dtype differs from the first chunk's fails the
+        request with the ``DTypeError`` a ChunkSource raises, in process
+        and over the wire, and the ledger still reconciles."""
+        def chunks():
+            yield rng.standard_normal((16, 8))
+            yield rng.standard_normal((16, 8)).astype(np.float32)
+
+        async def scenario():
+            server = Server()
+            with pytest.raises(DTypeError):
+                await server.submit_stream(chunks(), client="drift")
+            stats = server.stats()
+            await server.close()
+            assert stats.clients["drift"].failed == 1
+            assert _reconciled(stats)
+            async with NetServer() as net:
+                async with Client(port=net.port) as client:
+                    with pytest.raises(DTypeError):
                         await client.submit_stream(chunks())
                 stats = net.server.stats()
                 assert stats.failed == 1
