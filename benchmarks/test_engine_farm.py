@@ -76,9 +76,10 @@ class TestRegisteredExperiment:
 @pytest.mark.benchmark(group="engine_farm")
 class TestRegressionTrackingMicrobenchmarks:
     """``benchmark``-fixture timings exported to JSON for the CI compare
-    step — the multi-process-farm group of the compared set.  Each round
-    prices the whole subsystem (fork + arenas + staging + fold), which is
-    exactly the cost a user pays per ``run_ooc(procs=N)`` call."""
+    step — the multi-process-farm group of the compared set.  The warmup
+    round spawns the pool; each timed round reuses it and its arenas
+    (staging + per-run worker engines + fold), the steady cost a user
+    pays per repeated ``run_ooc(procs=N)`` call."""
 
     def test_bench_farm_two_workers(self, benchmark, workload):
         engine = ExecutionEngine()

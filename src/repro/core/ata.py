@@ -36,7 +36,7 @@ from ..blas import counters
 from ..blas.kernels import scale, symmetrize_from_lower, syrk, validate_matrix
 from ..cache.model import CacheModel, default_cache_model
 from ..config import get_config
-from ..errors import ShapeError
+from ..errors import DTypeError, ShapeError
 from .partition import quadrants, split_dim
 from .strassen import _strassen
 from .workspace import StrassenWorkspace
@@ -125,7 +125,7 @@ def ata(a: np.ndarray, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
     if c.shape != (n, n):
         raise ShapeError(f"C must have shape ({n}, {n}) for A of shape {a.shape}, got {c.shape}")
     if a.dtype != c.dtype:
-        raise ShapeError(f"A and C must share a dtype, got {a.dtype} and {c.dtype}")
+        raise DTypeError(f"A and C must share a dtype, got {a.dtype} and {c.dtype}")
 
     scale(c, beta)
 

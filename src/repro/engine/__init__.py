@@ -54,8 +54,9 @@ dispatch) builds on:
   (``run_ooc(procs=N)`` / ``Config.farm_procs``); each worker runs the
   full engine stack on its panel and the parent folds the partial Grams
   through a fixed ascending reduction tree, so the result is
-  bit-identical across worker counts; worker sizing follows the
-  affinity-aware :func:`~repro.engine.cpu.available_cpus`;
+  bit-identical across worker counts; the worker pool and its arenas
+  stay warm between runs with the same pool key; worker sizing follows
+  the affinity-aware :func:`~repro.engine.cpu.available_cpus`;
 * :mod:`repro.engine.dispatch` — the **front-end**:
   :func:`~repro.engine.dispatch.matmul_ata` resolves each request
   through explicit ``algo=`` > ``Config.backend``/``REPRO_BACKEND`` >

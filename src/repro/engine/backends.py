@@ -261,10 +261,13 @@ class BlasDirectBackend(Backend):
 _REGISTRY: "Dict[str, Backend]" = {}
 _ORDER: List[str] = []
 _LOCK = threading.Lock()
+#: bumped by every registry change (see :func:`registry_generation`)
+_GENERATION = 0
 
 
 def register_backend(backend: Backend, *, replace: bool = False) -> Backend:
     """Add ``backend`` to the registry (``replace=True`` to overwrite)."""
+    global _GENERATION
     if not backend.name:
         raise ValueError("backend must have a non-empty name")
     unknown_ops = set(backend.ops) - set(OPS)
@@ -277,16 +280,26 @@ def register_backend(backend: Backend, *, replace: bool = False) -> Backend:
         if backend.name not in _ORDER:
             _ORDER.append(backend.name)
         _REGISTRY[backend.name] = backend
+        _GENERATION += 1
     return backend
 
 
 def unregister_backend(name: str) -> Optional[Backend]:
     """Remove a backend by name (returns it, or ``None`` if absent)."""
+    global _GENERATION
     with _LOCK:
         backend = _REGISTRY.pop(name, None)
         if backend is not None:
             _ORDER.remove(name)
+            _GENERATION += 1
         return backend
+
+
+def registry_generation() -> int:
+    """A counter bumped by every :func:`register_backend` and effective
+    :func:`unregister_backend`: a process forked at another generation
+    holds a different registry (the warm farm pool keys on it)."""
+    return _GENERATION
 
 
 def get_backend(name: str, op: Optional[str] = None) -> Backend:

@@ -202,6 +202,9 @@ class EngineStats:
     #: ``C`` plus every worker's input/output arenas — see
     #: :class:`repro.engine.farm.FarmRunStats`
     farm_bytes_resident_high: int = 0
+    #: worker processes started for farm runs' initial pools (cold
+    #: starts; 0 while runs reuse the warm pool), across all farm runs
+    farm_spawned: int = 0
     #: worker processes respawned after dying or failing mid-run, across
     #: all farm runs (0 = no recovery was ever needed)
     farm_respawns: int = 0
@@ -685,6 +688,7 @@ class ExecutionEngine:
         """Fold one :class:`~repro.engine.farm.FarmRunStats` into the
         tally."""
         self._count(farm_runs=1, farm_panels=stats.panels,
+                    farm_spawned=stats.spawned,
                     farm_respawns=stats.respawns,
                     farm_retried_panels=stats.retried_panels,
                     farm_degraded=stats.degraded_panels,
@@ -837,13 +841,15 @@ class ExecutionEngine:
         self.pool.clear()
 
     def close(self) -> None:
-        """Release the DAG executor's helper threads and flush the tuner
-        table (engine stays usable; threads are recreated on the next
-        parallel execution)."""
+        """Release the DAG executor's helper threads, flush the tuner
+        table and stop the farm's idle warm pool (engine stays usable;
+        threads and pool are recreated on the next run needing them)."""
         if self.dag is not None:
             self.dag.shutdown()
         if self.tuner is not None:
             self.tuner.flush()
+        from .farm import stop_idle_pool
+        stop_idle_pool()
 
 
 #: The process-wide engine serving the library's rewired call sites.  Its

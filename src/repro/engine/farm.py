@@ -68,10 +68,37 @@ staged and un-folded at one instant — an out-of-order finisher idles
 until the fold reaches its panel — so the accounting above is a true
 high-water bound, not an estimate.  Recovery never raises it: a respawn
 allocates its fresh arenas only after copying nothing (the replacement
-input arena is filled *from* the doomed one before it is unlinked, and
+input arena is filled *from* the doomed one before it is released, and
 the two coexist only for the duration of that copy), and the degraded
 in-process completion reads staged panels straight out of the surviving
-arenas instead of copying them.
+arenas instead of copying them.  The idle warm pool between runs (below)
+holds ``procs * (panel_rows*n + n*n) * itemsize`` of arenas outside any
+run's budget.
+
+Warm pool
+---------
+The workers and their arenas outlive a run.  A run that ends cleanly
+parks its pool in a per-process slot (at most one idle pool; a second
+concurrent run spawns its own, and whichever pool finds the slot taken
+on return is stopped), and the next run reuses it when its key matches
+exactly: the config snapshot, the worker engine spec, the backend
+registry generation, ``procs``, ``n``, the dtype and the widest panel's
+row count.  Any mismatch stops the idle pool and spawns a cold one.  A
+pooled worker found dead at the start of a run is replaced silently —
+no panel was lost, so it is not a respawn (``FarmRunStats.spawned``
+counts it).  A run that degrades or raises stops its pool.
+
+Each run is one :func:`_worker_main` call in every worker, on a fresh
+engine closed when the run ends, so per-run state (plan cache, tuner
+flush) behaves as with a fresh process; :meth:`PanelFarm.run` returns
+only after every kept worker has reported the call returned.  The
+parent creates each arena under a name, the worker attaches and acks,
+and the parent then unlinks the name: the mappings live on in both
+processes, so no ``psm_*`` name outlives a run, even when the parent is
+SIGKILLed.  The idle pool is stopped by
+:meth:`~repro.engine.dispatch.ExecutionEngine.close` and at interpreter
+exit; a forked child forgets its parent's pool (closing only its
+inherited pipe ends and mappings) and never stops the parent's workers.
 
 Failure handling: heal, then degrade, then fail
 -----------------------------------------------
@@ -100,7 +127,8 @@ the farm treats it as schedulable work:
 
 Teardown can never wedge: a worker that survives ``terminate()`` (an
 uninterruptible kernel call, masked signals) is escalated to
-``Process.kill()``, and the arenas are unlinked whatever happened before.
+``Process.kill()``, and the arenas are closed (and unlinked, if the
+worker never acked them) whatever happened before.
 
 Workers are forked where the platform supports it (runtime-registered
 backends, the live configuration and the bound BLAS provider — resolved
@@ -122,9 +150,15 @@ detect — a worker that lies is outside the failure model).
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import multiprocessing
+import os
+import threading
 import traceback
+# importing ``connection`` imports ``multiprocessing.util``, which
+# registers multiprocessing's exit hook; the pool's hook, registered at
+# the bottom of this module, therefore runs before it
 from multiprocessing import connection, shared_memory
 from typing import List, Optional, Tuple
 
@@ -134,6 +168,7 @@ from .. import faults
 from ..blas import direct
 from ..config import Config, get_config, set_config
 from ..errors import FarmError, ShapeError
+from .backends import registry_generation
 from .cpu import available_cpus
 from .ooc import (as_source, executor_engine, panel_schedule,
                   prepare_output, working_set_bytes)
@@ -185,22 +220,22 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 
 
 def _worker_main(worker_id: int, spec: dict, conn) -> None:
-    """Worker process body: attach arenas, build an engine, serve tasks.
+    """One run of a worker: build an engine, serve tasks until ``"end"``.
 
-    Each ``("task", panel_idx, rows, fault)`` message means "the first
-    ``rows`` rows of my input arena hold panel ``panel_idx``": the worker
-    enacts any shipped fault token, zeroes its output arena, runs one
-    ``matmul_ata`` on the shared panel view, and acks
-    ``("done", panel_idx)``.  Any exception is reported as
-    ``("error", panel_idx, traceback)`` and ends the worker — the parent
-    decides whether to respawn.
+    ``spec["arenas"]`` holds the worker's attached input and output
+    arenas.  Each ``("task", panel_idx, rows, fault)`` message means "the
+    first ``rows`` rows of my input arena hold panel ``panel_idx``": the
+    worker enacts any shipped fault token, zeroes its output arena, runs
+    one ``matmul_ata`` on the shared panel view, and acks
+    ``("done", panel_idx)``.  ``("end",)`` closes the engine and returns.
+    Any exception is reported as ``("error", panel_idx, traceback)`` and
+    re-raised, which ends the worker — the parent decides whether to
+    respawn.
     """
-    in_shm = out_shm = None
     panel_idx: Optional[int] = None
     try:
         set_config(spec["config"])
-        in_shm = _attach(spec["in_name"])
-        out_shm = _attach(spec["out_name"])
+        in_shm, out_shm = spec["arenas"]
         n = spec["n"]
         dtype = np.dtype(spec["dtype"])
         out = np.ndarray((n, n), dtype=dtype, buffer=out_shm.buf)
@@ -209,8 +244,8 @@ def _worker_main(worker_id: int, spec: dict, conn) -> None:
         try:
             while True:
                 message = conn.recv()
-                if message[0] == "stop":
-                    break
+                if message[0] != "task":
+                    break  # "end"
                 _, panel_idx, rows, fault = message
                 # kill exits here, raise lands in the except below, slow
                 # sleeps; "poison" comes back for the post-compute step
@@ -231,13 +266,44 @@ def _worker_main(worker_id: int, spec: dict, conn) -> None:
             conn.send(("error", panel_idx, traceback.format_exc()))
         except Exception:
             pass
+        raise
+
+
+def _worker_process(worker_id: int, spec: dict, conn, names,
+                    parent_end) -> None:
+    """Worker process body: attach the arenas named ``names``, ack
+    ``("attached",)``, then run :func:`_worker_main` once per run — the
+    first run right away, each later one on a ``("run", spec)`` message —
+    acking ``("idle",)`` after each.  Any other message, a closed pipe or
+    a failed run ends the process.
+
+    ``parent_end`` is the parent's end of ``conn``, inherited by a forked
+    worker; closing it here lets an idle worker see its parent's death
+    as end-of-file instead of outliving it."""
+    parent_end.close()
+    arenas = []
+    try:
+        try:
+            arenas = [_attach(name) for name in names]
+        except Exception:
+            conn.send(("error", None, traceback.format_exc()))
+            raise
+        conn.send(("attached",))
+        while True:
+            _worker_main(worker_id, dict(spec, arenas=arenas), conn)
+            conn.send(("idle",))
+            message = conn.recv()
+            if message[0] != "run":
+                break
+            spec = message[1]
+    except Exception:
+        pass  # a failed run was reported; a lost parent needs no answer
     finally:
-        for shm in (in_shm, out_shm):
-            if shm is not None:
-                try:
-                    shm.close()
-                except Exception:
-                    pass
+        for shm in arenas:
+            try:
+                shm.close()
+            except Exception:
+                pass
         try:
             conn.close()
         except Exception:
@@ -258,7 +324,7 @@ class _Worker:
     arenas, and the panel currently staged in its input arena."""
 
     __slots__ = ("wid", "process", "conn", "in_shm", "out_shm", "out_view",
-                 "panel", "dead")
+                 "panel", "dead", "linked")
 
     def __init__(self, wid, process, conn, in_shm, out_shm, out_view):
         self.wid = wid
@@ -271,14 +337,163 @@ class _Worker:
         #: (the arena keeps the bytes) until the partial is folded
         self.panel: Optional[int] = None
         self.dead = False
+        #: the arenas still have names (the worker has not acked them)
+        self.linked = True
+
+    def unlink(self) -> None:
+        """Remove the arenas' names; every mapping stays valid."""
+        if self.linked:
+            self.linked = False
+            for shm in (self.in_shm, self.out_shm):
+                try:
+                    shm.unlink()
+                except Exception:
+                    pass
+
+    def release(self) -> None:
+        """Close this process's pipe end and arena mappings."""
+        self.out_view = None  # release the buffer export before close()
+        self.dead = True
+        for handle in (self.conn, self.in_shm, self.out_shm):
+            try:
+                handle.close()
+            except Exception:
+                pass
 
 
-class _Recovery:
-    """Mutable per-run recovery counters (frozen into the stats)."""
+def _reap(worker: _Worker) -> None:
+    """Retire one worker slot, however stuck its process is.
 
-    __slots__ = ("respawns", "retried_panels", "degraded_panels")
+    Escalation ladder: a cooperative worker exits on its own (a stop
+    message or its error path) and the first join collects it;
+    ``terminate()`` handles one ignoring its pipe; a worker that is
+    uninterruptible even then — blocked in a kernel call, signals masked
+    by an extension — gets ``Process.kill()`` (SIGKILL), which no
+    userspace state can ignore, so teardown can never wedge on a single
+    wedged child.  The arenas are released (and unlinked, if still
+    named) afterwards in every case.
+    """
+    process = worker.process
+    if process is not None:
+        process.join(timeout=_REAP_SECONDS)
+        if process.is_alive():
+            process.terminate()
+            process.join(timeout=_REAP_SECONDS)
+        if process.is_alive():
+            process.kill()
+            process.join(timeout=_REAP_SECONDS)
+    worker.release()
+    worker.unlink()
+
+
+def _retire(workers) -> None:
+    """Stop ``workers`` in any state: ``"end"`` closes an open run,
+    ``"stop"`` (or the ``"end"`` itself, between runs) ends the loop."""
+    for worker in workers:
+        if not worker.dead:
+            try:
+                worker.conn.send(("end",))
+                worker.conn.send(("stop",))
+            except Exception:
+                pass
+    for worker in workers:
+        _reap(worker)
+
+
+def _end_run(workers) -> None:
+    """Close the run on every live worker and wait for its ``"idle"`` —
+    its :func:`_worker_main` call has returned.  A worker that is dead,
+    answers otherwise or not within ``_REAP_SECONDS`` is reaped; the
+    next run replaces its slot."""
+    for worker in workers:
+        if not worker.dead:
+            try:
+                worker.conn.send(("end",))
+            except OSError:
+                worker.dead = True
+    for worker in workers:
+        idle = False
+        if not worker.dead:
+            try:
+                idle = (worker.conn.poll(_REAP_SECONDS)
+                        and worker.conn.recv() == ("idle",))
+            except (EOFError, OSError):
+                pass
+        if not idle:
+            _retire([worker])
+
+
+class _Pool:
+    """A worker pool and the key a later run must match to reuse it."""
+
+    __slots__ = ("key", "workers")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        self.workers: List[_Worker] = []
+
+
+#: the idle warm pool of this process (at most one), guarded by the lock
+_IDLE: Optional[_Pool] = None
+_IDLE_LOCK = threading.Lock()
+
+
+def _take_idle_pool(key: tuple) -> _Pool:
+    """The idle pool if its key matches, else a new empty pool (stopping
+    the mismatched idle one)."""
+    global _IDLE
+    with _IDLE_LOCK:
+        pool, _IDLE = _IDLE, None
+    if pool is not None and pool.key != key:
+        _retire(pool.workers)
+        pool = None
+    return pool if pool is not None else _Pool(key)
+
+
+def _park_idle_pool(pool: _Pool) -> None:
+    """Keep ``pool`` for the next run, or stop it if the slot is taken."""
+    global _IDLE
+    with _IDLE_LOCK:
+        if _IDLE is None:
+            _IDLE, pool = pool, None
+    if pool is not None:
+        _retire(pool.workers)
+
+
+def stop_idle_pool() -> None:
+    """Stop the idle warm pool, if any (called by
+    :meth:`ExecutionEngine.close <repro.engine.dispatch.ExecutionEngine.close>`
+    and at interpreter exit)."""
+    global _IDLE
+    with _IDLE_LOCK:
+        pool, _IDLE = _IDLE, None
+    if pool is not None:
+        _retire(pool.workers)
+
+
+def _forget_idle_pool() -> None:
+    """In a forked child: drop the parent's idle pool without stopping
+    it — close only the inherited pipe ends and mappings."""
+    global _IDLE, _IDLE_LOCK
+    pool, _IDLE = _IDLE, None
+    _IDLE_LOCK = threading.Lock()  # the parent may have held it mid-fork
+    if pool is None:
+        return
+    for worker in pool.workers:
+        # keep multiprocessing's exit hook from terminating the parent's
+        # daemonic workers when this child exits
+        multiprocessing.process._children.discard(worker.process)
+        worker.release()
+
+
+class _RunCounts:
+    """Mutable per-run pool and recovery counters (frozen into the
+    stats)."""
+
+    __slots__ = ("spawned", "respawns", "retried_panels", "degraded_panels")
 
     def __init__(self) -> None:
+        self.spawned = 0
         self.respawns = 0
         self.retried_panels = 0
         self.degraded_panels = 0
@@ -324,6 +539,10 @@ class FarmRunStats:
         Panels completed by the in-process degradation path after the
         retry budget was exhausted (0 = the process pool computed every
         panel).
+    spawned:
+        Worker processes started for the run's initial pool: ``procs``
+        for a cold pool, 0 for a warm one, plus replacements for pooled
+        workers found dead at the start (respawns are counted apart).
     """
 
     panels: int
@@ -334,6 +553,7 @@ class FarmRunStats:
     respawns: int = 0
     retried_panels: int = 0
     degraded_panels: int = 0
+    spawned: int = 0
 
     @property
     def degraded(self) -> bool:
@@ -424,9 +644,13 @@ class PanelFarm:
         return spec
 
     # -- worker lifecycle ---------------------------------------------------
-    def _spawn(self, context, worker_id: int, widest: int, n: int,
-               dtype: np.dtype, spec_base: dict) -> _Worker:
-        """Create one worker slot: fresh arenas, pipe, process."""
+    @staticmethod
+    def _spawn(context, worker_id: int, widest: int, spec: dict) -> _Worker:
+        """Create one worker slot: fresh named arenas, pipe, process.  The
+        worker's ``("attached",)`` ack is what lets the parent unlink the
+        names (:meth:`_Worker.unlink`)."""
+        n = spec["n"]
+        dtype = np.dtype(spec["dtype"])
         in_shm = out_shm = parent_conn = child_conn = process = None
         try:
             in_shm = shared_memory.SharedMemory(
@@ -434,10 +658,10 @@ class PanelFarm:
             out_shm = shared_memory.SharedMemory(
                 create=True, size=max(1, n * n * dtype.itemsize))
             parent_conn, child_conn = context.Pipe(duplex=True)
-            spec = dict(spec_base, in_name=in_shm.name, out_name=out_shm.name)
             process = context.Process(
-                target=_worker_main, name=f"repro-farm-{worker_id}",
-                args=(worker_id, spec, child_conn), daemon=True)
+                target=_worker_process, name=f"repro-farm-{worker_id}",
+                args=(worker_id, spec, child_conn,
+                      (in_shm.name, out_shm.name), parent_conn), daemon=True)
             process.start()
         except Exception:
             for shm in (in_shm, out_shm):
@@ -459,41 +683,32 @@ class PanelFarm:
         return _Worker(worker_id, process, parent_conn, in_shm, out_shm,
                        out_view)
 
-    @staticmethod
-    def _reap(worker: _Worker, unlink: bool = True) -> None:
-        """Retire one worker slot, however stuck its process is.
-
-        Escalation ladder: a cooperative worker exits on its own (the
-        "stop" message or its error path) and the first join collects it;
-        ``terminate()`` handles one ignoring its pipe; a worker that is
-        uninterruptible even then — blocked in a kernel call, signals
-        masked by an extension — gets ``Process.kill()`` (SIGKILL), which
-        no userspace state can ignore, so teardown can never wedge on a
-        single wedged child.  The arenas are closed (and, unless the
-        caller still needs them, unlinked) afterwards in every case.
-        """
-        process = worker.process
-        if process is not None:
-            process.join(timeout=_REAP_SECONDS)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=_REAP_SECONDS)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=_REAP_SECONDS)
-        worker.out_view = None  # release the buffer export before close()
-        worker.dead = True
-        try:
-            worker.conn.close()
-        except Exception:
-            pass
-        for shm in (worker.in_shm, worker.out_shm):
-            try:
-                shm.close()
-                if unlink:
-                    shm.unlink()
-            except Exception:
-                pass
+    def _start(self, pool: _Pool, procs: int, context, widest: int,
+               spec: dict) -> int:
+        """Ready ``procs`` live workers in ``pool`` for one run: each warm
+        worker gets ``("run", spec)``; a missing or dead slot gets a fresh
+        worker.  Every process is started before any ack is awaited, so a
+        cold start is not serialised.  Returns how many were spawned."""
+        workers = pool.workers
+        spawned = 0
+        for wid in range(procs):
+            worker = workers[wid] if wid < len(workers) else None
+            if worker is not None and not worker.dead:
+                try:
+                    if worker.process.is_alive():
+                        worker.conn.send(("run", spec))
+                        continue
+                except OSError:
+                    pass
+            if worker is not None:
+                _reap(worker)
+            fresh = self._spawn(context, wid, widest, spec)
+            if worker is None:
+                workers.append(fresh)
+            else:
+                workers[wid] = fresh
+            spawned += 1
+        return spawned
 
     # -- execution ----------------------------------------------------------
     def run(self, a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
@@ -516,21 +731,22 @@ class PanelFarm:
         widest = max(hi - lo for lo, hi in bounds)
         resident_high = working_set_bytes(c.shape[1], c.itemsize, procs,
                                           procs * widest)
-        recovery = _Recovery()
-        self._fan_out(source, bounds, c, alpha, procs, widest, recovery,
+        counts = _RunCounts()
+        self._fan_out(source, bounds, c, alpha, procs, widest, counts,
                       algo=algo, cache=cache, parallel=parallel)
         stats = FarmRunStats(panels=len(bounds), panel_rows=widest,
                              procs=procs,
                              bytes_resident_high=resident_high,
                              budget_bytes=eff_budget,
-                             respawns=recovery.respawns,
-                             retried_panels=recovery.retried_panels,
-                             degraded_panels=recovery.degraded_panels)
+                             respawns=counts.respawns,
+                             retried_panels=counts.retried_panels,
+                             degraded_panels=counts.degraded_panels,
+                             spawned=counts.spawned)
         self.engine._record_farm(stats)
         return c, stats
 
     def _fan_out(self, source, bounds, c: np.ndarray, alpha: float,
-                 procs: int, widest: int, recovery: _Recovery, *,
+                 procs: int, widest: int, counts: _RunCounts, *,
                  algo, cache, parallel) -> None:
         """Stage panels into worker arenas and fold partials into ``c``.
 
@@ -541,7 +757,8 @@ class PanelFarm:
         panels are in flight — exactly what the budget charged.
 
         Worker loss follows the heal → degrade → fail ladder of the
-        module docstring; ``recovery`` accumulates what healing cost.
+        module docstring; ``counts`` accumulates what the pool and
+        healing cost.  A clean run parks its pool for the next one.
         """
         n = c.shape[1]
         dtype = c.dtype
@@ -553,24 +770,26 @@ class PanelFarm:
         max_retries = self.max_retries
         if max_retries is None:
             max_retries = get_config().farm_max_retries
-        spec_base = {
+        engine_spec = self._worker_engine_spec()
+        spec = {
             "n": n, "dtype": dtype.str, "alpha": alpha,
             "algo": algo, "cache": cache, "parallel": parallel,
-            "config": config,
-            "engine": self._worker_engine_spec(),
+            "config": config, "engine": engine_spec,
         }
-        workers: List[_Worker] = []
         panels = source.panels(bounds)
         next_stage = 0
         next_fold = 0
         staged = {}   # panel idx -> worker whose input arena holds its bytes
         ready = {}    # finished panel idx -> worker holding its partial
         retries = {}  # panel idx -> replays consumed
+        pool = _take_idle_pool((config, engine_spec, registry_generation(),
+                                procs, n, dtype.str, widest))
+        workers = pool.workers
+        parked = False
         try:
             try:
-                for worker_id in range(procs):
-                    workers.append(self._spawn(context, worker_id, widest, n,
-                                               dtype, spec_base))
+                counts.spawned = self._start(pool, procs, context, widest,
+                                             spec)
             except Exception as exc:
                 raise _DegradeSignal(
                     None, f"worker pool could not be spawned: {exc!r}"
@@ -601,8 +820,7 @@ class PanelFarm:
             def replace(worker: _Worker) -> _Worker:
                 """Respawn one slot on fresh arenas (reaping the old)."""
                 try:
-                    fresh = self._spawn(context, worker.wid, widest, n,
-                                        dtype, spec_base)
+                    fresh = self._spawn(context, worker.wid, widest, spec)
                 except Exception as exc:
                     raise _DegradeSignal(
                         worker.panel,
@@ -610,7 +828,7 @@ class PanelFarm:
                         f"respawned: {exc!r}") from exc
                 if worker.panel is not None:
                     # carry the lost panel's bytes across before the old
-                    # arena is unlinked — the source never rewinds
+                    # arena is released — the source never rewinds
                     lo, hi = bounds[worker.panel]
                     rows = hi - lo
                     old = np.ndarray((rows, n), dtype=dtype,
@@ -621,9 +839,9 @@ class PanelFarm:
                         np.copyto(new, old)
                     finally:
                         del old, new
-                self._reap(worker)
+                _reap(worker)
                 workers[worker.wid] = fresh
-                recovery.respawns += 1
+                counts.respawns += 1
                 return fresh
 
             def recover(worker: _Worker, reason: str) -> None:
@@ -637,7 +855,7 @@ class PanelFarm:
                 if retries.get(panel_idx, 0) >= max_retries:
                     raise _DegradeSignal(panel_idx, reason)
                 retries[panel_idx] = retries.get(panel_idx, 0) + 1
-                recovery.retried_panels += 1
+                counts.retried_panels += 1
                 fresh = replace(worker)
                 send_task(fresh, panel_idx)
 
@@ -672,7 +890,9 @@ class PanelFarm:
                             message = worker.conn.recv()
                         except (EOFError, OSError):
                             break
-                        if message[0] == "done":
+                        if message[0] == "attached":
+                            worker.unlink()
+                        elif message[0] == "done":
                             ready[message[1]] = worker
                         elif message[0] == "error":
                             _, panel_idx, trace = message
@@ -711,23 +931,21 @@ class PanelFarm:
                             worker = replace(worker)
                         stage(next_stage, worker)
                         next_stage += 1
+            _end_run(workers)
+            parked = True
         except _DegradeSignal as signal:
             self._finish_in_process(c, alpha, bounds, next_fold, staged,
-                                    panels, recovery, signal,
+                                    panels, counts, signal,
                                     algo=algo, cache=cache, parallel=parallel)
         finally:
-            for worker in workers:
-                if not worker.dead:
-                    try:
-                        worker.conn.send(("stop",))
-                    except Exception:
-                        pass
-            for worker in workers:
-                self._reap(worker)
+            if parked:
+                _park_idle_pool(pool)
+            else:
+                _retire(workers)
 
     def _finish_in_process(self, c: np.ndarray, alpha: float, bounds,
                            next_fold: int, staged, panels,
-                           recovery: _Recovery, signal: _DegradeSignal, *,
+                           counts: _RunCounts, signal: _DegradeSignal, *,
                            algo, cache, parallel) -> None:
         """Graceful degradation: complete the remaining panels in-process.
 
@@ -761,7 +979,7 @@ class PanelFarm:
                 finally:
                     del panel  # release any arena buffer export
                 np.add(c, partial, out=c)
-                recovery.degraded_panels += 1
+                counts.degraded_panels += 1
         except Exception as exc:
             raise FarmError(
                 f"farm could not heal a worker failure ({signal.reason}); "
@@ -788,3 +1006,8 @@ def run_farm(a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
                      max_retries=max_retries).run(
         a, c, alpha, beta=beta, algo=algo, cache=cache, parallel=parallel,
         budget=budget, panel_rows=panel_rows)
+
+
+atexit.register(stop_idle_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_idle_pool)

@@ -9,7 +9,7 @@ from repro.cache.model import CacheModel
 from repro.config import configured
 from repro.core.ata import aat, ata, ata_full
 from repro.core.workspace import StrassenWorkspace
-from repro.errors import ShapeError
+from repro.errors import DTypeError, ShapeError
 
 
 class TestCorrectness:
@@ -128,7 +128,7 @@ class TestValidation:
             ata(rng.standard_normal((8, 4)), np.zeros((5, 5)))
 
     def test_dtype_mismatch(self, rng):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DTypeError):
             ata(rng.standard_normal((8, 4)).astype(np.float32), np.zeros((4, 4)))
 
     def test_non_array(self):

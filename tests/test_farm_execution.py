@@ -21,13 +21,24 @@ The acceptance contract under test:
 * infeasible budgets fail up front with :class:`BudgetError` naming the
   farm's working set; feasible ones bound the resident high-water mark;
 * farm runs are visible in :class:`repro.engine.EngineStats`;
+* the warm pool: a run whose pool key matches reuses the previous run's
+  workers and arenas (``spawned == 0``) with unchanged bits, any key
+  change spawns a cold pool, and neither ``psm_*`` names nor idle
+  workers outlive ``ExecutionEngine.close()``;
 * :func:`repro.engine.cpu.available_cpus` honours the process affinity
   mask and degrades to ``os.cpu_count()``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pathlib
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -45,6 +56,7 @@ from repro.engine import (
     run_farm,
     split_rows,
 )
+from repro.engine import farm as farm_mod
 from repro.engine.backends import Backend, register_backend, unregister_backend
 from repro.errors import (BudgetError, DTypeError, FarmError,
                           ShapeError)
@@ -393,6 +405,232 @@ class TestWorkerFailure:
             litter = [name for name in os.listdir(shm_dir)
                       if name.startswith("psm_")]
             assert litter == []
+
+
+# ---------------------------------------------------------------------------
+# the warm pool: workers and arenas kept across runs
+# ---------------------------------------------------------------------------
+
+def farm_children():
+    """This process's live farm worker processes."""
+    return [p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-farm-")]
+
+
+def shm_litter():
+    if not os.path.isdir("/dev/shm"):
+        return []
+    return [name for name in os.listdir("/dev/shm")
+            if name.startswith("psm_")]
+
+
+class _NeverBackend(Backend):
+    """A backend that serves nothing: registering it changes only the
+    registry generation."""
+
+    name = "farm-test-never"
+    ops = ("ata",)
+
+    def supports(self, *args, **kwargs):
+        return False
+
+    def cost(self, *args, **kwargs):
+        return 0.0
+
+    def run(self, *args, **kwargs):
+        raise AssertionError("never selected")
+
+
+def syrk_farm_run(a, *, procs=2, panel_rows=17):
+    return PanelFarm(ExecutionEngine(), procs=procs).run(
+        a, algo="syrk", panel_rows=panel_rows)
+
+
+class TestWarmPool:
+    def test_same_key_reuses_pool_with_cold_bits(self, rng):
+        a = rng.standard_normal((90, 12))
+        farm_mod.stop_idle_pool()
+        cold, cold_stats = syrk_farm_run(a)
+        warm, warm_stats = syrk_farm_run(a)
+        assert cold_stats.spawned == 2 and warm_stats.spawned == 0
+        assert warm_stats.respawns == 0
+        assert np.array_equal(warm, cold)
+        assert np.array_equal(cold, in_process_reference(a, 17, algo="syrk"))
+
+    def test_warm_run_counted_in_engine_stats(self, rng):
+        a = rng.standard_normal((90, 12))
+        farm_mod.stop_idle_pool()
+        engine = ExecutionEngine()
+        for _ in range(3):
+            engine.run_ooc(a, algo="syrk", panel_rows=17, procs=2)
+        snap = engine.stats()
+        assert snap.farm_runs == 3 and snap.farm_spawned == 2
+        from repro.serve import Server
+        exposition = Server(engine).metrics_text().splitlines()
+        assert "repro_engine_farm_spawned 2" in exposition
+
+    @pytest.mark.parametrize("change", ["n", "dtype", "procs", "config",
+                                        "backend"])
+    def test_key_change_spawns_cold_pool(self, rng, change):
+        a = rng.standard_normal((90, 12))
+        syrk_farm_run(a)
+        procs = 2
+        try:
+            if change == "n":
+                a = rng.standard_normal((90, 13))
+            elif change == "dtype":
+                a = a.astype(np.float32)
+            elif change == "procs":
+                procs = 3
+            elif change == "backend":
+                register_backend(_NeverBackend())
+            retries = repro.get_config().farm_max_retries
+            if change == "config":
+                retries += 1  # any field: the key holds the whole snapshot
+            with configured(farm_max_retries=retries):
+                got, stats = syrk_farm_run(a, procs=procs)
+        finally:
+            unregister_backend("farm-test-never")
+        assert stats.spawned == procs and stats.respawns == 0
+        assert np.array_equal(got, in_process_reference(a, 17, algo="syrk"))
+
+    def test_idle_worker_killed_between_runs_is_replaced_silently(self, rng):
+        a = rng.standard_normal((90, 12))
+        expected, _ = syrk_farm_run(a)
+        (victim,) = [p for p in farm_children() if p.name == "repro-farm-0"]
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=10)
+        assert not victim.is_alive()
+        got, stats = syrk_farm_run(a)
+        assert np.array_equal(got, expected)
+        assert stats.respawns == 0 and stats.spawned == 1
+
+    def test_poisoned_run_leaves_pool_clean(self, rng):
+        """``poison@p1`` fires once per spec, so the second run is a clean
+        run on the very workers that computed the poisoned one."""
+        a = rng.standard_normal((90, 12))
+        expected = in_process_reference(a, 17, algo="syrk")
+        with configured(faults="farm.worker:poison@p1"):
+            poisoned, _ = syrk_farm_run(a)
+            clean, stats = syrk_farm_run(a)
+        assert np.isnan(poisoned).any()
+        assert stats.spawned == 0
+        assert np.array_equal(clean, expected)
+
+    def test_concurrent_runs_keep_at_most_one_idle_pool(self, rng):
+        inputs = [rng.standard_normal((90, 12)) for _ in range(2)]
+        expected = [in_process_reference(a, 17, algo="syrk")
+                    for a in inputs]
+        results = [[], []]
+        barrier = threading.Barrier(2)
+
+        def body(i):
+            barrier.wait()
+            for _ in range(3):
+                results[i].append(syrk_farm_run(inputs[i])[0])
+
+        threads = [threading.Thread(target=body, args=(i,))
+                   for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        for i in range(2):
+            assert len(results[i]) == 3
+            assert all(np.array_equal(got, expected[i])
+                       for got in results[i])
+        assert len(farm_children()) <= 2
+        assert shm_litter() == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_leaves_parent_pool_alone(self, rng):
+        a = rng.standard_normal((90, 12))
+        expected, _ = syrk_farm_run(a)
+        parent_workers = sorted(p.pid for p in farm_children())
+        pid = os.fork()
+        if pid == 0:  # the child: its own cold pool, same bits
+            status = 1
+            try:
+                got, stats = syrk_farm_run(a)
+                if stats.spawned == 2 and np.array_equal(got, expected):
+                    status = 0
+                farm_mod.stop_idle_pool()
+            finally:
+                os._exit(status)
+        _, wait_status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(wait_status) == 0
+        assert sorted(p.pid for p in farm_children()) == parent_workers
+        got, stats = syrk_farm_run(a)
+        assert stats.spawned == 0 and np.array_equal(got, expected)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_sigkilled_parent_leaves_no_arena_or_worker(self):
+        """Idle workers see their parent's death as end-of-file and exit;
+        the arena names were unlinked when the workers attached."""
+        script = (
+            "import multiprocessing, os, signal\n"
+            "import numpy as np\n"
+            "from repro.engine import ExecutionEngine, PanelFarm\n"
+            "PanelFarm(ExecutionEngine(), procs=2).run(np.ones((90, 12)),\n"
+            "                                          panel_rows=17)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()\n"
+            "        if p.name.startswith('repro-farm-')], flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n")
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, timeout=60,
+                                env=dict(os.environ, PYTHONPATH=str(src)))
+        assert result.returncode == -signal.SIGKILL
+        pids = [int(pid) for pid in result.stdout.split()]
+        assert len(pids) == 2
+
+        def running(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
+        assert shm_litter() == []
+
+    def test_nothing_outlives_close(self, rng):
+        a = rng.standard_normal((90, 12))
+        syrk_farm_run(a)
+        syrk_farm_run(a)
+        assert shm_litter() == []
+        assert len(farm_children()) == 2
+        ExecutionEngine().close()
+        assert farm_children() == []
+        assert shm_litter() == []
+
+    def test_worker_main_returns_once_per_run(self, rng, tmp_path,
+                                              monkeypatch):
+        """Wrapped the way the benchmark's tracing wraps it, every worker
+        returns from ``_worker_main`` exactly once per run, before
+        ``run()`` returns."""
+        a = rng.standard_normal((90, 12))
+        farm_mod.stop_idle_pool()  # the pool below must fork the wrapper
+        worker_main = farm_mod._worker_main
+
+        def recording_worker_main(*args, **kwargs):
+            try:
+                worker_main(*args, **kwargs)
+            finally:
+                (tmp_path / f"{os.getpid()}-{time.monotonic_ns()}").touch()
+
+        monkeypatch.setattr(farm_mod, "_worker_main", recording_worker_main)
+        try:
+            for run in (1, 2, 3):
+                syrk_farm_run(a)
+                returns = os.listdir(tmp_path)
+                assert len(returns) == 2 * run
+                assert len({name.split("-")[0] for name in returns}) == 2
+        finally:
+            farm_mod.stop_idle_pool()  # no later run may reuse the wrapper
 
 
 # ---------------------------------------------------------------------------
