@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..blas.kernels import validate_matrix
+from ..blas.kernels import validate_b, validate_matrix
 from ..cache.model import CacheModel
 from ..errors import ShapeError
 from .mkl_like import mkl_gemm_t
@@ -106,11 +106,9 @@ def cosma_multiply(a: np.ndarray, b: np.ndarray, processes: int = 8,
         Number of simulated ranks.
     """
     validate_matrix(a, "A")
-    validate_matrix(b, "B")
+    validate_b(a, b)
     m, n = a.shape
-    mb, k = b.shape
-    if mb != m:
-        raise ShapeError(f"A and B must share their first dimension, got {a.shape} and {b.shape}")
+    k = b.shape[1]
     if processes < 1:
         raise ShapeError(f"processes must be >= 1, got {processes}")
 
@@ -118,7 +116,7 @@ def cosma_multiply(a: np.ndarray, b: np.ndarray, processes: int = 8,
     n_bounds = _bounds(n, pn)
     k_bounds = _bounds(k, pk)
     m_bounds = _bounds(m, pm)
-    dtype = np.dtype(np.result_type(a, b))
+    dtype = a.dtype
 
     def coords(rank: int) -> Tuple[int, int, int]:
         i = rank // (pk * pm)

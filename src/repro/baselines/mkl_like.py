@@ -32,7 +32,7 @@ import numpy as np
 
 from ..blas import counters
 from ..blas.direct import syrk_leaf
-from ..blas.kernels import validate_matrix
+from ..blas.kernels import validate_product
 from ..errors import ShapeError
 
 __all__ = [
@@ -50,12 +50,8 @@ def mkl_syrk(a: np.ndarray, c: Optional[np.ndarray] = None, alpha: float = 1.0, 
              lower: bool = True) -> np.ndarray:
     """Classical symmetric rank-m update ``C += alpha * A^T A`` (one triangle),
     the stand-in for MKL ``?syrk``."""
-    validate_matrix(a, "A")
+    c = validate_product(a, c=c)
     m, n = a.shape
-    if c is None:
-        c = np.zeros((n, n), dtype=a.dtype)
-    if c.shape != (n, n):
-        raise ShapeError(f"C must have shape ({n}, {n}), got {c.shape}")
     if lower:
         syrk_leaf(a, c, alpha)
     else:
@@ -69,16 +65,9 @@ def mkl_gemm_t(a: np.ndarray, b: np.ndarray, c: Optional[np.ndarray] = None,
                alpha: float = 1.0) -> np.ndarray:
     """Classical ``C += alpha * A^T B``, the stand-in for MKL ``?gemm``
     called with ``transa='T'``."""
-    validate_matrix(a, "A")
-    validate_matrix(b, "B")
+    c = validate_product(a, b, c)
     m, n = a.shape
-    mb, k = b.shape
-    if mb != m:
-        raise ShapeError(f"A and B must share their first dimension, got {a.shape} and {b.shape}")
-    if c is None:
-        c = np.zeros((n, k), dtype=np.result_type(a, b))
-    if c.shape != (n, k):
-        raise ShapeError(f"C must have shape ({n}, {k}), got {c.shape}")
+    k = b.shape[1]
     c += alpha * (a.T @ b)
     counters.record("mkl_gemm", flops=2 * m * n * k,
                     bytes=a.nbytes + b.nbytes + c.nbytes)

@@ -20,20 +20,15 @@ from typing import Optional
 import numpy as np
 
 from ..blas import counters
-from ..blas.kernels import validate_matrix
-from ..errors import ShapeError
+from ..blas.kernels import validate_product
 
 __all__ = ["naive_ata", "naive_gemm_t", "naive_aat"]
 
 
 def naive_ata(a: np.ndarray, c: Optional[np.ndarray] = None, alpha: float = 1.0) -> np.ndarray:
     """Classical lower-triangular ``C += alpha * A^T A``, column by column."""
-    validate_matrix(a, "A")
+    c = validate_product(a, c=c)
     m, n = a.shape
-    if c is None:
-        c = np.zeros((n, n), dtype=a.dtype)
-    if c.shape != (n, n):
-        raise ShapeError(f"C must have shape ({n}, {n}), got {c.shape}")
     for j in range(n):
         # all rows at or below the diagonal of column j at once
         c[j:, j] += alpha * (a[:, j:].T @ a[:, j])
@@ -45,16 +40,9 @@ def naive_ata(a: np.ndarray, c: Optional[np.ndarray] = None, alpha: float = 1.0)
 def naive_gemm_t(a: np.ndarray, b: np.ndarray, c: Optional[np.ndarray] = None,
                  alpha: float = 1.0) -> np.ndarray:
     """Classical ``C += alpha * A^T B``, output column by output column."""
-    validate_matrix(a, "A")
-    validate_matrix(b, "B")
+    c = validate_product(a, b, c)
     m, n = a.shape
-    mb, k = b.shape
-    if mb != m:
-        raise ShapeError(f"A and B must share their first dimension, got {a.shape} and {b.shape}")
-    if c is None:
-        c = np.zeros((n, k), dtype=np.result_type(a, b))
-    if c.shape != (n, k):
-        raise ShapeError(f"C must have shape ({n}, {k}), got {c.shape}")
+    k = b.shape[1]
     for j in range(k):
         c[:, j] += alpha * (a.T @ b[:, j])
     counters.record("naive_gemm", flops=2 * m * n * k,

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ShapeError
-from .kernels import gemm_t, syrk, validate_matrix
+from .kernels import gemm_t, syrk, validate_product
 
 __all__ = ["blocked_syrk", "blocked_gemm_t", "choose_block_size"]
 
@@ -57,12 +57,8 @@ def blocked_syrk(a: np.ndarray, c: Optional[np.ndarray] = None, alpha: float = 1
     numpy.ndarray
         The updated ``c``.
     """
-    validate_matrix(a, "A")
+    c = validate_product(a, c=c)
     m, n = a.shape
-    if c is None:
-        c = np.zeros((n, n), dtype=a.dtype)
-    if c.shape != (n, n):
-        raise ShapeError(f"C must have shape ({n}, {n}), got {c.shape}")
     if block < 1:
         raise ShapeError(f"block size must be positive, got {block}")
 
@@ -87,16 +83,9 @@ def blocked_gemm_t(a: np.ndarray, b: np.ndarray, c: Optional[np.ndarray] = None,
 
     Shapes: ``A (m, n)``, ``B (m, k)``, ``C (n, k)``.
     """
-    validate_matrix(a, "A")
-    validate_matrix(b, "B")
+    c = validate_product(a, b, c)
     m, n = a.shape
-    mb, k = b.shape
-    if mb != m:
-        raise ShapeError(f"A and B must share their first dimension, got {a.shape} and {b.shape}")
-    if c is None:
-        c = np.zeros((n, k), dtype=a.dtype)
-    if c.shape != (n, k):
-        raise ShapeError(f"C must have shape ({n}, {k}), got {c.shape}")
+    k = b.shape[1]
     if block < 1:
         raise ShapeError(f"block size must be positive, got {block}")
 

@@ -53,7 +53,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ..config import get_config
-from ..errors import DTypeError, ShapeError
+from ..errors import DTypeError
 from . import counters, kernels
 
 __all__ = ["is_available", "provider", "binding", "syrk_leaf", "direct_syrk",
@@ -308,20 +308,10 @@ def direct_gemm_t(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     active = _provider()
     if active is None:
         raise RuntimeError("no BLAS-direct provider available on this host")
-    kernels.validate_matrix(a, "A")
-    kernels.validate_matrix(b, "B")
-    kernels.validate_matrix(c, "C")
+    c = kernels.validate_product(a, b, c)
     _require(a)
     m, n = a.shape
-    mb, k = b.shape
-    if mb != m:
-        raise ShapeError("A and B must share their first dimension, "
-                         f"got {a.shape} and {b.shape}")
-    if c.shape != (n, k):
-        raise ShapeError(f"C must have shape ({n}, {k}), got {c.shape}")
-    if not (a.dtype == b.dtype == c.dtype):
-        raise DTypeError("operands must share a dtype, got "
-                         f"{sorted({str(a.dtype), str(b.dtype), str(c.dtype)})}")
+    k = b.shape[1]
     a, b = _dense(a), _dense(b)
     if c.flags.c_contiguous:
         active.gemm_t(a, b, c, float(alpha))

@@ -12,8 +12,10 @@ its floating-point operation count and byte traffic into the active
 convert work into modeled time on the paper's hardware.
 
 All kernels follow BLAS semantics: they *update* the output operand in
-place (``C += alpha * ...``) and return it, never allocating a new result
-matrix.  Shapes are validated eagerly with informative error messages.
+place (``C += alpha * ...``) and return it, allocating only a ``C`` passed
+as ``None``.  Operands are validated eagerly with informative error
+messages; :func:`validate_product` is the operand contract of every
+``A^T A`` / ``A^T B`` entry point in the package.
 
 The "discordant size" addition of Section 3.1 — adding two sub-matrices
 whose shapes differ by one row and/or column because of ceil/floor splits —
@@ -42,6 +44,9 @@ __all__ = [
     "syrk_flops",
     "gemm_flops",
     "validate_matrix",
+    "validate_b",
+    "validate_c",
+    "validate_product",
     "tril_inplace",
     "symmetrize_from_lower",
 ]
@@ -68,11 +73,56 @@ def validate_matrix(a: np.ndarray, name: str = "A", ndim: int = 2) -> np.ndarray
     return a
 
 
-def _check_same_dtype(*arrays: np.ndarray) -> np.dtype:
-    dtypes = {a.dtype for a in arrays}
-    if len(dtypes) > 1:
-        raise DTypeError(f"operands must share a dtype, got {sorted(map(str, dtypes))}")
-    return arrays[0].dtype
+# ---------------------------------------------------------------------------
+# the operand contract of C = alpha A^T A + beta C and C = alpha A^T B + C
+# ---------------------------------------------------------------------------
+
+def validate_b(a, b: np.ndarray) -> None:
+    """The ``B`` rule of ``A^T B``: a floating matrix with ``A``'s row
+    count and dtype."""
+    validate_matrix(b, "B")
+    if b.shape[0] != a.shape[0]:
+        raise ShapeError(f"A and B must share their first dimension, got {a.shape} and {b.shape}")
+    if b.dtype != a.dtype:
+        raise DTypeError(f"operands must share a dtype, got {sorted({str(a.dtype), str(b.dtype)})}")
+
+
+def validate_c(a, c: Optional[np.ndarray], b: Optional[np.ndarray] = None) -> np.ndarray:
+    """The ``C`` rule: ``(n, n)`` for ``A^T A`` (``b`` omitted), ``(n, k)``
+    for ``A^T B``, in ``A``'s dtype.  Returns ``c``, or zeros when it is
+    omitted."""
+    n = a.shape[1]
+    shape = (n, n) if b is None else (n, b.shape[1])
+    if c is None:
+        return np.zeros(shape, dtype=a.dtype)
+    validate_matrix(c, "C")
+    if c.shape != shape:
+        raise ShapeError(f"C must have shape {shape} for A of shape {a.shape}, got {c.shape}")
+    if c.dtype != a.dtype:
+        raise DTypeError(f"operands must share a dtype, got {sorted({str(a.dtype), str(c.dtype)})}")
+    return c
+
+
+def validate_product(a: np.ndarray, b: Optional[np.ndarray] = None,
+                     c: Optional[np.ndarray] = None) -> np.ndarray:
+    """Check the operands of ``A^T A`` (``b`` omitted) or ``A^T B`` and
+    return the checked, or allocated, ``C``.
+
+    This is the one statement of the operand rule; every A^T A / A^T B
+    entry point calls it, or (for a sparse, LowRank or out-of-core ``A``,
+    which reuse the rule unchanged) its parts :func:`validate_b` and
+    :func:`validate_c`.  In order: ``A`` is a floating ndarray; ``B`` has
+    ``A``'s row count (:class:`ShapeError`) and dtype
+    (:class:`DTypeError`); an omitted ``C`` is allocated as zeros of
+    ``A``'s dtype; a given ``C`` is a floating ndarray of the required
+    shape (:class:`ShapeError`) and of ``A``'s dtype
+    (:class:`DTypeError`).  Nothing is written before it returns, so a
+    refused call leaves ``C`` untouched.
+    """
+    validate_matrix(a, "A")
+    if b is not None:
+        validate_b(a, b)
+    return validate_c(a, c, b)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +155,8 @@ def syrk(a: np.ndarray, c: np.ndarray, alpha: float = 1.0, *, lower: bool = True
     a:
         Input matrix of shape ``(m, n)``.
     c:
-        Output matrix of shape ``(n, n)``; updated in place.  Only the
+        Output matrix of shape ``(n, n)``; updated in place (allocated as
+        zeros when ``None``, as :func:`validate_product` does).  Only the
         ``lower`` (or upper) triangle is written; the opposite strict
         triangle is left untouched, mirroring BLAS ``?syrk``.
     alpha:
@@ -120,12 +171,8 @@ def syrk(a: np.ndarray, c: np.ndarray, alpha: float = 1.0, *, lower: bool = True
     numpy.ndarray
         ``c``, for chaining.
     """
-    validate_matrix(a, "A")
-    validate_matrix(c, "C")
+    c = validate_product(a, c=c)
     m, n = a.shape
-    if c.shape != (n, n):
-        raise ShapeError(f"C must have shape ({n}, {n}) for A of shape {a.shape}, got {c.shape}")
-    _check_same_dtype(a, c)
 
     if lower:
         direct.syrk_leaf(a, c, alpha)
@@ -150,16 +197,9 @@ def gemm_t(a: np.ndarray, b: np.ndarray, c: np.ndarray, alpha: float = 1.0, *,
     Shapes: ``A (m, n)``, ``B (m, k)``, ``C (n, k)``.  This is the base-case
     kernel of both ``RecursiveGEMM`` (Algorithm 2) and ``Strassen``.
     """
-    validate_matrix(a, "A")
-    validate_matrix(b, "B")
-    validate_matrix(c, "C")
+    c = validate_product(a, b, c)
     m, n = a.shape
-    mb, k = b.shape
-    if mb != m:
-        raise ShapeError(f"A and B must share their first dimension, got {a.shape} and {b.shape}")
-    if c.shape != (n, k):
-        raise ShapeError(f"C must have shape ({n}, {k}), got {c.shape}")
-    _check_same_dtype(a, b, c)
+    k = b.shape[1]
 
     if alpha == 1.0:
         c += a.T @ b
@@ -192,7 +232,9 @@ def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, alpha: float = 1.0, *,
         raise ShapeError(f"inner dimensions must agree, got {a.shape} and {b.shape}")
     if c.shape != (m, k):
         raise ShapeError(f"C must have shape ({m}, {k}), got {c.shape}")
-    _check_same_dtype(a, b, c)
+    if not a.dtype == b.dtype == c.dtype:
+        raise DTypeError("operands must share a dtype, got "
+                         f"{sorted({str(x.dtype) for x in (a, b, c)})}")
 
     if alpha == 1.0:
         c += a @ b
@@ -257,11 +299,16 @@ def scale(c: np.ndarray, beta: float, *, count: Optional[bool] = None) -> np.nda
 
     The paper omits the ``beta`` scaling from Algorithm 1 "for clarity of
     exposure, since C can be simply scaled before applying the algorithms";
-    this helper is that pre-scaling.
+    this helper is that pre-scaling.  As in BLAS ``?syrk``, ``beta == 0``
+    overwrites ``C`` with zeros, so NaN or Inf in it (an ``np.empty``
+    buffer) never reaches the result.
     """
     validate_matrix(c, "C")
     if beta != 1.0:
-        c *= beta
+        if beta == 0:
+            c.fill(0)
+        else:
+            c *= beta
         if count if count is not None else get_config().count_flops:
             counters.record("scal", flops=int(c.size), bytes=2 * c.size * c.itemsize)
     return c

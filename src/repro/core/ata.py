@@ -33,10 +33,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..blas import counters
-from ..blas.kernels import scale, symmetrize_from_lower, syrk, validate_matrix
+from ..blas.kernels import scale, symmetrize_from_lower, syrk, validate_product
 from ..cache.model import CacheModel, default_cache_model
 from ..config import get_config
-from ..errors import DTypeError, ShapeError
+from ..errors import ShapeError
 from .partition import quadrants, split_dim
 from .strassen import _strassen
 from .workspace import StrassenWorkspace
@@ -117,15 +117,8 @@ def ata(a: np.ndarray, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
     numpy.ndarray
         ``c`` with its lower triangle holding ``alpha * A^T A + beta * C``.
     """
-    validate_matrix(a, "A")
+    c = validate_product(a, c=c)
     m, n = a.shape
-    if c is None:
-        c = np.zeros((n, n), dtype=a.dtype)
-    validate_matrix(c, "C")
-    if c.shape != (n, n):
-        raise ShapeError(f"C must have shape ({n}, {n}) for A of shape {a.shape}, got {c.shape}")
-    if a.dtype != c.dtype:
-        raise DTypeError(f"A and C must share a dtype, got {a.dtype} and {c.dtype}")
 
     scale(c, beta)
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..blas import counters
-from ..blas.kernels import gemm_t, validate_matrix
+from ..blas.kernels import gemm_t, validate_product
 from ..cache.model import CacheModel, default_cache_model
 from ..config import get_config
 from ..errors import ShapeError
@@ -88,17 +88,7 @@ def recursive_gemm(a: np.ndarray, b: np.ndarray, c: Optional[np.ndarray] = None,
         Ideal cache model providing the base case
         ``m*n + m*k <= M`` (Algorithm 2, line 2).
     """
-    validate_matrix(a, "A")
-    validate_matrix(b, "B")
-    m, n = a.shape
-    mb, k = b.shape
-    if mb != m:
-        raise ShapeError(f"A and B must share their first dimension, got {a.shape} and {b.shape}")
-    if c is None:
-        c = np.zeros((n, k), dtype=np.result_type(a, b))
-    validate_matrix(c, "C")
-    if c.shape != (n, k):
-        raise ShapeError(f"C must have shape ({n}, {k}), got {c.shape}")
+    c = validate_product(a, b, c)
 
     model = cache if cache is not None else default_cache_model(a.dtype)
     _recurse(a, b, c, alpha, model.fits_gemm, depth=0)

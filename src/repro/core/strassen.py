@@ -45,7 +45,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ..blas import counters
-from ..blas.kernels import add_into, gemm_t, validate_matrix
+from ..blas.kernels import add_into, gemm_t, validate_product
 from ..cache.model import CacheModel, default_cache_model
 from ..config import get_config
 from ..errors import ShapeError
@@ -204,17 +204,9 @@ def fast_strassen(a: np.ndarray, b: np.ndarray, c: Optional[np.ndarray] = None,
     numpy.ndarray
         The updated ``c``.
     """
-    validate_matrix(a, "A")
-    validate_matrix(b, "B")
+    c = validate_product(a, b, c)
     m, n = a.shape
-    mb, k = b.shape
-    if mb != m:
-        raise ShapeError(f"A and B must share their first dimension, got {a.shape} and {b.shape}")
-    if c is None:
-        c = np.zeros((n, k), dtype=np.result_type(a, b))
-    validate_matrix(c, "C")
-    if c.shape != (n, k):
-        raise ShapeError(f"C must have shape ({n}, {k}), got {c.shape}")
+    k = b.shape[1]
 
     if not use_strassen:
         return gemm_t(a, b, c, alpha)

@@ -35,10 +35,10 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..blas.kernels import scale, validate_matrix
+from ..blas.kernels import scale, validate_b, validate_c, validate_matrix
 from ..cache.model import CacheModel, default_cache_model
 from ..config import get_config
-from ..errors import ConfigurationError, DTypeError, ShapeError
+from ..errors import ConfigurationError, ShapeError
 from .backends import (Backend, PlanBackend, candidates, choose_heuristic,
                        get_backend)
 from .cache import PlanCache
@@ -58,14 +58,16 @@ def validate_dense(a: np.ndarray, b: Optional[np.ndarray] = None) -> None:
     """Validate the operands of a dense request: ``A`` alone for ``ata``,
     the ``(A, B)`` pair for ``atb``.
 
-    With :func:`validate_structured` this is the one statement of the
-    operand rules: the ``matmul_*`` and batch entry points and the
-    serving layer's pre-admission check (in process and over the wire)
-    all call these, so the rules and their error types cannot drift.
+    With :func:`validate_structured` this is the engine's front door to
+    the operand contract of :mod:`repro.blas.kernels`
+    (:func:`~repro.blas.kernels.validate_product`): the ``matmul_*`` and
+    batch entry points and the serving layer's pre-admission check (in
+    process and over the wire) all call these, so the engine raises what
+    every direct entry point raises.
     """
     validate_matrix(a, "A")
     if b is not None:
-        _validate_b(a, b)
+        validate_b(a, b)
 
 
 def validate_structured(a, b: Optional[np.ndarray] = None) -> None:
@@ -73,31 +75,7 @@ def validate_structured(a, b: Optional[np.ndarray] = None) -> None:
     (``B`` stays a dense ndarray)."""
     validate_operand(a, "A")
     if b is not None:
-        _validate_b(a, b)
-
-
-def _validate_b(a, b: np.ndarray) -> None:
-    validate_matrix(b, "B")
-    if b.shape[0] != a.shape[0]:
-        raise ShapeError("A and B must share their first dimension, "
-                         f"got {a.shape} and {b.shape}")
-    _check_dtype(a, b)
-
-
-def _validate_c(a, c: np.ndarray, shape: Tuple[int, int]) -> None:
-    """Check an output ``C`` of ``shape``.  A dtype mismatch is refused up
-    front: plans inline the kernels that catch it on the direct path."""
-    validate_matrix(c, "C")
-    if c.shape != shape:
-        raise ShapeError(f"C must have shape {shape} for A of shape "
-                         f"{a.shape}, got {c.shape}")
-    _check_dtype(a, c)
-
-
-def _check_dtype(a, other: np.ndarray) -> None:
-    if a.dtype != other.dtype:
-        raise DTypeError("operands must share a dtype, got "
-                         f"{sorted({str(a.dtype), str(other.dtype)})}")
+        validate_b(a, b)
 
 
 def explicit_backend(algo: str, op: str, shape: Tuple[int, ...], dtype,
@@ -535,7 +513,9 @@ class ExecutionEngine:
             Output ``(n, n)`` matrix (allocated as zeros when omitted);
             only its lower triangle is written.
         alpha, beta:
-            BLAS-style scaling factors (``beta`` pre-scales ``c``).
+            BLAS-style scaling factors (``beta`` pre-scales ``c``;
+            ``beta == 0`` overwrites it, so an unset ``c`` — NaN, Inf —
+            need not be zeroed first, as in BLAS ``?syrk``).
         algo:
             ``"auto"`` resolves through the configured backend override,
             the measured tuner (when attached) or the modeled-cost
@@ -560,10 +540,7 @@ class ExecutionEngine:
         """
         kind = operand_kind(a)
         (validate_dense if kind == "dense" else validate_structured)(a)
-        n = a.shape[1]
-        if c is None:
-            c = np.zeros((n, n), dtype=a.dtype)
-        _validate_c(a, c, (n, n))
+        c = validate_c(a, c)
         return self._run_request("ata", a.shape, kind, a, None, c, alpha,
                                  beta, algo, cache, parallel)
 
@@ -588,11 +565,8 @@ class ExecutionEngine:
         """
         kind = operand_kind(a)
         (validate_dense if kind == "dense" else validate_structured)(a, b)
-        n, k = a.shape[1], b.shape[1]
-        if c is None:
-            c = np.zeros((n, k), dtype=a.dtype)
-        _validate_c(a, c, (n, k))
-        return self._run_request("atb", (*a.shape, k), kind, a, b, c,
+        c = validate_c(a, c, b)
+        return self._run_request("atb", (*a.shape, b.shape[1]), kind, a, b, c,
                                  alpha, 1.0, algo, cache, parallel)
 
     def _run_request(self, op: str, shape: Tuple[int, ...], kind: str,
@@ -780,8 +754,7 @@ class ExecutionEngine:
         """
         def prepare(a: np.ndarray):
             validate_dense(a)
-            m, n = a.shape
-            return a, None, (m, n), np.zeros((n, n), dtype=a.dtype)
+            return a, None, a.shape, validate_c(a, None)
 
         return self._batched("ata", matrices, prepare, algo, alpha, cache,
                              parallel)
@@ -801,9 +774,7 @@ class ExecutionEngine:
         def prepare(pair):
             a, b = pair
             validate_dense(a, b)
-            m, n = a.shape
-            k = b.shape[1]
-            return a, b, (m, n, k), np.zeros((n, k), dtype=a.dtype)
+            return a, b, (*a.shape, b.shape[1]), validate_c(a, None, b)
 
         return self._batched("atb", pairs, prepare, algo, alpha, cache,
                              parallel)

@@ -77,6 +77,7 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from .. import faults
+from ..blas.kernels import scale, validate_c
 from ..cache.model import CacheModel
 from ..config import get_config
 from ..errors import BudgetError, DTypeError, ShapeError
@@ -427,15 +428,12 @@ def panel_schedule(shape: Tuple[int, int], dtype, budget: Optional[int],
 def prepare_output(source, c: Optional[np.ndarray], beta: float
                    ) -> np.ndarray:
     """``C`` for an out-of-core run over ``source``: allocated, or checked
-    exactly as :meth:`~repro.engine.dispatch.ExecutionEngine.matmul_ata`
-    checks it; then pre-scaled by ``beta`` once, so panels accumulate
-    with ``beta = 1``."""
-    from ..blas.kernels import scale
-    from .dispatch import _validate_c
-    n = source.shape[1]
-    if c is None:
-        c = np.zeros((n, n), dtype=source.dtype)
-    _validate_c(source, c, (n, n))
+    by the operand contract's ``C`` rule
+    (:func:`repro.blas.kernels.validate_c`), exactly as
+    :meth:`~repro.engine.dispatch.ExecutionEngine.matmul_ata` checks it;
+    then pre-scaled by ``beta`` once, so panels accumulate with
+    ``beta = 1``."""
+    c = validate_c(source, c)
     scale(c, beta)
     return c
 

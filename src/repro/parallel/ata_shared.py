@@ -28,7 +28,7 @@ from typing import Literal, Optional, Tuple, Union
 
 import numpy as np
 
-from ..blas.kernels import scale, validate_matrix
+from ..blas.kernels import scale, validate_product
 from ..cache.model import CacheModel, default_cache_model
 from ..engine import default_engine
 from ..errors import ShapeError
@@ -125,13 +125,8 @@ def ata_shared(a: np.ndarray, c: Optional[np.ndarray] = None, alpha: float = 1.0
     :func:`repro.core.ata.ata` up to floating point reassociation, because
     the leaf tasks partition exactly the same set of block products.
     """
-    validate_matrix(a, "A")
+    c = validate_product(a, c=c)
     m, n = a.shape
-    if c is None:
-        c = np.zeros((n, n), dtype=a.dtype)
-    validate_matrix(c, "C")
-    if c.shape != (n, n):
-        raise ShapeError(f"C must have shape ({n}, {n}), got {c.shape}")
     if threads < 1:
         raise ShapeError(f"threads must be >= 1, got {threads}")
 
