@@ -370,7 +370,8 @@ def engine_backend_tuner(sizes: Optional[Sequence[int]] = None,
                    "algo='auto' consults when a tuner is attached "
                    "(ExecutionEngine(tuner='measured')); the table persists "
                    "across runs at ~/.cache/repro/tuner.json "
-                   "($REPRO_TUNER_PATH) with config-fingerprint invalidation")
+                   "($REPRO_TUNER_PATH), its cells keyed on the cache model "
+                   "like the plans they time")
     table.add_note("tuner exploit picks per power-of-two bucket (sizes "
                    "sharing a bucket share samples): "
                    + "; ".join(bucket_picks))

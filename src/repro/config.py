@@ -7,11 +7,13 @@ this module exposes together with a handful of library-wide defaults
 (default floating point dtype, RNG seeding, whether kernels keep flop /
 byte counters).
 
-Configuration is held in a module-level :class:`Config` instance,
-:data:`CONFIG`.  Code should *read* configuration through
-:func:`get_config` and *modify* it either directly (for long-lived,
-process-wide changes) or through the :func:`configured` context manager
-(for scoped changes, e.g. inside tests).
+Configuration is held in a module-level, immutable :class:`Config`
+instance, :data:`CONFIG`.  Code *reads* configuration through
+:func:`get_config` and changes it by installing a validated copy: with
+:func:`set_config` (long-lived, process-wide changes) or through the
+:func:`configured` context manager (scoped changes, e.g. inside tests).
+Fields cannot be assigned in place, so no value ever skips
+:meth:`Config.validate`.
 
 Example
 -------
@@ -114,9 +116,10 @@ DEFAULT_SERVE_TIMEOUT_MS = 0.0
 TUNER_MODES = ("off", "measured", "frozen")
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class Config:
-    """Library-wide tunables.
+    """Library-wide tunables (immutable: derive a changed copy with
+    :meth:`replace`).
 
     Attributes
     ----------

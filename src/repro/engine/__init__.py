@@ -14,8 +14,8 @@ dispatch) builds on:
   workspace offsets, the exact workspace requirement, and pre-aggregated
   flop/byte counter totals;
 * :mod:`repro.engine.cache` — an **LRU plan cache** with hit/miss
-  accounting and whole-cache invalidation when :mod:`repro.config`
-  changes;
+  accounting, keyed on everything a plan depends on (so a
+  :mod:`repro.config` change compiles new plans beside the old ones);
 * :mod:`repro.engine.pool` — a **workspace pool** reusing
   :class:`~repro.core.workspace.StrassenWorkspace` arenas across calls
   instead of reallocating them;
@@ -38,8 +38,9 @@ dispatch) builds on:
   :class:`~repro.engine.tuner.BackendTuner` feeds a per-(shape-bucket,
   dtype) timing table from real executions, explores under-sampled
   backends within a bounded budget, then dispatches ``algo="auto"``
-  traffic to the measured-fastest backend; the table persists as JSON
-  with config-fingerprint invalidation mirroring the plan cache;
+  traffic to the measured-fastest backend; the table persists as one
+  flat JSON table whose cell keys carry the cache model, as plan keys
+  do;
 * :mod:`repro.engine.ooc` — the **out-of-core executor**:
   :class:`~repro.engine.ooc.ShardedAtA` streams row panels of inputs
   that exceed memory (arrays, ``np.memmap``, chunk streams) through the
@@ -77,24 +78,23 @@ The plan-key contract
 A compiled plan is a pure function of its key::
 
     (backend, plan_kind, shape, dtype.str, cache_model.capacity_words,
-     cache_model.line_words, scratch_lanes)
+     cache_model.line_words, scratch_lanes, max_recursion_depth)
 
-The key leads with the **backend id** so two backends compiling the same
-plan kind (possible for registered custom backends) can never collide in
-the cache.  A plan additionally depends on the *plan-affecting
-configuration fields* ``base_case_elements`` and ``max_recursion_depth``.
-Those fields are deliberately **not** in the key;
-instead the plan cache fingerprints them and drops every cached plan the
-first time it observes a change (see
-:class:`~repro.engine.cache.PlanCache`).  ``scratch_lanes`` is in the key
-because it changes the workspace layout the plan's arena offsets are baked
-against (sequential engines use one lane; DAG-capable engines spread
-scratch over ``min(workers, 4)`` lanes by default).  Anything else — matrix values, ``alpha``/``beta``, counter
-settings, worker count — is resolved at execution time, so a cached plan
-can never go stale through it.  Executing a plan replays the exact kernel
-sequence of the live recursion, making engine results bit-for-bit
-identical to the direct calls — sequentially, DAG-scheduled or
-batch-interleaved.
+The key is **complete**: it names every input of the compile walk, so
+the plan cache never watches the global configuration.  It leads with
+the **backend id** so two backends compiling the same plan kind
+(possible for registered custom backends) can never collide.
+``base_case_elements`` reaches the walk only through the cache model,
+and ``max_recursion_depth`` is read once per lookup and handed to the
+walk.  ``scratch_lanes`` is in the key because it changes the
+workspace layout the plan's arena offsets are baked against (sequential
+engines use one lane; DAG-capable engines spread scratch over
+``min(workers, 4)`` lanes by default).  Anything else — matrix values,
+``alpha``/``beta``, counter settings, worker count — is resolved at
+execution time, so a cached plan can never go stale through it.
+Executing a plan replays the exact kernel sequence of the live
+recursion, making engine results bit-for-bit identical to the direct
+calls — sequentially, DAG-scheduled or batch-interleaved.
 
 Quickstart
 ----------

@@ -2,41 +2,24 @@
 
 Plans are pure functions of their key (see the plan-key contract in
 :mod:`repro.engine`), so caching them is safe as long as the key captures
-everything the compile walk consulted.  The two pieces of ambient state a
-key cannot capture by value are handled here:
-
-* the active :class:`repro.config.Config` — the cache snapshots a
-  fingerprint of the plan-affecting fields (``base_case_elements``,
-  ``max_recursion_depth``) and **invalidates the whole cache** the first
-  time it observes a change, so a ``with configured(...)`` block or a
-  ``set_config`` call can never serve a stale plan;
-* concurrent compilation — a single lock serialises lookup/insert, which
-  keeps the hit path cheap and lets worker threads share one cache.
+everything the compile walk consulted.  The key is complete: every config
+value the walk reads (the base case through the cache model, and the
+recursion-depth limit) is in it by value, so the cache never watches the
+global :class:`repro.config.Config` — plans compiled under different
+configurations simply live side by side.  A single lock serialises
+lookup/insert, which keeps the hit path cheap and lets worker threads
+share one cache.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
-from ..config import Config, get_config
 from .plan import ExecutionPlan
 
-__all__ = ["PlanCache", "plan_config_fingerprint"]
-
-
-def plan_config_fingerprint(cfg: Config) -> Tuple[int, int]:
-    """The config fields a compiled plan can depend on.
-
-    Shared with :mod:`repro.engine.tuner`: a change in these fields means
-    a backend executes a structurally different plan, so both the plan
-    cache and the tuner's timing table must invalidate on the same tuple.
-    """
-    return (cfg.base_case_elements, cfg.max_recursion_depth)
-
-
-_config_fingerprint = plan_config_fingerprint
+__all__ = ["PlanCache"]
 
 
 class PlanCache:
@@ -53,7 +36,8 @@ class PlanCache:
     hits, misses:
         Lookup accounting (a miss triggers a compile).
     invalidations:
-        Number of plans dropped because the library configuration changed.
+        Number of plans dropped by an explicit :meth:`invalidate` (which
+        :meth:`repro.engine.ExecutionEngine.clear` calls).
     evictions:
         Number of plans dropped by the LRU bound.
     """
@@ -64,7 +48,6 @@ class PlanCache:
         self.capacity = capacity
         self._plans: "OrderedDict[tuple, ExecutionPlan]" = OrderedDict()
         self._lock = threading.Lock()
-        self._fingerprint: Optional[Tuple[int, int]] = None
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -72,15 +55,6 @@ class PlanCache:
 
     def __len__(self) -> int:
         return len(self._plans)
-
-    def _check_config(self) -> None:
-        """Drop every plan if the plan-affecting configuration changed."""
-        fingerprint = _config_fingerprint(get_config())
-        if fingerprint != self._fingerprint:
-            if self._fingerprint is not None and self._plans:
-                self.invalidations += len(self._plans)
-                self._plans.clear()
-            self._fingerprint = fingerprint
 
     def get_or_compile(self, key: tuple,
                        factory: Callable[[], ExecutionPlan]) -> ExecutionPlan:
@@ -92,7 +66,6 @@ class PlanCache:
         identical, so the first insert wins and the duplicate is discarded.
         """
         with self._lock:
-            self._check_config()
             plan = self._plans.get(key)
             if plan is not None:
                 self.hits += 1

@@ -128,6 +128,9 @@ class EngineStats:
 
     plan_hits: int = 0
     plan_misses: int = 0
+    #: plans dropped by an explicit ``engine.clear()`` /
+    #: ``plans.invalidate()``; a config change drops nothing (the plan
+    #: key carries every config value a plan depends on)
     plan_invalidations: int = 0
     plan_evictions: int = 0
     cached_plans: int = 0
@@ -344,15 +347,18 @@ class ExecutionEngine:
         """Fetch (or compile) the plan for ``(backend, kind, shape)``.
 
         The key leads with the backend id, so two backends compiling the
-        same plan kind can never collide in the cache.
+        same plan kind can never collide in the cache.  The depth limit is
+        read once and handed to the walk, so key and plan cannot disagree.
         """
         lanes = self._lanes if self._dag_capable else 1
+        max_depth = get_config().max_recursion_depth
         key = (backend, kind, shape, np.dtype(dtype).str,
-               model.capacity_words, model.line_words, lanes)
+               model.capacity_words, model.line_words, lanes, max_depth)
         return self.plans.get_or_compile(
             key, lambda: compile_plan(kind, shape, dtype, model, key=key,
                                       lanes=lanes,
-                                      build_dag=self._dag_capable))
+                                      build_dag=self._dag_capable,
+                                      max_depth=max_depth))
 
     # -- backend resolution -------------------------------------------------
     def _effective_sched(self, parallel: Optional[str]) -> Optional[str]:

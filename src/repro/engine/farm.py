@@ -166,7 +166,7 @@ import numpy as np
 
 from .. import faults
 from ..blas import direct
-from ..config import Config, get_config, set_config
+from ..config import get_config, set_config
 from ..errors import FarmError, ShapeError
 from .backends import registry_generation
 from .cpu import available_cpus
@@ -765,11 +765,9 @@ class PanelFarm:
         context = _farm_context()
         direct.is_available()  # bind BLAS once here, not in every fork
         config = get_config()
-        if isinstance(config, Config):  # defensive: always true today
-            config = config.replace()
         max_retries = self.max_retries
         if max_retries is None:
-            max_retries = get_config().farm_max_retries
+            max_retries = config.farm_max_retries
         engine_spec = self._worker_engine_spec()
         spec = {
             "n": n, "dtype": dtype.str, "alpha": alpha,

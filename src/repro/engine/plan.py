@@ -525,9 +525,10 @@ class _Compiler:
     flat base offset) is known.
     """
 
-    def __init__(self, model: CacheModel, lanes: int = 1) -> None:
+    def __init__(self, model: CacheModel, max_depth: int,
+                 lanes: int = 1) -> None:
         self.model = model
-        self.max_depth = get_config().max_recursion_depth
+        self.max_depth = max_depth
         self.steps: List[tuple] = []
         self.costs: List[int] = []
         self.kernel_totals: Dict[str, List[int]] = {}
@@ -780,7 +781,8 @@ def split_rows(m: int, max_rows: int) -> Tuple[Tuple[int, int], ...]:
 
 def compile_plan(algo: str, shape: Tuple[int, ...], dtype, model: CacheModel,
                  key: Optional[tuple] = None, lanes: int = 1,
-                 build_dag: Optional[bool] = None) -> ExecutionPlan:
+                 build_dag: Optional[bool] = None,
+                 max_depth: Optional[int] = None) -> ExecutionPlan:
     """Compile one execution plan.
 
     Parameters
@@ -806,6 +808,9 @@ def compile_plan(algo: str, shape: Tuple[int, ...], dtype, model: CacheModel,
     build_dag:
         Whether to derive the step dependency graph; defaults to
         ``lanes > 1``.  Sequential replay ignores the DAG either way.
+    max_depth:
+        Recursion-depth limit of the walk (``None`` reads
+        ``Config.max_recursion_depth``).
     """
     if algo not in PLAN_KINDS:
         raise ShapeError(f"unknown plan kind {algo!r}; expected one of {PLAN_KINDS}")
@@ -813,7 +818,9 @@ def compile_plan(algo: str, shape: Tuple[int, ...], dtype, model: CacheModel,
         raise ConfigurationError(f"scratch lanes must be >= 1, got {lanes}")
     if build_dag is None:
         build_dag = lanes > 1
-    comp = _Compiler(model, lanes=lanes)
+    if max_depth is None:
+        max_depth = get_config().max_recursion_depth
+    comp = _Compiler(model, max_depth, lanes=lanes)
     if algo in ("syrk", "ata", "tiled"):
         m, n = shape
         a = _Region.whole(_BASE_A, m, n)

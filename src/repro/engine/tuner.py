@@ -25,26 +25,24 @@ The table cell additionally keys on the cache model (it is part of the
 plan key — a different model compiles a structurally different plan) and
 on the engine's scheduling signature (worker/lane count): a DAG-parallel
 engine and a sequential engine measure genuinely different executions
-and therefore explore separate cells even when sharing one table.
+and therefore explore separate cells even when sharing one table.  The
+cache model carries the configured base case by value, so the cell key
+is a complete description of what was timed: the tuner never watches the
+global configuration, and cells measured under different base cases live
+side by side in one flat table.
 
-Persistence mirrors :class:`repro.engine.cache.PlanCache`'s invalidation
-contract, without its data loss: the JSON file (default
-``~/.cache/repro/tuner.json``, overridable via ``Config.tuner_path`` /
-``$REPRO_TUNER_PATH``) holds one sub-table per fingerprint of the
-plan-affecting configuration fields.  The tuner works against the
-sub-table matching the active configuration; when the configuration
-changes mid-run (a ``with configured(...)`` excursion), pending samples
-are parked under the old fingerprint and the sub-table for the new one
-is pulled in — measurements for either configuration survive the other.
-A missing file, a corrupt/truncated file, or a file with no sub-table
-for the active configuration all degrade to fresh exploration — never an
-exception.  Saves **merge** rather than replace: under an advisory file
-lock (``fcntl``/``msvcrt``, degrading to lockless atomicity where
-neither exists) each cell's samples recorded since the last successful
-save are *added* to the cell on disk (``count`` and ``total``
-accumulate, ``best`` takes the minimum), so engines in concurrent
-processes sharing one table union their measurements instead of
-last-writer-winning whole sub-tables.  The merged payload is staged in
+Persistence: the JSON file (default ``~/.cache/repro/tuner.json``,
+overridable via ``Config.tuner_path`` / ``$REPRO_TUNER_PATH``) is
+``{"version": 3, "cells": {cell key: {backend: cell}}}``.  A missing
+file, a corrupt/truncated file or a file of another version all degrade
+to fresh exploration — never an exception — and the next save replaces
+an unreadable file.  Saves **merge** rather than replace: under an
+advisory file lock (``fcntl``/``msvcrt``, degrading to lockless
+atomicity where neither exists) each cell's samples recorded since the
+last successful save are *added* to the cell on disk (``count`` and
+``total`` accumulate, ``best`` takes the minimum), so engines in
+concurrent processes sharing one table union their measurements instead
+of last-writer-winning the whole table.  The merged payload is staged in
 a temp file and published with ``os.replace``, so a reader can never
 observe a half-written file.
 
@@ -59,7 +57,7 @@ import json
 import os
 import threading
 import time as _time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 try:  # POSIX advisory locks
     import fcntl
@@ -74,13 +72,12 @@ import numpy as np
 
 from .. import faults
 from ..cache.model import CacheModel, default_cache_model
-from ..config import Config, get_config
-from .cache import plan_config_fingerprint
+from ..config import get_config
 
 __all__ = ["BackendTuner", "shape_bucket", "default_tuner_path",
            "TABLE_VERSION"]
 
-TABLE_VERSION = 2
+TABLE_VERSION = 3
 
 
 def default_tuner_path() -> str:
@@ -99,14 +96,6 @@ def default_tuner_path() -> str:
 def shape_bucket(shape: Sequence[int]) -> Tuple[int, ...]:
     """Round every dimension up to the next power of two (minimum 1)."""
     return tuple(1 << max(0, int(dim) - 1).bit_length() for dim in shape)
-
-
-def _config_fingerprint(cfg: Config) -> List[int]:
-    """The config fields that change what a backend executes for a shape —
-    literally :func:`repro.engine.cache.plan_config_fingerprint`, as a
-    JSON-friendly list, so the tuner and the plan cache can never drift
-    on what invalidates."""
-    return list(plan_config_fingerprint(cfg))
 
 
 def _bucket_key(op: str, dtype, bucket: Tuple[int, ...],
@@ -139,12 +128,8 @@ def _bucket_key(op: str, dtype, bucket: Tuple[int, ...],
     return key
 
 
-def _fingerprint_key(fingerprint: List[int]) -> str:
-    return ",".join(map(str, fingerprint))
-
-
-#: one fingerprint's sub-table: ``{cell key: {backend: {count,total,best}}}``
-Subtable = Dict[str, Dict[str, Dict[str, float]]]
+#: the timing table: ``{cell key: {backend: {count,total,best}}}``
+Table = Dict[str, Dict[str, Dict[str, float]]]
 
 #: a cell with no samples — the identity of the merge
 _ZERO_CELL = {"count": 0, "total": 0.0, "best": float("inf")}
@@ -221,14 +206,26 @@ def _table_lock(path: str, *, unlink: bool = True) -> Iterator[None]:
             handle.close()
 
 
-def _copy_subtable(table: Subtable) -> Subtable:
+def _copy_table(table: Table) -> Table:
     return {key: {name: dict(cell) for name, cell in entry.items()}
             for key, entry in table.items()}
 
 
-def _merge_subtable(disk: Subtable, mem: Subtable,
-                    base: Subtable) -> Subtable:
-    """Union ``mem``'s new samples into ``disk``'s sub-table.
+def _read_cells(payload) -> Table:
+    """The timing table of a parsed payload, coerced to the canonical
+    cell schema (raises on another version or a malformed cell so the
+    caller counts a load failure)."""
+    if payload.get("version") != TABLE_VERSION:
+        raise ValueError("unknown table version")
+    return {str(key): {str(name): {"count": int(cell["count"]),
+                                   "total": float(cell["total"]),
+                                   "best": float(cell["best"])}
+                       for name, cell in per_backend.items()}
+            for key, per_backend in payload["cells"].items()}
+
+
+def _merge_table(disk: Table, mem: Table, base: Table) -> Table:
+    """Union ``mem``'s new samples into ``disk``'s table.
 
     ``base`` is the portion of ``mem`` already accounted for on disk by
     this process (the baseline captured at the last successful
@@ -240,7 +237,7 @@ def _merge_subtable(disk: Subtable, mem: Subtable,
     concurrent case while also surviving a table file that was wiped
     under us; ``best`` is the minimum of both views.
     """
-    merged = _copy_subtable(disk)
+    merged = _copy_table(disk)
     for key, entry in mem.items():
         base_entry = base.get(key, {})
         out = merged.setdefault(key, {})
@@ -314,17 +311,12 @@ class BackendTuner:
         self._path = os.fspath(path) if path else default_tuner_path()
         self.save_every = max(1, int(save_every))
         self._lock = threading.RLock()
-        self._table: Subtable = {}
-        #: sub-tables parked in memory when the config fingerprint changed;
-        #: they survive even when the parking save() failed (unwritable
-        #: path) and are folded into every later save
-        self._parked: Dict[str, Subtable] = {}
-        #: per-fingerprint merge baselines: the part of each in-memory
-        #: sub-table already accounted for on disk (captured at the last
-        #: successful load/save), so :meth:`save` merges only the delta
-        #: and never double-counts a sample
-        self._persisted: Dict[str, Subtable] = {}
-        self._fingerprint: Optional[List[int]] = None
+        self._table: Table = {}
+        #: the merge baseline: the part of the in-memory table already
+        #: accounted for on disk (captured at the last successful
+        #: load/save), so :meth:`save` merges only the delta and never
+        #: double-counts a sample
+        self._persisted: Table = {}
         self._dirty = 0
         self.hits = 0
         self.explores = 0
@@ -346,102 +338,39 @@ class BackendTuner:
             return self._explicit_budget
         return get_config().tuner_explore
 
-    def _check_config(self) -> None:
-        """Swap the active sub-table when the plan-affecting configuration
-        changes: timings measured under another base case describe
-        different executions (mirrors ``PlanCache``'s invalidation) —
-        but unlike the plan cache, nothing is lost: pending samples are
-        parked on disk under the old fingerprint, and any sub-table
-        previously persisted for the new fingerprint is pulled back in,
-        so a temporary ``with configured(...)`` excursion cannot clobber
-        the long-lived table."""
-        fingerprint = _config_fingerprint(get_config())
-        if fingerprint == self._fingerprint:
-            return
-        if self._fingerprint is None:
-            self._fingerprint = fingerprint
-            return
-        # park the active sub-table in memory first: even if the disk save
-        # below fails (unwritable path), the samples survive in-process and
-        # ride along with every later save attempt
-        self._parked[_fingerprint_key(self._fingerprint)] = self._table
-        if self.persist and self._dirty:
-            self.save()  # best-effort disk parking under the old print
-        self._fingerprint = fingerprint
-        self._table = {}
-        self._dirty = 0
-        returning = self._parked.pop(_fingerprint_key(fingerprint), None)
-        if returning is not None:
-            # coming back from an excursion: the in-memory park is at
-            # least as fresh as anything on disk
-            self._table = returning
-        elif self.persist:
-            self.load()  # pulls the new fingerprint's sub-table, if any
-
     # -- persistence --------------------------------------------------------
     def load(self) -> bool:
-        """(Re)load the active configuration's sub-table from :attr:`path`.
+        """(Re)load the table from :attr:`path`.
 
-        Returns ``True`` when a usable sub-table was loaded.  Every
-        failure mode — missing file, unreadable file, corrupt JSON, wrong
-        schema, no sub-table for the active config fingerprint — leaves
-        the tuner with an empty table (fresh exploration) and returns
-        ``False``; nothing raises.  Only corrupt/unreadable files count
-        as :attr:`load_failures` (absence of the file or of this
-        fingerprint's sub-table is the normal cold start).
+        Returns ``True`` when a usable table was loaded.  Every failure
+        mode — missing file, unreadable file, corrupt JSON, another table
+        version, wrong schema — leaves the tuner with an empty table
+        (fresh exploration) and returns ``False``; nothing raises.  Only
+        an unreadable file counts in :attr:`load_failures` (absence of
+        the file is the normal cold start).
         """
         with self._lock:
-            self._fingerprint = _config_fingerprint(get_config())
-            fp_key = _fingerprint_key(self._fingerprint)
             self._table = {}
-            self._persisted[fp_key] = {}
+            self._persisted = {}
             self._dirty = 0
             try:
                 with open(self.path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-                entries = self._read_tables(payload).get(fp_key)
-                if entries is None:
-                    return False
-                table = self._normalize_subtable(entries)
-                self._table = table
-                # everything just loaded is on disk already: merge-saves
-                # must only add samples recorded beyond this baseline
-                self._persisted[fp_key] = _copy_subtable(table)
-                return True
+                    table = _read_cells(json.load(handle))
             except FileNotFoundError:
                 return False
             except Exception:
                 self.load_failures += 1
                 return False
-
-    @staticmethod
-    def _normalize_subtable(entries: dict) -> Subtable:
-        """One fingerprint's sub-table coerced to the canonical cell
-        schema (raises on malformed cells so callers can discard)."""
-        table: Subtable = {}
-        for key, per_backend in entries.items():
-            table[str(key)] = {
-                str(name): {"count": int(cell["count"]),
-                            "total": float(cell["total"]),
-                            "best": float(cell["best"])}
-                for name, cell in per_backend.items()}
-        return table
-
-    @staticmethod
-    def _read_tables(payload) -> Dict[str, dict]:
-        """The fingerprint-keyed sub-tables of a parsed payload (raises on
-        a wrong schema so the caller counts a load failure)."""
-        if payload.get("version") != TABLE_VERSION:
-            raise ValueError("unknown table version")
-        tables = payload["tables"]
-        if not isinstance(tables, dict):
-            raise ValueError("malformed tables mapping")
-        return tables
+            self._table = table
+            # everything just loaded is on disk already: merge-saves must
+            # only add samples recorded beyond this baseline
+            self._persisted = _copy_table(table)
+            return True
 
     def save(self) -> bool:
-        """Merge the active (and parked) sub-tables into the file on
-        disk; returns ``False`` (never raises) when the path is
-        unwritable or persistence is disabled.
+        """Merge the table into the file on disk; returns ``False``
+        (never raises) when the path is unwritable or persistence is
+        disabled.
 
         Persistence is a **merge**, not a replacement: the samples each
         cell gained since the last successful load/save (its delta
@@ -450,29 +379,20 @@ class BackendTuner:
         minimum — under an advisory file lock
         (:func:`_table_lock`), so concurrent processes sharing one table
         union their measurements instead of clobbering each other's.
-        Sub-tables stored for other config fingerprints are preserved
-        untouched.
+        Cells on disk this tuner never saw pass through untouched.
 
         The table is snapshotted under the tuner lock but written
-        outside it, so steady-state :meth:`choose`/:meth:`record` calls
-        never block on disk I/O (the one exception is the rare
-        config-fingerprint swap, whose parking save runs from inside
-        ``_check_config`` while the caller still holds the lock); the
-        temp-file name is unique per (process, thread), published with
-        ``os.replace`` and unlinked on every failure path, so a reader
-        can never observe a torn file and no temp litter survives.
+        outside it, so :meth:`choose`/:meth:`record` calls never block
+        on disk I/O; the temp-file name is unique per (process, thread),
+        published with ``os.replace`` and unlinked on every failure
+        path, so a reader can never observe a torn file and no temp
+        litter survives.
         """
         if not self.persist:
             return False
         with self._lock:
-            fingerprint = (self._fingerprint
-                           or _config_fingerprint(get_config()))
-            pending = {_fingerprint_key(fingerprint):
-                       _copy_subtable(self._table)}
-            for key, table in self._parked.items():
-                pending[key] = _copy_subtable(table)
-            baselines = {key: _copy_subtable(self._persisted.get(key, {}))
-                         for key in pending}
+            pending = _copy_table(self._table)
+            baseline = self._persisted  # replaced, never mutated in place
             dirty_at_snapshot = self._dirty
         path = self.path
         tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
@@ -484,22 +404,14 @@ class BackendTuner:
             if directory:
                 os.makedirs(directory, exist_ok=True)
             with _table_lock(path):
-                tables: Dict[str, dict] = {}
                 try:
                     with open(path, "r", encoding="utf-8") as handle:
-                        tables = self._read_tables(json.load(handle))
+                        disk = _read_cells(json.load(handle))
                 except Exception:
-                    pass  # unreadable/absent -> start a fresh file
-                for key, mem_table in pending.items():
-                    try:
-                        disk_sub = self._normalize_subtable(
-                            tables.get(key, {}))
-                    except Exception:
-                        disk_sub = {}  # malformed sub-table: rebuild ours
-                    tables[key] = _merge_subtable(disk_sub, mem_table,
-                                                  baselines[key])
+                    disk = {}  # unreadable/absent -> start a fresh file
+                cells = _merge_table(disk, pending, baseline)
                 with open(tmp, "w", encoding="utf-8") as handle:
-                    json.dump({"version": TABLE_VERSION, "tables": tables},
+                    json.dump({"version": TABLE_VERSION, "cells": cells},
                               handle)
                 os.replace(tmp, path)
             with self._lock:
@@ -507,8 +419,7 @@ class BackendTuner:
                 # save; what we snapshotted is on disk now, so it becomes
                 # the new merge baseline
                 self._dirty = max(0, self._dirty - dirty_at_snapshot)
-                for key, mem_table in pending.items():
-                    self._persisted[key] = mem_table
+                self._persisted = pending
             return True
         except Exception:
             # "never raises" covers more than OSError: a non-serializable
@@ -555,7 +466,6 @@ class BackendTuner:
             raise ValueError("choose() requires at least one candidate")
         budget = self.explore_budget
         with self._lock:
-            self._check_config()
             entry = self._table.get(
                 _bucket_key(op, dtype, shape_bucket(shape), model, sched,
                             density), {})
@@ -594,7 +504,6 @@ class BackendTuner:
         if seconds < 0 or not np.isfinite(seconds):
             return  # a broken clock must not poison the table
         with self._lock:
-            self._check_config()
             key = _bucket_key(op, dtype, shape_bucket(shape), model, sched,
                               density)
             cell = self._table.setdefault(key, {}).setdefault(
@@ -612,8 +521,7 @@ class BackendTuner:
     def table_snapshot(self) -> Dict[str, Dict[str, Dict[str, float]]]:
         """A deep copy of the timing table (safe to mutate)."""
         with self._lock:
-            return {key: {name: dict(cell) for name, cell in entry.items()}
-                    for key, entry in self._table.items()}
+            return _copy_table(self._table)
 
     def best(self, op: str, shape: Sequence[int], dtype,
              model: Optional[CacheModel] = None,
@@ -622,7 +530,6 @@ class BackendTuner:
         """The measured-fastest backend for this bucket, or ``None`` when
         the bucket has no samples yet."""
         with self._lock:
-            self._check_config()
             entry = self._table.get(
                 _bucket_key(op, dtype, shape_bucket(shape), model, sched,
                             density))
@@ -637,6 +544,5 @@ class BackendTuner:
         into the file as new measurements."""
         with self._lock:
             self._table.clear()
-            if self._fingerprint is not None:
-                self._persisted[_fingerprint_key(self._fingerprint)] = {}
+            self._persisted = {}
             self._dirty = 0

@@ -29,8 +29,8 @@ def _restore_global_config():
     """Guarantee config isolation between tests.
 
     ``configured()`` save/restores a process-wide global, so tests that
-    deliberately race it across threads (the plan-cache invalidation
-    hammer) can leave the global pointing at a transient override —
+    deliberately race it across threads (the plan-cache config hammer)
+    can leave the global pointing at a transient override —
     which then silently changes backend heuristics for every later test
     in the session.  Snapshot and restore around each test so no test
     inherits another's configuration, however it was mangled."""

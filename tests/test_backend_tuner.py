@@ -476,7 +476,7 @@ class TestTunerPersistence:
         # and the tuner still works + can overwrite the corrupt file
         tuner.record("ata", (8, 8), np.float64, "x", 1.0)
         assert tuner.save()
-        assert json.loads(path.read_text())["tables"]
+        assert json.loads(path.read_text())["cells"]
 
     def test_wrong_schema_starts_fresh(self, tmp_path):
         from repro.engine.tuner import TABLE_VERSION
@@ -490,8 +490,10 @@ class TestTunerPersistence:
         assert tuner.table_snapshot() == {} and tuner.load_failures == 1
 
     def test_other_fingerprint_starts_fresh_but_survives(self, tmp_path):
-        """A table persisted under another configuration is not served
-        (fresh exploration), but is preserved in the file."""
+        """Cells measured under another base case are not served (their
+        key carries that base case), and both configurations' cells live
+        side by side in one v3 file."""
+        from repro.engine.tuner import TABLE_VERSION
         path = str(tmp_path / "t.json")
         with configured(base_case_elements=64):
             tuner = BackendTuner(path, timer=FakeClock())
@@ -499,10 +501,13 @@ class TestTunerPersistence:
             assert tuner.save()
         with configured(base_case_elements=128):
             other = BackendTuner(path, timer=FakeClock())
-            assert other.table_snapshot() == {}
+            assert other.best("ata", (64, 64), np.float64) is None
             assert other.load_failures == 0  # not a failure, just cold
             other.record("ata", (64, 64), np.float64, "b", 2.0)
             assert other.save()
+        payload = json.loads(open(path).read())
+        assert payload["version"] == TABLE_VERSION == 3
+        assert len(payload["cells"]) == 2
         # both configurations' measurements coexist in the file
         with configured(base_case_elements=64):
             back = BackendTuner(path, timer=FakeClock())
@@ -513,33 +518,30 @@ class TestTunerPersistence:
 
     def test_table_with_fused_candidates_loads_and_is_ignored(
             self, tmp_path, rng):
-        """A table persisted while plans could be fused keys its
-        sub-table on a fingerprint ending in the fuse mode and offers
-        ``"<backend>+fused"`` candidates.  It loads without error, no
-        decision ever names a fused candidate, and the engine explores
-        afresh under the current fingerprint while the old sub-table
-        survives in the file."""
+        """A table persisted while plans could be fused holds
+        ``"<backend>+fused"`` cells.  It loads without error, no decision
+        ever names a fused candidate, and the fused cells survive in the
+        file untouched."""
         from repro.engine.tuner import TABLE_VERSION, _bucket_key
         path = tmp_path / "tuner.json"
         shape = (64, 48)
-        old_fingerprint = "64,64,on"
         with configured(base_case_elements=64, tuner_path=str(path)):
             names = ata_candidate_names()
             key = _bucket_key("ata", np.float64, shape_bucket(shape), None)
             cell = {name: {"count": 4, "total": 4.0, "best": 1.0}
                     for name in names}
             # the fused twins were the fastest cells: served, they would win
-            cell.update({name + "+fused": {"count": 4, "total": 4e-6,
-                                           "best": 1e-6}
-                         for name in names})
+            fused = {name + "+fused": {"count": 4, "total": 4e-6,
+                                       "best": 1e-6}
+                     for name in names}
+            cell.update(fused)
             path.write_text(json.dumps(
-                {"version": TABLE_VERSION,
-                 "tables": {old_fingerprint: {key: cell}}}))
+                {"version": TABLE_VERSION, "cells": {key: cell}}))
 
             # persist=False: this tuner's samples must not reach the file
             # the engine below starts from
             tuner = BackendTuner(str(path), timer=FakeClock(), persist=False)
-            assert tuner.load() is False  # no sub-table for this config
+            assert tuner.load() is True
             assert tuner.load_failures == 0
             for _ in range(3 * len(names)):
                 name, _ = tuner.choose("ata", shape, np.float64, names)
@@ -553,14 +555,52 @@ class TestTunerPersistence:
                 assert np.allclose(np.tril(engine.matmul_ata(a)), expect)
             stats = engine.stats()
             engine.close()
-        assert stats.tuner_explores > 0
+        assert stats.tuner_hits + stats.tuner_explores == 8
         assert not any(name.endswith("+fused") for name in stats.backend_runs)
-        tables = json.loads(path.read_text())["tables"]
-        assert tables[old_fingerprint] == {key: cell}
+        cells = json.loads(path.read_text())["cells"]
+        assert {name: cells[key][name] for name in fused} == fused
         assert not any(name.endswith("+fused")
-                       for fp, sub in tables.items() if fp != old_fingerprint
-                       for per_backend in sub.values()
+                       for other, per_backend in cells.items()
+                       if other != key
                        for name in per_backend)
+
+    def test_v2_file_is_a_load_failure_and_rewritten_as_v3(self, tmp_path):
+        """A table of the retired per-fingerprint layout (version 2) is
+        not read: the tuner explores afresh and the next save replaces
+        the file with a version-3 one."""
+        from repro.engine.tuner import TABLE_VERSION
+        path = tmp_path / "t.json"
+        cell = {"x": {"count": 5, "total": 5.0, "best": 1.0}}
+        path.write_text(json.dumps(
+            {"version": 2, "tables": {"64,64": {"ata|<f8|64x64": cell}}}))
+        tuner = BackendTuner(str(path), timer=FakeClock())
+        assert tuner.table_snapshot() == {} and tuner.load_failures == 1
+        tuner.record("ata", (8, 8), np.float64, "y", 1.0)
+        assert tuner.save()
+        payload = json.loads(path.read_text())
+        assert payload["version"] == TABLE_VERSION == 3
+        assert "tables" not in payload
+        (entry,) = payload["cells"].values()
+        assert entry == {"y": {"count": 1, "total": 1.0, "best": 1.0}}
+
+    def test_config_excursion_writes_nothing_and_keeps_both_cells(
+            self, tmp_path):
+        """A base-case excursion below ``save_every`` samples touches no
+        file, and each configuration's ``best()`` answers from its own
+        cell before, during and after the excursion."""
+        path = tmp_path / "t.json"
+        tuner = BackendTuner(str(path), timer=FakeClock(), save_every=8)
+        with configured(base_case_elements=64):
+            tuner.record("ata", (64, 64), np.float64, "a", 1.0)
+            with configured(base_case_elements=32):
+                assert tuner.best("ata", (64, 64), np.float64) is None
+                tuner.record("ata", (64, 64), np.float64, "b", 1.0)
+                assert tuner.best("ata", (64, 64), np.float64) == "b"
+            assert tuner.best("ata", (64, 64), np.float64) == "a"
+        with configured(base_case_elements=32):
+            assert tuner.best("ata", (64, 64), np.float64) == "b"
+        assert not path.exists()
+        assert len(tuner.table_snapshot()) == 2
 
     def test_path_frozen_at_construction(self, tmp_path):
         """A configured(tuner_path=...) excursion must not redirect
@@ -761,7 +801,7 @@ class TestTunerPersistence:
             assert errors == []
             from repro.engine.tuner import TABLE_VERSION
             payload = json.loads(open(path).read())
-            assert payload["version"] == TABLE_VERSION and payload["tables"]
+            assert payload["version"] == TABLE_VERSION and payload["cells"]
             # a third engine loads whatever survived and still serves traffic
             late = ExecutionEngine(tuner=BackendTuner(
                 path, explore_budget=1, timer=clock))
@@ -864,9 +904,7 @@ class TestLockSidecarHygiene:
         # unlink-with-revalidation kept the merges serialized: every
         # tuner's sample landed
         with open(path, encoding="utf-8") as handle:
-            tables = json.load(handle)["tables"]
-        (cells,) = [entry for sub in tables.values()
-                    for entry in sub.values()]
+            (cells,) = json.load(handle)["cells"].values()
         assert cells["blocked"]["count"] == 8
 
     def test_injected_unlink_failure_stays_silent(self, tmp_path):

@@ -1,5 +1,7 @@
 """Tests for repro.config."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,13 @@ class TestConfigValidation:
         other = cfg.replace(base_case_elements=128)
         assert other.base_case_elements == 128
         assert cfg.base_case_elements != 128 or cfg is not other
+
+    def test_fields_cannot_be_assigned_in_place(self):
+        """Assigning a field would skip validate(): a Config is frozen,
+        changes go through replace()/set_config()/configured()."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            get_config().farm_procs = -3
+        assert get_config().farm_procs >= 0
 
 
 class TestConfiguredContext:

@@ -1,7 +1,8 @@
 """Tests for the plan-compiling execution engine (:mod:`repro.engine`).
 
-Covers the four contracts ISSUE 1 asks for: plan-cache hit/miss
-accounting, invalidation when the configuration changes, workspace-pool
+Covers plan-cache hit/miss accounting, plan keys that carry every config
+value a plan depends on (a config change compiles a new plan instead of
+invalidating the cache), workspace-pool
 reuse (no fresh allocation on warm calls), and batch-vs-loop equality —
 plus bit-exact numerical identity between engine-routed and direct calls,
 which is what makes the rewired ``apps``/``parallel`` paths safe.
@@ -121,17 +122,54 @@ class TestPlanCache:
         assert engine.stats().cached_plans == 2
 
     def test_config_change_invalidates(self, engine, rng):
+        """A base-case change misses on its own key; the plan compiled
+        under the old base case stays cached and nothing is dropped."""
         a = rng.standard_normal((48, 32))
         with configured(base_case_elements=64):
             engine.matmul_ata(a)
         with configured(base_case_elements=32):
             engine.matmul_ata(a)
             stats = engine.stats()
-            assert stats.plan_invalidations >= 1
-            assert stats.plan_misses == 2  # recompiled under the new config
+            assert stats.plan_invalidations == 0
+            assert stats.plan_misses == 2  # compiled under the new config
+            assert stats.cached_plans == 2
         # the recompiled plan must honour the new base case: deeper recursion
         with configured(base_case_elements=32):
             assert np.array_equal(ata(a.copy()), engine.matmul_ata(a))
+
+    def test_keyed_cache_survives_config_excursions(self, engine, rng):
+        """An explicit ``cache=`` request, a base-case excursion, the
+        explicit request again, then four alternating base cases: two
+        compiles in all, nothing invalidated, every result bit-identical
+        to the direct recursion under the same config."""
+        a = rng.standard_normal((48, 32))
+        explicit = CacheModel(capacity_words=64)  # == the base-64 default
+        ref = ata(a.copy(), cache=explicit)
+        assert np.array_equal(engine.matmul_ata(a, cache=explicit), ref)
+        (plan,) = engine.plans.snapshot()
+        with configured(base_case_elements=32):
+            assert np.array_equal(engine.matmul_ata(a), ata(a.copy()))
+        assert any(p is plan for p in engine.plans.snapshot())
+        assert np.array_equal(engine.matmul_ata(a, cache=explicit), ref)
+        for base in (64, 32, 64, 32):
+            with configured(base_case_elements=base):
+                assert np.array_equal(engine.matmul_ata(a), ata(a.copy()))
+        stats = engine.stats()
+        assert stats.plan_misses == 2
+        assert stats.plan_invalidations == 0
+
+    def test_recursion_depth_is_part_of_the_key(self, engine, rng):
+        """A plan compiled under a generous depth limit is never served
+        under a limit its walk would exceed."""
+        a = rng.standard_normal((48, 32))
+        with configured(base_case_elements=8):
+            engine.matmul_ata(a)
+            with configured(max_recursion_depth=1):
+                with pytest.raises(ShapeError):
+                    engine.matmul_ata(a)
+            engine.matmul_ata(a)
+        stats = engine.stats()
+        assert stats.plan_hits == 1 and stats.plan_invalidations == 0
 
     def test_explicit_invalidate(self, engine, rng):
         with configured(base_case_elements=64):

@@ -105,8 +105,9 @@ class TestPlanCacheConcurrency:
 
     def test_concurrent_config_invalidation_never_serves_stale_plans(self):
         """Threads flipping between two configurations must always get a
-        plan compiled under the active one (the fingerprint check runs
-        inside the cache's lock)."""
+        plan for their own key (the key carries the base case, so the
+        two configurations' plans share the cache without evicting each
+        other)."""
         shape = (96, 48)
         cache = PlanCache(capacity=8)
 
