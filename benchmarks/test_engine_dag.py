@@ -43,7 +43,7 @@ def large_matrix() -> np.ndarray:
 class TestDagSpeedup:
     def test_dag_bit_identical_to_sequential_on_large_call(self, large_matrix):
         with configured(base_case_elements=LARGE_BASE_CASE):
-            sequential = ExecutionEngine(parallel="off")
+            sequential = ExecutionEngine()
             dag = ExecutionEngine(workers=4, parallel="dag")
             try:
                 assert np.array_equal(sequential.matmul_ata(large_matrix),
@@ -54,7 +54,7 @@ class TestDagSpeedup:
     @pytest.mark.skipif(CORES < 4, reason=f"needs >= 4 cores for real overlap, host has {CORES}")
     def test_dag_at_least_1_3x_faster_with_4_workers(self, large_matrix):
         with configured(base_case_elements=LARGE_BASE_CASE):
-            sequential = ExecutionEngine(parallel="off")
+            sequential = ExecutionEngine()
             dag = ExecutionEngine(workers=4, parallel="dag")
             try:
                 sequential.matmul_ata(large_matrix)  # prime caches
@@ -74,7 +74,7 @@ class TestDagSpeedup:
         """Even without cores to overlap on, scheduling must not blow up:
         the forced-DAG run stays within 4x of the sequential replay."""
         with configured(base_case_elements=LARGE_BASE_CASE):
-            sequential = ExecutionEngine(parallel="off")
+            sequential = ExecutionEngine()
             dag = ExecutionEngine(workers=4, parallel="dag")
             try:
                 sequential.matmul_ata(large_matrix)
@@ -135,7 +135,7 @@ class TestRegressionTrackingMicrobenchmarks:
 
     def test_bench_engine_sequential_warm(self, benchmark, matrix):
         with configured(base_case_elements=8192):
-            engine = ExecutionEngine(parallel="off")
+            engine = ExecutionEngine()
             engine.matmul_ata(matrix)
             benchmark.pedantic(lambda: engine.matmul_ata(matrix),
                                rounds=10, iterations=1, warmup_rounds=2)

@@ -146,7 +146,7 @@ def engine_dag_parallel(sizes: Optional[Sequence[int]] = None,
     with configured(base_case_elements=base_case_elements):
         for n in sizes:
             a = random_matrix(n, n, seed=n)
-            sequential = ExecutionEngine(parallel="off")
+            sequential = ExecutionEngine()
             sequential.matmul_ata(a)  # prime plan cache + pool
             seq_seconds = _best_of(lambda: sequential.matmul_ata(a), repeats)
             for count in workers:
@@ -201,7 +201,7 @@ def engine_interleave(n: int = 512, batch: int = 6, workers: int = 4,
          "interleave_speedup", "interleaved_batches"])
     with configured(base_case_elements=base_case_elements):
         matrices = [random_matrix(n, n, seed=100 + i) for i in range(batch)]
-        loop_engine = ExecutionEngine(parallel="off")
+        loop_engine = ExecutionEngine()
         weave_engine = ExecutionEngine(workers=workers, parallel="dag")
         try:
             loop_engine.run_batch(matrices)

@@ -66,7 +66,8 @@ dispatch) builds on:
   :func:`~repro.engine.dispatch.run_batch_atb` execute a homogeneous batch
   against a single compiled plan and checked-out workspace, and
   ``ExecutionEngine(workers=N)`` turns on DAG scheduling
-  (``parallel="auto"|"dag"|"off"``).
+  (``parallel="auto"|"dag"``).  Scheduling is an engine property, fixed
+  at construction: no entry point takes a per-call override.
 
 The asyncio serving layer (:mod:`repro.serve`) sits on top of this
 package: a :class:`~repro.serve.Server` coalesces concurrent clients'
@@ -78,7 +79,7 @@ The plan-key contract
 A compiled plan is a pure function of its key::
 
     (backend, plan_kind, shape, dtype.str, cache_model.capacity_words,
-     cache_model.line_words, scratch_lanes, max_recursion_depth)
+     cache_model.line_words, lanes, max_recursion_depth)
 
 The key is **complete**: it names every input of the compile walk, so
 the plan cache never watches the global configuration.  It leads with
@@ -86,11 +87,11 @@ the **backend id** so two backends compiling the same plan kind
 (possible for registered custom backends) can never collide.
 ``base_case_elements`` reaches the walk only through the cache model,
 and ``max_recursion_depth`` is read once per lookup and handed to the
-walk.  ``scratch_lanes`` is in the key because it changes the
-workspace layout the plan's arena offsets are baked against (sequential
-engines use one lane; DAG-capable engines spread scratch over
-``min(workers, 4)`` lanes by default).  Anything else — matrix values,
-``alpha``/``beta``, counter settings, worker count — is resolved at
+walk.  ``lanes`` is in the key because it changes the workspace layout
+the plan's arena offsets are baked against.  It is derived from the
+engine's ``workers``: sequential engines use one lane, DAG-capable
+engines spread scratch over ``min(workers, 4)`` lanes.  Anything else —
+matrix values, ``alpha``/``beta``, counter settings — is resolved at
 execution time, so a cached plan can never go stale through it.
 Executing a plan replays the exact kernel sequence of the live
 recursion, making engine results bit-for-bit identical to the direct

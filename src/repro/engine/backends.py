@@ -15,7 +15,7 @@ to the three hooks the engine needs —
     pick me heuristically" — the measured auto-tuner
     (:mod:`repro.engine.tuner`) is what lets such backends win, by timing
     them instead of modeling them;
-``run(engine, op, a, c, alpha, b, model, parallel, held)``
+``run(engine, op, a, c, alpha, b, model, held)``
     execute the operation, using the engine's plan cache / workspace pool
     / DAG scheduler as appropriate.
 
@@ -108,7 +108,7 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def run(self, engine, op: str, a: np.ndarray, c: np.ndarray,
             alpha: float, b: Optional[np.ndarray], model: CacheModel,
-            parallel, held: Optional[dict] = None) -> None:
+            held: Optional[dict] = None) -> None:
         """Execute ``op``, accumulating into ``c``.
 
         ``held`` is an optional plan-key → workspace mapping supplied by
@@ -141,7 +141,7 @@ class PlanBackend(Backend):
             return a.shape
         return (a.shape[0], a.shape[1], b.shape[1])
 
-    def run(self, engine, op, a, c, alpha, b, model, parallel,
+    def run(self, engine, op, a, c, alpha, b, model,
             held: Optional[dict] = None) -> None:
         plan = engine._plan(self.name, self.kinds[op], self._plan_shape(op, a, b),
                             a.dtype, model)
@@ -155,7 +155,7 @@ class PlanBackend(Backend):
                 workspace = engine.pool.acquire(plan, a.dtype)
                 transient = True
         try:
-            engine._execute(plan, a, c, alpha, workspace, b, parallel)
+            engine._execute(plan, a, c, alpha, workspace, b)
         finally:
             if transient:
                 engine.pool.release(workspace)
@@ -217,16 +217,16 @@ class _RecursiveGemmBackend(PlanBackend):
         super().__init__("recursive_gemm",
                          {"ata": "recursive_gemm", "atb": "recursive_gemm"})
 
-    def run(self, engine, op, a, c, alpha, b, model, parallel,
+    def run(self, engine, op, a, c, alpha, b, model,
             held: Optional[dict] = None) -> None:
         if op != "ata":
-            super().run(engine, op, a, c, alpha, b, model, parallel, held)
+            super().run(engine, op, a, c, alpha, b, model, held)
             return
         m, n = a.shape
         plan = engine._plan(self.name, "recursive_gemm", (m, n, n),
                             a.dtype, model)
         full = np.zeros((n, n), dtype=a.dtype)
-        engine._execute(plan, a, full, alpha, None, a, parallel)
+        engine._execute(plan, a, full, alpha, None, a)
         idx = np.tril_indices(n)
         c[idx] += full[idx]
 
@@ -246,7 +246,7 @@ class BlasDirectBackend(Backend):
         return (op in self.ops and blas_direct.is_available()
                 and blas_direct.supported_dtype(dtype))
 
-    def run(self, engine, op, a, c, alpha, b, model, parallel,
+    def run(self, engine, op, a, c, alpha, b, model,
             held: Optional[dict] = None) -> None:
         if op == "ata":
             blas_direct.direct_syrk(a, c, alpha)

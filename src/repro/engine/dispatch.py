@@ -105,14 +105,7 @@ def explicit_backend(algo: str, op: str, shape: Tuple[int, ...], dtype,
     return backend
 
 
-#: Algorithm selectors are backend names now — plain strings resolved in
-#: the registry — not closed ``Literal`` unions.  The aliases survive for
-#: annotation compatibility.
-AtaAlgo = str
-AtbAlgo = str
-ParallelMode = str
-
-_PARALLEL_MODES = ("auto", "dag", "off")
+_PARALLEL_MODES = ("auto", "dag")
 
 #: "auto" falls back to sequential replay below this step count: the
 #: scheduling machinery costs more than it can overlap on tiny plans.
@@ -245,19 +238,18 @@ class ExecutionEngine:
         Maximum idle workspaces retained by the workspace pool.
     workers:
         Maximum worker threads per plan execution (caller included).  With
-        ``workers > 1`` and ``parallel`` not ``"off"``, plans are compiled
-        with their step dependency DAG and widened scratch lanes, and
-        large executions are scheduled across the worker pool.
+        ``workers > 1``, plans are compiled with their step dependency DAG
+        and ``min(workers, 4)`` scratch lanes (more lanes decouple
+        Strassen scratch reuse, at up to ``lanes``× the sequential
+        workspace), and large executions are scheduled across the worker
+        pool.  ``workers=1`` (the default) replays every plan
+        sequentially.
     parallel:
         ``"auto"`` (default) DAG-schedules plans with enough independent
         steps when ``workers > 1``; ``"dag"`` forces DAG scheduling (with
         ``workers == 1`` this is a deterministic dependency-ordered
-        replay); ``"off"`` always replays sequentially.
-    scratch_lanes:
-        Scratch lanes for DAG-capable plans (default ``min(workers, 4)``).
-        More lanes decouple Strassen scratch reuse — raising available
-        parallelism — at the cost of up to ``lanes``× the sequential
-        workspace.
+        replay).  Scheduling is fixed here, for every call the engine
+        serves.
     tuner:
         Backend auto-tuning for ``algo="auto"`` requests.  ``None`` /
         ``"off"`` (default) uses the deterministic modeled-cost heuristic;
@@ -283,30 +275,19 @@ class ExecutionEngine:
     """
 
     def __init__(self, plan_capacity: int = 128, pool_size: int = 8,
-                 workers: int = 1, parallel: ParallelMode = "auto",
-                 scratch_lanes: Optional[int] = None,
+                 workers: int = 1, parallel: str = "auto",
                  tuner: Union[str, BackendTuner, None] = None) -> None:
         if parallel not in _PARALLEL_MODES:
             raise ConfigurationError(f"unknown parallel mode {parallel!r}; "
-                                     "expected 'auto', 'dag' or 'off'")
+                                     "expected 'auto' or 'dag'")
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if scratch_lanes is not None and scratch_lanes < 1:
-            raise ConfigurationError(
-                f"scratch_lanes must be >= 1, got {scratch_lanes}")
         self.plans = PlanCache(capacity=plan_capacity)
         self.pool = WorkspacePool(max_idle=pool_size)
         self.workers = int(workers)
         self.parallel = parallel
-        self._dag_capable = parallel != "off" and (workers > 1 or parallel == "dag")
-        if scratch_lanes is not None and not self._dag_capable:
-            # lanes only affect DAG-capable plan layouts; silently ignoring
-            # an explicit request would be confusing
-            raise ConfigurationError(
-                "scratch_lanes requires a DAG-capable engine (workers > 1 "
-                "or parallel='dag'); it has no effect on sequential plans")
-        self._lanes = (int(scratch_lanes) if scratch_lanes is not None
-                       else (min(self.workers, 4) if self._dag_capable else 1))
+        self._dag_capable = workers > 1 or parallel == "dag"
+        self._lanes = min(self.workers, 4) if self._dag_capable else 1
         self.dag = DagExecutor(self.workers) if self._dag_capable else None
         # "auto" never schedules more workers than the host has cores: on
         # an under-provisioned host the GIL serialises the Python-level
@@ -330,7 +311,10 @@ class ExecutionEngine:
         # timings from a DAG-parallel engine describe different executions
         # than a sequential engine's, so tuner cells key on this signature
         # (None = sequential) and engines with different scheduling never
-        # cross-pollute a shared table
+        # cross-pollute a shared table.  "auto"'s small-plan sequential
+        # fallback still files under this signature: which schedule a
+        # call takes depends on a plan not yet chosen when the tuner is
+        # consulted
         self._tuner_sched = (f"w{self.workers}l{self._lanes}"
                              if self._dag_capable else None)
         # per-engine accounting (a shared BackendTuner's lifetime counters
@@ -350,48 +334,28 @@ class ExecutionEngine:
         same plan kind can never collide in the cache.  The depth limit is
         read once and handed to the walk, so key and plan cannot disagree.
         """
-        lanes = self._lanes if self._dag_capable else 1
         max_depth = get_config().max_recursion_depth
         key = (backend, kind, shape, np.dtype(dtype).str,
-               model.capacity_words, model.line_words, lanes, max_depth)
+               model.capacity_words, model.line_words, self._lanes, max_depth)
         return self.plans.get_or_compile(
             key, lambda: compile_plan(kind, shape, dtype, model, key=key,
-                                      lanes=lanes,
+                                      lanes=self._lanes,
                                       build_dag=self._dag_capable,
                                       max_depth=max_depth))
 
     # -- backend resolution -------------------------------------------------
-    def _effective_sched(self, parallel: Optional[str]) -> Optional[str]:
-        """Tuner cell signature for this call.
-
-        An explicit per-call ``parallel="off"`` override executes
-        sequentially whatever the engine's configuration, so its timings
-        belong in the sequential cell.  (``"auto"``'s small-plan fallback
-        is not modelled here — which schedule it takes depends on the
-        compiled plan, unknown before the backend is chosen — so tiny
-        plans on a DAG engine are approximated by the engine signature.)
-        """
-        if self._tuner_sched is None:
-            return None
-        if self._resolve_parallel(parallel) == "off":
-            return None
-        return self._tuner_sched
-
     def _resolve_backend(self, op: str, shape: Tuple[int, ...], dtype,
                          model: CacheModel, algo: str,
-                         parallel: Optional[str] = None,
                          operand=None, density: Optional[str] = None
-                         ) -> Tuple[Backend, str, Optional[str]]:
+                         ) -> Tuple[Backend, str]:
         """Resolve a request to a backend.
 
-        Returns ``(backend, reason, sched)``.  ``reason`` names the
-        precedence level that decided — ``"explicit"`` ``algo`` >
-        ``"config"`` (``Config.backend``) > ``"tuner_explore"`` /
-        ``"tuner_exploit"`` > ``"heuristic"`` (modeled cost) — and a
-        ``"tuner_explore"`` execution is timed into the tuner's table.
-        ``sched`` is the scheduling signature a tuner decision was filed
-        under (threaded through to the matching ``record`` so the two can
-        never disagree).
+        Returns ``(backend, reason)``.  ``reason`` names the precedence
+        level that decided — ``"explicit"`` ``algo`` > ``"config"``
+        (``Config.backend``) > ``"tuner_explore"`` / ``"tuner_exploit"``
+        > ``"heuristic"`` (modeled cost) — and a ``"tuner_explore"``
+        execution is timed into the tuner's table.  Tuner decisions are
+        filed under the engine's scheduling signature.
 
         A structured ``operand`` (scipy sparse / :class:`LowRank`) flips
         the candidate axis to its kind — only backends declaring that
@@ -402,7 +366,7 @@ class ExecutionEngine:
         """
         if algo != "auto":
             return (explicit_backend(algo, op, shape, dtype, model, operand),
-                    "explicit", None)
+                    "explicit")
         kind = operand_kind(operand) if operand is not None else "dense"
         forced = get_config().backend
         if forced != "auto":
@@ -414,42 +378,39 @@ class ExecutionEngine:
                     and backend.supports(op, shape, dtype, model)
                     and (operand is None
                          or backend.supports_operand(op, operand, model))):
-                return backend, "config", None
+                return backend, "config"
         pool = candidates(op, shape, dtype, model, kind=kind, operand=operand)
         if self.tuner is not None and len(pool) > 1:
-            sched = self._effective_sched(parallel)
             name, explored = self.tuner.choose(op, shape, dtype,
                                                tuple(b.name for b in pool),
-                                               model=model, sched=sched,
+                                               model=model,
+                                               sched=self._tuner_sched,
                                                density=density)
             if name is not None:  # a frozen tuner may abstain
                 backend = next(b for b in pool if b.name == name)
                 return (backend,
-                        "tuner_explore" if explored else "tuner_exploit",
-                        sched)
+                        "tuner_explore" if explored else "tuner_exploit")
         return (choose_heuristic(op, shape, dtype, model, pool,
-                                 operand=operand), "heuristic", None)
+                                 operand=operand), "heuristic")
 
     def _run_backend(self, backend: Backend, op: str, shape: Tuple[int, ...],
                      a: np.ndarray, c: np.ndarray, alpha: float,
-                     b: Optional[np.ndarray], model: CacheModel,
-                     parallel: Optional[str], reason: str,
-                     sched: Optional[str] = None,
+                     b: Optional[np.ndarray], model: CacheModel, reason: str,
                      held: Optional[dict] = None,
                      density: Optional[str] = None) -> None:
         """Execute through ``backend`` and count the run under ``reason``.
 
         Only explore decisions are timed into the tuner's table, in the
-        cell ``(sched, density)`` they were scoped to: more samples of a
-        converged winner could never flip the decision."""
+        cell (engine signature, ``density``) they were chosen in: more
+        samples of a converged winner could never flip the decision."""
         if reason == "tuner_explore":
             start = self.tuner.timer()
-            backend.run(self, op, a, c, alpha, b, model, parallel, held)
+            backend.run(self, op, a, c, alpha, b, model, held)
             self.tuner.record(op, shape, a.dtype, backend.name,
                               self.tuner.timer() - start, model=model,
-                              sched=sched, density=density)
+                              sched=self._tuner_sched, density=density)
         else:
-            backend.run(self, op, a, c, alpha, b, model, parallel, held)
+            backend.run(self, op, a, c, alpha, b, model, held)
         self._count_run(backend.name, reason)
 
     def _count_run(self, backend: str, reason: str) -> None:
@@ -469,34 +430,17 @@ class ExecutionEngine:
                 self._tally[name] = value
 
     # -- scheduling ---------------------------------------------------------
-    def _resolve_parallel(self, parallel: Optional[str]) -> str:
-        if parallel is None:
-            return self.parallel
-        if parallel not in _PARALLEL_MODES:
-            raise ConfigurationError(f"unknown parallel mode {parallel!r}; "
-                                     "expected 'auto', 'dag' or 'off'")
-        if parallel == "dag" and not self._dag_capable:
-            # "auto" degrades gracefully to sequential replay, but an
-            # explicit DAG request on a sequential engine is a caller bug
-            raise ConfigurationError(
-                "parallel='dag' requires a DAG-capable engine; construct "
-                "ExecutionEngine(workers=N) with N > 1 or parallel='dag'")
-        return parallel
-
     def _execute(self, plan: ExecutionPlan, a: np.ndarray, c: np.ndarray,
-                 alpha: float, workspace, b: Optional[np.ndarray],
-                 parallel: Optional[str]) -> None:
-        mode = self._resolve_parallel(parallel)
+                 alpha: float, workspace, b: Optional[np.ndarray]) -> None:
         use_dag = (self.dag is not None and plan.dag is not None
-                   and mode != "off"
-                   and (mode == "dag"
+                   and (self.parallel == "dag"
                         or (self._auto_workers > 1
                             and plan.n_steps >= _DAG_MIN_STEPS
                             and plan.dag.max_width > 1)))
         if use_dag:
-            # "auto" never schedules beyond the host's cores; an explicit
-            # "dag" request honours the configured worker count as-is
-            cap = self._auto_workers if mode == "auto" else None
+            # "auto" never schedules beyond the host's cores; "dag"
+            # honours the configured worker count as-is
+            cap = self._auto_workers if self.parallel == "auto" else None
             self.dag.execute(plan, a, c, alpha, workspace, b=b,
                              max_workers=cap)
         else:
@@ -506,9 +450,8 @@ class ExecutionEngine:
     # -- A^T A --------------------------------------------------------------
     def matmul_ata(self, a: np.ndarray, c: Optional[np.ndarray] = None,
                    alpha: float = 1.0, *, beta: float = 1.0,
-                   algo: AtaAlgo = "auto",
-                   cache: Optional[CacheModel] = None,
-                   parallel: Optional[ParallelMode] = None) -> np.ndarray:
+                   algo: str = "auto",
+                   cache: Optional[CacheModel] = None) -> np.ndarray:
         """Lower-triangular ``C = alpha * A^T A + beta * C`` via a backend.
 
         Parameters
@@ -532,10 +475,6 @@ class ExecutionEngine:
         cache:
             Cache model for the base-case predicates; defaults to the
             configured model for ``a``'s dtype.
-        parallel:
-            Per-call scheduling override (``None`` uses the engine's
-            mode): ``"off"`` forces sequential replay, ``"dag"`` forces
-            DAG scheduling, ``"auto"`` applies the size heuristics.
 
         ``a`` may also be a scipy sparse matrix or a
         :class:`~repro.engine.sparse.LowRank` operand: dispatch then
@@ -548,21 +487,19 @@ class ExecutionEngine:
         (validate_dense if kind == "dense" else validate_structured)(a)
         c = validate_c(a, c)
         return self._run_request("ata", a.shape, kind, a, None, c, alpha,
-                                 beta, algo, cache, parallel)
+                                 beta, algo, cache)
 
     # -- A^T B --------------------------------------------------------------
     def matmul_atb(self, a: np.ndarray, b: np.ndarray,
                    c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
-                   algo: AtbAlgo = "auto",
-                   cache: Optional[CacheModel] = None,
-                   parallel: Optional[ParallelMode] = None) -> np.ndarray:
+                   algo: str = "auto",
+                   cache: Optional[CacheModel] = None) -> np.ndarray:
         """``C = alpha * A^T B + C`` via a backend.
 
         ``algo="auto"`` resolves through the same precedence as
         :meth:`matmul_ata` (the heuristic picks FastStrassen);
         ``"recursive_gemm"`` forces the classical Algorithm 2 recursion
-        and ``"blas_direct"`` a bound vendor ``?gemm``.  ``parallel``
-        overrides the engine's scheduling mode per call.
+        and ``"blas_direct"`` a bound vendor ``?gemm``.
 
         ``a`` may be a scipy sparse matrix or a
         :class:`~repro.engine.sparse.LowRank` operand (``b`` and ``c``
@@ -573,23 +510,22 @@ class ExecutionEngine:
         (validate_dense if kind == "dense" else validate_structured)(a, b)
         c = validate_c(a, c, b)
         return self._run_request("atb", (*a.shape, b.shape[1]), kind, a, b, c,
-                                 alpha, 1.0, algo, cache, parallel)
+                                 alpha, 1.0, algo, cache)
 
     def _run_request(self, op: str, shape: Tuple[int, ...], kind: str,
                      a, b: Optional[np.ndarray], c: np.ndarray, alpha: float,
-                     beta: float, algo: str, cache: Optional[CacheModel],
-                     parallel: Optional[ParallelMode]) -> np.ndarray:
+                     beta: float, algo: str,
+                     cache: Optional[CacheModel]) -> np.ndarray:
         """Resolve, pre-scale ``c`` by ``beta`` and run one validated
         request, counting a structured operand's run and nnz."""
         model = cache if cache is not None else default_cache_model(a.dtype)
         operand = a if kind != "dense" else None
         density = density_bucket(a) if operand is not None else None
-        backend, reason, sched = self._resolve_backend(
-            op, shape, a.dtype, model, algo, parallel,
-            operand=operand, density=density)
+        backend, reason = self._resolve_backend(
+            op, shape, a.dtype, model, algo, operand=operand, density=density)
         scale(c, beta)
-        self._run_backend(backend, op, shape, a, c, alpha, b, model,
-                          parallel, reason, sched, density=density)
+        self._run_backend(backend, op, shape, a, c, alpha, b, model, reason,
+                          density=density)
         if operand is not None:
             self._count(sparse_runs=1, sparse_nnz=operand_nnz(a),
                         densify_crossovers=int(backend.name == "densify"))
@@ -598,9 +534,8 @@ class ExecutionEngine:
     # -- out-of-core --------------------------------------------------------
     def matmul_ata_ooc(self, a, c: Optional[np.ndarray] = None,
                        alpha: float = 1.0, *, beta: float = 1.0,
-                       algo: AtaAlgo = "auto",
+                       algo: str = "auto",
                        cache: Optional[CacheModel] = None,
-                       parallel: Optional[ParallelMode] = None,
                        budget: Optional[int] = None,
                        panel_rows: Optional[int] = None,
                        prefetch: Optional[bool] = None,
@@ -621,15 +556,14 @@ class ExecutionEngine:
         ``prefetch`` — staging is the parent's job there).
         """
         result, _ = self.run_ooc(a, c, alpha, beta=beta, algo=algo,
-                                 cache=cache, parallel=parallel,
-                                 budget=budget, panel_rows=panel_rows,
-                                 prefetch=prefetch, procs=procs)
+                                 cache=cache, budget=budget,
+                                 panel_rows=panel_rows, prefetch=prefetch,
+                                 procs=procs)
         return result
 
     def run_ooc(self, a, c: Optional[np.ndarray] = None, alpha: float = 1.0,
-                *, beta: float = 1.0, algo: AtaAlgo = "auto",
+                *, beta: float = 1.0, algo: str = "auto",
                 cache: Optional[CacheModel] = None,
-                parallel: Optional[ParallelMode] = None,
                 budget: Optional[int] = None,
                 panel_rows: Optional[int] = None,
                 prefetch: Optional[bool] = None,
@@ -651,12 +585,11 @@ class ExecutionEngine:
             from .farm import PanelFarm
             return PanelFarm(self, procs=procs).run(
                 a, c, alpha, beta=beta, algo=algo, cache=cache,
-                parallel=parallel, budget=budget, panel_rows=panel_rows)
+                budget=budget, panel_rows=panel_rows)
         from .ooc import ShardedAtA
         return ShardedAtA(self).run(a, c, alpha, beta=beta, algo=algo,
-                                    cache=cache, parallel=parallel,
-                                    budget=budget, panel_rows=panel_rows,
-                                    prefetch=prefetch)
+                                    cache=cache, budget=budget,
+                                    panel_rows=panel_rows, prefetch=prefetch)
 
     def _record_ooc(self, stats) -> None:
         """Fold one :class:`~repro.engine.ooc.OocRunStats` into the tally."""
@@ -677,8 +610,7 @@ class ExecutionEngine:
 
     # -- batching -----------------------------------------------------------
     def _batched(self, op: str, items, prepare, algo: str, alpha: float,
-                 cache: Optional[CacheModel],
-                 parallel: Optional[ParallelMode]) -> List[np.ndarray]:
+                 cache: Optional[CacheModel]) -> List[np.ndarray]:
         """Shared mechanics of :meth:`run_batch` / :meth:`run_batch_atb`.
 
         ``prepare(item)`` validates one item and returns ``(a, b, shape,
@@ -697,17 +629,16 @@ class ExecutionEngine:
         """
         if algo != "auto":
             get_backend(algo, op)  # reject unknown/unsupported up front
-        mode = self._resolve_parallel(parallel)
-        can_weave = (self.dag is not None and mode != "off"
-                     and (mode == "dag" or self._auto_workers > 1))
+        can_weave = (self.dag is not None
+                     and (self.parallel == "dag" or self._auto_workers > 1))
         held: dict = {}
         prepared = [prepare(item) for item in items]
         woven: List[tuple] = []  # (plan, a, b, c, backend_name, reason)
         try:
             for a, b, shape, c in prepared:
                 model = cache if cache is not None else default_cache_model(a.dtype)
-                backend, reason, sched = self._resolve_backend(
-                    op, shape, a.dtype, model, algo, parallel)
+                backend, reason = self._resolve_backend(
+                    op, shape, a.dtype, model, algo)
                 if (can_weave and reason != "tuner_explore"
                         and type(backend).run is PlanBackend.run):
                     plan = self._plan(backend.name, backend.kinds[op], shape,
@@ -715,7 +646,7 @@ class ExecutionEngine:
                     woven.append((plan, a, b, c, backend.name, reason))
                     continue
                 self._run_backend(backend, op, shape, a, c, alpha, b,
-                                  model, parallel, reason, sched, held=held)
+                                  model, reason, held=held)
             interleave = (len(woven) > 1
                           and sum(t[0].n_steps for t in woven) >= _DAG_MIN_STEPS
                           and all(t[0].dag is not None for t in woven))
@@ -724,7 +655,8 @@ class ExecutionEngine:
                 self.dag.execute_batch(
                     [t[:4] for t in woven], alpha, acquire=self.pool.acquire,
                     release=self.pool.release,
-                    max_workers=self._auto_workers if mode == "auto" else None)
+                    max_workers=(self._auto_workers
+                                 if self.parallel == "auto" else None))
                 self._count(interleaved_batches=1,
                             interleaved_items=len(woven))
             else:
@@ -737,7 +669,7 @@ class ExecutionEngine:
                         if workspace is None:
                             workspace = held[plan.key] = \
                                 self.pool.acquire(plan, a.dtype)
-                    self._execute(plan, a, c, alpha, workspace, b, parallel)
+                    self._execute(plan, a, c, alpha, workspace, b)
             for *_, name, reason in woven:
                 self._count_run(name, reason)
             self._count(batch_calls=1, batch_items=len(prepared))
@@ -747,28 +679,24 @@ class ExecutionEngine:
         return [c for *_, c in prepared]
 
     def run_batch(self, matrices: Sequence[np.ndarray], *,
-                  algo: AtaAlgo = "auto", alpha: float = 1.0,
-                  cache: Optional[CacheModel] = None,
-                  parallel: Optional[ParallelMode] = None) -> List[np.ndarray]:
+                  algo: str = "auto", alpha: float = 1.0,
+                  cache: Optional[CacheModel] = None) -> List[np.ndarray]:
         """Compute ``alpha * A^T A`` for every matrix in ``matrices``.
 
         Matrices resolving to the same plan are executed against a single
         checked-out workspace, so a homogeneous batch compiles once and
         allocates once no matter its length.  Results are identical to
-        calling :meth:`matmul_ata` in a loop.  ``parallel`` overrides the
-        engine's scheduling mode for every matrix in the batch.
+        calling :meth:`matmul_ata` in a loop.
         """
         def prepare(a: np.ndarray):
             validate_dense(a)
             return a, None, a.shape, validate_c(a, None)
 
-        return self._batched("ata", matrices, prepare, algo, alpha, cache,
-                             parallel)
+        return self._batched("ata", matrices, prepare, algo, alpha, cache)
 
     def run_batch_atb(self, pairs: Sequence[Tuple[np.ndarray, np.ndarray]], *,
-                      algo: AtbAlgo = "auto", alpha: float = 1.0,
-                      cache: Optional[CacheModel] = None,
-                      parallel: Optional[ParallelMode] = None) -> List[np.ndarray]:
+                      algo: str = "auto", alpha: float = 1.0,
+                      cache: Optional[CacheModel] = None) -> List[np.ndarray]:
         """Compute ``alpha * A^T B`` for every ``(A, B)`` pair in ``pairs``.
 
         The ``atb`` counterpart of :meth:`run_batch` — and the primitive
@@ -782,8 +710,7 @@ class ExecutionEngine:
             validate_dense(a, b)
             return a, b, (*a.shape, b.shape[1]), validate_c(a, None, b)
 
-        return self._batched("atb", pairs, prepare, algo, alpha, cache,
-                             parallel)
+        return self._batched("atb", pairs, prepare, algo, alpha, cache)
 
     # -- maintenance --------------------------------------------------------
     def stats(self) -> EngineStats:
@@ -844,7 +771,7 @@ def default_engine() -> ExecutionEngine:
 
 def matmul_ata(a: np.ndarray, c: Optional[np.ndarray] = None,
                alpha: float = 1.0, *, beta: float = 1.0,
-               algo: AtaAlgo = "auto",
+               algo: str = "auto",
                cache: Optional[CacheModel] = None) -> np.ndarray:
     """Module-level convenience: :meth:`ExecutionEngine.matmul_ata` on the
     default engine."""
@@ -852,14 +779,14 @@ def matmul_ata(a: np.ndarray, c: Optional[np.ndarray] = None,
 
 
 def matmul_atb(a: np.ndarray, b: np.ndarray, c: Optional[np.ndarray] = None,
-               alpha: float = 1.0, *, algo: AtbAlgo = "auto",
+               alpha: float = 1.0, *, algo: str = "auto",
                cache: Optional[CacheModel] = None) -> np.ndarray:
     """Module-level convenience: :meth:`ExecutionEngine.matmul_atb` on the
     default engine."""
     return _DEFAULT_ENGINE.matmul_atb(a, b, c, alpha, algo=algo, cache=cache)
 
 
-def run_batch(matrices: Sequence[np.ndarray], *, algo: AtaAlgo = "auto",
+def run_batch(matrices: Sequence[np.ndarray], *, algo: str = "auto",
               alpha: float = 1.0,
               cache: Optional[CacheModel] = None) -> List[np.ndarray]:
     """Module-level convenience: :meth:`ExecutionEngine.run_batch` on the
@@ -868,7 +795,7 @@ def run_batch(matrices: Sequence[np.ndarray], *, algo: AtaAlgo = "auto",
 
 
 def run_batch_atb(pairs: Sequence[Tuple[np.ndarray, np.ndarray]], *,
-                  algo: AtbAlgo = "auto", alpha: float = 1.0,
+                  algo: str = "auto", alpha: float = 1.0,
                   cache: Optional[CacheModel] = None) -> List[np.ndarray]:
     """Module-level convenience: :meth:`ExecutionEngine.run_batch_atb` on
     the default engine."""

@@ -172,6 +172,7 @@ from .backends import registry_generation
 from .cpu import available_cpus
 from .ooc import (as_source, executor_engine, panel_schedule,
                   prepare_output, working_set_bytes)
+from .tuner import BackendTuner
 
 __all__ = ["PanelFarm", "FarmRunStats", "run_farm"]
 
@@ -240,7 +241,10 @@ def _worker_main(worker_id: int, spec: dict, conn) -> None:
         dtype = np.dtype(spec["dtype"])
         out = np.ndarray((n, n), dtype=dtype, buffer=out_shm.buf)
         from .dispatch import ExecutionEngine
-        engine = ExecutionEngine(**spec["engine"])
+        settings = dict(spec["engine"])
+        tuner = settings.pop("tuner", None)
+        engine = ExecutionEngine(
+            **settings, tuner=None if tuner is None else BackendTuner(**tuner))
         try:
             while True:
                 message = conn.recv()
@@ -253,8 +257,7 @@ def _worker_main(worker_id: int, spec: dict, conn) -> None:
                 panel = np.ndarray((rows, n), dtype=dtype, buffer=in_shm.buf)
                 out.fill(0)
                 engine.matmul_ata(panel, out, spec["alpha"],
-                                  algo=spec["algo"], cache=spec["cache"],
-                                  parallel=spec["parallel"])
+                                  algo=spec["algo"], cache=spec["cache"])
                 if action == "poison":
                     out[...] = np.nan
                 conn.send(("done", panel_idx))
@@ -570,8 +573,9 @@ class PanelFarm:
         The parent-side :class:`~repro.engine.dispatch.ExecutionEngine`
         (default: the process-wide engine).  The parent runs no panel
         kernels while the pool is healthy — it schedules, stages and
-        folds — but the farm mirrors this engine's worker/parallel/tuner
-        configuration into every worker process, uses it directly for
+        folds — but the farm mirrors this engine's scheduling (``workers``
+        and ``parallel``) and its tuner's table path, mode, explore budget
+        and persistence into every worker process, uses it directly for
         degraded in-process completion, and records run statistics here.
     procs:
         Worker process count (``None`` resolves to
@@ -633,14 +637,19 @@ class PanelFarm:
         return bounds, budget, min(procs, len(bounds))
 
     def _worker_engine_spec(self) -> dict:
-        """Constructor kwargs mirroring the parent engine into a worker."""
+        """Constructor kwargs mirroring the parent engine into a worker;
+        ``"tuner"``, when present, holds :class:`BackendTuner` kwargs."""
         engine = self.engine
         spec = {"workers": engine.workers, "parallel": engine.parallel}
-        if engine.tuner is not None:
-            # each worker gets its own tuner on the shared table path;
-            # merge-on-save (repro.engine.tuner) makes that safe — the
-            # processes union their samples instead of clobbering
-            spec["tuner"] = "measured"
+        tuner = engine.tuner
+        if tuner is not None:
+            # each worker gets its own tuner on the parent's table, in
+            # the parent's mode: merge-on-save (repro.engine.tuner) makes
+            # sharing the file safe — the processes union their samples
+            # instead of clobbering — and a frozen parent stays read-only
+            spec["tuner"] = {"path": tuner.path, "frozen": tuner.frozen,
+                             "explore_budget": tuner.explore_budget,
+                             "persist": tuner.persist}
         return spec
 
     # -- worker lifecycle ---------------------------------------------------
@@ -713,16 +722,15 @@ class PanelFarm:
     # -- execution ----------------------------------------------------------
     def run(self, a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
             beta: float = 1.0, algo: str = "auto",
-            cache=None, parallel: Optional[str] = None,
-            budget: Optional[int] = None, panel_rows: Optional[int] = None,
-            procs: Optional[int] = None
+            cache=None, budget: Optional[int] = None,
+            panel_rows: Optional[int] = None, procs: Optional[int] = None
             ) -> Tuple[np.ndarray, FarmRunStats]:
         """Fan ``a``'s panels out to the worker pool; returns ``(C, stats)``.
 
         ``a`` is anything :func:`~repro.engine.ooc.as_source` accepts.
-        ``algo`` / ``cache`` / ``parallel`` apply to every worker's
-        per-panel ``matmul_ata`` call, exactly as the in-process executor
-        passes them through.
+        ``algo`` and ``cache`` apply to every worker's per-panel
+        ``matmul_ata`` call, exactly as the in-process executor passes
+        them through.
         """
         source = as_source(a)
         bounds, eff_budget, procs = self.schedule(
@@ -733,7 +741,7 @@ class PanelFarm:
                                           procs * widest)
         counts = _RunCounts()
         self._fan_out(source, bounds, c, alpha, procs, widest, counts,
-                      algo=algo, cache=cache, parallel=parallel)
+                      algo=algo, cache=cache)
         stats = FarmRunStats(panels=len(bounds), panel_rows=widest,
                              procs=procs,
                              bytes_resident_high=resident_high,
@@ -747,7 +755,7 @@ class PanelFarm:
 
     def _fan_out(self, source, bounds, c: np.ndarray, alpha: float,
                  procs: int, widest: int, counts: _RunCounts, *,
-                 algo, cache, parallel) -> None:
+                 algo, cache) -> None:
         """Stage panels into worker arenas and fold partials into ``c``.
 
         Panels are staged in ascending order (a forward-only
@@ -771,8 +779,7 @@ class PanelFarm:
         engine_spec = self._worker_engine_spec()
         spec = {
             "n": n, "dtype": dtype.str, "alpha": alpha,
-            "algo": algo, "cache": cache, "parallel": parallel,
-            "config": config, "engine": engine_spec,
+            "algo": algo, "cache": cache, "config": config, "engine": engine_spec,
         }
         panels = source.panels(bounds)
         next_stage = 0
@@ -934,7 +941,7 @@ class PanelFarm:
         except _DegradeSignal as signal:
             self._finish_in_process(c, alpha, bounds, next_fold, staged,
                                     panels, counts, signal,
-                                    algo=algo, cache=cache, parallel=parallel)
+                                    algo=algo, cache=cache)
         finally:
             if parked:
                 _park_idle_pool(pool)
@@ -944,7 +951,7 @@ class PanelFarm:
     def _finish_in_process(self, c: np.ndarray, alpha: float, bounds,
                            next_fold: int, staged, panels,
                            counts: _RunCounts, signal: _DegradeSignal, *,
-                           algo, cache, parallel) -> None:
+                           algo, cache) -> None:
         """Graceful degradation: complete the remaining panels in-process.
 
         Replays the exact fold the workers would have produced — one
@@ -973,7 +980,7 @@ class PanelFarm:
                 partial.fill(0)
                 try:
                     self.engine.matmul_ata(panel, partial, alpha, algo=algo,
-                                           cache=cache, parallel=parallel)
+                                           cache=cache)
                 finally:
                     del panel  # release any arena buffer export
                 np.add(c, partial, out=c)
@@ -992,7 +999,7 @@ class PanelFarm:
 
 def run_farm(a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
              beta: float = 1.0, algo: str = "auto", cache=None,
-             parallel: Optional[str] = None, budget: Optional[int] = None,
+             budget: Optional[int] = None,
              panel_rows: Optional[int] = None,
              procs: Optional[int] = None,
              max_retries: Optional[int] = None
@@ -1002,8 +1009,8 @@ def run_farm(a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
     from .dispatch import default_engine
     return PanelFarm(default_engine(), procs=procs,
                      max_retries=max_retries).run(
-        a, c, alpha, beta=beta, algo=algo, cache=cache, parallel=parallel,
-        budget=budget, panel_rows=panel_rows)
+        a, c, alpha, beta=beta, algo=algo, cache=cache, budget=budget,
+        panel_rows=panel_rows)
 
 
 atexit.register(stop_idle_pool)

@@ -673,14 +673,14 @@ class ShardedAtA:
     # -- execution ----------------------------------------------------------
     def run(self, a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
             beta: float = 1.0, algo: str = "auto",
-            cache: Optional[CacheModel] = None, parallel: Optional[str] = None,
+            cache: Optional[CacheModel] = None,
             budget: Optional[int] = None, panel_rows: Optional[int] = None,
             prefetch: Optional[bool] = None
             ) -> Tuple[np.ndarray, OocRunStats]:
         """Stream ``a`` through the engine; returns ``(C, run stats)``.
 
-        ``a`` is anything :func:`as_source` accepts.  ``algo`` / ``cache``
-        / ``parallel`` pass through to every per-panel
+        ``a`` is anything :func:`as_source` accepts.  ``algo`` and
+        ``cache`` pass through to every per-panel
         :meth:`~repro.engine.dispatch.ExecutionEngine.matmul_ata` call,
         so backend selection (including a measured tuner) applies at
         panel granularity.  With a single-panel schedule the one engine
@@ -718,8 +718,7 @@ class ShardedAtA:
         stream_state = {"prefetch_degraded": False}
         consumed = 0
         for panel in self._stream(source, bounds, use_prefetch, stream_state):
-            self.engine.matmul_ata(panel, c, alpha, algo=algo, cache=cache,
-                                   parallel=parallel)
+            self.engine.matmul_ata(panel, c, alpha, algo=algo, cache=cache)
             # drop the reference before asking for the next panel: the
             # prefetch stream recycles this panel's buffer slot only once
             # nothing points at it, keeping the double buffer double
@@ -750,7 +749,7 @@ class ShardedAtA:
 
 def run_ooc(a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
             beta: float = 1.0, algo: str = "auto",
-            cache: Optional[CacheModel] = None, parallel: Optional[str] = None,
+            cache: Optional[CacheModel] = None,
             budget: Optional[int] = None, panel_rows: Optional[int] = None,
             prefetch: Optional[bool] = None, procs: Optional[int] = None):
     """Out-of-core ``C = alpha * A^T A + beta * C`` on the default engine,
@@ -760,14 +759,13 @@ def run_ooc(a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
     (:class:`repro.engine.farm.PanelFarm`)."""
     from .dispatch import default_engine
     return default_engine().run_ooc(
-        a, c, alpha, beta=beta, algo=algo, cache=cache, parallel=parallel,
-        budget=budget, panel_rows=panel_rows, prefetch=prefetch, procs=procs)
+        a, c, alpha, beta=beta, algo=algo, cache=cache, budget=budget,
+        panel_rows=panel_rows, prefetch=prefetch, procs=procs)
 
 
 def matmul_ata_ooc(a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
                    beta: float = 1.0, algo: str = "auto",
                    cache: Optional[CacheModel] = None,
-                   parallel: Optional[str] = None,
                    budget: Optional[int] = None,
                    panel_rows: Optional[int] = None,
                    prefetch: Optional[bool] = None,
@@ -777,6 +775,6 @@ def matmul_ata_ooc(a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
     see :class:`ShardedAtA` for the budget and determinism contract and
     :class:`repro.engine.farm.PanelFarm` for ``procs``."""
     result, _ = run_ooc(a, c, alpha, beta=beta, algo=algo, cache=cache,
-                        parallel=parallel, budget=budget,
-                        panel_rows=panel_rows, prefetch=prefetch, procs=procs)
+                        budget=budget, panel_rows=panel_rows,
+                        prefetch=prefetch, procs=procs)
     return result

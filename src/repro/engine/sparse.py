@@ -237,7 +237,7 @@ class SparseGramBackend(_StructuredBackend):
             return 2.0 * float(nnz) * float(nnz) / float(m)
         return 2.0 * float(nnz) * float(shape[2])
 
-    def run(self, engine, op, a, c, alpha, b, model, parallel,
+    def run(self, engine, op, a, c, alpha, b, model,
             held: Optional[dict] = None) -> None:
         if op == "ata":
             gram = (a.T @ a).tocsr()
@@ -266,14 +266,14 @@ class DensifyBackend(_StructuredBackend):
         convert = float(shape[0]) * float(shape[1])  # the toarray() write
         return dense.cost(op, shape, dtype, model) + convert
 
-    def run(self, engine, op, a, c, alpha, b, model, parallel,
+    def run(self, engine, op, a, c, alpha, b, model,
             held: Optional[dict] = None) -> None:
         dense = np.ascontiguousarray(a.toarray())
         backend = choose_heuristic(op, (dense.shape if op == "ata"
                                         else (dense.shape[0], dense.shape[1],
                                               b.shape[1])),
                                    dense.dtype, model)
-        backend.run(engine, op, dense, c, alpha, b, model, parallel, held)
+        backend.run(engine, op, dense, c, alpha, b, model, held)
 
 
 class BandedAtaBackend(_StructuredBackend):
@@ -299,7 +299,7 @@ class BandedAtaBackend(_StructuredBackend):
         nd = len(operand.offsets)
         return float(nd * nd) * float(shape[1])
 
-    def run(self, engine, op, a, c, alpha, b, model, parallel,
+    def run(self, engine, op, a, c, alpha, b, model,
             held: Optional[dict] = None) -> None:
         m, n = a.shape
         data = a.data
@@ -340,7 +340,7 @@ class LowRankGramBackend(Backend):
         k = shape[2]
         return float(gemm_flops(m, r, k)) + float(gemm_flops(r, n, k))
 
-    def run(self, engine, op, a, c, alpha, b, model, parallel,
+    def run(self, engine, op, a, c, alpha, b, model,
             held: Optional[dict] = None) -> None:
         if op == "ata":
             core = a.u.T @ a.u                       # (r, r)

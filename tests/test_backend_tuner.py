@@ -120,8 +120,7 @@ class TestRegistry:
             name = "test_doubler"
             ops = frozenset({"ata"})
 
-            def run(self, engine, op, a, c, alpha, b, model, parallel,
-                    held=None):
+            def run(self, engine, op, a, c, alpha, b, model, held=None):
                 calls.append(op)
                 idx = np.tril_indices(a.shape[1])
                 c[idx] += 2.0 * alpha * (a.T @ a)[idx]
@@ -333,23 +332,6 @@ class TestTunerUnit:
         assert any(k.endswith("|seq") for k in keys)
         assert any(k.endswith("|w2l2") for k in keys)
 
-    def test_parallel_off_override_records_sequential_cell(self, rng,
-                                                           tmp_path,
-                                                           fake_costs):
-        """An explicit parallel='off' call on a DAG engine executes
-        sequentially, so its timing belongs in the sequential cell."""
-        clock, _ = fake_costs
-        with configured(base_case_elements=64):
-            tuner = BackendTuner(str(tmp_path / "t.json"), explore_budget=1,
-                                 timer=clock)
-            par = ExecutionEngine(workers=2, tuner=tuner)
-            try:
-                par.matmul_ata(rng.standard_normal((64, 64)), parallel="off")
-            finally:
-                par.close()
-            (key,) = tuner.table_snapshot()
-        assert key.endswith("|seq")
-
     def test_exploit_calls_skip_measurement(self, rng, tmp_path, fake_costs):
         clock, _ = fake_costs
         with configured(base_case_elements=64):
@@ -548,7 +530,7 @@ class TestTunerPersistence:
                 assert not name.endswith("+fused")
                 tuner.record("ata", shape, np.float64, name, 1.0)
 
-            engine = ExecutionEngine(parallel="off", tuner="measured")
+            engine = ExecutionEngine(tuner="measured")
             a = rng.standard_normal(shape)
             expect = np.tril(a.T @ a)
             for _ in range(8):
@@ -945,8 +927,8 @@ class TestFrozenTuner:
         with configured(base_case_elements=64,
                         tuner_path=str(tmp_path / "tuner.json")):
             a = rng.standard_normal((64, 48))
-            ref = ExecutionEngine(parallel="off").matmul_ata(a)
-            eng = ExecutionEngine(parallel="off", tuner="frozen")
+            ref = ExecutionEngine().matmul_ata(a)
+            eng = ExecutionEngine(tuner="frozen")
             first = eng.matmul_ata(a)
             runs_after_first = dict(eng.stats().backend_runs)
             second = eng.matmul_ata(a)

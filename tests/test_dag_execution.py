@@ -11,7 +11,7 @@ other's bits no matter how they interleave.
 Also covered: the DAG's structural invariants (forward edges, consistent
 predecessor counts, critical path/width accounting), the scratch-lane
 layout (disjoint per-lane offsets, requirement = sum of lanes), engine
-wiring (modes, stats, per-call override), a many-thread stress test on one
+wiring (modes, stats, constructor-only scheduling), a many-thread stress test on one
 shared engine, and the workspace pool's best-fit/eviction policy.
 """
 
@@ -247,7 +247,7 @@ class TestEngineWiring:
         with configured(base_case_elements=64):
             expected = ata(a.copy())
             for workers in (1, 2, 8):
-                for mode in ("auto", "dag", "off"):
+                for mode in ("auto", "dag"):
                     engine = ExecutionEngine(workers=workers, parallel=mode)
                     try:
                         assert np.array_equal(engine.matmul_ata(a), expected), \
@@ -267,20 +267,6 @@ class TestEngineWiring:
         assert stats.sequential_runs == 0
         engine.close()
 
-    def test_per_call_override_to_sequential(self, rng):
-        engine = ExecutionEngine(workers=2, parallel="dag")
-        a = rng.standard_normal((96, 64))
-        with configured(base_case_elements=64):
-            engine.matmul_ata(a, parallel="off")
-        stats = engine.stats()
-        assert stats.dag_runs == 0 and stats.sequential_runs == 1
-        engine.close()
-
-    def test_dag_override_on_sequential_engine_rejected(self, rng):
-        engine = ExecutionEngine()  # workers=1, not DAG-capable
-        with pytest.raises(ConfigurationError):
-            engine.matmul_ata(rng.standard_normal((32, 32)), parallel="dag")
-
     def test_invalid_parallel_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             ExecutionEngine(parallel="eventually")
@@ -289,14 +275,25 @@ class TestEngineWiring:
         with pytest.raises(ConfigurationError):
             DagExecutor(0)
 
-    def test_scratch_lanes_on_sequential_engine_rejected(self):
-        # lanes would be silently ignored on a sequential engine: reject
+    def test_scheduling_is_decided_by_the_constructor_alone(self, rng):
+        # workers=1 is the sequential engine, lanes follow from workers,
+        # and no call can override the schedule
         with pytest.raises(ConfigurationError):
-            ExecutionEngine(scratch_lanes=4)
-        with pytest.raises(ConfigurationError):
-            ExecutionEngine(workers=2, scratch_lanes=0)
-        engine = ExecutionEngine(workers=2, scratch_lanes=2)  # capable: fine
-        engine.close()
+            ExecutionEngine(parallel="off")
+        with pytest.raises(TypeError):
+            ExecutionEngine(workers=2, scratch_lanes=2)
+        with pytest.raises(TypeError):
+            ExecutionEngine().matmul_ata(rng.standard_normal((8, 8)),
+                                         parallel="dag")
+        for workers, lanes in ((1, 1), (2, 2), (8, 4)):
+            engine = ExecutionEngine(workers=workers)
+            try:
+                with configured(base_case_elements=64):
+                    engine.matmul_ata(rng.standard_normal((96, 64)))
+                (plan,) = engine.plans.snapshot()
+                assert plan.key[6] == lanes, (workers, plan.key)
+            finally:
+                engine.close()
 
     def test_run_batch_matches_loop_under_dag(self, rng):
         mats = [rng.standard_normal((52, 36)) for _ in range(4)]
@@ -331,7 +328,7 @@ class TestInterleaving:
                     for s in [(48, 32), (64, 64), (96, 40), (33, 17),
                               (64, 64)]]
             outs = eng.run_batch(mats, alpha=1.25)
-            ref_eng = ExecutionEngine(parallel="off")
+            ref_eng = ExecutionEngine()
             for out, a in zip(outs, mats):
                 assert np.array_equal(out, ref_eng.matmul_ata(a, alpha=1.25))
             stats = eng.stats()
@@ -344,7 +341,7 @@ class TestInterleaving:
             pairs = [(rng.standard_normal((m, n)), rng.standard_normal((m, k)))
                      for m, n, k in [(48, 32, 24), (64, 40, 40), (40, 64, 8)]]
             outs = eng.run_batch_atb(pairs, alpha=0.5)
-            ref_eng = ExecutionEngine(parallel="off")
+            ref_eng = ExecutionEngine()
             for out, (a, b) in zip(outs, pairs):
                 assert np.array_equal(
                     out, ref_eng.matmul_atb(a, b, alpha=0.5))
@@ -352,10 +349,10 @@ class TestInterleaving:
 
     def test_sequential_engine_batches_do_not_interleave(self, rng):
         with configured(base_case_elements=256):
-            eng = ExecutionEngine(parallel="off")
+            eng = ExecutionEngine()
             mats = [rng.standard_normal((48, 32)) for _ in range(3)]
             outs = eng.run_batch(mats)
-            ref_eng = ExecutionEngine(parallel="off")
+            ref_eng = ExecutionEngine()
             for out, a in zip(outs, mats):
                 assert np.array_equal(out, ref_eng.matmul_ata(a))
             assert eng.stats().interleaved_batches == 0

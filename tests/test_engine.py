@@ -399,6 +399,23 @@ class TestBackendStats:
         assert sum(after.dispatch_reasons.values()) == after.total_backend_runs
 
 
+class TestBackendProtocol:
+    def test_every_registered_run_matches_the_protocol(self):
+        """Every registered backend's ``run`` takes exactly the parameters
+        of ``Backend.run``.  Without scipy the structured backends never
+        execute, so this is the only check of their signatures there."""
+        import inspect
+
+        from repro.engine.backends import Backend, backend_names, get_backend
+
+        protocol = inspect.signature(Backend.run)
+        expected = [(p.name, p.kind) for p in protocol.parameters.values()]
+        for name in backend_names():
+            run = inspect.signature(type(get_backend(name)).run)
+            got = [(p.name, p.kind) for p in run.parameters.values()]
+            assert got == expected, (name, str(run), str(protocol))
+
+
 class TestModuleLevelFrontend:
     def test_default_engine_is_shared(self):
         assert default_engine() is default_engine()
@@ -469,6 +486,6 @@ class TestPoolAccounting:
 
     def test_engine_stats_surface_pool_high_water(self, rng):
         with configured(base_case_elements=64):
-            eng = ExecutionEngine(parallel="off")
+            eng = ExecutionEngine()
             eng.matmul_ata(rng.standard_normal((96, 64)))
             assert eng.stats().pool_bytes_high > 0

@@ -453,16 +453,6 @@ class TestFrontEnds:
         assert stats.panels == 3
         assert repro.default_engine().stats().ooc_runs == before + 2
 
-    def test_module_level_conveniences_forward_parallel(self, rng):
-        """The convenience wrappers accept every knob the engine methods
-        do — including the per-call scheduling override."""
-        a = rng.standard_normal((40, 12))
-        c1 = repro.matmul_ata_ooc(a, panel_rows=16, prefetch=False,
-                                  parallel="off")
-        c2, _ = repro.run_ooc(a, panel_rows=16, prefetch=False,
-                              parallel="off")
-        assert np.array_equal(c1, c2)
-
     def test_sharded_executor_constructor_validation(self):
         with pytest.raises(ShapeError):
             ShardedAtA(ExecutionEngine(), panel_rows=0)
@@ -486,7 +476,7 @@ class TestFrontEnds:
 class TestOocBudgetCoordination:
     def test_idle_scratch_trimmed_to_fit_budget(self, rng):
         with configured(base_case_elements=64):
-            eng = ExecutionEngine(parallel="off")
+            eng = ExecutionEngine()
             # leave a large idle workspace in the pool
             eng.matmul_ata(rng.standard_normal((256, 64)))
             assert eng.pool.footprint() > 0
@@ -497,7 +487,7 @@ class TestOocBudgetCoordination:
             c, stats = sharded.run(a)
             # multi-panel contract: bit-identical to per-panel accumulation
             # in schedule order (not to one whole-matrix call)
-            ref_eng = ExecutionEngine(parallel="off")
+            ref_eng = ExecutionEngine()
             ref = np.zeros((16, 16))
             for lo in range(0, 128, 32):
                 ref_eng.matmul_ata(a[lo:lo + 32], ref)
@@ -508,7 +498,7 @@ class TestOocBudgetCoordination:
 
     def test_unbounded_budget_never_trims(self, rng):
         with configured(base_case_elements=64):
-            eng = ExecutionEngine(parallel="off")
+            eng = ExecutionEngine()
             eng.matmul_ata(rng.standard_normal((128, 64)))
             sharded = ShardedAtA(eng, budget=0, panel_rows=32,
                                  prefetch=False)

@@ -131,7 +131,7 @@ class TestBitIdentity:
         with configured(base_case_elements=64):
             engine = ExecutionEngine(workers=2, parallel="dag")
             served = run(scenario(engine))
-            reference = ExecutionEngine(parallel="off")
+            reference = ExecutionEngine()
             for a, c in zip(mats, served):
                 assert np.array_equal(c, reference.matmul_ata(a))
 
