@@ -31,8 +31,8 @@ def workload():
 @pytest.fixture(scope="module")
 def reference(workload):
     engine = ExecutionEngine()
-    sharded = ShardedAtA(engine, panel_rows=PANEL_ROWS, prefetch=False)
-    result, _ = sharded.run(workload, algo="syrk")
+    result, _ = ShardedAtA(engine).run(workload, algo="syrk",
+                                       panel_rows=PANEL_ROWS)
     return result
 
 
@@ -41,8 +41,8 @@ class TestFarmAcceptance:
     def test_bit_identical_at_every_worker_count(self, workload, reference,
                                                  procs):
         engine = ExecutionEngine()
-        farm = PanelFarm(engine, procs=procs, panel_rows=PANEL_ROWS)
-        result, stats = farm.run(workload, algo="syrk")
+        farm = PanelFarm(engine, procs=procs)
+        result, stats = farm.run(workload, algo="syrk", panel_rows=PANEL_ROWS)
         assert stats.panels > 1
         assert np.array_equal(result, reference)
 
@@ -83,12 +83,14 @@ class TestRegressionTrackingMicrobenchmarks:
 
     def test_bench_farm_two_workers(self, benchmark, workload):
         engine = ExecutionEngine()
-        farm = PanelFarm(engine, procs=2, panel_rows=PANEL_ROWS)
-        benchmark.pedantic(lambda: farm.run(workload, algo="syrk"),
+        farm = PanelFarm(engine, procs=2)
+        benchmark.pedantic(lambda: farm.run(workload, algo="syrk",
+                                            panel_rows=PANEL_ROWS),
                            rounds=3, iterations=1, warmup_rounds=1)
 
     def test_bench_farm_single_worker(self, benchmark, workload):
         engine = ExecutionEngine()
-        farm = PanelFarm(engine, procs=1, panel_rows=PANEL_ROWS)
-        benchmark.pedantic(lambda: farm.run(workload, algo="syrk"),
+        farm = PanelFarm(engine, procs=1)
+        benchmark.pedantic(lambda: farm.run(workload, algo="syrk",
+                                            panel_rows=PANEL_ROWS),
                            rounds=3, iterations=1, warmup_rounds=1)

@@ -67,10 +67,10 @@ class TestOutOfCoreAcceptance:
         in_memory.matmul_ata(data)
         direct = time.perf_counter() - start
 
-        sharded = ShardedAtA(ExecutionEngine(), budget=256 * 1024)
-        sharded.run(mm)  # warm the panel plan
+        sharded = ShardedAtA(ExecutionEngine())
+        sharded.run(mm, budget=256 * 1024)  # warm the panel plan
         start = time.perf_counter()
-        sharded.run(mm)
+        sharded.run(mm, budget=256 * 1024)
         streamed = time.perf_counter() - start
         assert streamed < 5.0 * direct + 0.05, (
             f"out-of-core streaming too slow: streamed={streamed * 1e3:.1f}ms "
@@ -99,9 +99,10 @@ class TestRegressionTrackingMicrobenchmarks:
 
     def test_bench_ooc_budgeted_stream_warm(self, benchmark, memmap_workload):
         mm, _ = memmap_workload
-        sharded = ShardedAtA(ExecutionEngine(), budget=256 * 1024)
-        sharded.run(mm)  # compile the panel plan, warm the pool
-        benchmark.pedantic(lambda: sharded.run(mm),
+        sharded = ShardedAtA(ExecutionEngine())
+        # compile the panel plan, warm the pool
+        sharded.run(mm, budget=256 * 1024)
+        benchmark.pedantic(lambda: sharded.run(mm, budget=256 * 1024),
                            rounds=5, iterations=1, warmup_rounds=1)
 
     def test_bench_ooc_single_panel_warm(self, benchmark, memmap_workload):

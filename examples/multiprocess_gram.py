@@ -32,7 +32,7 @@ def main() -> None:
 
     # The in-process reference: one interpreter streaming the panels.
     reference, ref_stats = ShardedAtA(ExecutionEngine()).run(
-        a, algo="syrk", panel_rows=PANEL_ROWS, prefetch=False)
+        a, algo="syrk", panel_rows=PANEL_ROWS)
     print(f"[farm] input: {M}x{N} float64, schedule: {ref_stats.panels} "
           f"panels of {ref_stats.panel_rows} rows")
     print(f"[farm] host grants this process {available_cpus()} CPU(s) "

@@ -37,15 +37,13 @@ def main() -> None:
         mm.flush()
 
         engine = ExecutionEngine()
-        sharded = ShardedAtA(engine, budget=BUDGET)
-        gram, stats = sharded.run(mm)
+        gram, stats = ShardedAtA(engine).run(mm, budget=BUDGET)
 
         input_mb = mm.nbytes / 2**20
         print(f"[ooc] input: {M}x{N} float64 on disk ({input_mb:.1f} MB), "
               f"budget {BUDGET // 1024} KiB")
         print(f"[ooc] schedule: {stats.panels} panels of "
-              f"{stats.panel_rows} rows (prefetch "
-              f"{'on' if stats.prefetched else 'off'})")
+              f"{stats.panel_rows} rows")
         print("[ooc] resident high-water: "
               f"{stats.bytes_resident_high / 1024:.1f} KiB "
               f"<= budget: {stats.bytes_resident_high <= BUDGET}")

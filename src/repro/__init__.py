@@ -95,7 +95,6 @@ from .engine import (
     matmul_atb,
     run_batch,
     run_batch_atb,
-    run_farm,
     run_ooc,
 )
 from .serve import Server, retry
@@ -150,7 +149,6 @@ __all__ = [
     "matmul_atb",
     "run_batch",
     "run_batch_atb",
-    "run_farm",
     "run_ooc",
     "Server",
     "retry",

@@ -73,30 +73,31 @@ def engine_farm(shape=(4096, 64),
         a = random_matrix(m, n, seed=m + n)
 
         in_process = ExecutionEngine()
-        sharded = ShardedAtA(in_process, panel_rows=panel_rows,
-                             prefetch=False)
+        sharded = ShardedAtA(in_process)
         # syrk is a single-kernel backend, so the distributive envelope
         # holds and the farm is bit-identical to in-process streaming —
         # the whole point of the `identical` column.
-        reference, _ = sharded.run(a, algo="syrk")  # warm plan + pool
+        reference, _ = sharded.run(a, algo="syrk",  # warm plan + pool
+                                   panel_rows=panel_rows)
         best_in_process = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            reference, _ = sharded.run(a, algo="syrk")
+            reference, _ = sharded.run(a, algo="syrk", panel_rows=panel_rows)
             best_in_process = min(best_in_process,
                                   time.perf_counter() - start)
 
         for procs in procs_sweep:
             engine = ExecutionEngine()
-            farm = PanelFarm(engine, procs=procs, panel_rows=panel_rows)
+            farm = PanelFarm(engine, procs=procs)
             stop_idle_pool()  # the first run spawns its pool
             start = time.perf_counter()
-            cold, _ = farm.run(a, algo="syrk")
+            cold, _ = farm.run(a, algo="syrk", panel_rows=panel_rows)
             cold_seconds = time.perf_counter() - start
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
-                result, run_stats = farm.run(a, algo="syrk")
+                result, run_stats = farm.run(a, algo="syrk",
+                                             panel_rows=panel_rows)
                 best = min(best, time.perf_counter() - start)
             table.add_row(
                 run_stats.procs, run_stats.panels, run_stats.panel_rows,

@@ -284,8 +284,7 @@ def _dense(a: np.ndarray) -> np.ndarray:
     return a if a.flags.c_contiguous else np.ascontiguousarray(a)
 
 
-def direct_syrk(a: np.ndarray, c: np.ndarray, alpha: float = 1.0, *,
-                count: Optional[bool] = None) -> np.ndarray:
+def direct_syrk(a: np.ndarray, c: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """Lower-triangular ``C += alpha * A^T A`` through the bound BLAS.
 
     :func:`repro.blas.kernels.syrk` (``lower=True``) with the provider
@@ -297,12 +296,11 @@ def direct_syrk(a: np.ndarray, c: np.ndarray, alpha: float = 1.0, *,
         raise RuntimeError("no BLAS-direct provider available on this host")
     kernels.validate_matrix(a, "A")
     _require(a)
-    return kernels.syrk(a, c, alpha, count=count)
+    return kernels.syrk(a, c, alpha)
 
 
 def direct_gemm_t(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                  alpha: float = 1.0, *,
-                  count: Optional[bool] = None) -> np.ndarray:
+                  alpha: float = 1.0) -> np.ndarray:
     """``C += alpha * A^T B`` through the bound BLAS (see
     :func:`repro.blas.kernels.gemm_t` for the shape contract)."""
     active = _provider()
@@ -319,7 +317,7 @@ def direct_gemm_t(a: np.ndarray, b: np.ndarray, c: np.ndarray,
         dense = np.ascontiguousarray(c)
         active.gemm_t(a, b, dense, float(alpha))
         c[...] = dense
-    if count if count is not None else get_config().count_flops:
+    if get_config().count_flops:
         itemsize = a.dtype.itemsize
         counters.record("gemm", flops=kernels.gemm_flops(m, n, k),
                         bytes=itemsize * (m * n + m * k + n * k))

@@ -146,8 +146,8 @@ def gemm_flops(m: int, n: int, k: int) -> int:
 # kernels
 # ---------------------------------------------------------------------------
 
-def syrk(a: np.ndarray, c: np.ndarray, alpha: float = 1.0, *, lower: bool = True,
-         count: Optional[bool] = None) -> np.ndarray:
+def syrk(a: np.ndarray, c: np.ndarray, alpha: float = 1.0, *,
+         lower: bool = True) -> np.ndarray:
     """Symmetric rank-``m`` update: ``C += alpha * A^T A`` (one triangle).
 
     Parameters
@@ -163,8 +163,6 @@ def syrk(a: np.ndarray, c: np.ndarray, alpha: float = 1.0, *, lower: bool = True
         Scaling factor applied to the product.
     lower:
         Update the lower (default) or the upper triangle.
-    count:
-        Override the global ``count_flops`` configuration for this call.
 
     Returns
     -------
@@ -180,7 +178,7 @@ def syrk(a: np.ndarray, c: np.ndarray, alpha: float = 1.0, *, lower: bool = True
         idx = np.triu_indices(n)
         c[idx] += alpha * (a.T @ a)[idx]
 
-    if count if count is not None else get_config().count_flops:
+    if get_config().count_flops:
         itemsize = a.dtype.itemsize
         counters.record(
             "syrk",
@@ -190,8 +188,8 @@ def syrk(a: np.ndarray, c: np.ndarray, alpha: float = 1.0, *, lower: bool = True
     return c
 
 
-def gemm_t(a: np.ndarray, b: np.ndarray, c: np.ndarray, alpha: float = 1.0, *,
-           count: Optional[bool] = None) -> np.ndarray:
+def gemm_t(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+           alpha: float = 1.0) -> np.ndarray:
     """Transposed-A GEMM: ``C += alpha * A^T B``.
 
     Shapes: ``A (m, n)``, ``B (m, k)``, ``C (n, k)``.  This is the base-case
@@ -206,7 +204,7 @@ def gemm_t(a: np.ndarray, b: np.ndarray, c: np.ndarray, alpha: float = 1.0, *,
     else:
         c += alpha * (a.T @ b)
 
-    if count if count is not None else get_config().count_flops:
+    if get_config().count_flops:
         itemsize = a.dtype.itemsize
         counters.record(
             "gemm",
@@ -216,8 +214,8 @@ def gemm_t(a: np.ndarray, b: np.ndarray, c: np.ndarray, alpha: float = 1.0, *,
     return c
 
 
-def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, alpha: float = 1.0, *,
-         count: Optional[bool] = None) -> np.ndarray:
+def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, alpha: float = 1.0
+         ) -> np.ndarray:
     """Plain GEMM: ``C += alpha * A B`` with A (m, n), B (n, k), C (m, k).
 
     Used by the distributed baselines (SUMMA, CAPS, COSMA), which operate on
@@ -241,7 +239,7 @@ def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, alpha: float = 1.0, *,
     else:
         c += alpha * (a @ b)
 
-    if count if count is not None else get_config().count_flops:
+    if get_config().count_flops:
         itemsize = a.dtype.itemsize
         counters.record(
             "gemm",
@@ -251,8 +249,7 @@ def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, alpha: float = 1.0, *,
     return c
 
 
-def axpy(y: np.ndarray, x: np.ndarray, alpha: float = 1.0, *,
-         count: Optional[bool] = None) -> np.ndarray:
+def axpy(y: np.ndarray, x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """Vector/matrix update ``y += alpha * x`` (BLAS ``?axpy``).
 
     ``x`` and ``y`` must have identical shapes; for the discordant-shape
@@ -265,13 +262,12 @@ def axpy(y: np.ndarray, x: np.ndarray, alpha: float = 1.0, *,
         y += x
     else:
         y += alpha * x
-    if count if count is not None else get_config().count_flops:
+    if get_config().count_flops:
         counters.record("axpy", flops=2 * int(x.size), bytes=3 * x.size * x.itemsize)
     return y
 
 
-def add_into(y: np.ndarray, x: np.ndarray, alpha: float = 1.0, *,
-             count: Optional[bool] = None) -> np.ndarray:
+def add_into(y: np.ndarray, x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """Add ``alpha * x`` into ``y`` over their overlapping top-left block.
 
     This is the paper's replacement for dynamic peeling / static padding
@@ -289,12 +285,12 @@ def add_into(y: np.ndarray, x: np.ndarray, alpha: float = 1.0, *,
         target += x[:rows, :cols]
     else:
         target += alpha * x[:rows, :cols]
-    if count if count is not None else get_config().count_flops:
+    if get_config().count_flops:
         counters.record("axpy", flops=2 * rows * cols, bytes=3 * rows * cols * y.itemsize)
     return y
 
 
-def scale(c: np.ndarray, beta: float, *, count: Optional[bool] = None) -> np.ndarray:
+def scale(c: np.ndarray, beta: float) -> np.ndarray:
     """Scale a matrix in place: ``C *= beta`` (BLAS ``?scal``).
 
     The paper omits the ``beta`` scaling from Algorithm 1 "for clarity of
@@ -309,7 +305,7 @@ def scale(c: np.ndarray, beta: float, *, count: Optional[bool] = None) -> np.nda
             c.fill(0)
         else:
             c *= beta
-        if count if count is not None else get_config().count_flops:
+        if get_config().count_flops:
             counters.record("scal", flops=int(c.size), bytes=2 * c.size * c.itemsize)
     return c
 

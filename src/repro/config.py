@@ -188,8 +188,8 @@ class Config:
         Out-of-core working-set budget in bytes for
         :class:`repro.engine.ooc.ShardedAtA` /
         :func:`repro.engine.matmul_ata_ooc`: the resident output ``C``
-        plus the streamed row panel(s) of ``A`` must fit inside it (the
-        panel bytes count twice while the prefetch thread double-buffers).
+        plus the streamed row panel of ``A`` must fit inside it (the
+        process farm charges one panel and one output arena per worker).
         ``0`` (default) means unbounded — the whole input is one panel.
         A budget too small for ``C`` plus a single row raises
         :class:`repro.errors.BudgetError`.

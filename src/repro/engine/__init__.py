@@ -46,8 +46,8 @@ dispatch) builds on:
   that exceed memory (arrays, ``np.memmap``, chunk streams) through the
   engine under a byte budget (``Config.memory_budget`` /
   ``REPRO_MEMORY_BUDGET``), accumulating ``C += A_p^T A_p`` in a
-  deterministic fixed panel order with an optional double-buffered
-  prefetch thread; each panel is an ordinary engine call, so plans,
+  deterministic fixed panel order, one panel resident at a time; each
+  panel is an ordinary engine call, so plans,
   pooled workspaces and the tuner amortise at panel granularity;
 * :mod:`repro.engine.farm` — the **multi-process panel farm**:
   :class:`~repro.engine.farm.PanelFarm` fans the same panel schedule out
@@ -121,7 +121,7 @@ from .backends import (
 from .cache import PlanCache
 from .cpu import available_cpus
 from .dag import DagExecutor, DagRunStats
-from .farm import FarmRunStats, PanelFarm, run_farm
+from .farm import FarmRunStats, PanelFarm
 from .dispatch import (
     EngineStats,
     ExecutionEngine,
@@ -204,7 +204,6 @@ __all__ = [
     "run_ooc",
     "PanelFarm",
     "FarmRunStats",
-    "run_farm",
     "available_cpus",
     "HAVE_SCIPY",
     "LowRank",

@@ -4,9 +4,8 @@
 cores the current process may *use*: inside a container with a cpuset, or
 after ``taskset``/``sched_setaffinity``, it overreports — exactly the
 environments a process farm or DAG-threaded engine runs in.  Every gate
-in the engine that sizes parallelism (the DAG worker cap, the out-of-core
-auto-prefetch toggle, the panel farm's default worker count) therefore
-asks :func:`available_cpus` instead, which prefers the scheduling
+in the engine that sizes parallelism (the DAG worker cap, the panel
+farm's default worker count) therefore asks :func:`available_cpus` instead, which prefers the scheduling
 affinity mask of the calling process.
 
 ``os.sched_getaffinity`` is Linux-only; elsewhere (macOS, Windows) the

@@ -159,7 +159,7 @@ class EngineStats:
     #: row panels those runs streamed in total
     ooc_panels: int = 0
     #: high-water mark (bytes) of the out-of-core resident set across all
-    #: runs: the output ``C`` plus the staged panel(s) — see
+    #: runs: the output ``C`` plus the staged panel — see
     #: :class:`repro.engine.ooc.OocRunStats`
     ooc_bytes_resident_high: int = 0
     #: memory budget (bytes) of the most recent out-of-core run
@@ -538,7 +538,6 @@ class ExecutionEngine:
                        cache: Optional[CacheModel] = None,
                        budget: Optional[int] = None,
                        panel_rows: Optional[int] = None,
-                       prefetch: Optional[bool] = None,
                        procs: Optional[int] = None) -> np.ndarray:
         """Out-of-core ``C = alpha * A^T A + beta * C``: stream row panels
         of ``a`` (an array, ``np.memmap`` or chunk source) through this
@@ -548,17 +547,15 @@ class ExecutionEngine:
         plans, the workspace pool and backend selection are reused at
         panel granularity — accumulated in the deterministic schedule of
         :class:`repro.engine.ooc.ShardedAtA` (see there for the
-        bit-identity contract and the prefetch gate).  ``procs`` selects
-        the executor: ``0`` runs in-process (the default; also reachable
-        via ``Config.farm_procs`` / ``REPRO_FARM_PROCS``), ``N >= 1``
-        fans panels out to ``N`` worker processes through
-        :class:`repro.engine.farm.PanelFarm` (which ignores
-        ``prefetch`` — staging is the parent's job there).
+        bit-identity contract).  ``procs`` selects the executor: ``0``
+        runs in-process (the default; also reachable via
+        ``Config.farm_procs`` / ``REPRO_FARM_PROCS``), ``N >= 1`` fans
+        panels out to ``N`` worker processes through
+        :class:`repro.engine.farm.PanelFarm`.
         """
         result, _ = self.run_ooc(a, c, alpha, beta=beta, algo=algo,
                                  cache=cache, budget=budget,
-                                 panel_rows=panel_rows, prefetch=prefetch,
-                                 procs=procs)
+                                 panel_rows=panel_rows, procs=procs)
         return result
 
     def run_ooc(self, a, c: Optional[np.ndarray] = None, alpha: float = 1.0,
@@ -566,7 +563,6 @@ class ExecutionEngine:
                 cache: Optional[CacheModel] = None,
                 budget: Optional[int] = None,
                 panel_rows: Optional[int] = None,
-                prefetch: Optional[bool] = None,
                 procs: Optional[int] = None):
         """Like :meth:`matmul_ata_ooc` but returns ``(C, run stats)`` —
         ``(C, OocRunStats)`` from the in-process executor (``procs=0``),
@@ -589,7 +585,7 @@ class ExecutionEngine:
         from .ooc import ShardedAtA
         return ShardedAtA(self).run(a, c, alpha, beta=beta, algo=algo,
                                     cache=cache, budget=budget,
-                                    panel_rows=panel_rows, prefetch=prefetch)
+                                    panel_rows=panel_rows)
 
     def _record_ooc(self, stats) -> None:
         """Fold one :class:`~repro.engine.ooc.OocRunStats` into the tally."""

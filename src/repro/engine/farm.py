@@ -170,11 +170,10 @@ from ..config import get_config, set_config
 from ..errors import FarmError, ShapeError
 from .backends import registry_generation
 from .cpu import available_cpus
-from .ooc import (as_source, executor_engine, panel_schedule,
-                  prepare_output, working_set_bytes)
+from .ooc import as_source, panel_schedule, prepare_output, working_set_bytes
 from .tuner import BackendTuner
 
-__all__ = ["PanelFarm", "FarmRunStats", "run_farm"]
+__all__ = ["PanelFarm", "FarmRunStats"]
 
 #: seconds between defensive re-checks while waiting on worker events
 #: (events normally arrive through ``connection.wait`` immediately)
@@ -582,40 +581,26 @@ class PanelFarm:
         :func:`~repro.engine.cpu.available_cpus`; must be >= 1 — for the
         in-process path use :class:`~repro.engine.ooc.ShardedAtA`, or
         ``procs=0`` on :meth:`ExecutionEngine.run_ooc`).
-    budget:
-        Working-set budget in bytes (``None`` reads
-        ``Config.memory_budget``; 0 = unbounded).  See the module
-        docstring for what a farm's working set charges.
-    panel_rows:
-        Explicit panel height, overriding the budget-derived one.  The
-        budget still validates it.
-    max_retries:
-        Per-panel replay budget before degrading to in-process
-        completion (``None`` reads ``Config.farm_max_retries``).
+
+    The budget and panel height are per-call arguments of :meth:`run`;
+    the per-panel replay budget is ``Config.farm_max_retries``.
     """
 
-    def __init__(self, engine=None, *, procs: Optional[int] = None,
-                 budget: Optional[int] = None,
-                 panel_rows: Optional[int] = None,
-                 max_retries: Optional[int] = None) -> None:
+    def __init__(self, engine=None, *, procs: Optional[int] = None) -> None:
         if procs is None:
             procs = available_cpus()
         if procs < 1:
             raise ShapeError(f"procs must be >= 1, got {procs}")
-        if max_retries is not None and max_retries < 0:
-            raise ShapeError(
-                f"max_retries must be >= 0, got {max_retries}")
-        self.engine = executor_engine(engine, budget, panel_rows)
+        if engine is None:
+            from .dispatch import default_engine
+            engine = default_engine()
+        self.engine = engine
         self.procs = int(procs)
-        self.budget = budget
-        self.panel_rows = panel_rows
-        self.max_retries = max_retries
 
     # -- schedule -----------------------------------------------------------
     def schedule(self, shape: Tuple[int, int], dtype,
                  budget: Optional[int] = None,
-                 panel_rows: Optional[int] = None,
-                 procs: Optional[int] = None):
+                 panel_rows: Optional[int] = None):
         """Resolve ``(panel bounds, effective budget, procs)`` for a run.
 
         The farm's resident set is ``C`` plus, per worker, one ``n x n``
@@ -625,12 +610,9 @@ class PanelFarm:
         even one-row panels overflow.  ``procs`` is clamped to the panel
         count — idle workers would only cost arenas.
         """
-        procs = self.procs if procs is None else int(procs)
-        if procs < 1:
-            raise ShapeError(f"procs must be >= 1, got {procs}")
+        procs = self.procs
         bounds, budget = panel_schedule(
-            shape, dtype, self.budget if budget is None else budget,
-            self.panel_rows if panel_rows is None else panel_rows,
+            shape, dtype, budget, panel_rows,
             outputs=procs, buffers=procs, buffer_noun="input arena(s)",
             remedy=f"shrink the panel or run fewer than procs={procs} "
                    "workers")
@@ -723,18 +705,20 @@ class PanelFarm:
     def run(self, a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
             beta: float = 1.0, algo: str = "auto",
             cache=None, budget: Optional[int] = None,
-            panel_rows: Optional[int] = None, procs: Optional[int] = None
+            panel_rows: Optional[int] = None
             ) -> Tuple[np.ndarray, FarmRunStats]:
         """Fan ``a``'s panels out to the worker pool; returns ``(C, stats)``.
 
         ``a`` is anything :func:`~repro.engine.ooc.as_source` accepts.
-        ``algo`` and ``cache`` apply to every worker's per-panel
-        ``matmul_ata`` call, exactly as the in-process executor passes
-        them through.
+        ``budget`` and ``panel_rows`` size the schedule as for
+        :meth:`ShardedAtA.run <repro.engine.ooc.ShardedAtA.run>`, with
+        the farm's working set (module docstring).  ``algo`` and
+        ``cache`` apply to every worker's per-panel ``matmul_ata`` call,
+        exactly as the in-process executor passes them through.
         """
         source = as_source(a)
         bounds, eff_budget, procs = self.schedule(
-            source.shape, source.dtype, budget, panel_rows, procs)
+            source.shape, source.dtype, budget, panel_rows)
         c = prepare_output(source, c, beta)
         widest = max(hi - lo for lo, hi in bounds)
         resident_high = working_set_bytes(c.shape[1], c.itemsize, procs,
@@ -773,9 +757,6 @@ class PanelFarm:
         context = _farm_context()
         direct.is_available()  # bind BLAS once here, not in every fork
         config = get_config()
-        max_retries = self.max_retries
-        if max_retries is None:
-            max_retries = config.farm_max_retries
         engine_spec = self._worker_engine_spec()
         spec = {
             "n": n, "dtype": dtype.str, "alpha": alpha,
@@ -857,7 +838,7 @@ class PanelFarm:
                     # nothing owed (died idle, or after acking its panel);
                     # the fold loop respawns the slot if staging remains
                     return
-                if retries.get(panel_idx, 0) >= max_retries:
+                if retries.get(panel_idx, 0) >= config.farm_max_retries:
                     raise _DegradeSignal(panel_idx, reason)
                 retries[panel_idx] = retries.get(panel_idx, 0) + 1
                 counts.retried_panels += 1
@@ -991,26 +972,6 @@ class PanelFarm:
                 "the retry budget was exhausted and the degraded "
                 f"in-process completion failed at panel {panel_idx} of "
                 f"{len(bounds)}: {exc!r}") from exc
-
-
-# ---------------------------------------------------------------------------
-# module-level convenience (default engine)
-# ---------------------------------------------------------------------------
-
-def run_farm(a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
-             beta: float = 1.0, algo: str = "auto", cache=None,
-             budget: Optional[int] = None,
-             panel_rows: Optional[int] = None,
-             procs: Optional[int] = None,
-             max_retries: Optional[int] = None
-             ) -> Tuple[np.ndarray, FarmRunStats]:
-    """Multi-process out-of-core ``C = alpha * A^T A + beta * C`` on the
-    default engine, returning ``(C, FarmRunStats)``; see :class:`PanelFarm`."""
-    from .dispatch import default_engine
-    return PanelFarm(default_engine(), procs=procs,
-                     max_retries=max_retries).run(
-        a, c, alpha, beta=beta, algo=algo, cache=cache, budget=budget,
-        panel_rows=panel_rows)
 
 
 atexit.register(stop_idle_pool)

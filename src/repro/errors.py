@@ -113,8 +113,8 @@ class BudgetError(ReproError, RuntimeError):
 
     :class:`repro.engine.ooc.ShardedAtA` streams row panels of ``A``
     through the engine under ``Config.memory_budget``; the resident set of
-    one panel iteration is the ``n x n`` output ``C`` plus the panel bytes
-    (doubled while prefetching).  A budget below that floor cannot be met
+    one panel iteration is the ``n x n`` output ``C`` plus the panel
+    bytes.  A budget below that floor cannot be met
     by any schedule, so the executor fails up front with this error —
     naming the shortfall — instead of silently overshooting the budget.
     """

@@ -67,9 +67,6 @@ Known sites
 ``ooc.stream``            per streamed panel (``index`` = panel);
                           ``truncate`` ends the stream early (the executor
                           detects the short stream and raises)
-``ooc.prefetch``          per prefetched panel; ``raise`` fails the loader
-                          thread (the stream degrades to synchronous
-                          staging)
 ``serve.batch``           per dispatched batch; ``raise`` fails the batch
 ``serve.engine``          per dispatched batch; ``slow`` delays the engine
                           call (drives deadline expiry)

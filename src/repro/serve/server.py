@@ -413,7 +413,9 @@ class Server:
                          alpha: float = 1.0,
                          timeout: Optional[float] = None,
                          client: str = "anonymous",
-                         **ooc_kwargs) -> np.ndarray:
+                         budget: Optional[int] = None,
+                         panel_rows: Optional[int] = None,
+                         procs: Optional[int] = None) -> np.ndarray:
         """Serve one ``alpha * A^T A`` request through the out-of-core
         panel path instead of the coalescing queues.
 
@@ -427,10 +429,10 @@ class Server:
         request passes admission control (and the fairness share for
         ``client``), holds its slot until settled, honours ``timeout``
         with :class:`DeadlineError`, is ledgered like any other request,
-        and is awaited by :meth:`close`.  Extra keyword arguments
-        (``budget=``, ``panel_rows=``, ``procs=``, ...) pass through to
-        ``run_ooc``.
+        and is awaited by :meth:`close`.  ``budget``, ``panel_rows`` and
+        ``procs`` pass through to ``run_ooc``.
         """
+        ooc_kwargs = dict(budget=budget, panel_rows=panel_rows, procs=procs)
         return await self._serve(
             lambda: self._validate_ooc(a, algo),
             functools.partial(self._engine_ooc, ooc_kwargs),
@@ -440,7 +442,9 @@ class Server:
                             alpha: float = 1.0,
                             timeout: Optional[float] = None,
                             client: str = "anonymous",
-                            **ooc_kwargs) -> np.ndarray:
+                            budget: Optional[int] = None,
+                            panel_rows: Optional[int] = None,
+                            procs: Optional[int] = None) -> np.ndarray:
         """Serve ``alpha * A^T A`` of a matrix delivered as an iterator
         of row-chunks, without ever materialising it in memory.
 
@@ -452,8 +456,10 @@ class Server:
         The admission slot is claimed before spooling starts, so
         streaming clients feel backpressure too.  This is how the wire
         front door serves batches far larger than RAM: frames stream off
-        the socket straight into the spool.
+        the socket straight into the spool.  ``budget``, ``panel_rows``
+        and ``procs`` pass through to ``run_ooc``.
         """
+        ooc_kwargs = dict(budget=budget, panel_rows=panel_rows, procs=procs)
         return await self._serve(
             lambda: self._validate_ooc(None, algo),
             functools.partial(self._engine_ooc, ooc_kwargs),

@@ -82,6 +82,8 @@ class GatedEngine(ExecutionEngine):
         self.gate.set()
         #: set by every entry point on arrival, before it waits
         self.entered = threading.Event()
+        #: the operand :meth:`hold` submits; ``run_ooc`` fails on it
+        self.holder = np.zeros((2, 2))
 
     def _wait(self) -> None:
         self.entered.set()
@@ -99,11 +101,11 @@ class GatedEngine(ExecutionEngine):
         self._wait()
         return super().run_batch(*args, **kwargs)
 
-    def run_ooc(self, *args, hold: bool = False, **kwargs):
+    def run_ooc(self, a, *args, **kwargs):
         self._wait()
-        if hold:
+        if a is self.holder:
             raise RuntimeError("held worker released")
-        return super().run_ooc(*args, **kwargs)
+        return super().run_ooc(a, *args, **kwargs)
 
     async def hold(self, server) -> "asyncio.Future":
         """Close the gate and occupy one of ``server``'s executor workers
@@ -114,7 +116,7 @@ class GatedEngine(ExecutionEngine):
         self.gate.clear()
         self.entered.clear()
         holder = asyncio.ensure_future(
-            server.submit_ooc(np.zeros((2, 2)), hold=True))
+            server.submit_ooc(self.holder))
         for _ in range(60_000):
             if self.entered.is_set():
                 return holder

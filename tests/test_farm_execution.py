@@ -53,7 +53,6 @@ from repro.engine import (
     ShardedAtA,
     available_cpus,
     matmul_ata_ooc,
-    run_farm,
     split_rows,
 )
 from repro.engine import farm as farm_mod
@@ -73,7 +72,7 @@ def in_process_reference(a: np.ndarray, panel_rows: int, alpha: float = 1.0,
     """The in-process executor on the identical fixed schedule."""
     c, _ = ShardedAtA(ExecutionEngine()).run(
         np.ascontiguousarray(a), alpha=alpha, algo=algo,
-        panel_rows=panel_rows, prefetch=False)
+        panel_rows=panel_rows)
     return c
 
 
@@ -110,7 +109,7 @@ def farm_run(a_source, *, procs: int, **kwargs):
     in-process routing of ``run_ooc``, ``procs>=1`` the farm."""
     engine = ExecutionEngine()
     if procs == 0:
-        c, _ = engine.run_ooc(a_source, procs=0, prefetch=False, **kwargs)
+        c, _ = engine.run_ooc(a_source, procs=0, **kwargs)
         return c
     c, _ = PanelFarm(engine, procs=procs).run(a_source, **kwargs)
     return c
@@ -208,18 +207,10 @@ class TestBitIdentity:
         a = rng.standard_normal((50, 12))
         c0 = rng.standard_normal((12, 12))
         expected, _ = ShardedAtA(ExecutionEngine()).run(
-            a, c0.copy(), 0.5, beta=2.0, algo="syrk", panel_rows=17,
-            prefetch=False)
+            a, c0.copy(), 0.5, beta=2.0, algo="syrk", panel_rows=17)
         got, _ = PanelFarm(ExecutionEngine(), procs=2).run(
             a, c0.copy(), 0.5, beta=2.0, algo="syrk", panel_rows=17)
         assert np.array_equal(got, expected)
-
-    def test_run_farm_module_front(self, rng):
-        a = rng.standard_normal((60, 16))
-        expected = in_process_reference(a, panel_rows=25, algo="syrk")
-        got, stats = run_farm(a, algo="syrk", panel_rows=25, procs=2)
-        assert np.array_equal(got, expected)
-        assert stats.procs == 2 and stats.panels == len(split_rows(60, 25))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +236,7 @@ class TestWiring:
         engine = ExecutionEngine()
         with configured(farm_procs=4):
             _, stats = engine.run_ooc(a, algo="syrk", panel_rows=29,
-                                      procs=0, prefetch=False)
+                                      procs=0)
         assert not hasattr(stats, "procs")  # OocRunStats
         snap = engine.stats()
         assert snap.ooc_runs == 1 and snap.farm_runs == 0
@@ -394,9 +385,9 @@ class TestWorkerFailure:
         register_backend(_RaiseBackend())
         try:
             a = rng.standard_normal((60, 12))
-            with pytest.raises(FarmError, match=r"panel 0 of 4"):
-                PanelFarm(ExecutionEngine(), procs=1,
-                          max_retries=0).run(
+            with pytest.raises(FarmError, match=r"panel 0 of 4"), \
+                    configured(farm_max_retries=0):
+                PanelFarm(ExecutionEngine(), procs=1).run(
                     a, algo="farm-test-raise", panel_rows=17)
         finally:
             unregister_backend("farm-test-raise")

@@ -10,8 +10,7 @@ documented response — not merely "it survived":
   ``poison`` documents the one failure the model excludes (a worker that
   lies);
 * **out-of-core** — a truncated stream raises instead of returning a
-  silently partial Gram; a failed prefetch loader degrades to
-  synchronous staging with identical bits;
+  silently partial Gram;
 * **serving** — expired deadlines settle with
   :class:`~repro.errors.DeadlineError`, never poison their batch, and
   the admission ledger reconciles every request's fate under load;
@@ -48,7 +47,7 @@ pytestmark = pytest.mark.timeout(120)  # hung recovery must fail, not stall
 def reference(a: np.ndarray, panel_rows: int, algo: str = "syrk"):
     """Fault-free in-process executor on the identical fixed schedule."""
     c, _ = ShardedAtA(ExecutionEngine()).run(
-        a, algo=algo, panel_rows=panel_rows, prefetch=False)
+        a, algo=algo, panel_rows=panel_rows)
     return c
 
 
@@ -153,9 +152,8 @@ class TestFarmChaos:
     def test_zero_retries_degrades_on_first_failure(self, rng):
         a = rng.standard_normal((60, 12))
         expected = reference(a, panel_rows=17)
-        with configured(faults="farm.worker:kill@p0"):
-            got, stats = PanelFarm(ExecutionEngine(), procs=2,
-                                   max_retries=0).run(
+        with configured(faults="farm.worker:kill@p0", farm_max_retries=0):
+            got, stats = PanelFarm(ExecutionEngine(), procs=2).run(
                 a, algo="syrk", panel_rows=17)
         assert np.array_equal(got, expected)
         assert stats.degraded and stats.retried_panels == 0
@@ -212,7 +210,7 @@ class TestFarmChaos:
 
 
 # ---------------------------------------------------------------------------
-# out-of-core: truncation and prefetch degradation
+# out-of-core: truncation
 # ---------------------------------------------------------------------------
 
 class TestOocChaos:
@@ -221,22 +219,7 @@ class TestOocChaos:
         with configured(faults="ooc.stream:truncate@p2"):
             with pytest.raises(ShapeError, match="ended after 2 of"):
                 ShardedAtA(ExecutionEngine()).run(
-                    a, algo="syrk", panel_rows=15, prefetch=False)
-
-    def test_prefetch_failure_degrades_to_synchronous(self, rng):
-        a = rng.standard_normal((120, 16))
-        expected = reference(a, panel_rows=15)
-        with configured(faults="ooc.prefetch:raise@n2"):
-            got, stats = ShardedAtA(ExecutionEngine()).run(
-                a, algo="syrk", panel_rows=15, prefetch=True)
-        assert np.array_equal(got, expected)
-        assert stats.prefetched and stats.prefetch_degraded
-
-    def test_prefetch_degraded_flag_clear_on_clean_runs(self, rng):
-        a = rng.standard_normal((120, 16))
-        _, stats = ShardedAtA(ExecutionEngine()).run(
-            a, algo="syrk", panel_rows=15, prefetch=True)
-        assert not stats.prefetch_degraded
+                    a, algo="syrk", panel_rows=15)
 
 
 # ---------------------------------------------------------------------------

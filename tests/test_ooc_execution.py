@@ -5,8 +5,9 @@ The acceptance contract under test:
 * ``matmul_ata_ooc`` is bit-identical (``np.array_equal``) to
   ``matmul_ata`` whenever the input fits the budget (single panel), and to
   the in-memory engine replaying the same fixed panel schedule for every
-  multi-panel run — across dtypes, algorithms, panel sizes, source kinds
-  (array / memmap / chunk stream) and with prefetching forced on or off;
+  multi-panel run — across dtypes, algorithms, panel sizes and source
+  kinds (array / memmap / chunk stream);
+* a budget-derived schedule is the same on every host;
 * a memmap-backed input whose bytes exceed ``Config.memory_budget``
   completes, with the resident high-water within the budget;
 * infeasible budgets fail up front with :class:`repro.errors.BudgetError`;
@@ -15,6 +16,8 @@ The acceptance contract under test:
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -87,8 +90,7 @@ class TestBitIdentity:
         a = rng.standard_normal((m, n)).astype(dtype)
         with configured(base_case_elements=64):
             engine = ExecutionEngine()
-            got = engine.matmul_ata_ooc(a, algo=algo, panel_rows=panel_rows,
-                                        prefetch=False)
+            got = engine.matmul_ata_ooc(a, algo=algo, panel_rows=panel_rows)
             want = reference_panel_sum(a, panel_rows, algo=algo)
             assert np.array_equal(got, want)
             if panel_rows >= m:
@@ -102,13 +104,6 @@ class TestBitIdentity:
             assert np.array_equal(matmul_ata_ooc(a),
                                   ExecutionEngine().matmul_ata(a))
 
-    def test_prefetch_never_changes_values(self, rng):
-        a = rng.standard_normal((200, 30))
-        engine = ExecutionEngine()
-        off = engine.matmul_ata_ooc(a, panel_rows=48, prefetch=False)
-        on = engine.matmul_ata_ooc(a, panel_rows=48, prefetch=True)
-        assert np.array_equal(off, on)
-
     def test_sources_agree_bit_for_bit(self, rng, tmp_path):
         a = rng.standard_normal((150, 24))
         mm = np.memmap(tmp_path / "a.dat", dtype=a.dtype, mode="w+",
@@ -117,11 +112,10 @@ class TestBitIdentity:
         mm.flush()
         chunks = [a[0:37], a[37:37], a[37:99], a[99:150]]
         engine = ExecutionEngine()
-        from_array = engine.matmul_ata_ooc(a, panel_rows=40, prefetch=False)
-        from_memmap = engine.matmul_ata_ooc(mm, panel_rows=40, prefetch=True)
+        from_array = engine.matmul_ata_ooc(a, panel_rows=40)
+        from_memmap = engine.matmul_ata_ooc(mm, panel_rows=40)
         from_stream = engine.matmul_ata_ooc(
-            ChunkSource(iter(chunks), a.shape, a.dtype), panel_rows=40,
-            prefetch=True)
+            ChunkSource(iter(chunks), a.shape, a.dtype), panel_rows=40)
         assert np.array_equal(from_array, from_memmap)
         assert np.array_equal(from_array, from_stream)
 
@@ -130,7 +124,7 @@ class TestBitIdentity:
         c0 = rng.standard_normal((20, 20))
         engine = ExecutionEngine()
         got = engine.matmul_ata_ooc(a, c0.copy(), alpha=2.0, beta=0.5,
-                                    panel_rows=32, prefetch=False)
+                                    panel_rows=32)
         want = c0.copy()
         want *= 0.5
         ref = ExecutionEngine()
@@ -141,8 +135,8 @@ class TestBitIdentity:
     def test_repeated_runs_identical(self, rng):
         a = rng.standard_normal((128, 32))
         engine = ExecutionEngine()
-        first = engine.matmul_ata_ooc(a, panel_rows=50, prefetch=False)
-        second = engine.matmul_ata_ooc(a, panel_rows=50, prefetch=False)
+        first = engine.matmul_ata_ooc(a, panel_rows=50)
+        second = engine.matmul_ata_ooc(a, panel_rows=50)
         assert np.array_equal(first, second)
 
 
@@ -158,7 +152,7 @@ class TestMemmapBeyondBudget:
         budget = 128 * 1024  # 128 KiB; the input is 1.5 MiB
         assert mm.nbytes > budget
         engine = ExecutionEngine()
-        result, stats = engine.run_ooc(mm, budget=budget, prefetch=True)
+        result, stats = engine.run_ooc(mm, budget=budget)
         assert stats.panels > 1
         assert stats.bytes_resident_high <= budget
         assert stats.budget_bytes == budget
@@ -175,7 +169,7 @@ class TestMemmapBeyondBudget:
         c_bytes = 16 * 16 * 8
         with configured(memory_budget=c_bytes + 64 * 16 * 8):
             engine = ExecutionEngine()
-            result, stats = engine.run_ooc(a, prefetch=False)
+            result, stats = engine.run_ooc(a)
         assert stats.panels == 4  # 64 rows per panel out of 256
         assert stats.budget_bytes == c_bytes + 64 * 16 * 8
         assert np.array_equal(result, reference_panel_sum(a, stats.panel_rows))
@@ -183,7 +177,7 @@ class TestMemmapBeyondBudget:
     def test_panel_plans_are_reused_across_panels(self, rng):
         a = rng.standard_normal((300, 24))
         engine = ExecutionEngine()
-        engine.matmul_ata_ooc(a, panel_rows=60, prefetch=False)
+        engine.matmul_ata_ooc(a, panel_rows=60)
         stats = engine.stats()
         # 5 equal panels -> one compile, four cache hits
         assert stats.plan_misses == 1
@@ -200,8 +194,7 @@ class TestBudgetErrors:
         a = rng.standard_normal((64, 32))
         c_bytes = 32 * 32 * 8
         with pytest.raises(BudgetError):
-            ExecutionEngine().matmul_ata_ooc(a, budget=c_bytes + 8,
-                                             prefetch=False)
+            ExecutionEngine().matmul_ata_ooc(a, budget=c_bytes + 8)
 
     def test_explicit_panel_rows_overshooting_budget(self, rng):
         a = rng.standard_normal((64, 32))
@@ -209,24 +202,11 @@ class TestBudgetErrors:
         budget = c_bytes + 4 * 32 * 8  # room for 4 rows, single-buffered
         engine = ExecutionEngine()
         with pytest.raises(BudgetError):
-            engine.matmul_ata_ooc(a, budget=budget, panel_rows=8,
-                                  prefetch=False)
+            engine.matmul_ata_ooc(a, budget=budget, panel_rows=8)
         # the same budget is feasible at 4 rows
-        result, stats = engine.run_ooc(a, budget=budget, panel_rows=4,
-                                       prefetch=False)
+        result, stats = engine.run_ooc(a, budget=budget, panel_rows=4)
         assert stats.panels == 16
         assert np.array_equal(result, reference_panel_sum(a, 4))
-
-    def test_prefetch_doubles_the_panel_charge(self, rng):
-        a = rng.standard_normal((64, 32))
-        c_bytes = 32 * 32 * 8
-        budget = c_bytes + 6 * 32 * 8
-        engine = ExecutionEngine()
-        # 6 rows fit single-buffered but not double-buffered
-        engine.matmul_ata_ooc(a, budget=budget, panel_rows=6, prefetch=False)
-        with pytest.raises(BudgetError):
-            engine.matmul_ata_ooc(a, budget=budget, panel_rows=6,
-                                  prefetch=True)
 
     def test_error_message_names_the_remedy(self, rng):
         a = rng.standard_normal((64, 32))
@@ -242,23 +222,21 @@ class TestBudgetErrors:
 class TestPanelSchedule:
     """The one panel-schedule solver, through both executors' ``schedule``:
     ``(1 + outputs)·n²·s + buffers·rows·n·s <= budget`` with the largest
-    ``rows`` that fits — outputs = 0 and buffers = 1 or 2 (prefetch) in
-    process, outputs = buffers = procs in the farm."""
+    ``rows`` that fits — outputs = 0 and buffers = 1 in process,
+    outputs = buffers = procs in the farm."""
 
     @settings(max_examples=300, deadline=None)
     @given(m=st.integers(1, 3000), n=st.integers(1, 48),
            dtype=st.sampled_from([np.float32, np.float64, np.complex128]),
-           budget=st.integers(0, 1 << 17), procs=st.integers(0, 3),
-           prefetch=st.booleans())
-    def test_largest_panel_that_fits(self, m, n, dtype, budget, procs,
-                                     prefetch):
+           budget=st.integers(0, 1 << 17), procs=st.integers(0, 3))
+    def test_largest_panel_that_fits(self, m, n, dtype, budget, procs):
         engine = ExecutionEngine()
         if procs:
             outputs = buffers = procs
-            executor, options = PanelFarm(engine, procs=procs), {}
+            executor = PanelFarm(engine, procs=procs)
         else:
-            outputs, buffers = 0, 2 if prefetch else 1
-            executor, options = ShardedAtA(engine), {"prefetch": prefetch}
+            outputs, buffers = 0, 1
+            executor = ShardedAtA(engine)
         s = np.dtype(dtype).itemsize
 
         def resident(rows):
@@ -266,12 +244,11 @@ class TestPanelSchedule:
 
         if budget and resident(1) > budget:
             with pytest.raises(BudgetError) as excinfo:
-                executor.schedule((m, n), dtype, budget, **options)
+                executor.schedule((m, n), dtype, budget)
             assert (f"smallest feasible working set is {resident(1)} bytes"
                     in str(excinfo.value))
             return
-        bounds, eff_budget, _ = executor.schedule((m, n), dtype, budget,
-                                                  **options)
+        bounds, eff_budget = executor.schedule((m, n), dtype, budget)[:2]
         assert eff_budget == budget
         assert bounds == split_rows(m, bounds[0][1])
         rows = bounds[0][1]
@@ -280,6 +257,23 @@ class TestPanelSchedule:
             return
         assert resident(rows) <= budget
         assert rows == m or resident(rows + 1) > budget
+
+
+    def test_budget_schedule_does_not_depend_on_the_host(self, monkeypatch):
+        """A budget-derived schedule — hence the result, bit for bit — is
+        the same whether the process may run on one CPU or two."""
+        a = np.random.default_rng(7).standard_normal((8192, 96))
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)),
+                                raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            runs.append(ExecutionEngine().run_ooc(a, budget=1 << 20))
+        (one, one_stats), (two, two_stats) = runs
+        assert one_stats.panels == two_stats.panels
+        assert one_stats.panel_rows == two_stats.panel_rows
+        assert np.array_equal(one, two)
 
 
 class TestStatsReconciliation:
@@ -295,25 +289,23 @@ class TestStatsReconciliation:
                 ExecutionEngine().matmul_ata(a, algo=algo)
             panelled = CounterSet()
             with counting(panelled):
-                ExecutionEngine().matmul_ata_ooc(a, algo=algo, panel_rows=48,
-                                                 prefetch=False)
+                ExecutionEngine().matmul_ata_ooc(a, algo=algo, panel_rows=48)
         assert panelled.total_flops == direct.total_flops
 
     def test_engine_accounting_accumulates_across_runs(self, rng):
         engine = ExecutionEngine()
         a = rng.standard_normal((100, 16))
-        engine.matmul_ata_ooc(a, panel_rows=30, prefetch=False)
-        engine.matmul_ata_ooc(a, panel_rows=25, prefetch=False)
+        engine.matmul_ata_ooc(a, panel_rows=30)
+        engine.matmul_ata_ooc(a, panel_rows=25)
         stats = engine.stats()
         assert stats.ooc_runs == 2
         assert stats.ooc_panels == 4 + 4
 
     def test_run_stats_shape(self, rng):
         a = rng.standard_normal((100, 16))
-        _, stats = ExecutionEngine().run_ooc(a, panel_rows=40, prefetch=False)
+        _, stats = ExecutionEngine().run_ooc(a, panel_rows=40)
         assert stats.panels == 3
         assert stats.panel_rows == 40
-        assert stats.prefetched is False
         # C plus one scheduled panel window, charged uniformly across
         # source kinds (views included) so it always agrees with admission
         assert stats.bytes_resident_high == (16 * 16 + 40 * 16) * 8
@@ -341,98 +333,45 @@ class TestSources:
         a = rng.standard_normal((50, 8))
         source = ChunkSource(iter([a[:20]]), (50, 8), a.dtype)
         with pytest.raises(ShapeError, match="ended early"):
-            ExecutionEngine().matmul_ata_ooc(source, panel_rows=25,
-                                             prefetch=False)
+            ExecutionEngine().matmul_ata_ooc(source, panel_rows=25)
 
     def test_chunk_source_long_stream_fails(self, rng):
         a = rng.standard_normal((50, 8))
         source = ChunkSource(iter([a, a[:1]]), (50, 8), a.dtype)
         with pytest.raises(ShapeError, match="more rows"):
-            ExecutionEngine().matmul_ata_ooc(source, panel_rows=25,
-                                             prefetch=False)
+            ExecutionEngine().matmul_ata_ooc(source, panel_rows=25)
 
     def test_chunk_source_wrong_width_fails(self, rng):
         a = rng.standard_normal((50, 8))
         source = ChunkSource(iter([a[:, :4]]), (50, 8), a.dtype)
         with pytest.raises(ShapeError, match="rows, 8"):
-            ExecutionEngine().matmul_ata_ooc(source, panel_rows=25,
-                                             prefetch=False)
+            ExecutionEngine().matmul_ata_ooc(source, panel_rows=25)
 
     def test_chunk_source_dtype_mismatch_fails(self, rng):
         a = rng.standard_normal((50, 8)).astype(np.float32)
         source = ChunkSource(iter([a]), (50, 8), np.float64)
         with pytest.raises(DTypeError, match="declared"):
-            ExecutionEngine().matmul_ata_ooc(source, panel_rows=25,
-                                             prefetch=False)
-
-    def test_chunk_source_error_surfaces_through_prefetch(self, rng):
-        a = rng.standard_normal((50, 8))
-        source = ChunkSource(iter([a[:10]]), (50, 8), a.dtype)
-        with pytest.raises(ShapeError, match="ended early"):
-            ExecutionEngine().matmul_ata_ooc(source, panel_rows=20,
-                                             prefetch=True)
+            ExecutionEngine().matmul_ata_ooc(source, panel_rows=25)
 
     def test_chunk_taller_than_panel_splits_correctly(self, rng):
         """One delivered chunk spanning many panels: the stitch buffer
         must split it at panel boundaries without re-copying the tail."""
         a = rng.standard_normal((130, 12))
         source = ChunkSource(iter([a]), a.shape, a.dtype)
-        got = ExecutionEngine().matmul_ata_ooc(source, panel_rows=17,
-                                               prefetch=False)
+        got = ExecutionEngine().matmul_ata_ooc(source, panel_rows=17)
         assert np.array_equal(got, reference_panel_sum(a, 17))
 
     def test_chunk_source_empty_tail_does_not_mask_extra_rows(self, rng):
         a = rng.standard_normal((50, 8))
         source = ChunkSource(iter([a, a[:0], a[:3]]), (50, 8), a.dtype)
         with pytest.raises(ShapeError, match="more rows"):
-            ExecutionEngine().matmul_ata_ooc(source, panel_rows=25,
-                                             prefetch=False)
+            ExecutionEngine().matmul_ata_ooc(source, panel_rows=25)
 
     def test_chunk_source_malformed_trailing_chunk(self, rng):
         a = rng.standard_normal((50, 8))
         source = ChunkSource(iter([a, a[0]]), (50, 8), a.dtype)  # 1-D tail
         with pytest.raises(ShapeError, match="rows, 8"):
-            ExecutionEngine().matmul_ata_ooc(source, panel_rows=25,
-                                             prefetch=False)
-
-
-class TestPrefetchBuffering:
-    def test_at_most_two_panels_materialised(self, rng):
-        """The budget charges exactly two panel buffers while prefetching,
-        so the loader must never stage a third: track the number of live
-        panel arrays a materialising source has outstanding and assert
-        the high-water is the double buffer, not a triple one."""
-        import threading
-
-        a = rng.standard_normal((600, 16))
-        lock = threading.Lock()
-        state = {"alive": 0, "high": 0}
-
-        def on_free():
-            with lock:
-                state["alive"] -= 1
-
-        class TrackingSource:
-            shape = a.shape
-            dtype = a.dtype
-
-            def panels(self, bounds):
-                import weakref
-                for lo, hi in bounds:
-                    panel = np.array(a[lo:hi], copy=True)
-                    with lock:
-                        state["alive"] += 1
-                        state["high"] = max(state["high"], state["alive"])
-                    weakref.finalize(panel, on_free)
-                    yield panel
-
-        engine = ExecutionEngine()
-        got = engine.matmul_ata_ooc(TrackingSource(), panel_rows=60,
-                                    prefetch=True)
-        assert np.array_equal(got, reference_panel_sum(a, 60))
-        assert state["high"] <= 2, (
-            f"prefetch materialised {state['high']} panels at once; the "
-            "budget only charges a double buffer")
+            ExecutionEngine().matmul_ata_ooc(source, panel_rows=25)
 
 
 class TestFrontEnds:
@@ -447,17 +386,34 @@ class TestFrontEnds:
     def test_module_level_conveniences_use_default_engine(self, rng):
         a = rng.standard_normal((40, 12))
         before = repro.default_engine().stats().ooc_runs
-        c1 = repro.matmul_ata_ooc(a, panel_rows=16, prefetch=False)
-        c2, stats = repro.run_ooc(a, panel_rows=16, prefetch=False)
+        c1 = repro.matmul_ata_ooc(a, panel_rows=16)
+        c2, stats = repro.run_ooc(a, panel_rows=16)
         assert np.array_equal(c1, c2)
         assert stats.panels == 3
         assert repro.default_engine().stats().ooc_runs == before + 2
 
     def test_sharded_executor_constructor_validation(self):
-        with pytest.raises(ShapeError):
-            ShardedAtA(ExecutionEngine(), panel_rows=0)
+        """The executors take no out-of-core options; the per-call
+        ``panel_rows`` is checked before any budget arithmetic, on the
+        stream and the farm alike."""
+        engine = ExecutionEngine()
+        with pytest.raises(TypeError):
+            ShardedAtA(engine, budget=1 << 20)
+        with pytest.raises(TypeError):
+            ShardedAtA(engine, panel_rows=8)
+        with pytest.raises(TypeError):
+            PanelFarm(engine, procs=1, max_retries=0)
+        with pytest.raises(TypeError):
+            engine.run_ooc(np.ones((40, 8)), prefetch=True)
+        a = np.ones((40, 8))
+        for procs in (0, 2):
+            for panel_rows in (0, -3):
+                for budget in (None, 1 << 20):
+                    with pytest.raises(ShapeError, match="panel_rows"):
+                        engine.run_ooc(a, panel_rows=panel_rows,
+                                       budget=budget, procs=procs)
         with pytest.raises(BudgetError):
-            ShardedAtA(ExecutionEngine(), budget=-5)
+            ShardedAtA(engine).run(a, budget=-5)
 
     def test_dag_engine_serves_panels(self, rng):
         """Panels run through whatever engine they are given — including a
@@ -466,8 +422,7 @@ class TestFrontEnds:
         with configured(base_case_elements=64):
             dag_engine = ExecutionEngine(workers=2, parallel="dag")
             try:
-                got = dag_engine.matmul_ata_ooc(a, panel_rows=50,
-                                                prefetch=False)
+                got = dag_engine.matmul_ata_ooc(a, panel_rows=50)
             finally:
                 dag_engine.close()
             assert np.array_equal(got, reference_panel_sum(a, 50))
@@ -482,9 +437,7 @@ class TestOocBudgetCoordination:
             assert eng.pool.footprint() > 0
             a = rng.standard_normal((128, 16))
             budget = (16 * 16 + 2 * 32 * 16) * 8 + 512
-            sharded = ShardedAtA(eng, budget=budget, panel_rows=32,
-                                 prefetch=False)
-            c, stats = sharded.run(a)
+            c, stats = ShardedAtA(eng).run(a, budget=budget, panel_rows=32)
             # multi-panel contract: bit-identical to per-panel accumulation
             # in schedule order (not to one whole-matrix call)
             ref_eng = ExecutionEngine()
@@ -500,7 +453,6 @@ class TestOocBudgetCoordination:
         with configured(base_case_elements=64):
             eng = ExecutionEngine()
             eng.matmul_ata(rng.standard_normal((128, 64)))
-            sharded = ShardedAtA(eng, budget=0, panel_rows=32,
-                                 prefetch=False)
-            _, stats = sharded.run(rng.standard_normal((96, 16)))
+            _, stats = ShardedAtA(eng).run(rng.standard_normal((96, 16)),
+                                           budget=0, panel_rows=32)
             assert stats.workspace_trimmed == 0

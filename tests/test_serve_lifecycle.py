@@ -97,6 +97,30 @@ def _submitter(kind, rng, tmp_path):
 KINDS = ["dense", pytest.param("csr", marks=needs_scipy), "ooc", "stream"]
 
 
+def test_misspelt_out_of_core_keyword_is_refused_before_admission(rng):
+    """``submit_ooc`` and ``submit_stream`` name the ``run_ooc`` options
+    they forward, so a misspelt one is a :class:`TypeError` at the call:
+    nothing is admitted, spooled or ledgered."""
+    a = rng.standard_normal((64, 16))
+    spooled = []
+
+    def chunks():
+        spooled.append(True)
+        yield a
+
+    async def scenario():
+        async with Server(ExecutionEngine()) as server:
+            with pytest.raises(TypeError):
+                await server.submit_ooc(a, panel_row=8)
+            with pytest.raises(TypeError):
+                await server.submit_stream(chunks(), pannel_rows=8)
+            return server.stats()
+
+    stats = run(scenario())
+    assert stats.submitted == 0 and stats.failed == 0 and _reconciled(stats)
+    assert not spooled
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_request_kinds_share_one_contract(kind, rng, tmp_path,
                                          gated_engine):
@@ -342,16 +366,23 @@ def test_direct_route_traffic_cannot_starve_a_held_request(rng):
     tall = rng.standard_normal((64, 16))
 
     class PerRequestGateEngine(ExecutionEngine):
-        def run_ooc(self, a, *, gate, **kwargs):
-            assert gate.wait(WAIT), "test never opened the gate"
+        #: id of a submitted operand -> (operand, the gate it waits on)
+        gates = {}
+
+        def run_ooc(self, a, **kwargs):
+            assert self.gates[id(a)][1].wait(WAIT), \
+                "test never opened the gate"
             return super().run_ooc(a, **kwargs)
 
     async def scenario():
         x1_gate, y1_gate, x2_gate = (threading.Event() for _ in range(3))
-        async with Server(PerRequestGateEngine(), workers=1) as server:
+        engine = PerRequestGateEngine()
+        async with Server(engine, workers=1) as server:
             def ooc(client, gate):
+                operand = tall.copy()
+                engine.gates[id(operand)] = (operand, gate)
                 return asyncio.ensure_future(server.submit_ooc(
-                    tall, client=client, gate=gate, procs=0))
+                    operand, client=client, procs=0))
 
             x1, y1 = ooc("x", x1_gate), ooc("y", y1_gate)
             await asyncio.sleep(0)  # both admitted; both claim a worker

@@ -378,7 +378,7 @@ class TestOocSparse:
         rng = np.random.default_rng(8)
         a = random_sparse(rng, 300, 40, 0.05, np.float64)
         engine = ExecutionEngine()
-        got = engine.matmul_ata_ooc(a, panel_rows=64, prefetch=False)
+        got = engine.matmul_ata_ooc(a, panel_rows=64)
         want = dense_reference(a.toarray())
         assert np.allclose(got, want, rtol=RTOL[np.dtype(np.float64)])
 
@@ -391,16 +391,15 @@ class TestOocSparse:
         chunks = [full[0:13], full[13:50], full[50:81], full[81:100]]
         src = SparseChunkSource(iter(chunks), (100, 20), np.float64)
         engine = ExecutionEngine()
-        got = engine.matmul_ata_ooc(src, panel_rows=32, prefetch=False)
-        want = engine.matmul_ata_ooc(full, panel_rows=32, prefetch=False)
+        got = engine.matmul_ata_ooc(src, panel_rows=32)
+        want = engine.matmul_ata_ooc(full, panel_rows=32)
         assert np.allclose(got, want, rtol=RTOL[np.dtype(np.float64)])
 
     def test_short_stream_raises(self):
         full = sps.csr_matrix(np.ones((40, 8)))
         src = SparseChunkSource(iter([full[0:10]]), (40, 8), np.float64)
         with pytest.raises(ShapeError):
-            ExecutionEngine().matmul_ata_ooc(src, panel_rows=16,
-                                             prefetch=False)
+            ExecutionEngine().matmul_ata_ooc(src, panel_rows=16)
 
     def test_farm_rejects_sparse(self):
         a = sps.eye(64, format="csr") * 1.0
