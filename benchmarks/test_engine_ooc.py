@@ -1,7 +1,7 @@
 """Benchmark: out-of-core panel-sharded AtA under a memory budget.
 
 Acceptance criteria of ISSUE 5: a memmap-backed input whose bytes exceed
-``Config.memory_budget`` completes with the resident working set inside
+its ``budget=`` completes with the resident working set inside
 the budget, bit-identically to the in-memory engine replaying the same
 fixed panel schedule.  Those effects are structural, so they are asserted
 unconditionally; the ``benchmark``-fixture microbenchmarks at the bottom

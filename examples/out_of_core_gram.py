@@ -5,7 +5,7 @@ RAM at once (here an ``np.memmap`` standing in for a multi-GB file) is
 streamed through the execution engine as budget-sized row panels, with
 the partial Gram updates ``C += A_p^T A_p`` accumulated in a fixed,
 deterministic panel order.  The resident working set — the output ``C``
-plus the staged panel(s) — never exceeds ``Config.memory_budget``, and
+plus the staged panel(s) — never exceeds the ``budget=`` bytes, and
 every panel reuses the engine's cached plan and pooled workspace.
 
 Run with ``python examples/out_of_core_gram.py``.
@@ -66,11 +66,9 @@ def main() -> None:
         max_err = float(np.max(np.abs(np.tril(gram) - np.tril(dense.T @ dense))))
         print(f"[ooc] max |C - A^T A| over the lower triangle: {max_err:.3e}")
 
-        # Convenience form: one call on the default engine, budget from
-        # Config.memory_budget / REPRO_MEMORY_BUDGET.
-        with repro.configured(memory_budget=BUDGET):
-            again = repro.matmul_ata_ooc(mm)
-        print("[ooc] repro.matmul_ata_ooc under Config.memory_budget "
+        # Convenience form: one call on the default engine.
+        again = repro.matmul_ata_ooc(mm, budget=BUDGET)
+        print("[ooc] repro.matmul_ata_ooc under budget= "
               f"matches: {np.array_equal(again, gram)}")
 
 

@@ -28,15 +28,15 @@ on:
 * :mod:`repro.engine.ooc` — out-of-core panel sharding:
   :func:`repro.matmul_ata_ooc` / :func:`repro.run_ooc` stream inputs
   that exceed memory (memmaps, chunk iterators) through the engine as
-  budget-sized row panels under ``Config.memory_budget``, bit-identical
+  budget-sized row panels under a per-call ``budget=``, bit-identical
   to the in-memory engine on the same fixed panel schedule;
 * :mod:`repro.engine.farm` — the multi-process panel farm:
   ``run_ooc(procs=N)`` (or :class:`repro.PanelFarm` directly) fans those
   panels out to worker processes over shared-memory arenas, folding the
   partial Grams through a fixed ascending reduction tree so the result
   is bit-identical whatever the worker count — and self-heals worker
-  loss: dead workers are respawned and their panels replayed (bounded by
-  ``Config.farm_max_retries``), degrading to bit-identical in-process
+  loss: dead workers are respawned and their panels replayed (at most
+  twice each), degrading to bit-identical in-process
   completion when retries run out;
 * :mod:`repro.faults` — deterministic, seeded fault injection: named
   sites across the farm, the out-of-core stream, serving and the tuner,

@@ -43,7 +43,7 @@ def engine_serving(clients: Sequence[int] = (4, 16, 64),
     n:
         Square problem size every client submits.
     max_batch:
-        Server batch bound (``Config.serve_max_batch`` analogue).
+        Server batch bound (``Server(max_batch=...)``).
     base_case_elements:
         Base-case threshold for the sweep.
     """

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import get_config
+from ..config import DEFAULT_DTYPE, get_config
 from ..errors import BenchmarkError
 
 __all__ = [
@@ -44,7 +44,7 @@ def random_matrix(m: int, n: int, *, dtype=None, seed: Optional[int] = None,
     m, n:
         Shape.
     dtype:
-        Element type (configured default when omitted).
+        Element type (float64 when omitted).
     seed:
         RNG seed (configured default when omitted) — every benchmark uses
         an explicit seed so runs are reproducible.
@@ -54,9 +54,8 @@ def random_matrix(m: int, n: int, *, dtype=None, seed: Optional[int] = None,
     """
     if m < 1 or n < 1:
         raise BenchmarkError(f"matrix dimensions must be positive, got ({m}, {n})")
-    cfg = get_config()
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    dtype = np.dtype(dtype if dtype is not None else cfg.default_dtype)
+    rng = np.random.default_rng(get_config().seed if seed is None else seed)
+    dtype = np.dtype(dtype if dtype is not None else DEFAULT_DTYPE)
     if distribution == "standard_normal":
         data = rng.standard_normal((m, n))
     elif distribution == "uniform":

@@ -34,9 +34,8 @@ numpy expression instead.
 
 When no provider binds, :func:`is_available` returns ``False`` and the
 ``blas_direct`` execution backend (see :mod:`repro.engine.backends`)
-drops out of the candidate set instead of erroring.  Set
-``REPRO_BLAS_DIRECT=0`` to force that state (the leaf then always takes
-the numpy expression).  Only real ``float32``/``float64`` operands bind
+drops out of the candidate set instead of erroring.  Only real
+``float32``/``float64`` operands bind
 — exactly the dtypes the paper's MKL experiments use.
 """
 
@@ -52,7 +51,6 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from ..config import get_config
 from ..errors import DTypeError
 from . import counters, kernels
 
@@ -177,8 +175,6 @@ def _selftest(active) -> bool:
 
 
 def _load_provider() -> Optional[_CtypesProvider]:
-    if os.environ.get("REPRO_BLAS_DIRECT", "1") in ("0", "false", ""):
-        return None
     for path in _candidate_libraries():
         try:
             lib = ctypes.CDLL(path)
@@ -317,8 +313,7 @@ def direct_gemm_t(a: np.ndarray, b: np.ndarray, c: np.ndarray,
         dense = np.ascontiguousarray(c)
         active.gemm_t(a, b, dense, float(alpha))
         c[...] = dense
-    if get_config().count_flops:
-        itemsize = a.dtype.itemsize
-        counters.record("gemm", flops=kernels.gemm_flops(m, n, k),
-                        bytes=itemsize * (m * n + m * k + n * k))
+    itemsize = a.dtype.itemsize
+    counters.record("gemm", flops=kernels.gemm_flops(m, n, k),
+                    bytes=itemsize * (m * n + m * k + n * k))
     return c

@@ -56,18 +56,24 @@ __all__ = [
 # validation helpers
 # ---------------------------------------------------------------------------
 
-def validate_matrix(a: np.ndarray, name: str = "A", ndim: int = 2) -> np.ndarray:
-    """Validate that ``a`` is a real/complex floating numpy matrix.
-
-    Returns the array unchanged (kernels never copy), raising
-    :class:`ShapeError` / :class:`DTypeError` otherwise.
-    """
+def _validate_layout(a: np.ndarray, name: str, ndim: int = 2) -> np.ndarray:
     if not isinstance(a, np.ndarray):
         raise DTypeError(f"{name} must be a numpy.ndarray, got {type(a).__name__}")
     if a.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
     if a.dtype.kind not in ("f", "c"):
         raise DTypeError(f"{name} must have a floating dtype, got {a.dtype}")
+    return a
+
+
+def validate_matrix(a: np.ndarray, name: str = "A", ndim: int = 2) -> np.ndarray:
+    """Validate that ``a`` is a real/complex floating numpy matrix, and,
+    under ``Config.strict_finite``, that it holds no NaN/Inf.
+
+    Returns the array unchanged (kernels never copy), raising
+    :class:`ShapeError` / :class:`DTypeError` otherwise.
+    """
+    _validate_layout(a, name, ndim)
     if get_config().strict_finite and not np.all(np.isfinite(a)):
         raise ShapeError(f"{name} contains non-finite values")
     return a
@@ -87,15 +93,17 @@ def validate_b(a, b: np.ndarray) -> None:
         raise DTypeError(f"operands must share a dtype, got {sorted({str(a.dtype), str(b.dtype)})}")
 
 
-def validate_c(a, c: Optional[np.ndarray], b: Optional[np.ndarray] = None) -> np.ndarray:
+def validate_c(a, c: Optional[np.ndarray], b: Optional[np.ndarray] = None,
+               beta: float = 1.0) -> np.ndarray:
     """The ``C`` rule: ``(n, n)`` for ``A^T A`` (``b`` omitted), ``(n, k)``
     for ``A^T B``, in ``A``'s dtype.  Returns ``c``, or zeros when it is
-    omitted."""
+    omitted.  ``beta == 0`` overwrites ``C`` without reading it, so only
+    a ``C`` that is read must be finite under ``Config.strict_finite``."""
     n = a.shape[1]
     shape = (n, n) if b is None else (n, b.shape[1])
     if c is None:
         return np.zeros(shape, dtype=a.dtype)
-    validate_matrix(c, "C")
+    (validate_matrix if beta != 0 else _validate_layout)(c, "C")
     if c.shape != shape:
         raise ShapeError(f"C must have shape {shape} for A of shape {a.shape}, got {c.shape}")
     if c.dtype != a.dtype:
@@ -104,7 +112,8 @@ def validate_c(a, c: Optional[np.ndarray], b: Optional[np.ndarray] = None) -> np
 
 
 def validate_product(a: np.ndarray, b: Optional[np.ndarray] = None,
-                     c: Optional[np.ndarray] = None) -> np.ndarray:
+                     c: Optional[np.ndarray] = None, beta: float = 1.0
+                     ) -> np.ndarray:
     """Check the operands of ``A^T A`` (``b`` omitted) or ``A^T B`` and
     return the checked, or allocated, ``C``.
 
@@ -116,13 +125,15 @@ def validate_product(a: np.ndarray, b: Optional[np.ndarray] = None,
     (:class:`DTypeError`); an omitted ``C`` is allocated as zeros of
     ``A``'s dtype; a given ``C`` is a floating ndarray of the required
     shape (:class:`ShapeError`) and of ``A``'s dtype
-    (:class:`DTypeError`).  Nothing is written before it returns, so a
-    refused call leaves ``C`` untouched.
+    (:class:`DTypeError`).  Under ``Config.strict_finite`` every operand
+    that is read must be finite (:class:`ShapeError`), which spares the
+    ``C`` of a ``beta == 0`` call.  Nothing is written before it returns,
+    so a refused call leaves ``C`` untouched.
     """
     validate_matrix(a, "A")
     if b is not None:
         validate_b(a, b)
-    return validate_c(a, c, b)
+    return validate_c(a, c, b, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +189,12 @@ def syrk(a: np.ndarray, c: np.ndarray, alpha: float = 1.0, *,
         idx = np.triu_indices(n)
         c[idx] += alpha * (a.T @ a)[idx]
 
-    if get_config().count_flops:
-        itemsize = a.dtype.itemsize
-        counters.record(
-            "syrk",
-            flops=syrk_flops(m, n),
-            bytes=itemsize * (m * n + n * (n + 1) // 2),
-        )
+    itemsize = a.dtype.itemsize
+    counters.record(
+        "syrk",
+        flops=syrk_flops(m, n),
+        bytes=itemsize * (m * n + n * (n + 1) // 2),
+    )
     return c
 
 
@@ -204,13 +214,12 @@ def gemm_t(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     else:
         c += alpha * (a.T @ b)
 
-    if get_config().count_flops:
-        itemsize = a.dtype.itemsize
-        counters.record(
-            "gemm",
-            flops=gemm_flops(m, n, k),
-            bytes=itemsize * (m * n + m * k + n * k),
-        )
+    itemsize = a.dtype.itemsize
+    counters.record(
+        "gemm",
+        flops=gemm_flops(m, n, k),
+        bytes=itemsize * (m * n + m * k + n * k),
+    )
     return c
 
 
@@ -239,13 +248,12 @@ def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray, alpha: float = 1.0
     else:
         c += alpha * (a @ b)
 
-    if get_config().count_flops:
-        itemsize = a.dtype.itemsize
-        counters.record(
-            "gemm",
-            flops=gemm_flops(n, m, k),
-            bytes=itemsize * (m * n + n * k + m * k),
-        )
+    itemsize = a.dtype.itemsize
+    counters.record(
+        "gemm",
+        flops=gemm_flops(n, m, k),
+        bytes=itemsize * (m * n + n * k + m * k),
+    )
     return c
 
 
@@ -262,8 +270,7 @@ def axpy(y: np.ndarray, x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
         y += x
     else:
         y += alpha * x
-    if get_config().count_flops:
-        counters.record("axpy", flops=2 * int(x.size), bytes=3 * x.size * x.itemsize)
+    counters.record("axpy", flops=2 * int(x.size), bytes=3 * x.size * x.itemsize)
     return y
 
 
@@ -285,8 +292,7 @@ def add_into(y: np.ndarray, x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
         target += x[:rows, :cols]
     else:
         target += alpha * x[:rows, :cols]
-    if get_config().count_flops:
-        counters.record("axpy", flops=2 * rows * cols, bytes=3 * rows * cols * y.itemsize)
+    counters.record("axpy", flops=2 * rows * cols, bytes=3 * rows * cols * y.itemsize)
     return y
 
 
@@ -297,16 +303,16 @@ def scale(c: np.ndarray, beta: float) -> np.ndarray:
     exposure, since C can be simply scaled before applying the algorithms";
     this helper is that pre-scaling.  As in BLAS ``?syrk``, ``beta == 0``
     overwrites ``C`` with zeros, so NaN or Inf in it (an ``np.empty``
-    buffer) never reaches the result.
+    buffer) never reaches the result; its finiteness is therefore checked
+    by :func:`validate_c`, which knows ``beta``, not here.
     """
-    validate_matrix(c, "C")
+    _validate_layout(c, "C")
     if beta != 1.0:
         if beta == 0:
             c.fill(0)
         else:
             c *= beta
-        if get_config().count_flops:
-            counters.record("scal", flops=int(c.size), bytes=2 * c.size * c.itemsize)
+        counters.record("scal", flops=int(c.size), bytes=2 * c.size * c.itemsize)
     return c
 
 

@@ -23,7 +23,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..config import get_config
+from ..config import DEFAULT_DTYPE, get_config
 from ..errors import ConfigurationError
 
 __all__ = ["CacheModel", "CacheLevel", "CacheHierarchy", "default_cache_model",
@@ -149,7 +149,6 @@ def default_cache_model(dtype=None) -> CacheModel:
     paper's L1 reading (4096 words) remains available through
     ``configured(base_case_elements=4096)``.
     """
-    cfg = get_config()
-    itemsize = np.dtype(dtype if dtype is not None else cfg.default_dtype).itemsize
-    return CacheModel(capacity_words=cfg.base_case_elements,
+    itemsize = np.dtype(dtype if dtype is not None else DEFAULT_DTYPE).itemsize
+    return CacheModel(capacity_words=get_config().base_case_elements,
                       line_words=max(1, 64 // itemsize))

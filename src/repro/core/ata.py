@@ -117,7 +117,7 @@ def ata(a: np.ndarray, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
     numpy.ndarray
         ``c`` with its lower triangle holding ``alpha * A^T A + beta * C``.
     """
-    c = validate_product(a, c=c)
+    c = validate_product(a, c=c, beta=beta)
     m, n = a.shape
 
     scale(c, beta)

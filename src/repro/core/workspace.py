@@ -32,7 +32,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from ..config import get_config
+from ..config import DEFAULT_DTYPE, get_config
 from ..errors import WorkspaceError
 from .partition import split_dim
 
@@ -212,7 +212,7 @@ class StrassenWorkspace:
     def __init__(self, m: int, n: int, k: int, dtype=None,
                  is_base_case: Callable[[int, int, int], bool] | None = None,
                  requirement: "_Requirement | None" = None) -> None:
-        dtype = dtype if dtype is not None else get_config().default_dtype
+        dtype = dtype if dtype is not None else DEFAULT_DTYPE
         req = requirement if requirement is not None else \
             workspace_requirement(m, n, k, is_base_case)
         self.requirement = req
@@ -292,7 +292,7 @@ class NaiveWorkspace:
     reusable = True
 
     def __init__(self, dtype=None) -> None:
-        self.dtype = np.dtype(dtype if dtype is not None else get_config().default_dtype)
+        self.dtype = np.dtype(dtype if dtype is not None else DEFAULT_DTYPE)
         self.allocations = 0
         self.allocated_elements = 0
 

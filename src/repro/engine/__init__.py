@@ -44,15 +44,14 @@ dispatch) builds on:
 * :mod:`repro.engine.ooc` — the **out-of-core executor**:
   :class:`~repro.engine.ooc.ShardedAtA` streams row panels of inputs
   that exceed memory (arrays, ``np.memmap``, chunk streams) through the
-  engine under a byte budget (``Config.memory_budget`` /
-  ``REPRO_MEMORY_BUDGET``), accumulating ``C += A_p^T A_p`` in a
+  engine under a per-call byte budget (``budget=``), accumulating ``C += A_p^T A_p`` in a
   deterministic fixed panel order, one panel resident at a time; each
   panel is an ordinary engine call, so plans,
   pooled workspaces and the tuner amortise at panel granularity;
 * :mod:`repro.engine.farm` — the **multi-process panel farm**:
   :class:`~repro.engine.farm.PanelFarm` fans the same panel schedule out
   to worker processes over ``multiprocessing.shared_memory`` arenas
-  (``run_ooc(procs=N)`` / ``Config.farm_procs``); each worker runs the
+  (``run_ooc(procs=N)``); each worker runs the
   full engine stack on its panel and the parent folds the partial Grams
   through a fixed ascending reduction tree, so the result is
   bit-identical across worker counts; the worker pool and its arenas
@@ -60,8 +59,7 @@ dispatch) builds on:
   the affinity-aware :func:`~repro.engine.cpu.available_cpus`;
 * :mod:`repro.engine.dispatch` — the **front-end**:
   :func:`~repro.engine.dispatch.matmul_ata` resolves each request
-  through explicit ``algo=`` > ``Config.backend``/``REPRO_BACKEND`` >
-  measured tuner > modeled-cost heuristic,
+  through explicit ``algo=`` > measured tuner > modeled-cost heuristic,
   :func:`~repro.engine.dispatch.run_batch` /
   :func:`~repro.engine.dispatch.run_batch_atb` execute a homogeneous batch
   against a single compiled plan and checked-out workspace, and

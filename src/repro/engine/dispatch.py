@@ -2,11 +2,10 @@
 
 :class:`ExecutionEngine` ties the engine pieces together: it resolves each
 request to an execution :class:`~repro.engine.backends.Backend` (explicit
-``algo=``, the configured ``Config.backend`` / ``REPRO_BACKEND`` override,
-a measured :class:`~repro.engine.tuner.BackendTuner` decision, or the
-deterministic modeled-cost heuristic — in that order), and provides the
-services backends execute through: the plan cache, the workspace pool and
-the sequential/DAG schedulers.  A module-level default engine serves the
+``algo=``, a measured :class:`~repro.engine.tuner.BackendTuner` decision,
+or the deterministic modeled-cost heuristic — in that order), and provides
+the services backends execute through: the plan cache, the workspace pool
+and the sequential/DAG schedulers.  A module-level default engine serves the
 library's own rewired call sites (:mod:`repro.apps`,
 :mod:`repro.parallel.ata_shared`, :mod:`repro.bench`); tests and
 benchmarks construct isolated engines.
@@ -133,7 +132,7 @@ class EngineStats:
     pool_evictions: int = 0
     #: lifetime high-water mark (bytes) of the engine's pooled workspaces
     #: (idle + checked out) — the figure the out-of-core executor charges
-    #: against ``Config.memory_budget``
+    #: against the per-call ``budget=``
     pool_bytes_high: int = 0
     dag_runs: int = 0
     dag_steps: int = 0
@@ -143,8 +142,8 @@ class EngineStats:
     backend_runs: Mapping[str, int] = dataclasses.field(
         default_factory=dict, metadata={"label": "backend"})
     #: the same executions by why dispatch chose their backend:
-    #: ``explicit`` (``algo=``), ``config`` (``Config.backend``),
-    #: ``tuner_explore`` / ``tuner_exploit`` (a measured tuner decision)
+    #: ``explicit`` (``algo=``), ``tuner_explore`` / ``tuner_exploit``
+    #: (a measured tuner decision)
     #: or ``heuristic`` (the modeled-cost fallback)
     dispatch_reasons: Mapping[str, int] = dataclasses.field(
         default_factory=dict, metadata={"label": "reason"})
@@ -186,7 +185,8 @@ class EngineStats:
     #: across all farm runs
     farm_retried_panels: int = 0
     #: panels completed by the farm's in-process degradation path after
-    #: the per-panel retry budget (``Config.farm_max_retries``) ran out
+    #: the per-panel retry budget (:data:`repro.engine.farm.MAX_RETRIES`)
+    #: ran out
     farm_degraded: int = 0
     #: batch invocations whose entries were interleaved through one
     #: cross-entry super-DAG instead of executing serially
@@ -351,9 +351,9 @@ class ExecutionEngine:
         """Resolve a request to a backend.
 
         Returns ``(backend, reason)``.  ``reason`` names the precedence
-        level that decided — ``"explicit"`` ``algo`` > ``"config"``
-        (``Config.backend``) > ``"tuner_explore"`` / ``"tuner_exploit"``
-        > ``"heuristic"`` (modeled cost) — and a ``"tuner_explore"``
+        level that decided — ``"explicit"`` ``algo`` >
+        ``"tuner_explore"`` / ``"tuner_exploit"`` > ``"heuristic"``
+        (modeled cost) — and a ``"tuner_explore"``
         execution is timed into the tuner's table.  Tuner decisions are
         filed under the engine's scheduling signature.
 
@@ -368,17 +368,6 @@ class ExecutionEngine:
             return (explicit_backend(algo, op, shape, dtype, model, operand),
                     "explicit")
         kind = operand_kind(operand) if operand is not None else "dense"
-        forced = get_config().backend
-        if forced != "auto":
-            try:
-                backend = get_backend(forced, op)
-            except ShapeError:
-                backend = None  # forced backend does not serve this op
-            if (backend is not None and kind in backend.operands
-                    and backend.supports(op, shape, dtype, model)
-                    and (operand is None
-                         or backend.supports_operand(op, operand, model))):
-                return backend, "config"
         pool = candidates(op, shape, dtype, model, kind=kind, operand=operand)
         if self.tuner is not None and len(pool) > 1:
             name, explored = self.tuner.choose(op, shape, dtype,
@@ -485,7 +474,7 @@ class ExecutionEngine:
         """
         kind = operand_kind(a)
         (validate_dense if kind == "dense" else validate_structured)(a)
-        c = validate_c(a, c)
+        c = validate_c(a, c, beta=beta)
         return self._run_request("ata", a.shape, kind, a, None, c, alpha,
                                  beta, algo, cache)
 
@@ -536,20 +525,19 @@ class ExecutionEngine:
                        alpha: float = 1.0, *, beta: float = 1.0,
                        algo: str = "auto",
                        cache: Optional[CacheModel] = None,
-                       budget: Optional[int] = None,
+                       budget: int = 0,
                        panel_rows: Optional[int] = None,
-                       procs: Optional[int] = None) -> np.ndarray:
+                       procs: int = 0) -> np.ndarray:
         """Out-of-core ``C = alpha * A^T A + beta * C``: stream row panels
         of ``a`` (an array, ``np.memmap`` or chunk source) through this
-        engine under ``budget`` bytes (default ``Config.memory_budget``).
+        engine under ``budget`` bytes (0, the default, is unbounded).
 
         Each panel's Gram update is an ordinary :meth:`matmul_ata` call —
         plans, the workspace pool and backend selection are reused at
         panel granularity — accumulated in the deterministic schedule of
         :class:`repro.engine.ooc.ShardedAtA` (see there for the
         bit-identity contract).  ``procs`` selects the executor: ``0``
-        runs in-process (the default; also reachable via
-        ``Config.farm_procs`` / ``REPRO_FARM_PROCS``), ``N >= 1`` fans
+        runs in-process (the default), ``N >= 1`` fans
         panels out to ``N`` worker processes through
         :class:`repro.engine.farm.PanelFarm`.
         """
@@ -561,14 +549,12 @@ class ExecutionEngine:
     def run_ooc(self, a, c: Optional[np.ndarray] = None, alpha: float = 1.0,
                 *, beta: float = 1.0, algo: str = "auto",
                 cache: Optional[CacheModel] = None,
-                budget: Optional[int] = None,
+                budget: int = 0,
                 panel_rows: Optional[int] = None,
-                procs: Optional[int] = None):
+                procs: int = 0):
         """Like :meth:`matmul_ata_ooc` but returns ``(C, run stats)`` —
         ``(C, OocRunStats)`` from the in-process executor (``procs=0``),
         ``(C, FarmRunStats)`` from the multi-process farm (``procs>=1``)."""
-        if procs is None:
-            procs = get_config().farm_procs
         if procs:
             from .ooc import SparseChunkSource, SparseSource
             if (operand_kind(a) != "dense"

@@ -55,7 +55,7 @@ must reproduce across worker counts.
 
 Memory budget
 -------------
-The working set charged against ``Config.memory_budget`` is the one
+The working set charged against the per-call ``budget=`` is the one
 :func:`~repro.engine.ooc.panel_schedule` solves, with ``procs`` output
 accumulators and ``procs`` panel buffers::
 
@@ -114,7 +114,7 @@ the farm treats it as schedulable work:
    parent-owned input arena, so recovery never re-reads the (possibly
    forward-only) source: a fresh worker is spawned on fresh arenas, the
    panel bytes are carried across, and the task is re-sent.  Each panel
-   gets at most ``Config.farm_max_retries`` replays.
+   gets at most :data:`MAX_RETRIES` replays.
 3. **Graceful degradation.**  With retries exhausted (or a respawn
    itself failing), the farm finishes every remaining panel **in
    process** on the same ascending schedule, computing the identical
@@ -174,6 +174,10 @@ from .ooc import as_source, panel_schedule, prepare_output, working_set_bytes
 from .tuner import BackendTuner
 
 __all__ = ["PanelFarm", "FarmRunStats"]
+
+#: replays granted to each lost panel (dead or failing worker) before the
+#: run degrades to in-process completion (module docstring)
+MAX_RETRIES = 2
 
 #: seconds between defensive re-checks while waiting on worker events
 #: (events normally arrive through ``connection.wait`` immediately)
@@ -583,7 +587,7 @@ class PanelFarm:
         ``procs=0`` on :meth:`ExecutionEngine.run_ooc`).
 
     The budget and panel height are per-call arguments of :meth:`run`;
-    the per-panel replay budget is ``Config.farm_max_retries``.
+    the per-panel replay budget is :data:`MAX_RETRIES`.
     """
 
     def __init__(self, engine=None, *, procs: Optional[int] = None) -> None:
@@ -598,8 +602,7 @@ class PanelFarm:
         self.procs = int(procs)
 
     # -- schedule -----------------------------------------------------------
-    def schedule(self, shape: Tuple[int, int], dtype,
-                 budget: Optional[int] = None,
+    def schedule(self, shape: Tuple[int, int], dtype, budget: int = 0,
                  panel_rows: Optional[int] = None):
         """Resolve ``(panel bounds, effective budget, procs)`` for a run.
 
@@ -704,7 +707,7 @@ class PanelFarm:
     # -- execution ----------------------------------------------------------
     def run(self, a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
             beta: float = 1.0, algo: str = "auto",
-            cache=None, budget: Optional[int] = None,
+            cache=None, budget: int = 0,
             panel_rows: Optional[int] = None
             ) -> Tuple[np.ndarray, FarmRunStats]:
         """Fan ``a``'s panels out to the worker pool; returns ``(C, stats)``.
@@ -838,7 +841,7 @@ class PanelFarm:
                     # nothing owed (died idle, or after acking its panel);
                     # the fold loop respawns the slot if staging remains
                     return
-                if retries.get(panel_idx, 0) >= config.farm_max_retries:
+                if retries.get(panel_idx, 0) >= MAX_RETRIES:
                     raise _DegradeSignal(panel_idx, reason)
                 retries[panel_idx] = retries.get(panel_idx, 0) + 1
                 counts.retried_panels += 1

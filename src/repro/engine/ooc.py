@@ -11,8 +11,7 @@ never has to fit in memory; only the **working set** does:
     resident = C (n x n) + the loaded panel of A
 
 :class:`ShardedAtA` sizes the panels from a byte budget
-(``Config.memory_budget`` / ``REPRO_MEMORY_BUDGET``, or a per-call
-``budget=``), raising :class:`~repro.errors.BudgetError` when even one
+(the per-call ``budget=``; 0, the default, is unbounded), raising :class:`~repro.errors.BudgetError` when even one
 row's working set cannot fit, and records the peak resident bytes it
 actually materialised into the engine's stats.
 
@@ -68,7 +67,6 @@ import numpy as np
 from .. import faults
 from ..blas.kernels import scale, validate_c
 from ..cache.model import CacheModel
-from ..config import get_config
 from ..errors import BudgetError, DTypeError, ShapeError
 from .plan import split_rows
 from .sparse import HAVE_SCIPY, _sps, is_sparse
@@ -346,7 +344,7 @@ def working_set_bytes(n: int, itemsize: int, outputs: int, rows: int) -> int:
     return ((1 + outputs) * n * n + rows * n) * itemsize
 
 
-def panel_schedule(shape: Tuple[int, int], dtype, budget: Optional[int],
+def panel_schedule(shape: Tuple[int, int], dtype, budget: int,
                    panel_rows: Optional[int], *, outputs: int, buffers: int,
                    buffer_noun: str, remedy: str) -> Tuple[Bounds, int]:
     """Solve an out-of-core panel schedule: ``(panel bounds, budget)``.
@@ -360,17 +358,15 @@ def panel_schedule(shape: Tuple[int, int], dtype, budget: Optional[int],
     farm has ``outputs = buffers = procs``.  A finite budget sizes
     ``rows`` as large as fits and validates an explicit ``panel_rows``;
     :class:`BudgetError` names the working set (``buffer_noun``), the
-    smallest feasible one and the ``remedy``.  ``budget=None`` reads
-    ``Config.memory_budget``; 0 is unbounded.  ``panel_rows`` below 1 is
-    a :class:`ShapeError` whatever the budget.
+    smallest feasible one and the ``remedy``.  A budget of 0 is
+    unbounded.  ``panel_rows`` below 1 is a :class:`ShapeError` whatever
+    the budget.
     """
     m, n = shape
     if m < 1 or n < 1:
         raise ShapeError(f"A must have positive dimensions, got {shape}")
     if panel_rows is not None and panel_rows < 1:
         raise ShapeError(f"panel_rows must be >= 1, got {panel_rows}")
-    if budget is None:
-        budget = get_config().memory_budget
     budget = int(budget)
     if budget < 0:
         raise BudgetError(f"budget must be >= 0 bytes, got {budget}")
@@ -394,8 +390,7 @@ def panel_schedule(shape: Tuple[int, int], dtype, budget: Optional[int],
                 f"{buffer_noun} of {rows} x {n} rows "
                 f"({buffers * rows * row_bytes} bytes); the smallest "
                 f"feasible working set is {held + buffers * row_bytes} "
-                "bytes — raise REPRO_MEMORY_BUDGET / Config.memory_budget, "
-                f"or {remedy}")
+                f"bytes — raise budget=, or {remedy}")
     elif panel_rows is None:
         panel_rows = m
     return split_rows(m, min(panel_rows, m)), budget
@@ -409,7 +404,7 @@ def prepare_output(source, c: Optional[np.ndarray], beta: float
     :meth:`~repro.engine.dispatch.ExecutionEngine.matmul_ata` checks it;
     then pre-scaled by ``beta`` once, so panels accumulate with
     ``beta = 1``."""
-    c = validate_c(source, c)
+    c = validate_c(source, c, beta=beta)
     scale(c, beta)
     return c
 
@@ -473,7 +468,7 @@ class ShardedAtA:
     # -- schedule -----------------------------------------------------------
     @staticmethod
     def schedule(shape: Tuple[int, int], dtype,
-                 budget: Optional[int] = None,
+                 budget: int = 0,
                  panel_rows: Optional[int] = None) -> Tuple[Bounds, int]:
         """Resolve ``(panel bounds, effective budget)`` for a run.
 
@@ -481,8 +476,7 @@ class ShardedAtA:
         elements) plus one panel of ``rows*n`` elements.  A finite budget
         sizes ``rows`` as large as fits; :class:`BudgetError` names the
         shortfall when not even one row fits (or when an explicit
-        ``panel_rows`` overshoots).  ``budget=None`` reads
-        ``Config.memory_budget``.
+        ``panel_rows`` overshoots).  ``budget=0`` is unbounded.
         """
         return panel_schedule(
             shape, dtype, budget, panel_rows, outputs=0, buffers=1,
@@ -508,13 +502,13 @@ class ShardedAtA:
     def run(self, a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
             beta: float = 1.0, algo: str = "auto",
             cache: Optional[CacheModel] = None,
-            budget: Optional[int] = None, panel_rows: Optional[int] = None
+            budget: int = 0, panel_rows: Optional[int] = None
             ) -> Tuple[np.ndarray, OocRunStats]:
         """Stream ``a`` through the engine; returns ``(C, run stats)``.
 
         ``a`` is anything :func:`as_source` accepts.  ``budget`` is the
-        working-set budget in bytes (``None`` reads
-        ``Config.memory_budget``; 0 = unbounded); ``panel_rows`` pins the
+        working-set budget in bytes (0, the default, is unbounded);
+        ``panel_rows`` pins the
         panel height, which the budget still *validates*.  ``algo`` and
         ``cache`` pass through to every per-panel
         :meth:`~repro.engine.dispatch.ExecutionEngine.matmul_ata` call,
@@ -578,11 +572,11 @@ class ShardedAtA:
 def run_ooc(a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
             beta: float = 1.0, algo: str = "auto",
             cache: Optional[CacheModel] = None,
-            budget: Optional[int] = None, panel_rows: Optional[int] = None,
-            procs: Optional[int] = None):
+            budget: int = 0, panel_rows: Optional[int] = None,
+            procs: int = 0):
     """Out-of-core ``C = alpha * A^T A + beta * C`` on the default engine,
     returning ``(C, run stats)``; see :class:`ShardedAtA`.  ``procs=0``
-    (the default via ``Config.farm_procs``) runs in-process; ``procs>=1``
+    (the default) runs in-process; ``procs>=1``
     fans panels out to worker processes
     (:class:`repro.engine.farm.PanelFarm`)."""
     from .dispatch import default_engine
@@ -594,9 +588,9 @@ def run_ooc(a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
 def matmul_ata_ooc(a, c: Optional[np.ndarray] = None, alpha: float = 1.0, *,
                    beta: float = 1.0, algo: str = "auto",
                    cache: Optional[CacheModel] = None,
-                   budget: Optional[int] = None,
+                   budget: int = 0,
                    panel_rows: Optional[int] = None,
-                   procs: Optional[int] = None) -> np.ndarray:
+                   procs: int = 0) -> np.ndarray:
     """Out-of-core counterpart of :func:`repro.engine.matmul_ata`: accepts
     arrays, memmaps or chunk streams and returns ``C`` (drop the stats);
     see :class:`ShardedAtA` for the budget and determinism contract and

@@ -482,12 +482,12 @@ class ExecutionPlan:
         :class:`~repro.core.workspace.StrassenWorkspace` would be built
         with (used by the pool on a miss).
     kernel_counters:
-        Pre-aggregated ``(category, calls, flops, byte_elements)`` totals;
-        recorded when ``config.count_flops`` is on.  ``byte_elements`` is
-        multiplied by the dtype itemsize at execution time.
+        Pre-aggregated ``(category, calls, flops, byte_elements)`` totals.
+        ``byte_elements`` is multiplied by the dtype itemsize at execution
+        time.
     step_counters:
-        ``(category, calls)`` recursion-step totals recorded
-        unconditionally, mirroring ``counters.record`` in the recursions.
+        ``(category, calls)`` recursion-step totals, mirroring
+        ``counters.record`` in the recursions.
     lanes:
         Number of scratch lanes the plan's arena offsets were laid out for.
     dag:
@@ -915,10 +915,9 @@ def record_plan_counters(plan: ExecutionPlan, itemsize: int) -> None:
     """
     from ..blas import counters  # local import to keep module import light
 
-    if get_config().count_flops and plan.kernel_counters:
-        for category, calls, flops, byte_elements in plan.kernel_counters:
-            counters.record(category, flops=flops,
-                            bytes=byte_elements * itemsize, calls=calls)
+    for category, calls, flops, byte_elements in plan.kernel_counters:
+        counters.record(category, flops=flops,
+                        bytes=byte_elements * itemsize, calls=calls)
     for category, calls in plan.step_counters:
         counters.record(category, calls=calls)
 

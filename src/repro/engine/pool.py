@@ -62,9 +62,8 @@ class WorkspacePool:
     bytes_high_water:
         Largest pool footprint (idle + checked-out bytes) observed since
         construction (or the last :meth:`clear_stats`).  This is the
-        number the out-of-core executor charges against
-        ``Config.memory_budget`` — the pool's *peak* demand, not its
-        current state.
+        number the out-of-core executor charges against its ``budget=``
+        — the pool's *peak* demand, not its current state.
     """
 
     def __init__(self, max_idle: int = 8) -> None:
@@ -179,7 +178,7 @@ class WorkspacePool:
         Checked-out workspaces are untouched (the pool cannot reclaim
         scratch that a running plan is addressing).  The out-of-core
         executor calls this before a sharded run so pooled scratch and the
-        shard-resident set share ``Config.memory_budget`` instead of each
+        shard-resident set share the run's ``budget=`` instead of each
         claiming the whole budget independently.
         """
         if max_bytes < 0:

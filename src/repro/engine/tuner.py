@@ -73,6 +73,7 @@ import numpy as np
 from .. import faults
 from ..cache.model import CacheModel, default_cache_model
 from ..config import get_config
+from ..errors import ConfigurationError
 
 __all__ = ["BackendTuner", "shape_bucket", "default_tuner_path",
            "TABLE_VERSION"]
@@ -81,14 +82,11 @@ TABLE_VERSION = 3
 
 
 def default_tuner_path() -> str:
-    """Resolve the tuner table path: ``Config.tuner_path`` if set, else
-    ``$REPRO_TUNER_PATH``, else ``~/.cache/repro/tuner.json``."""
+    """Resolve the tuner table path: ``Config.tuner_path`` (which
+    ``$REPRO_TUNER_PATH`` sets) if set, else ``~/.cache/repro/tuner.json``."""
     configured = get_config().tuner_path
     if configured:
         return os.fspath(configured)
-    env = os.environ.get("REPRO_TUNER_PATH")
-    if env:
-        return env
     return os.path.join(os.path.expanduser("~"), ".cache", "repro",
                         "tuner.json")
 
@@ -266,7 +264,12 @@ class BackendTuner:
         in-memory only (no load, no save).
     explore_budget:
         Timed samples each candidate backend receives per bucket before
-        the tuner exploits (``None`` reads ``Config.tuner_explore``).
+        the tuner exploits, fixed at construction (default 3, at least 1:
+        :class:`~repro.errors.ConfigurationError` below).  Budgets ≥ 2 suit
+        real traffic: the first sample on a plan-compiled backend includes
+        its one-off compile cost, which best-of-budget filters out from
+        the second sample on (a budget of 1 is mainly for tests driving
+        the tuner with an injected clock).
     timer:
         Zero-argument callable returning seconds as a float; injectable so
         tests can drive the tuner with a deterministic clock.
@@ -293,16 +296,16 @@ class BackendTuner:
     """
 
     def __init__(self, path: Optional[str] = None, *,
-                 explore_budget: Optional[int] = None,
+                 explore_budget: int = 3,
                  timer=_time.perf_counter,
                  persist: bool = True,
                  save_every: int = 8,
                  frozen: bool = False) -> None:
         self.frozen = bool(frozen)
-        self._explicit_budget = explore_budget
-        if explore_budget is not None and explore_budget < 1:
-            raise ValueError(
+        if explore_budget < 1:
+            raise ConfigurationError(
                 f"explore_budget must be >= 1, got {explore_budget}")
+        self.explore_budget = int(explore_budget)
         self.timer = timer
         self.persist = persist
         # resolved once: a configured(tuner_path=...) excursion after
@@ -331,12 +334,6 @@ class BackendTuner:
         """The table file this tuner loads from and saves to (fixed at
         construction; see :func:`default_tuner_path` for resolution)."""
         return self._path
-
-    @property
-    def explore_budget(self) -> int:
-        if self._explicit_budget is not None:
-            return self._explicit_budget
-        return get_config().tuner_explore
 
     # -- persistence --------------------------------------------------------
     def load(self) -> bool:

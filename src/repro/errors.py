@@ -73,7 +73,7 @@ class FairnessError(QueueFullError):
     """Raised when a single client's share of the admission budget is
     exhausted.
 
-    With ``Config.serve_fair_share < 1`` the server bounds how much of
+    With ``Server(fair_share=...)`` below 1 the server bounds how much of
     ``max_inflight`` any one client id may occupy, so a flooding client
     saturates *its share*, not the whole admission window — companions
     keep being admitted.  Subclassing :class:`QueueFullError` keeps the
@@ -112,7 +112,7 @@ class BudgetError(ReproError, RuntimeError):
     hold even one panel's working set.
 
     :class:`repro.engine.ooc.ShardedAtA` streams row panels of ``A``
-    through the engine under ``Config.memory_budget``; the resident set of
+    through the engine under the per-call ``budget=``; the resident set of
     one panel iteration is the ``n x n`` output ``C`` plus the panel
     bytes.  A budget below that floor cannot be met
     by any schedule, so the executor fails up front with this error —
@@ -127,8 +127,8 @@ class FarmError(ReproError, RuntimeError):
     processes over shared-memory arenas.  Worker loss is no longer fatal
     by itself: a worker that dies (killed by the OS, ``os._exit``, a
     segfaulting extension) or reports a failure is respawned and its
-    panel replayed, bounded by ``Config.farm_max_retries``; with retries
-    exhausted the farm degrades to finishing the remaining panels
+    panel replayed, at most ``repro.engine.farm.MAX_RETRIES`` times; with
+    retries exhausted the farm degrades to finishing the remaining panels
     in-process on the same schedule.  This error is raised only when
     that last line of defence fails too — naming the panel in flight
     and carrying the underlying failure — instead of hanging the parent
@@ -141,9 +141,8 @@ class FarmError(ReproError, RuntimeError):
 class DeadlineError(ReproError, TimeoutError):
     """Raised when a serving request's deadline expires before its result.
 
-    ``Server.submit(..., timeout=...)`` (default
-    ``Config.serve_default_timeout_ms``) bounds how long a request may
-    wait; a request whose deadline passes is settled with this error and
+    ``Server.submit(..., timeout=...)`` (default: no deadline) bounds
+    how long a request may wait; a request whose deadline passes is settled with this error and
     dropped from its coalescing queue through the same dead-waiter path
     that handles cancellation, so an expired request can never poison the
     batch its companions form.  The server ledger counts these under

@@ -125,7 +125,7 @@ def ata_shared(a: np.ndarray, c: Optional[np.ndarray] = None, alpha: float = 1.0
     :func:`repro.core.ata.ata` up to floating point reassociation, because
     the leaf tasks partition exactly the same set of block products.
     """
-    c = validate_product(a, c=c)
+    c = validate_product(a, c=c, beta=beta)
     m, n = a.shape
     if threads < 1:
         raise ShapeError(f"threads must be >= 1, got {threads}")

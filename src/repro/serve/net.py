@@ -114,7 +114,8 @@ class NetServer:
     ----------
     server:
         The in-process server to front.  When omitted one is constructed
-        from ``**server_kwargs`` and closed with the listener; a
+        from ``**server_kwargs`` (``max_batch``, ``max_inflight``,
+        ``fair_share``, ``workers``) and closed with the listener; a
         caller-supplied server is shared and left open.
     host / port:
         Listen address.  ``port=None`` reads ``Config.serve_port`` /

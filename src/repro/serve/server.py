@@ -19,10 +19,10 @@ rules hold in one place:
   beyond — backpressure), and one client id at most its fair share
   (:class:`~repro.errors.FairnessError`).  It then creates the request's
   future, whose done-callback books the outcome in the ledger, and arms
-  the deadline: ``timeout=`` (default
-  ``Config.serve_default_timeout_ms``) bounds the wait for a result; on
-  expiry the awaiter gets :class:`~repro.errors.DeadlineError` and the
-  request is dropped through the same dead-waiter path as cancellation;
+  the deadline: ``timeout=`` (default: none) bounds the wait for a
+  result; on expiry the awaiter gets :class:`~repro.errors.DeadlineError`
+  and the request is dropped through the same dead-waiter path as
+  cancellation;
 * **route** — dense in-memory requests take the *coalesced* route:
   they land in per-``(op, algo, dtype, shape-bucket, alpha)``
   :class:`~repro.serve.queues.BatchQueue`\\ s, dispatched on demand:
@@ -83,7 +83,6 @@ import numpy as np
 from .. import faults
 from ..blas.kernels import validate_matrix
 from ..cache.model import default_cache_model
-from ..config import get_config
 from ..engine import ExecutionEngine
 from ..engine.backends import get_backend
 from ..engine.dispatch import (explicit_backend, validate_dense,
@@ -168,11 +167,17 @@ class Server:
         omitted the server constructs (and on :meth:`close` closes) its
         own; a caller-supplied engine is shared, never closed.
     max_batch:
-        Maximum requests coalesced into one batch call (default:
-        ``Config.serve_max_batch`` / ``$REPRO_SERVE_MAX_BATCH``).
+        Maximum requests coalesced into one batch call.  A queue that
+        reaches it dispatches at once; a partial batch goes when an
+        executor worker is free.
     max_inflight:
-        Admission bound on admitted-but-unfinished requests (default:
-        ``Config.serve_max_inflight`` / ``$REPRO_SERVE_MAX_INFLIGHT``).
+        Admission bound on admitted-but-unfinished requests
+        (:class:`~repro.errors.QueueFullError` beyond).
+    fair_share:
+        Per-client share of the admission window, in ``(0, 1]``.  ``1.0``
+        (default) keeps admission first-come; below it, one client id may
+        hold at most ``max(1, floor(fair_share * max_inflight))``
+        in-flight requests (:class:`~repro.errors.FairnessError` beyond).
     workers:
         Executor threads running batches off the event loop.  One thread
         already keeps the loop responsive; more overlap distinct batches
@@ -181,38 +186,30 @@ class Server:
 
     Notes
     -----
-    All configuration is resolved once at construction (mirroring
-    :class:`~repro.engine.tuner.BackendTuner`'s path handling), so a later
-    ``with configured(...)`` excursion cannot retune a live server.  The
-    server binds to the event loop of its first ``submit`` and may be
+    The server binds to the event loop of its first ``submit`` and may be
     rebound (e.g. across ``asyncio.run`` calls in tests) only while idle.
     """
 
     def __init__(self, engine: Optional[ExecutionEngine] = None, *,
-                 max_batch: Optional[int] = None,
-                 max_inflight: Optional[int] = None,
-                 fair_share: Optional[float] = None,
+                 max_batch: int = 8,
+                 max_inflight: int = 256,
+                 fair_share: float = 1.0,
                  workers: int = 1) -> None:
-        cfg = get_config()
-        self.max_batch = int(max_batch if max_batch is not None
-                             else cfg.serve_max_batch)
-        self.max_inflight = int(max_inflight if max_inflight is not None
-                                else cfg.serve_max_inflight)
-        share = fair_share if fair_share is not None else cfg.serve_fair_share
-        self.default_timeout_seconds = float(cfg.serve_default_timeout_ms) / 1000.0
+        self.max_batch = int(max_batch)
+        self.max_inflight = int(max_inflight)
         if self.max_batch < 1:
             raise ConfigurationError(
                 f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_inflight < 1:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {self.max_inflight}")
-        if not (0.0 < float(share) <= 1.0):
+        if not (0.0 < float(fair_share) <= 1.0):
             raise ConfigurationError(
-                f"fair_share must be in (0, 1], got {share}")
+                f"fair_share must be in (0, 1], got {fair_share}")
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.fair_share = float(share)
+        self.fair_share = float(fair_share)
         #: admission slots one client id may hold; ``fair_share == 1``
         #: disables the per-client bound (any client may fill the window)
         self.client_cap = (self.max_inflight if self.fair_share >= 1.0
@@ -378,13 +375,12 @@ class Server:
         abandons the request cleanly (it never corrupts a batch).
 
         ``timeout`` is the request's deadline in **seconds** (the asyncio
-        idiom); ``None`` reads ``Config.serve_default_timeout_ms``, and
-        ``0`` means no deadline (the config default).  A request whose
-        deadline passes before its result arrives is settled with
-        :class:`DeadlineError` and dropped through the cancelled-waiter
-        path: still-pending it simply never joins a batch, already
-        batched its slot is skipped when results are zipped back — the
-        expiry never poisons companion requests.  Expiries are ledgered
+        idiom); ``None`` (the default) or ``0`` means no deadline.  A
+        request whose deadline passes before its result arrives is
+        settled with :class:`DeadlineError` and dropped through the
+        cancelled-waiter path: still-pending it simply never joins a
+        batch, already batched its slot is skipped when results are
+        zipped back — the expiry never poisons companion requests.  Expiries are ledgered
         under ``expired``, a separate bucket from ``failed``.
 
         ``client`` attributes the request to a client id for the
@@ -413,9 +409,9 @@ class Server:
                          alpha: float = 1.0,
                          timeout: Optional[float] = None,
                          client: str = "anonymous",
-                         budget: Optional[int] = None,
+                         budget: int = 0,
                          panel_rows: Optional[int] = None,
-                         procs: Optional[int] = None) -> np.ndarray:
+                         procs: int = 0) -> np.ndarray:
         """Serve one ``alpha * A^T A`` request through the out-of-core
         panel path instead of the coalescing queues.
 
@@ -442,9 +438,9 @@ class Server:
                             alpha: float = 1.0,
                             timeout: Optional[float] = None,
                             client: str = "anonymous",
-                            budget: Optional[int] = None,
+                            budget: int = 0,
                             panel_rows: Optional[int] = None,
-                            procs: Optional[int] = None) -> np.ndarray:
+                            procs: int = 0) -> np.ndarray:
         """Serve ``alpha * A^T A`` of a matrix delivered as an iterator
         of row-chunks, without ever materialising it in memory.
 
@@ -496,8 +492,7 @@ class Server:
         if self._closing:
             raise ServerClosedError("server is closed to new submissions")
         alpha = _number("alpha", alpha)
-        timeout = (self.default_timeout_seconds if timeout is None
-                   else _number("timeout", timeout))
+        timeout = 0.0 if timeout is None else _number("timeout", timeout)
         if timeout < 0:
             raise ConfigurationError(
                 f"timeout must be >= 0 seconds, got {timeout}")

@@ -20,7 +20,7 @@ import pytest
 
 from repro.blas import direct as blas_direct
 from repro.blas.kernels import syrk as kernel_syrk
-from repro.config import Config, configured
+from repro.config import configured
 from repro.core.ata import ata
 from repro.core.recursive_gemm import recursive_gemm
 from repro.core.strassen import fast_strassen
@@ -108,10 +108,6 @@ class TestRegistry:
     def test_op_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             get_backend("strassen", "ata")
-
-    def test_config_known_backends_cover_registry(self):
-        from repro.config import KNOWN_BACKENDS
-        assert set(backend_names()) <= set(KNOWN_BACKENDS)
 
     def test_custom_backend_registers_and_dispatches(self, rng):
         calls = []
@@ -280,12 +276,15 @@ class TestTunerUnit:
         assert (name, explored) == ("new", True)
 
     def test_budget_from_config(self, tmp_path):
-        with configured(tuner_explore=1):
-            tuner = BackendTuner(str(tmp_path / "t.json"), timer=FakeClock())
-            assert tuner.explore_budget == 1
-            tuner.record("ata", (8, 8), np.float64, "x", 1.0)
-            name, explored = tuner.choose("ata", (8, 8), np.float64, ["x"])
-            assert (name, explored) == ("x", False)
+        tuner = BackendTuner(str(tmp_path / "t.json"), explore_budget=1,
+                             timer=FakeClock())
+        assert tuner.explore_budget == 1
+        tuner.record("ata", (8, 8), np.float64, "x", 1.0)
+        name, explored = tuner.choose("ata", (8, 8), np.float64, ["x"])
+        assert (name, explored) == ("x", False)
+        assert BackendTuner(persist=False).explore_budget == 3
+        with pytest.raises(ConfigurationError):
+            BackendTuner(persist=False, explore_budget=0)
 
     def test_broken_clock_samples_ignored(self, tmp_path):
         tuner = BackendTuner(str(tmp_path / "t.json"), timer=FakeClock())
@@ -429,8 +428,8 @@ class TestAutoTunedDispatch:
                 assert np.array_equal(expected, got)
 
     def test_tuner_string_constructor(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TUNER_PATH", str(tmp_path / "t.json"))
-        engine = ExecutionEngine(tuner="measured")
+        with configured(tuner_path=str(tmp_path / "t.json")):
+            engine = ExecutionEngine(tuner="measured")
         assert engine.tuner is not None
         assert engine.tuner.path == str(tmp_path / "t.json")
         assert ExecutionEngine(tuner="off").tuner is None
@@ -796,22 +795,6 @@ class TestTunerPersistence:
 # ---------------------------------------------------------------------------
 
 class TestConfigIntegration:
-    def test_unknown_backend_rejected_by_config(self):
-        with pytest.raises(ConfigurationError):
-            Config(backend="warp_drive")
-
-    def test_tuner_explore_validated(self):
-        with pytest.raises(ConfigurationError):
-            Config(tuner_explore=0)
-
-    def test_repro_backend_env_parsing(self, monkeypatch):
-        from repro.config import _config_from_env
-        monkeypatch.setenv("REPRO_BACKEND", "tiled")
-        assert _config_from_env().backend == "tiled"
-        monkeypatch.setenv("REPRO_BACKEND", "warp_drive")
-        with pytest.raises(ConfigurationError):
-            _config_from_env()
-
     def test_repro_tuner_path_env_parsing(self, monkeypatch, tmp_path):
         from repro.config import _config_from_env
         monkeypatch.setenv("REPRO_TUNER_PATH", str(tmp_path / "custom.json"))
@@ -823,37 +806,14 @@ class TestConfigIntegration:
         with configured(tuner_path=None):
             assert default_tuner_path().endswith(os.path.join(
                 ".cache", "repro", "tuner.json"))
+        # $REPRO_TUNER_PATH is parsed once, into Config.tuner_path, when
+        # repro.config is imported; resolution reads only the config
         monkeypatch.setenv("REPRO_TUNER_PATH", str(tmp_path / "env.json"))
         with configured(tuner_path=None):
-            assert default_tuner_path() == str(tmp_path / "env.json")
+            assert default_tuner_path().endswith(os.path.join(
+                ".cache", "repro", "tuner.json"))
         with configured(tuner_path=str(tmp_path / "cfg.json")):
             assert default_tuner_path() == str(tmp_path / "cfg.json")
-
-    def test_configured_backend_forces_auto(self, rng):
-        a = rng.standard_normal((48, 32))
-        with configured(base_case_elements=64, backend="tiled"):
-            engine = ExecutionEngine()
-            engine.matmul_ata(a)
-            assert engine.stats().backend_runs == {"tiled": 1}
-            (plan,) = engine.plans.snapshot()
-            assert plan.key[0] == "tiled"
-
-    def test_configured_backend_skipped_when_unsupported(self, rng):
-        """A forced backend that cannot serve the op falls through to
-        normal auto selection instead of erroring."""
-        a, b = rng.standard_normal((24, 12)), rng.standard_normal((24, 10))
-        with configured(base_case_elements=64, backend="syrk"):
-            engine = ExecutionEngine()
-            c = engine.matmul_atb(a, b)  # syrk serves no atb
-        assert np.allclose(c, a.T @ b)
-        assert engine.stats().backend_runs == {"strassen": 1}
-
-    def test_explicit_algo_overrides_configured_backend(self, rng):
-        a = rng.standard_normal((32, 16))
-        with configured(base_case_elements=64, backend="tiled"):
-            engine = ExecutionEngine()
-            engine.matmul_ata(a, algo="ata")
-        assert engine.stats().backend_runs == {"ata": 1}
 
 
 class TestLockSidecarHygiene:

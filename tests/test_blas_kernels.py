@@ -139,7 +139,6 @@ class TestBlasBinding:
             pass
         monkeypatch.setattr(direct, "_PROVIDER", None)
         monkeypatch.setattr(direct, "_LOADED", False)
-        monkeypatch.delenv("REPRO_BLAS_DIRECT", raising=False)
         assert direct.provider() == "ctypes"
         library, symbol = direct.binding()
         ilp64 = "openblas64_" in os.path.basename(library)
@@ -156,7 +155,6 @@ class TestBlasBinding:
         monkeypatch.setattr(direct.ctypes.util, "find_library", no_search)
         monkeypatch.setattr(direct, "_PROVIDER", None)
         monkeypatch.setattr(direct, "_LOADED", False)
-        monkeypatch.delenv("REPRO_BLAS_DIRECT", raising=False)
         assert direct.provider() == "ctypes"
 
     @pytest.mark.skipif(not direct.is_available(),

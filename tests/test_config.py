@@ -1,19 +1,21 @@
 """Tests for repro.config."""
 
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
+import repro
 from repro.config import Config, configured, get_config, set_config
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ShapeError
 
 
 class TestConfigValidation:
     def test_default_config_is_valid(self):
         cfg = Config()
         assert cfg.base_case_elements >= 1
-        assert np.dtype(cfg.default_dtype).kind == "f"
 
     def test_negative_base_case_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -22,26 +24,6 @@ class TestConfigValidation:
     def test_negative_recursion_depth_rejected(self):
         with pytest.raises(ConfigurationError):
             Config(max_recursion_depth=0)
-
-    def test_integer_dtype_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Config(default_dtype=np.int32)
-
-    def test_complex_dtype_accepted(self):
-        cfg = Config(default_dtype=np.complex128)
-        assert np.dtype(cfg.default_dtype).kind == "c"
-
-    def test_default_memory_budget_is_unbounded(self):
-        assert Config().memory_budget == 0
-
-    def test_negative_memory_budget_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Config(memory_budget=-1)
-
-    def test_memory_budget_env_parsing(self, monkeypatch):
-        from repro.config import _config_from_env
-        monkeypatch.setenv("REPRO_MEMORY_BUDGET", str(1 << 20))
-        assert _config_from_env().memory_budget == 1 << 20
 
     def test_invalid_tuner_mode_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -57,8 +39,8 @@ class TestConfigValidation:
         """Assigning a field would skip validate(): a Config is frozen,
         changes go through replace()/set_config()/configured()."""
         with pytest.raises(dataclasses.FrozenInstanceError):
-            get_config().farm_procs = -3
-        assert get_config().farm_procs >= 0
+            get_config().base_case_elements = -3
+        assert get_config().base_case_elements >= 1
 
 
 class TestConfiguredContext:
@@ -108,7 +90,7 @@ class TestEnvKnobs:
 
     @pytest.mark.parametrize("variable,value", [
         ("REPRO_BASE_CASE", "abc"),
-        ("REPRO_SERVE_FAIR_SHARE", "fast"),
+        ("REPRO_SERVE_PORT", "fast"),
     ])
     def test_malformed_numeric_env_names_variable(self, monkeypatch,
                                                   variable, value):
@@ -118,3 +100,85 @@ class TestEnvKnobs:
             _config_from_env()
         assert variable in str(info.value)
         assert repr(value) in str(info.value)
+
+
+class TestOneEnvironmentReader:
+    def test_only_config_reads_the_environment(self):
+        """Every ``REPRO_*`` switch is parsed once, by ``config.py``, into
+        a validated :class:`Config` field; no other module reads
+        ``os.environ`` (or ``os.getenv``) behind its back."""
+        import repro
+        root = pathlib.Path(repro.__file__).parent
+        readers = []
+        for path in sorted(root.rglob("*.py")):
+            if path == root / "config.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "os"
+                        and node.attr in ("environ", "getenv")):
+                    readers.append(f"{path.relative_to(root)}:{node.lineno}")
+        assert readers == []
+
+
+#: entry points behind ``Config.strict_finite``, called on ``(A, B)``
+_STRICT_CALLS = {
+    "matmul_ata": lambda a, b: repro.matmul_ata(a),
+    "matmul_atb": lambda a, b: repro.matmul_atb(a, b),
+    "ata": lambda a, b: repro.ata(a),
+    "run_ooc": lambda a, b: repro.run_ooc(a, procs=0),
+}
+
+
+class TestStrictFinite:
+    @pytest.mark.parametrize("call,operand,bad", [
+        ("matmul_ata", "A", np.nan), ("matmul_ata", "A", np.inf),
+        ("matmul_atb", "A", np.nan), ("matmul_atb", "A", np.inf),
+        ("matmul_atb", "B", np.nan),
+        ("ata", "A", np.nan), ("ata", "A", np.inf),
+        ("run_ooc", "A", np.nan), ("run_ooc", "A", np.inf),
+    ])
+    def test_non_finite_operand_is_named(self, call, operand, bad):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((40, 12))
+        b = rng.standard_normal((40, 5))
+        (a if operand == "A" else b)[3, 2] = bad
+        with np.errstate(all="ignore"):
+            _STRICT_CALLS[call](a, b)  # the default config does not check
+        with configured(strict_finite=True):
+            with pytest.raises(ShapeError,
+                               match=f"{operand} contains non-finite"):
+                _STRICT_CALLS[call](a, b)
+
+    @pytest.mark.parametrize("call", [
+        lambda a, c, beta: repro.matmul_ata(a, c, beta=beta),
+        lambda a, c, beta: repro.ata(a, c, beta=beta),
+        lambda a, c, beta: repro.run_ooc(a, c, beta=beta, procs=0)[0],
+    ], ids=["matmul_ata", "ata", "run_ooc"])
+    def test_beta_zero_never_reads_c(self, call):
+        """``beta == 0`` overwrites ``C`` as BLAS ``?syrk`` does, so a
+        NaN-filled ``C`` is legal there; with ``beta != 0`` it is read."""
+        a = np.random.default_rng(8).standard_normal((40, 12))
+        expected = repro.matmul_ata(a)
+        with configured(strict_finite=True):
+            out = call(a, np.full((12, 12), np.nan), 0.0)
+            assert np.array_equal(out, expected)
+            with pytest.raises(ShapeError, match="C contains non-finite"):
+                call(a, np.full((12, 12), np.nan), 1.0)
+
+
+def test_option_counter_script_agrees_with_config():
+    """``scripts/count_options.py`` (the CI option count, ast only) reads
+    the same counts the live module has."""
+    import importlib.util
+
+    from repro import config
+    script = (pathlib.Path(__file__).resolve().parent.parent
+              / "scripts" / "count_options.py")
+    spec = importlib.util.spec_from_file_location("count_options", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    source = pathlib.Path(config.__file__).read_text()
+    assert module.count_options(source) == (
+        len(dataclasses.fields(Config)), len(config._ENV_FIELDS))

@@ -363,7 +363,6 @@ class TestBackendStats:
 
     @pytest.mark.parametrize("route, reason", [
         ("explicit", "explicit"),
-        ("config", "config"),
         ("tuner_explore", "tuner_explore"),
         ("tuner_exploit", "tuner_exploit"),
         ("heuristic", "heuristic"),
@@ -375,7 +374,7 @@ class TestBackendStats:
 
         a = rng.standard_normal((64, 64))
         table = str(tmp_path / "t.json")
-        calls, tuner, config = 1, None, {}
+        calls, tuner = 1, None
         if route == "tuner_explore":
             tuner = BackendTuner(table, explore_budget=1)
         elif route == "tuner_exploit":
@@ -384,9 +383,7 @@ class TestBackendStats:
             calls = len(backend_names("ata")) + 1
         elif route == "frozen_abstains":
             tuner = BackendTuner(table, frozen=True)  # empty table
-        elif route == "config":
-            config = {"backend": "tiled"}
-        with configured(base_case_elements=64, **config):
+        with configured(base_case_elements=64):
             engine = ExecutionEngine(tuner=tuner)
             for _ in range(calls - 1):
                 engine.matmul_ata(a)

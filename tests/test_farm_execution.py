@@ -12,9 +12,9 @@ The acceptance contract under test:
   ascending panel order) at every worker count, and agrees with the
   in-process chain to rounding — the documented re-association caveat;
 * worker loss self-heals: a worker that dies or fails mid-run is
-  respawned and its panel replayed (bounded by
-  ``Config.farm_max_retries``), degrading to bit-identical in-process
-  completion when retries run out; :class:`repro.errors.FarmError`
+  respawned and its panel replayed (at most
+  :data:`repro.engine.farm.MAX_RETRIES` times), degrading to
+  bit-identical in-process completion when retries run out; :class:`repro.errors.FarmError`
   surfaces — promptly, never a hang, with the failing worker's
   traceback riding along — only when degradation itself fails
   (the deeper chaos matrix lives in ``tests/test_fault_injection.py``);
@@ -214,29 +214,14 @@ class TestBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# wiring: run_ooc routing, Config.farm_procs, EngineStats
+# wiring: run_ooc routing, EngineStats
 # ---------------------------------------------------------------------------
 
 class TestWiring:
-    def test_config_farm_procs_routes_to_farm(self, rng):
-        a = rng.standard_normal((80, 16))
-        expected = in_process_reference(a, panel_rows=29, algo="syrk")
-        engine = ExecutionEngine()
-        with configured(farm_procs=2):
-            got, stats = engine.run_ooc(a, algo="syrk", panel_rows=29)
-        assert np.array_equal(got, expected)
-        assert stats.procs == 2  # FarmRunStats, not OocRunStats
-        snap = engine.stats()
-        assert snap.farm_runs == 1 and snap.farm_procs == 2
-        assert snap.farm_panels == len(split_rows(80, 29))
-        assert snap.ooc_runs == 0  # the in-process executor never ran
-
     def test_explicit_procs_zero_stays_in_process(self, rng):
         a = rng.standard_normal((80, 16))
         engine = ExecutionEngine()
-        with configured(farm_procs=4):
-            _, stats = engine.run_ooc(a, algo="syrk", panel_rows=29,
-                                      procs=0)
+        _, stats = engine.run_ooc(a, algo="syrk", panel_rows=29, procs=0)
         assert not hasattr(stats, "procs")  # OocRunStats
         snap = engine.stats()
         assert snap.ooc_runs == 1 and snap.farm_runs == 0
@@ -287,11 +272,6 @@ class TestWiring:
             cells = json.loads(table.read_text())["cells"]
             assert cells
             assert all(key.endswith("|w2l2") for key in cells), sorted(cells)
-
-    def test_negative_config_rejected(self):
-        from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            repro.Config(farm_procs=-1)
 
     def test_invalid_procs_rejected(self):
         with pytest.raises(ShapeError):
@@ -385,8 +365,7 @@ class TestWorkerFailure:
         register_backend(_RaiseBackend())
         try:
             a = rng.standard_normal((60, 12))
-            with pytest.raises(FarmError, match=r"panel 0 of 4"), \
-                    configured(farm_max_retries=0):
+            with pytest.raises(FarmError, match=r"panel 0 of 4"):
                 PanelFarm(ExecutionEngine(), procs=1).run(
                     a, algo="farm-test-raise", panel_rows=17)
         finally:
@@ -504,10 +483,10 @@ class TestWarmPool:
                 procs = 3
             elif change == "backend":
                 register_backend(_NeverBackend())
-            retries = repro.get_config().farm_max_retries
+            seed = repro.get_config().seed
             if change == "config":
-                retries += 1  # any field: the key holds the whole snapshot
-            with configured(farm_max_retries=retries):
+                seed += 1  # any field: the key holds the whole snapshot
+            with configured(seed=seed):
                 got, stats = syrk_farm_run(a, procs=procs)
         finally:
             unregister_backend("farm-test-never")

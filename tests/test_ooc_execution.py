@@ -8,7 +8,7 @@ The acceptance contract under test:
   multi-panel run — across dtypes, algorithms, panel sizes and source
   kinds (array / memmap / chunk stream);
 * a budget-derived schedule is the same on every host;
-* a memmap-backed input whose bytes exceed ``Config.memory_budget``
+* a memmap-backed input whose bytes exceed the ``budget=``
   completes, with the resident high-water within the budget;
 * infeasible budgets fail up front with :class:`repro.errors.BudgetError`;
 * the counted panel flops reconcile exactly with the direct call for the
@@ -164,16 +164,6 @@ class TestMemmapBeyondBudget:
         assert estats.ooc_bytes_resident_high == stats.bytes_resident_high
         assert estats.ooc_budget_bytes == budget
 
-    def test_config_memory_budget_is_the_default(self, tmp_path, rng):
-        a = rng.standard_normal((256, 16))
-        c_bytes = 16 * 16 * 8
-        with configured(memory_budget=c_bytes + 64 * 16 * 8):
-            engine = ExecutionEngine()
-            result, stats = engine.run_ooc(a)
-        assert stats.panels == 4  # 64 rows per panel out of 256
-        assert stats.budget_bytes == c_bytes + 64 * 16 * 8
-        assert np.array_equal(result, reference_panel_sum(a, stats.panel_rows))
-
     def test_panel_plans_are_reused_across_panels(self, rng):
         a = rng.standard_normal((300, 24))
         engine = ExecutionEngine()
@@ -210,7 +200,7 @@ class TestBudgetErrors:
 
     def test_error_message_names_the_remedy(self, rng):
         a = rng.standard_normal((64, 32))
-        with pytest.raises(BudgetError, match="REPRO_MEMORY_BUDGET"):
+        with pytest.raises(BudgetError, match="raise budget="):
             ExecutionEngine().matmul_ata_ooc(a, budget=1)
 
     def test_negative_budget_rejected(self, rng):

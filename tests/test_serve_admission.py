@@ -438,26 +438,11 @@ class TestConfigKnobs:
         with pytest.raises(ConfigurationError):
             Server(ExecutionEngine(), workers=0)
 
-    def test_config_defaults_resolved_at_construction(self):
-        with configured(serve_max_batch=3, serve_max_inflight=7):
-            server = Server(ExecutionEngine())
-        assert server.max_batch == 3
-        assert server.max_inflight == 7
-
-    def test_env_knobs_parse(self, monkeypatch):
-        from repro.config import _config_from_env
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "5")
-        monkeypatch.setenv("REPRO_SERVE_MAX_INFLIGHT", "11")
-        cfg = _config_from_env()
-        assert cfg.serve_max_batch == 5
-        assert cfg.serve_max_inflight == 11
-
-    def test_invalid_config_values_rejected(self):
-        from repro.config import Config
-        with pytest.raises(ConfigurationError):
-            Config(serve_max_batch=0)
-        with pytest.raises(ConfigurationError):
-            Config(serve_max_inflight=0)
+    def test_constructor_defaults(self):
+        server = Server(ExecutionEngine())
+        assert (server.max_batch, server.max_inflight) == (8, 256)
+        assert server.fair_share == 1.0
+        assert server.client_cap == server.max_inflight
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.config import configured
 from repro.errors import ConfigurationError, FairnessError, QueueFullError
 from repro.serve import Client, NetServer, Server, retry
 from repro.serve.queues import BatchQueue, Request
@@ -53,8 +52,7 @@ class TestAdmissionShares:
     def test_share_cap_resolves_from_config_and_kwarg(self):
         assert Server(max_inflight=10, fair_share=0.3).client_cap == 3
         assert Server(max_inflight=10).client_cap == 10  # default: off
-        with configured(serve_fair_share=0.5):
-            assert Server(max_inflight=10).client_cap == 5
+        assert Server(max_inflight=10, fair_share=0.5).client_cap == 5
         # a tiny share still admits one request per client
         assert Server(max_inflight=4, fair_share=0.01).client_cap == 1
 

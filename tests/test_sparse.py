@@ -28,7 +28,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import configured
 from repro.engine import (
     HAVE_SCIPY,
     SPARSE_BACKENDS,
@@ -318,21 +317,6 @@ class TestDispatch:
         after = engine.stats()
         assert after.sparse_runs == 2
         assert after.densify_crossovers == 1
-
-    @needs_scipy
-    def test_config_backend_applies_to_sparse(self):
-        rng = np.random.default_rng(4)
-        a = random_sparse(rng, 40, 20, 0.1, np.float64)
-        with configured(backend="sparse_gram"):
-            engine = ExecutionEngine()
-            engine.matmul_ata(a)
-            assert engine.stats().densify_crossovers == 0
-        with configured(backend="syrk"):
-            # a forced dense backend cannot take the operand: falls
-            # through to heuristic rather than erroring
-            got = ExecutionEngine().matmul_ata(a)
-        assert np.allclose(got, dense_reference(a.toarray()),
-                           rtol=RTOL[np.dtype(np.float64)])
 
     @needs_scipy
     def test_tuner_grows_density_scoped_cells(self, tmp_path):
