@@ -66,6 +66,18 @@ def _validate_layout(a: np.ndarray, name: str, ndim: int = 2) -> np.ndarray:
     return a
 
 
+#: elements per row block of the ``strict_finite`` scan
+_FINITE_BLOCK = 1 << 20
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.isfinite(a).all()``, a block of rows at a time: the boolean
+    temporary stays bounded however large (or disk-backed) ``a`` is."""
+    step = max(1, _FINITE_BLOCK // max(1, a[:1].size))
+    return all(np.isfinite(a[lo:lo + step]).all()
+               for lo in range(0, len(a), step))
+
+
 def validate_matrix(a: np.ndarray, name: str = "A", ndim: int = 2) -> np.ndarray:
     """Validate that ``a`` is a real/complex floating numpy matrix, and,
     under ``Config.strict_finite``, that it holds no NaN/Inf.
@@ -74,7 +86,7 @@ def validate_matrix(a: np.ndarray, name: str = "A", ndim: int = 2) -> np.ndarray
     :class:`ShapeError` / :class:`DTypeError` otherwise.
     """
     _validate_layout(a, name, ndim)
-    if get_config().strict_finite and not np.all(np.isfinite(a)):
+    if get_config().strict_finite and not _all_finite(a):
         raise ShapeError(f"{name} contains non-finite values")
     return a
 

@@ -970,6 +970,10 @@ class PanelFarm:
                 np.add(c, partial, out=c)
                 counts.degraded_panels += 1
         except Exception as exc:
+            # the failing frames may hold views into arenas that pool
+            # teardown unmaps: drop their locals, or reading the chained
+            # traceback's locals later (pytest does) would segfault
+            traceback.clear_frames(exc.__traceback__)
             raise FarmError(
                 f"farm could not heal a worker failure ({signal.reason}); "
                 "the retry budget was exhausted and the degraded "

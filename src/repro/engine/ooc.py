@@ -65,7 +65,7 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from .. import faults
-from ..blas.kernels import scale, validate_c
+from ..blas.kernels import scale, validate_c, validate_matrix
 from ..cache.model import CacheModel
 from ..errors import BudgetError, DTypeError, ShapeError
 from .plan import split_rows
@@ -105,15 +105,16 @@ class ArraySource:
     same matrix arrives as an array, a memmap or a stream.  Use
     :class:`MemmapSource` when the backing store is disk and panels must
     be staged into RAM explicitly.
+
+    ``a`` passes the operand contract's ``A`` rule
+    (:func:`~repro.blas.kernels.validate_matrix`, finiteness included
+    under ``Config.strict_finite``) here, at construction: both
+    out-of-core executors build their source before they touch ``C``, so
+    a refused random-access operand leaves ``C`` untouched.
     """
 
     def __init__(self, a: np.ndarray) -> None:
-        if not isinstance(a, np.ndarray):
-            raise DTypeError(
-                f"ArraySource expects a numpy.ndarray, got {type(a).__name__}")
-        if a.ndim != 2:
-            raise ShapeError(f"A must be 2-dimensional, got shape {a.shape}")
-        self._a = a
+        self._a = validate_matrix(a)
         self.shape = a.shape
         self.dtype = a.dtype
 
@@ -158,6 +159,11 @@ class ChunkSource:
     height stays resident (as the stitch buffer's tail) until its rows
     are consumed, so keep chunks at or below the panel height when the
     memory budget matters.
+
+    A stream cannot be checked before it is read: a chunk refused
+    mid-stream (a wrong shape or dtype, or a non-finite value under
+    ``Config.strict_finite``) raises after the earlier panels were
+    accumulated, leaving ``C`` partly accumulated.
     """
 
     def __init__(self, chunks: Iterable[np.ndarray],

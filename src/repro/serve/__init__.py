@@ -15,7 +15,8 @@ gracefully.  Results are bit-identical (``np.array_equal``) to direct
 
 On top of the in-process front-end sits the **network front door**
 (:mod:`repro.serve.net`): :class:`NetServer` speaks a length-prefixed
-JSON-or-msgpack framing (:mod:`repro.serve.protocol`) over TCP and
+framing of JSON headers and raw array payloads
+(:mod:`repro.serve.protocol`) over TCP and
 funnels every decoded request into one :class:`Server`, so wire traffic
 inherits the same coalescing, admission, fairness, deadline and ledger
 guarantees; :class:`Client` is the matching connector.
@@ -27,8 +28,8 @@ Public surface:
 * :class:`NetServer` / :class:`Client` — the TCP tier;
 * :class:`ServerStats` / :class:`QueueStats` / :class:`ClientStats` —
   accounting snapshots;
-* :class:`Ewma` / :class:`WindowHistogram` — the decaying estimators
-  behind ``metrics_text``;
+* :class:`WindowHistogram` — the decaying estimator behind
+  ``metrics_text``;
 * :func:`retry` — client-side jittered-backoff retry for transient
   :class:`~repro.errors.QueueFullError` backpressure;
 * :func:`queue_key` — the coalescing-key function (exposed for tests and
@@ -36,13 +37,12 @@ Public surface:
 """
 
 from .net import Client, NetServer
-from .protocol import ENCODINGS, HAVE_MSGPACK, PROTOCOL_VERSION
+from .protocol import PROTOCOL_VERSION
 from .queues import BatchQueue, Request, queue_key
 from .retry import retry
 from .server import Server
 from .stats import (
     ClientStats,
-    Ewma,
     QueueStats,
     ServerStats,
     ServingMetrics,
@@ -57,13 +57,10 @@ __all__ = [
     "QueueStats",
     "ClientStats",
     "ServingMetrics",
-    "Ewma",
     "WindowHistogram",
     "BatchQueue",
     "Request",
     "queue_key",
     "retry",
     "PROTOCOL_VERSION",
-    "ENCODINGS",
-    "HAVE_MSGPACK",
 ]

@@ -7,13 +7,13 @@ into an in-process :class:`~repro.serve.Server` — so the wire tier adds
 fairness, deadlines and the ledger all happen in the one place they
 already happen for in-process submits.  What the wire tier *does* own:
 
-* **framing** — length-prefixed JSON-or-msgpack headers plus raw array
-  payloads (:mod:`repro.serve.protocol`), so operands and results
-  round-trip bit-identically;
-* **handshake** — versioned hello, header-encoding negotiation, and the
-  per-connection **client id** that the fairness policy and per-client
-  ledger key on (a client may pin its own id to share a fairness budget
-  across connections; anonymous connections get a unique one);
+* **framing** — length-prefixed JSON headers plus raw array payloads
+  (:mod:`repro.serve.protocol`), so operands and results round-trip
+  bit-identically;
+* **handshake** — versioned hello and the per-connection **client id**
+  that the fairness policy and per-client ledger key on (a client may
+  pin its own id to share a fairness budget across connections;
+  anonymous connections get a unique one);
 * **connection lifecycle** — each ``submit`` frame becomes a concurrent
   task, so one connection can have many requests in flight; when a
   connection drops (cleanly or mid-batch — the ``serve.conn`` fault site
@@ -49,7 +49,6 @@ from ..config import get_config
 from ..errors import ProtocolError, ServerClosedError
 from ..engine.sparse import is_sparse
 from .protocol import (
-    ENCODINGS,
     PROTOCOL_VERSION,
     csr_payload_nbytes,
     error_header,
@@ -174,12 +173,10 @@ class NetServer:
         self._connections.add(task)
         conn_seq = next(self._conn_ids)
         write_lock = asyncio.Lock()
-        encoding = "json"
         requests: Set[asyncio.Task] = set()
         streams: Dict[int, _StreamEntry] = {}
         try:
-            encoding, client = await self._handshake(reader, writer,
-                                                     conn_seq)
+            client = await self._handshake(reader, writer, conn_seq)
             frames = 0
             while True:
                 # chaos: evaluated per received frame.  probe(), not
@@ -195,7 +192,7 @@ class NetServer:
                 header, payload = await read_frame(reader)
                 frames += 1
                 await self._dispatch(header, payload, writer, write_lock,
-                                     encoding, client, requests, streams)
+                                     client, requests, streams)
         except asyncio.CancelledError:
             # NetServer.close() cancelling this handler: absorb the
             # cancel and run the same teardown as a dropped connection,
@@ -209,8 +206,7 @@ class NetServer:
             if isinstance(exc, ProtocolError):
                 try:
                     async with write_lock:
-                        await write_frame(writer, error_header(None, exc),
-                                          encoding=encoding)
+                        await write_frame(writer, error_header(None, exc))
                 except Exception:
                     pass
         finally:
@@ -256,28 +252,29 @@ class NetServer:
             await write_frame(writer, error_header(None, exc))
             raise exc
         offered = header.get("encodings") or ["json"]
-        encoding = next((e for e in offered if e in ENCODINGS), None)
-        if encoding is None:
+        if not isinstance(offered, list) or "json" not in offered:
             exc = ProtocolError(
                 f"no common header encoding: client offers {offered}, "
-                f"server speaks {list(ENCODINGS)}")
+                "server speaks ['json']")
             await write_frame(writer, error_header(None, exc))
             raise exc
         # the client may pin its fairness identity (sharing a budget
         # across connections); anonymous connections get a unique id
         client = str(header.get("client") or f"conn-{conn_seq}")
+        # "encoding" stays in the reply so protocol-1 peers that read it
+        # see the same hello as before
         await write_frame(writer, {"op": "hello",
                                    "version": PROTOCOL_VERSION,
-                                   "encoding": encoding,
-                                   "client": client}, encoding=encoding)
-        return encoding, client
+                                   "encoding": "json",
+                                   "client": client})
+        return client
 
     async def _dispatch(self, header, payload, writer, write_lock,
-                        encoding, client, requests, streams) -> None:
+                        client, requests, streams) -> None:
         op = header.get("op")
         if op == "submit":
             request = asyncio.ensure_future(self._serve_submit(
-                header, payload, writer, write_lock, encoding, client))
+                header, payload, writer, write_lock, client))
             requests.add(request)
             request.add_done_callback(requests.discard)
         elif op == "metrics":
@@ -286,19 +283,18 @@ class NetServer:
                 await write_frame(writer,
                                   {"op": "metrics",
                                    "id": header.get("id")},
-                                  text, encoding)
+                                  text)
         elif op == "stream_begin":
             await self._stream_begin(header, client, streams)
         elif op == "stream_chunk":
             await self._stream_chunk(header, payload, streams)
         elif op == "stream_end":
-            await self._stream_end(header, writer, write_lock, encoding,
-                                   streams)
+            await self._stream_end(header, writer, write_lock, streams)
         else:
             raise ProtocolError(f"unknown wire operation {op!r}")
 
     async def _serve_submit(self, header, payload, writer, write_lock,
-                            encoding, client) -> None:
+                            client) -> None:
         request_id = header.get("id")
         try:
             if header.get("sparse") == "csr":
@@ -321,18 +317,16 @@ class NetServer:
             raise
         except BaseException as exc:
             await self._reply(writer, write_lock,
-                              error_header(request_id, exc), b"", encoding)
+                              error_header(request_id, exc), b"")
             return
         meta, raw = pack_array(result)
         await self._reply(writer, write_lock,
-                          {"op": "result", "id": request_id, **meta},
-                          raw, encoding)
+                          {"op": "result", "id": request_id, **meta}, raw)
 
-    async def _reply(self, writer, write_lock, header, payload,
-                     encoding) -> None:
+    async def _reply(self, writer, write_lock, header, payload) -> None:
         try:
             async with write_lock:
-                await write_frame(writer, header, payload, encoding)
+                await write_frame(writer, header, payload)
         except (ConnectionError, RuntimeError):
             pass  # peer is gone; the teardown path settles the ledger
 
@@ -366,7 +360,7 @@ class NetServer:
                 f"stream_chunk for unknown stream id {header.get('id')!r}")
         await _guarded_put(entry, unpack_array(header, payload))
 
-    async def _stream_end(self, header, writer, write_lock, encoding,
+    async def _stream_end(self, header, writer, write_lock,
                           streams) -> None:
         request_id = header.get("id")
         entry = streams.pop(request_id, None)
@@ -380,12 +374,11 @@ class NetServer:
             raise
         except BaseException as exc:
             await self._reply(writer, write_lock,
-                              error_header(request_id, exc), b"", encoding)
+                              error_header(request_id, exc), b"")
             return
         meta, raw = pack_array(result)
         await self._reply(writer, write_lock,
-                          {"op": "result", "id": request_id, **meta},
-                          raw, encoding)
+                          {"op": "result", "id": request_id, **meta}, raw)
 
 
 class Client:
@@ -408,19 +401,13 @@ class Client:
         share one per-client admission budget and ledger entry.  When
         omitted the server assigns a unique per-connection id
         (available as :attr:`client_id` after :meth:`connect`).
-    encodings:
-        Header-encoding preference order offered at the handshake
-        (default: msgpack first when importable, JSON otherwise).
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
-                 client_id: Optional[str] = None,
-                 encodings: Optional[list] = None) -> None:
+                 client_id: Optional[str] = None) -> None:
         self.host = host
         self.port = int(port)
         self.client_id = client_id
-        self._offered = list(encodings) if encodings else list(ENCODINGS)
-        self.encoding = "json"
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
@@ -436,7 +423,7 @@ class Client:
             self.host, self.port)
         hello: Dict[str, Any] = {"op": "hello",
                                  "version": PROTOCOL_VERSION,
-                                 "encodings": self._offered}
+                                 "encodings": ["json"]}
         if self.client_id is not None:
             hello["client"] = str(self.client_id)
         await write_frame(self._writer, hello)
@@ -446,7 +433,6 @@ class Client:
         if header.get("op") != "hello":
             raise ProtocolError(
                 f"expected hello reply, got {header.get('op')!r}")
-        self.encoding = header.get("encoding", "json")
         self.client_id = header.get("client")
         self._reader_task = asyncio.ensure_future(self._read_loop())
         return self
@@ -527,8 +513,7 @@ class Client:
         header["id"] = request_id
         try:
             async with self._write_lock:
-                await write_frame(self._writer, header, payload,
-                                  self.encoding)
+                await write_frame(self._writer, header, payload)
             return await future
         finally:
             self._pending.pop(request_id, None)
@@ -584,8 +569,7 @@ class Client:
             begin["timeout"] = float(timeout)
         try:
             async with self._write_lock:
-                await write_frame(self._writer, begin,
-                                  encoding=self.encoding)
+                await write_frame(self._writer, begin)
             if hasattr(chunks, "__aiter__"):
                 async for chunk in chunks:
                     await self._send_chunk(request_id, chunk)
@@ -594,8 +578,7 @@ class Client:
                     await self._send_chunk(request_id, chunk)
             async with self._write_lock:
                 await write_frame(self._writer,
-                                  {"op": "stream_end", "id": request_id},
-                                  encoding=self.encoding)
+                                  {"op": "stream_end", "id": request_id})
             return await future
         finally:
             self._pending.pop(request_id, None)
@@ -605,7 +588,7 @@ class Client:
         async with self._write_lock:
             await write_frame(self._writer,
                               {"op": "stream_chunk", "id": request_id,
-                               **meta}, raw, self.encoding)
+                               **meta}, raw)
 
     async def metrics(self) -> str:
         """Fetch the server's Prometheus-style metrics scrape."""

@@ -2,32 +2,28 @@
 
 One frame is::
 
-    +-----+------------+-------------+----------------+---------------+
-    | tag | header len | payload len | header bytes   | payload bytes |
-    | 1 B | 4 B (BE)   | 4 B (BE)    | JSON / msgpack | raw array     |
-    +-----+------------+-------------+----------------+---------------+
+    +-----+------------+-------------+--------------+---------------+
+    | tag | header len | payload len | header bytes | payload bytes |
+    | 1 B | 4 B (BE)   | 4 B (BE)    | JSON         | raw array     |
+    +-----+------------+-------------+--------------+---------------+
 
-The **tag** byte names the header encoding — ``J`` for JSON, ``M`` for
-msgpack — so a reader never guesses; the two length fields bound the
-reads (:data:`MAX_HEADER_BYTES` / :data:`MAX_PAYLOAD_BYTES` cap them
-against hostile or corrupt peers).  The *header* is a small mapping
-(operation, request id, algorithm, alpha, dtype, shape, ...); the
-*payload* is raw little-endian array bytes appended verbatim — matrices
-never pass through the structured encoder, so a request's operand and a
-response's result round-trip **bit-identically** regardless of header
-encoding.
-
-msgpack is optional: when the :mod:`msgpack` package is importable both
-sides may negotiate it during the hello handshake (it is the client's
-preference order that decides); otherwise everything speaks JSON.  The
-negotiated encoding is per-connection and symmetric.
+The **tag** byte names the header encoding — ``J`` for JSON, the one
+encoding spoken — so a reader refuses anything else instead of
+guessing; the two length fields bound the reads
+(:data:`MAX_HEADER_BYTES` / :data:`MAX_PAYLOAD_BYTES` cap them against
+hostile or corrupt peers).  The *header* is a small mapping (operation,
+request id, algorithm, alpha, dtype, shape, ...); the *payload* is raw
+little-endian array bytes appended verbatim — matrices never pass
+through the JSON encoder, so a request's operand and a response's
+result round-trip **bit-identically**.
 
 The handshake is versioned: the first frame on a connection must be a
-``hello`` carrying :data:`PROTOCOL_VERSION`; a mismatch is answered with
-an ``error`` frame and the connection closes.  Remote errors travel as
-``error`` frames naming the exception class; :func:`raise_remote`
-rehydrates them from :data:`ERROR_TYPES` on the client so
-:class:`~repro.errors.QueueFullError` backpressure (and its
+``hello`` carrying :data:`PROTOCOL_VERSION` (and, optionally, the
+``encodings`` it offers, which must include ``"json"``); a mismatch is
+answered with an ``error`` frame and the connection closes.  Remote
+errors travel as ``error`` frames naming the exception class;
+:func:`raise_remote` rehydrates them from :data:`ERROR_TYPES` on the
+client so :class:`~repro.errors.QueueFullError` backpressure (and its
 :class:`~repro.errors.FairnessError` subclass) stays retryable through
 :func:`repro.serve.retry` across the wire.
 """
@@ -55,11 +51,6 @@ from ..errors import (
     WorkspaceError,
 )
 
-try:  # optional; the container may not ship it — JSON is the floor
-    import msgpack  # type: ignore
-except ImportError:  # pragma: no cover - environment-dependent
-    msgpack = None
-
 try:  # optional; CSR payloads need it, everything else does not
     from scipy import sparse as _sps
 except Exception:  # pragma: no cover - environment-dependent
@@ -67,8 +58,6 @@ except Exception:  # pragma: no cover - environment-dependent
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "ENCODINGS",
-    "HAVE_MSGPACK",
     "MAX_HEADER_BYTES",
     "MAX_PAYLOAD_BYTES",
     "ERROR_TYPES",
@@ -88,19 +77,10 @@ __all__ = [
 #: equality during hello
 PROTOCOL_VERSION = 1
 
-HAVE_MSGPACK = msgpack is not None
-
-#: header encodings this process can speak, in no particular order —
-#: negotiation follows the *client's* preference list
-ENCODINGS: Tuple[str, ...] = (("json", "msgpack") if HAVE_MSGPACK
-                              else ("json",))
-
 #: tag byte, header length, payload length — all big-endian
 _PREFIX = struct.Struct(">BII")
 
 _TAG_JSON = ord("J")
-_TAG_MSGPACK = ord("M")
-_TAGS = {"json": _TAG_JSON, "msgpack": _TAG_MSGPACK}
 
 #: sanity bounds enforced on every read; violations raise
 #: :class:`ProtocolError` before any allocation happens
@@ -129,35 +109,16 @@ ERROR_TYPES: Dict[str, type] = {
 }
 
 
-def _encode_header(header: Dict[str, Any], encoding: str) -> Tuple[int, bytes]:
-    if encoding == "json":
-        return _TAG_JSON, json.dumps(header, separators=(",", ":")).encode()
-    if encoding == "msgpack":
-        if msgpack is None:
-            raise ProtocolError(
-                "msgpack encoding negotiated but the msgpack package is "
-                "not importable in this process")
-        return _TAG_MSGPACK, msgpack.packb(header, use_bin_type=True)
-    raise ProtocolError(f"unknown header encoding {encoding!r}; "
-                        f"this process speaks {ENCODINGS}")
+def _encode_header(header: Dict[str, Any]) -> Tuple[int, bytes]:
+    return _TAG_JSON, json.dumps(header, separators=(",", ":")).encode()
 
 
 def _decode_header(tag: int, raw: bytes) -> Dict[str, Any]:
+    if tag != _TAG_JSON:
+        raise ProtocolError(
+            f"unknown frame tag byte {tag!r}; expected {_TAG_JSON} ('J')")
     try:
-        if tag == _TAG_JSON:
-            header = json.loads(raw.decode())
-        elif tag == _TAG_MSGPACK:
-            if msgpack is None:
-                raise ProtocolError(
-                    "peer sent a msgpack frame but the msgpack package "
-                    "is not importable in this process")
-            header = msgpack.unpackb(raw, raw=False)
-        else:
-            raise ProtocolError(
-                f"unknown frame tag byte {tag!r}; expected "
-                f"{_TAG_JSON} ('J') or {_TAG_MSGPACK} ('M')")
-    except ProtocolError:
-        raise
+        header = json.loads(raw.decode())
     except Exception as exc:
         raise ProtocolError(f"undecodable frame header: {exc}") from exc
     if not isinstance(header, dict) or "op" not in header:
@@ -167,40 +128,36 @@ def _decode_header(tag: int, raw: bytes) -> Dict[str, Any]:
     return header
 
 
-def encode_frame(header: Dict[str, Any], payload: bytes = b"",
-                 encoding: str = "json") -> bytes:
-    """Render one complete frame as a single ``bytes``."""
-    tag, raw = _encode_header(header, encoding)
+def _frame_prefix(header: Dict[str, Any], size: int) -> bytes:
+    """Prefix plus encoded header of a frame carrying ``size`` payload
+    bytes, after the send-side bound checks."""
+    tag, raw = _encode_header(header)
     if len(raw) > MAX_HEADER_BYTES:
         raise ProtocolError(
             f"frame header of {len(raw)} bytes exceeds the "
             f"{MAX_HEADER_BYTES}-byte bound")
-    if len(payload) > MAX_PAYLOAD_BYTES:
+    if size > MAX_PAYLOAD_BYTES:
         raise ProtocolError(
-            f"frame payload of {len(payload)} bytes exceeds the "
+            f"frame payload of {size} bytes exceeds the "
             f"{MAX_PAYLOAD_BYTES}-byte bound")
-    return _PREFIX.pack(tag, len(raw), len(payload)) + raw + bytes(payload)
+    return _PREFIX.pack(tag, len(raw), size) + raw
+
+
+def encode_frame(header: Dict[str, Any], payload: bytes = b"") -> bytes:
+    """Render one complete frame as a single ``bytes``."""
+    return _frame_prefix(header, len(payload)) + bytes(payload)
 
 
 async def write_frame(writer, header: Dict[str, Any],
-                      payload: bytes = b"", encoding: str = "json") -> None:
+                      payload: bytes = b"") -> None:
     """Write one frame and drain.
 
     The prefix+header and the payload go out as two ``write`` calls (no
     concatenation copy of a possibly-large payload); callers that share
     a writer across tasks must hold their write lock around this.
     """
-    tag, raw = _encode_header(header, encoding)
-    if len(raw) > MAX_HEADER_BYTES:
-        raise ProtocolError(
-            f"frame header of {len(raw)} bytes exceeds the "
-            f"{MAX_HEADER_BYTES}-byte bound")
     size = len(payload) if not isinstance(payload, np.ndarray) else payload.nbytes
-    if size > MAX_PAYLOAD_BYTES:
-        raise ProtocolError(
-            f"frame payload of {size} bytes exceeds the "
-            f"{MAX_PAYLOAD_BYTES}-byte bound")
-    writer.write(_PREFIX.pack(tag, len(raw), size) + raw)
+    writer.write(_frame_prefix(header, size))
     if size:
         writer.write(payload if isinstance(payload, (bytes, bytearray,
                                                      memoryview))

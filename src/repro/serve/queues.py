@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections import Counter, deque
+from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
 import numpy as np
@@ -67,7 +67,7 @@ class BatchQueue:
 
     The server owns the dispatch logic (it needs the loop, the executor
     and the engine); the queue owns the pending deque and the per-queue
-    counters.
+    :attr:`counters`.
     """
 
     def __init__(self, key: str) -> None:
@@ -80,17 +80,13 @@ class BatchQueue:
         #: the retired aggregate) only when pending and outstanding are
         #: both clear
         self.outstanding = 0
-        self.submitted = 0
-        self.batches = 0
-        self.batched_requests = 0
-        self.max_batch_size = 0
-        self.size_histogram: Counter = Counter()
-        self.wait_seconds = 0.0
-        self.run_seconds = 0.0
+        #: the queue's accounting (``depth`` stays 0 here: it is
+        #: ``len(pending)``, read at snapshot time)
+        self.counters = QueueStats(key)
 
     def append(self, request: Request) -> None:
         self.pending.append(request)
-        self.submitted += 1
+        self.counters.submitted += 1
 
     def live_count(self) -> int:
         """Pending requests whose future is still unsettled.
@@ -191,22 +187,10 @@ class BatchQueue:
         waits = [now - request.enqueued for request in batch]
         size = len(batch)
         self.outstanding += 1
-        self.batches += 1
-        self.batched_requests += size
-        self.max_batch_size = max(self.max_batch_size, size)
-        self.size_histogram[size] += 1
-        self.wait_seconds += sum(waits)
+        counters = self.counters
+        counters.batches += 1
+        counters.batched_requests += size
+        counters.max_batch_size = max(counters.max_batch_size, size)
+        counters.size_histogram[size] += 1
+        counters.wait_seconds += sum(waits)
         return waits
-
-    def snapshot(self) -> QueueStats:
-        return QueueStats(
-            key=self.key,
-            depth=len(self.pending),
-            submitted=self.submitted,
-            batches=self.batches,
-            batched_requests=self.batched_requests,
-            max_batch_size=self.max_batch_size,
-            size_histogram=dict(self.size_histogram),
-            wait_seconds=self.wait_seconds,
-            run_seconds=self.run_seconds,
-        )

@@ -116,7 +116,8 @@ _OVERFLOW_KEY = "~retired-overflow~"
 _CLIENT_KEYS = 256
 _CLIENT_OVERFLOW = "~client-overflow~"
 
-#: ledger buckets tracked per client id
+#: ledger buckets tracked per client id (the server-wide ledger is their
+#: sum over clients)
 _LEDGER_FIELDS = ("submitted", "completed", "failed", "rejected",
                   "cancelled", "expired")
 
@@ -136,25 +137,33 @@ def _number(name: str, value) -> float:
             f"{name} must be a number, got {value!r}") from None
 
 
-def _empty_counters() -> dict:
-    return {"submitted": 0, "batches": 0, "batched_requests": 0,
-            "max_batch_size": 0, "size_histogram": Counter(),
-            "wait_seconds": 0.0, "run_seconds": 0.0}
+def _new_ledger(_key: str = "") -> Counter:
+    return Counter(dict.fromkeys(_LEDGER_FIELDS, 0))
 
 
-def _merge_counters(into: dict, snap) -> dict:
-    """Fold one queue snapshot (or counter dict) into ``into``."""
-    get = (snap.get if isinstance(snap, dict)
-           else lambda field: getattr(snap, field))
-    into["submitted"] += get("submitted")
-    into["batches"] += get("batches")
-    into["batched_requests"] += get("batched_requests")
-    into["max_batch_size"] = max(into["max_batch_size"],
-                                 get("max_batch_size"))
-    into["size_histogram"].update(get("size_histogram"))
-    into["wait_seconds"] += get("wait_seconds")
-    into["run_seconds"] += get("run_seconds")
-    return into
+def _bounded_entry(table: dict, key: str, make: Callable, merge: Callable,
+                   limit: int, overflow: str,
+                   busy: Callable[[str], bool] = lambda key: False):
+    """``table[key]``, created by ``make(key)`` when absent.
+
+    A creation that takes ``table`` past ``limit`` entries merges its
+    oldest entries (other than ``key``, the overflow bucket and those
+    ``busy`` still needs) into ``table[overflow]`` with ``merge(into,
+    entry)``, so totals stay exact while the map stays bounded under
+    unbounded key diversity.  Callers hold the server's stats lock.
+    """
+    entry = table.get(key)
+    if entry is None:
+        entry = table[key] = make(key)
+        while len(table) > limit:
+            oldest = next((k for k in table
+                           if k not in (key, overflow) and not busy(k)),
+                          None)
+            if oldest is None:
+                break  # everything else is still in use
+            merge(table.setdefault(overflow, make(overflow)),
+                  table.pop(oldest))
+    return entry
 
 
 class Server:
@@ -222,7 +231,7 @@ class Server:
         self._queues: Dict[str, BatchQueue] = {}
         #: counters of drained-and-dropped queues, per key (bounded; the
         #: oldest entries merge into the ``_OVERFLOW_KEY`` bucket)
-        self._retired: Dict[str, dict] = {}
+        self._retired: Dict[str, QueueStats] = {}
         self._batch_tasks: Set[asyncio.Task] = set()
         #: tasks holding an executor worker (may exceed ``workers``)
         self._running = 0
@@ -234,18 +243,14 @@ class Server:
         # counters are mutated on the loop but read by stats() from any
         # thread; the lock keeps multi-field snapshots consistent
         self._lock = threading.Lock()
-        self._submitted = 0
-        self._completed = 0
-        self._failed = 0
-        self._rejected = 0
-        self._cancelled = 0
-        self._expired = 0
+        #: admitted-but-unsettled requests, kept apart from the ledgers so
+        #: admission checks its bound in O(1)
         self._inflight = 0
         #: per-client admitted-but-unsettled counts (entries drop at 0)
         self._client_inflight: Dict[str, int] = {}
-        #: per-client ledgers (bounded; oldest settled entries merge into
-        #: the ``_CLIENT_OVERFLOW`` bucket)
-        self._clients: Dict[str, dict] = {}
+        #: the request ledger, per client (bounded; oldest settled
+        #: entries merge into the ``_CLIENT_OVERFLOW`` bucket)
+        self._clients: Dict[str, Counter] = {}
         #: decaying latency / batch-size estimators behind
         #: :meth:`metrics_text` (recorded under ``_lock``)
         self._metrics = ServingMetrics()
@@ -311,43 +316,28 @@ class Server:
             get_backend(algo, "ata")  # unknown name -> ShapeError
 
     # -- admission ----------------------------------------------------------
-    def _client_entry(self, client: str) -> dict:
+    def _client_entry(self, client: str) -> Counter:
         """The (lazily created) per-client ledger entry; callers hold
         ``_lock``.  Bounded like retired queues: the oldest *settled*
         entries merge into the overflow id so wire traffic minting one
         client id per connection cannot grow the map forever."""
-        entry = self._clients.get(client)
-        if entry is None:
-            entry = self._clients[client] = dict.fromkeys(_LEDGER_FIELDS, 0)
-            while len(self._clients) > _CLIENT_KEYS:
-                oldest = next(
-                    (key for key in self._clients
-                     if key != _CLIENT_OVERFLOW and key != client
-                     and not self._client_inflight.get(key)), None)
-                if oldest is None:
-                    break  # everything else still has work in flight
-                overflow = self._clients.setdefault(
-                    _CLIENT_OVERFLOW, dict.fromkeys(_LEDGER_FIELDS, 0))
-                for field, count in self._clients.pop(oldest).items():
-                    overflow[field] += count
-        return entry
+        return _bounded_entry(self._clients, client, _new_ledger,
+                              Counter.update, _CLIENT_KEYS, _CLIENT_OVERFLOW,
+                              busy=self._client_inflight.get)
 
     def _admit(self, client: str) -> None:
         """Count one submission and claim an admission slot, enforcing
         the global bound and the per-client fair share."""
         with self._lock:
-            self._submitted += 1
             entry = self._client_entry(client)
             entry["submitted"] += 1
             if self._inflight >= self.max_inflight:
-                self._rejected += 1
                 entry["rejected"] += 1
                 raise QueueFullError(
                     "server is at its admission limit "
                     f"({self.max_inflight} requests in flight)")
             held = self._client_inflight.get(client, 0)
             if held >= self.client_cap:
-                self._rejected += 1
                 entry["rejected"] += 1
                 raise FairnessError(
                     f"client {client!r} holds {held} of its fair share of "
@@ -607,20 +597,15 @@ class Server:
                 self._client_inflight[client] = held
             else:
                 self._client_inflight.pop(client, None)
-            entry = self._client_entry(client)
             if future.cancelled():
-                self._cancelled += 1
-                entry["cancelled"] += 1
-            elif future.exception() is not None:
-                if isinstance(future.exception(), DeadlineError):
-                    self._expired += 1
-                    entry["expired"] += 1
-                else:
-                    self._failed += 1
-                    entry["failed"] += 1
+                outcome = "cancelled"
+            elif future.exception() is None:
+                outcome = "completed"
+            elif isinstance(future.exception(), DeadlineError):
+                outcome = "expired"
             else:
-                self._completed += 1
-                entry["completed"] += 1
+                outcome = "failed"
+            self._client_entry(client)[outcome] += 1
 
     # -- execution ----------------------------------------------------------
     def _dispatch(self, freed: bool = False) -> None:
@@ -730,16 +715,9 @@ class Server:
             if self._queues.get(queue.key) is not queue:
                 return
             del self._queues[queue.key]
-            entry = self._retired.get(queue.key)
-            if entry is None:
-                entry = self._retired[queue.key] = _empty_counters()
-                while len(self._retired) > _RETIRED_KEYS:
-                    oldest = next(key for key in self._retired
-                                  if key != _OVERFLOW_KEY)
-                    overflow = self._retired.setdefault(
-                        _OVERFLOW_KEY, _empty_counters())
-                    _merge_counters(overflow, self._retired.pop(oldest))
-            _merge_counters(entry, queue.snapshot())
+            _bounded_entry(self._retired, queue.key, QueueStats,
+                           QueueStats.merge, _RETIRED_KEYS,
+                           _OVERFLOW_KEY).merge(queue.counters)
 
     def _execute(self, call: Callable[[], List[np.ndarray]],
                  queue: Optional[BatchQueue]) -> List[np.ndarray]:
@@ -756,7 +734,7 @@ class Server:
             with self._lock:
                 elapsed = time.monotonic() - start
                 if queue is not None:
-                    queue.run_seconds += elapsed
+                    queue.counters.run_seconds += elapsed
                 self._metrics.observe_run(elapsed)
 
     def _engine_batch(self, batch: List[Request]) -> List[np.ndarray]:
@@ -866,49 +844,30 @@ class Server:
         accounting is monotonic over the server's lifetime.
         """
         with self._lock:
-            merged: Dict[str, dict] = {
-                key: {**_merge_counters(_empty_counters(), entry),
-                      "depth": 0}
-                for key, entry in self._retired.items()}
+            queues = {key: QueueStats(key).merge(entry)
+                      for key, entry in self._retired.items()}
             for key, queue in self._queues.items():
-                entry = merged.setdefault(key,
-                                          {**_empty_counters(), "depth": 0})
-                _merge_counters(entry, queue.snapshot())
-                entry["depth"] += len(queue.pending)
-            queues = {
-                key: QueueStats(
-                    key=key, depth=entry["depth"],
-                    submitted=entry["submitted"], batches=entry["batches"],
-                    batched_requests=entry["batched_requests"],
-                    max_batch_size=entry["max_batch_size"],
-                    size_histogram=dict(entry["size_histogram"]),
-                    wait_seconds=entry["wait_seconds"],
-                    run_seconds=entry["run_seconds"])
-                for key, entry in merged.items()}
-            histogram: Counter = Counter()
+                snap = queues.setdefault(key, QueueStats(key))
+                snap.merge(queue.counters).depth += len(queue.pending)
+            merged = QueueStats("")
             for snap in queues.values():
-                histogram.update(snap.size_histogram)
+                merged.merge(snap)
+            ledger = _new_ledger()
+            for entry in self._clients.values():
+                ledger.update(entry)
             clients = {
                 cid: ClientStats(client=cid,
                                  inflight=self._client_inflight.get(cid, 0),
                                  **entry)
                 for cid, entry in self._clients.items()}
             return ServerStats(
-                submitted=self._submitted,
-                completed=self._completed,
-                failed=self._failed,
-                rejected=self._rejected,
-                cancelled=self._cancelled,
-                expired=self._expired,
+                **ledger,
                 inflight=self._inflight,
-                depth=sum(snap.depth for snap in queues.values()),
-                batches=sum(snap.batches for snap in queues.values()),
-                batched_requests=sum(snap.batched_requests
-                                     for snap in queues.values()),
-                max_batch_size=max(
-                    (snap.max_batch_size for snap in queues.values()),
-                    default=0),
-                size_histogram=dict(histogram),
+                depth=merged.depth,
+                batches=merged.batches,
+                batched_requests=merged.batched_requests,
+                max_batch_size=merged.max_batch_size,
+                size_histogram=dict(merged.size_histogram),
                 queues=queues,
                 clients=clients,
             )
@@ -919,11 +878,11 @@ class Server:
         as its ``metrics`` op).
 
         Cumulative ledger counters come first; then the **decaying**
-        estimators — sliding-window histograms (only the trailing
-        ``window`` seconds of samples; a spike ages out of the scrape
-        instead of flattening into day-old totals) and time-decayed
-        EWMA gauges of wait latency, run latency and coalesced batch
-        size; then the per-client ledger, labelled by client id; last the
+        sliding-window histograms of wait latency, run latency and
+        coalesced batch size (only the trailing ``window`` seconds of
+        samples; a spike ages out of the scrape instead of flattening
+        into day-old totals, and ``_sum / _count`` is the recent mean);
+        then the per-client ledger, labelled by client id; last the
         engine's :class:`~repro.engine.EngineStats`, one
         ``repro_engine_<field>`` gauge per int field and one labelled
         ``repro_engine_<field>_total`` family per mapping field
@@ -975,17 +934,6 @@ class Server:
                 cumulative, total, count = hist.snapshot(now)
                 rendered.append((name, hist.bounds, cumulative, total,
                                  count, help_text))
-            gauges = (
-                ("repro_serve_wait_seconds_ewma",
-                 self._metrics.wait_ewma.value(),
-                 "Time-decayed mean request wait in seconds."),
-                ("repro_serve_run_seconds_ewma",
-                 self._metrics.run_ewma.value(),
-                 "Time-decayed mean batch execution time in seconds."),
-                ("repro_serve_batch_size_ewma",
-                 self._metrics.batch_ewma.value(),
-                 "Time-decayed mean coalesced batch size."),
-            )
 
         for name, bounds, cumulative, total, count, help_text in rendered:
             lines.append(f"# HELP {name} {help_text} over the trailing "
@@ -996,8 +944,6 @@ class Server:
             lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative[-1]}')
             lines.append(f"{name}_sum {total:g}")
             lines.append(f"{name}_count {count}")
-        for name, value, help_text in gauges:
-            counter(name, f"{value:g}", help_text, kind="gauge")
 
         lines.append("# HELP repro_serve_client_requests_total "
                      "Per-client ledger by outcome.")

@@ -1,19 +1,23 @@
 """Point-in-time statistics snapshots and decaying metrics for the
 serving layer.
 
-Mirrors the style of :class:`repro.engine.EngineStats`: immutable
-dataclasses produced by ``stats()`` calls, safe to read from any thread,
-with derived rates as properties.  Three levels exist:
+Mirrors the style of :class:`repro.engine.EngineStats`: dataclasses
+produced by ``stats()`` calls, safe to read from any thread, with
+derived rates as properties.  Three levels exist:
 
 * :class:`QueueStats` — one per coalescing queue (one per
   ``(op, algo, dtype, shape-bucket, alpha)`` key): current depth, how many
   requests and batches it saw, the coalesced batch-size distribution, and
   the split between time requests spent *waiting* to be batched and time
-  their batches spent *running* on the engine;
+  their batches spent *running* on the engine.  It is also the one
+  counter form the server keeps: a live queue's counters, a retired
+  queue's aggregate and a snapshot are all ``QueueStats``, folded
+  together by :meth:`QueueStats.merge` (a snapshot is a fresh copy);
 * :class:`ClientStats` — the per-client-id slice of the admission ledger
   (what the fairness policy arbitrates over);
-* :class:`ServerStats` — the server-wide admission-control ledger.  The
-  accounting identity every drained server satisfies is::
+* :class:`ServerStats` — the server-wide admission-control ledger, the
+  sum of the per-client ledgers.  The accounting identity every drained
+  server satisfies is::
 
       submitted == completed + failed + rejected + cancelled + expired
 
@@ -25,15 +29,12 @@ with derived rates as properties.  Three levels exist:
 Alongside the cumulative snapshots live the **decaying metrics** that
 back :meth:`repro.serve.Server.metrics_text`: a monitoring scrape needs
 "what is latency like *now*", which cumulative totals cannot answer once
-a server has days of history flattening every spike.  Two estimators:
-
-* :class:`Ewma` — an exponentially-decaying weighted mean with a time
-  constant (recent samples dominate; an idle hour fades old load out);
-* :class:`WindowHistogram` — a sliding-window histogram (a ring of
-  fixed-span slots; expired slots are dropped at read time), rendered
-  Prometheus-style with cumulative ``le`` buckets over the live window.
-
-Both take an injectable clock so tests can drive decay deterministically.
+a server has days of history flattening every spike.  One estimator
+serves each metric: :class:`WindowHistogram`, a sliding-window histogram
+(a ring of fixed-span slots; expired slots are dropped at read time),
+rendered Prometheus-style with cumulative ``le`` buckets over the live
+window; its ``_sum / _count`` is the recent mean.  It reads an
+injectable clock so tests can drive decay deterministically.
 :class:`ServingMetrics` bundles the server's instances (wait/run latency
 and batch size) behind the two hooks the server calls at dispatch and
 execution time.
@@ -43,36 +44,48 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import math
 import time
+from collections import Counter
 from typing import Callable, List, Mapping, Sequence, Tuple
 
-__all__ = ["QueueStats", "ClientStats", "ServerStats", "Ewma",
-           "WindowHistogram", "ServingMetrics"]
+__all__ = ["QueueStats", "ClientStats", "ServerStats", "WindowHistogram",
+           "ServingMetrics"]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class QueueStats:
-    """Accounting snapshot of one coalescing queue."""
+    """Accounting of one coalescing queue."""
 
     #: the queue's coalescing key, rendered as a string
     key: str
     #: requests currently pending (admitted, not yet dispatched)
-    depth: int
+    depth: int = 0
     #: requests ever enqueued here
-    submitted: int
+    submitted: int = 0
     #: batches dispatched to the engine
-    batches: int
+    batches: int = 0
     #: requests those batches carried in total
-    batched_requests: int
+    batched_requests: int = 0
     #: largest batch dispatched
-    max_batch_size: int
+    max_batch_size: int = 0
     #: batch-size distribution: ``{size: count}``
-    size_histogram: Mapping[int, int]
+    size_histogram: Counter = dataclasses.field(default_factory=Counter)
     #: total seconds requests spent waiting between enqueue and dispatch
-    wait_seconds: float
+    wait_seconds: float = 0.0
     #: total seconds the queue's batches spent executing on the engine
-    run_seconds: float
+    run_seconds: float = 0.0
+
+    def merge(self, other: "QueueStats") -> "QueueStats":
+        """Fold ``other``'s counters into this one; returns ``self``."""
+        self.depth += other.depth
+        self.submitted += other.submitted
+        self.batches += other.batches
+        self.batched_requests += other.batched_requests
+        self.max_batch_size = max(self.max_batch_size, other.max_batch_size)
+        self.size_histogram.update(other.size_histogram)
+        self.wait_seconds += other.wait_seconds
+        self.run_seconds += other.run_seconds
+        return self
 
     @property
     def mean_batch_size(self) -> float:
@@ -119,7 +132,8 @@ class ClientStats:
 
 @dataclasses.dataclass(frozen=True)
 class ServerStats:
-    """Server-wide admission, completion and coalescing accounting."""
+    """Server-wide admission, completion and coalescing accounting; the
+    six ledger fields are the sums of :attr:`clients`."""
 
     #: requests that passed validation and entered admission control
     submitted: int
@@ -169,52 +183,6 @@ class ServerStats:
 # ---------------------------------------------------------------------------
 # decaying metrics
 # ---------------------------------------------------------------------------
-
-class Ewma:
-    """Time-decayed exponentially weighted mean.
-
-    Unlike the classic per-event ``alpha`` EWMA, the decay here is a
-    function of *elapsed time*: every update first multiplies the
-    accumulated (sum, weight) pair by ``exp(-dt / tau)``, then adds the
-    new sample with weight 1.  Samples older than a few ``tau`` seconds
-    are effectively forgotten whether or not traffic arrived meanwhile —
-    which is the property a scrape gauge needs (an idle server's "recent
-    mean latency" should fade, not freeze at the last busy value).
-
-    ``value()`` reads without decaying idle time away by default (the
-    estimate of the last observed regime); pass ``now`` to check how much
-    weight is still live.
-    """
-
-    def __init__(self, tau: float = 60.0) -> None:
-        if tau <= 0:
-            raise ValueError(f"tau must be > 0 seconds, got {tau}")
-        self.tau = float(tau)
-        self._sum = 0.0
-        self._weight = 0.0
-        self._last = None  # type: ignore[assignment]
-
-    def update(self, value: float, now: float) -> None:
-        if self._last is not None and now > self._last:
-            decay = math.exp(-(now - self._last) / self.tau)
-            self._sum *= decay
-            self._weight *= decay
-        self._last = now if self._last is None else max(self._last, now)
-        self._sum += float(value)
-        self._weight += 1.0
-
-    def value(self) -> float:
-        """The decayed mean, or ``0.0`` before the first sample."""
-        return self._sum / self._weight if self._weight > 0 else 0.0
-
-    def weight(self, now: float) -> float:
-        """Live sample weight as of ``now`` (decays while idle)."""
-        if self._last is None:
-            return 0.0
-        if now <= self._last:
-            return self._weight
-        return self._weight * math.exp(-(now - self._last) / self.tau)
-
 
 class WindowHistogram:
     """Sliding-window histogram over fixed bucket boundaries.
@@ -300,26 +268,20 @@ class ServingMetrics:
     ``clock`` is what lets tests age the window deterministically.
     """
 
-    def __init__(self, *, window: float = 60.0, tau: float = 60.0,
+    def __init__(self, *, window: float = 60.0,
                  clock: Callable[[], float] = time.monotonic) -> None:
         self.window = float(window)
         self.clock = clock
         self.wait_hist = WindowHistogram(LATENCY_BUCKETS, window=window)
         self.run_hist = WindowHistogram(LATENCY_BUCKETS, window=window)
         self.batch_hist = WindowHistogram(BATCH_SIZE_BUCKETS, window=window)
-        self.wait_ewma = Ewma(tau)
-        self.run_ewma = Ewma(tau)
-        self.batch_ewma = Ewma(tau)
 
     def observe_dispatch(self, waits: Sequence[float], size: int) -> None:
         now = self.clock()
         for wait in waits:
             self.wait_hist.record(wait, now)
-            self.wait_ewma.update(wait, now)
         self.batch_hist.record(size, now)
-        self.batch_ewma.update(size, now)
 
     def observe_run(self, seconds: float) -> None:
         now = self.clock()
         self.run_hist.record(seconds, now)
-        self.run_ewma.update(seconds, now)

@@ -371,6 +371,41 @@ class TestWorkerFailure:
         finally:
             unregister_backend("farm-test-raise")
 
+    def test_farm_error_traceback_holds_no_unmapped_arena(self):
+        """The degraded completion hands arena views to the engine; once
+        the failed run tears its pool down, reading every array local of
+        the FarmError's chained tracebacks (as pytest does when it
+        reports a failure) must not touch unmapped memory.  Run in a
+        child process so a regression shows as a crash code."""
+        script = (
+            "import numpy as np\n"
+            "from repro.config import configured\n"
+            "from repro.engine import ChunkSource, ExecutionEngine\n"
+            "a = np.ones((64, 8)); a[0, 3] = np.nan\n"
+            "chunks = ChunkSource(iter([a]), a.shape, a.dtype)\n"
+            "with configured(strict_finite=True):\n"
+            "    try:\n"
+            "        ExecutionEngine().run_ooc(chunks, panel_rows=16,\n"
+            "                                  procs=2)\n"
+            "    except Exception as exc:\n"
+            "        error = exc\n"
+            "read = 0\n"
+            "while error is not None:\n"
+            "    tb = error.__traceback__\n"
+            "    while tb is not None:\n"
+            "        for value in list(tb.tb_frame.f_locals.values()):\n"
+            "            if isinstance(value, np.ndarray):\n"
+            "                value.sum(); read += 1\n"
+            "        tb = tb.tb_next\n"
+            "    error = error.__cause__ or error.__context__\n"
+            "print(read)\n")
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        result = subprocess.run([sys.executable, "-c", script],
+                                capture_output=True, text=True, timeout=60,
+                                env=dict(os.environ, PYTHONPATH=str(src)))
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert int(result.stdout) > 0
+
     def test_farm_error_is_repro_and_runtime_error(self):
         from repro.errors import ReproError
         assert issubclass(FarmError, ReproError)

@@ -364,6 +364,39 @@ class TestSources:
             ExecutionEngine().matmul_ata_ooc(source, panel_rows=25)
 
 
+class TestStrictFiniteRefusal:
+    """A random-access operand is checked when its source is built, before
+    either executor prepares ``C``: a refused call leaves ``C`` untouched
+    wherever the non-finite row falls and however ``C`` would be scaled."""
+
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    @pytest.mark.parametrize("procs", [0, 2])
+    @pytest.mark.parametrize("row", [0, 60], ids=["first-panel",
+                                                  "last-panel"])
+    def test_refused_operand_leaves_c_untouched(self, rng, row, procs, beta):
+        a = rng.standard_normal((64, 8))
+        a[row, 3] = np.nan
+        c = rng.standard_normal((8, 8))
+        before = c.tobytes()
+        with configured(strict_finite=True):
+            with pytest.raises(ShapeError, match="non-finite"):
+                ExecutionEngine().run_ooc(a, c, beta=beta, panel_rows=16,
+                                          procs=procs)
+        assert c.tobytes() == before
+
+    def test_finite_scan_reaches_every_row_block(self, monkeypatch):
+        """The up-front check scans a memmap a row block at a time (no
+        ``A``-sized temporary); a NaN in the last block is still found."""
+        from repro.blas import kernels
+        monkeypatch.setattr(kernels, "_FINITE_BLOCK", 16)
+        a = np.zeros((64, 8))
+        with configured(strict_finite=True):
+            ArraySource(a)
+            a[-1, -1] = np.inf
+            with pytest.raises(ShapeError, match="non-finite"):
+                ArraySource(a)
+
+
 class TestFrontEnds:
     def test_c_operand_validation(self, rng):
         a = rng.standard_normal((30, 10))

@@ -428,6 +428,39 @@ class TestLoopRebindAndRetirement:
         assert len(stats.queues) <= 3 + 1  # bound + overflow bucket
         assert sum(q.batched_requests for q in stats.queues.values()) == 8
 
+    def test_client_overflow_keeps_totals(self, rng, monkeypatch):
+        """Beyond the client-id bound, old per-client ledgers merge into
+        the overflow id; the server totals, summed from those ledgers,
+        stay exact."""
+        import repro.serve.server as server_mod
+        monkeypatch.setattr(server_mod, "_CLIENT_KEYS", 3)
+        a = rng.standard_normal((32, 16))
+
+        async def scenario():
+            server = Server(ExecutionEngine(), max_inflight=1)
+            for i in range(10):
+                await server.submit(a, client=f"c{i}")
+            # one refused request: admission books it under `rejected`
+            held = asyncio.ensure_future(server.submit(a, client="c0"))
+            await asyncio.sleep(0)
+            with pytest.raises(QueueFullError):
+                await server.submit(a, client="c9")
+            await held
+            await server.close()
+            return server.stats()
+
+        with configured(base_case_elements=64):
+            stats = run(scenario())
+        assert stats.submitted == 12
+        assert (stats.completed, stats.rejected) == (11, 1)
+        assert _reconciled(stats)
+        assert server_mod._CLIENT_OVERFLOW in stats.clients
+        assert len(stats.clients) <= 3 + 1  # bound + overflow id
+        for field in ("submitted", "completed", "failed", "rejected",
+                      "cancelled", "expired"):
+            assert getattr(stats, field) == sum(
+                getattr(c, field) for c in stats.clients.values())
+
 
 class TestConfigKnobs:
     def test_constructor_validation(self):
@@ -474,7 +507,8 @@ class TestDispatchClockSampling:
             # the second batch's requests waited through the sleep; a
             # stale pre-loop timestamp would report near-equal waits
             assert min(second) >= max(first) + 0.04
-            assert queue.wait_seconds >= sum(first) + sum(second) - 1e-9
+            assert (queue.counters.wait_seconds
+                    >= sum(first) + sum(second) - 1e-9)
         run(scenario())
 
     def test_multi_batch_close_accounts_every_batchs_wait(self, rng):

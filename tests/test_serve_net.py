@@ -38,6 +38,7 @@ from repro.serve import Client, NetServer, PROTOCOL_VERSION, Server
 from repro.serve.protocol import (
     encode_frame,
     pack_array,
+    raise_remote,
     read_frame,
     unpack_array,
 )
@@ -87,6 +88,11 @@ class TestFraming:
         meta, raw = pack_array(np.ones((4, 4)))
         with pytest.raises(ProtocolError):
             unpack_array(meta, bytes(raw)[:-8])
+
+    def test_frame_bytes_are_unchanged(self):
+        """Golden bytes: the JSON frame layout is the wire contract."""
+        assert encode_frame({"op": "x", "id": 7}, b"p") == (
+            b'J\x00\x00\x00\x11\x00\x00\x00\x01{"op":"x","id":7}p')
 
     def test_frame_roundtrip(self):
         async def scenario():
@@ -150,6 +156,42 @@ class TestHandshake:
                 writer.close()
         run(scenario())
 
+    @pytest.mark.parametrize("offer", [{"encodings": ["json"]}, {}],
+                             ids=["json", "no-encodings"])
+    def test_json_hello_connects(self, offer):
+        async def scenario():
+            async with NetServer(max_inflight=4) as net:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", net.port)
+                writer.write(encode_frame(
+                    {"op": "hello", "version": PROTOCOL_VERSION, **offer}))
+                await writer.drain()
+                header, _ = await read_frame(reader)
+                assert header["op"] == "hello"
+                assert header["client"].startswith("conn-")
+                writer.close()
+        run(scenario())
+
+    @pytest.mark.parametrize("offered", [["msgpack"], 5, "json"],
+                             ids=["msgpack", "int", "str"])
+    def test_hello_without_json_is_refused(self, offered):
+        """An offer without "json" (or not even a list) gets a typed
+        error frame, not a dropped connection."""
+        async def scenario():
+            async with NetServer(max_inflight=4) as net:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", net.port)
+                writer.write(encode_frame(
+                    {"op": "hello", "version": PROTOCOL_VERSION,
+                     "encodings": offered}))
+                await writer.drain()
+                header, _ = await read_frame(reader)
+                assert header["op"] == "error"
+                with pytest.raises(ProtocolError, match="encoding"):
+                    raise_remote(header)
+                writer.close()
+        run(scenario())
+
     def test_first_frame_must_be_hello(self):
         async def scenario():
             async with NetServer(max_inflight=4) as net:
@@ -168,7 +210,6 @@ class TestHandshake:
                 async with Client(port=net.port) as one, \
                         Client(port=net.port) as two:
                     assert one.client_id != two.client_id
-                    assert one.encoding in ("json", "msgpack")
         run(scenario())
 
     def test_pinned_client_id_is_respected(self):
@@ -541,8 +582,9 @@ class TestWireMetrics:
         assert samples['repro_serve_wait_seconds_bucket{le="+Inf"}'] == 8
         assert samples["repro_serve_batch_size_count"] >= 1
         assert samples["repro_serve_run_seconds_count"] >= 1
-        # EWMA gauges are live
-        assert samples["repro_serve_batch_size_ewma"] > 1.0
+        # the windowed batch-size histogram's recent mean shows coalescing
+        assert (samples["repro_serve_batch_size_sum"]
+                / samples["repro_serve_batch_size_count"]) > 1.0
         # per-client ledger lines carry the pinned id
         key = 'repro_serve_client_requests_total{client="scraper",outcome="completed"}'
         assert samples[key] == 8
@@ -580,18 +622,6 @@ class TestWireMetrics:
 
 
 class TestDecayingEstimators:
-    def test_ewma_forgets_old_regime_with_time(self):
-        from repro.serve import Ewma
-        ewma = Ewma(tau=10.0)
-        for i in range(10):
-            ewma.update(100.0, now=float(i))  # old regime: slow
-        for i in range(10):
-            ewma.update(1.0, now=100.0 + i)   # new regime, 90s later
-        # the decayed mean tracks the new regime; a cumulative mean
-        # would still read ~50
-        assert ewma.value() < 2.0
-        assert ewma.weight(now=1000.0) < ewma.weight(now=110.0)
-
     def test_window_histogram_expires_slots(self):
         from repro.serve import WindowHistogram
         hist = WindowHistogram((0.1, 1.0), window=60.0, slots=6)
