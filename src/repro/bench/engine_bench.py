@@ -27,10 +27,6 @@ real cores — on a single-core host the ratio degrades to ≈ 0.7–1.0×, whic
 the table records honestly; ``benchmarks/test_engine_dag.py`` enforces the
 ≥ 1.3× bar on hosts with ≥ 4 cores.
 
-``engine_interleave`` measures cross-batch interleaving: a DAG-capable
-engine merges a batch's plan DAGs into one super-DAG so workers stay busy
-across entry boundaries, against the per-entry sequential loop.
-
 ``engine_base_case`` sweeps ``base_case_elements`` over the benchmark's
 ``gram_dense`` shapes at default dispatch: the measurement behind the
 2**20-element default (see :data:`repro.config.DEFAULT_BASE_CASE_ELEMENTS`).
@@ -50,8 +46,8 @@ from .harness import register
 from .reporting import ExperimentTable
 from .workloads import random_matrix
 
-__all__ = ["engine_plan_cache", "engine_dag_parallel", "engine_interleave",
-           "engine_base_case", "engine_backend_tuner"]
+__all__ = ["engine_plan_cache", "engine_dag_parallel", "engine_base_case",
+           "engine_backend_tuner"]
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -166,62 +162,6 @@ def engine_dag_parallel(sizes: Optional[Sequence[int]] = None,
                    "steps retire in plan order), so the speedup column is "
                    "a pure scheduling effect; expect <= 1x without real "
                    "cores to overlap the GIL-releasing kernels")
-    return [table]
-
-
-@register("engine_interleave",
-          "Per-entry sequential batch loop vs cross-batch DAG interleaving "
-          "of one warm homogeneous batch",
-          "Engine architecture (DESIGN.md)")
-def engine_interleave(n: int = 512, batch: int = 6, workers: int = 4,
-                      base_case_elements: int = 131072,
-                      repeats: int = 3) -> List[ExperimentTable]:
-    """Measure cross-batch interleaving on a warm homogeneous batch.
-
-    Parameters
-    ----------
-    n / batch:
-        Square size and entry count of the batch.
-    workers:
-        Worker count of the interleaving engine.
-    base_case_elements:
-        Base-case threshold.  Interleaving wants *chunky* steps (real
-        thread overlap needs numpy to release the GIL inside base cases
-        for a while), so the default is the large base case of the DAG
-        benchmarks.  On a single-core host the honest expectation is
-        ≈ 1.0–1.1× from reduced per-entry overhead, not parallel speedup.
-    repeats:
-        Timing repeats per engine; the fastest run is kept.
-    """
-    table = ExperimentTable(
-        "engine_interleave",
-        "homogeneous warm batch: per-entry sequential loop vs cross-batch "
-        "DAG interleaving (super-DAG, per-entry workspaces)",
-        ["n", "batch", "workers", "loop_seconds", "interleaved_seconds",
-         "interleave_speedup", "interleaved_batches"])
-    with configured(base_case_elements=base_case_elements):
-        matrices = [random_matrix(n, n, seed=100 + i) for i in range(batch)]
-        loop_engine = ExecutionEngine()
-        weave_engine = ExecutionEngine(workers=workers, parallel="dag")
-        try:
-            loop_engine.run_batch(matrices)
-            weave_engine.run_batch(matrices)
-            t_loop = _best_of(lambda: loop_engine.run_batch(matrices),
-                              repeats)
-            t_weave = _best_of(lambda: weave_engine.run_batch(matrices),
-                               repeats)
-            woven = weave_engine.stats().interleaved_batches
-        finally:
-            weave_engine.close()
-            loop_engine.close()
-    table.add_row(n, batch, workers, t_loop, t_weave,
-                  t_loop / t_weave if t_weave else 0.0, woven)
-    table.add_note("interleaving merges the batch entries' step DAGs "
-                   "so workers stay busy across entry boundaries; "
-                   "results stay bit-identical to the per-entry loop; "
-                   "real overlap needs multiple cores — on a "
-                   "single-core host the gain is per-entry overhead "
-                   "amortisation only")
     return [table]
 
 

@@ -93,7 +93,7 @@ matrix values, ``alpha``/``beta``, counter settings — is resolved at
 execution time, so a cached plan can never go stale through it.
 Executing a plan replays the exact kernel sequence of the live
 recursion, making engine results bit-for-bit identical to the direct
-calls — sequentially, DAG-scheduled or batch-interleaved.
+calls — sequentially or DAG-scheduled, one request or a batch.
 
 Quickstart
 ----------

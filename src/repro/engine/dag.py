@@ -24,14 +24,6 @@ critical path drains ahead of leaf work — ties break by step index, and
 any pop order is bit-identical anyway since the DAG already serialises
 every conflicting pair.
 
-:meth:`DagExecutor.execute_batch` extends the same dispatcher across
-*several* plans at once: independent batch entries merge into one
-cross-entry super-DAG (each entry keeps its own output buffer and its own
-pool-acquired workspace, so entries share nothing), letting small entries
-fill the bubbles a large entry's dependency chains leave in the worker
-pool.  Entries are admitted lazily — roughly one per idle worker — so a
-thousand-entry batch holds a handful of workspaces, not a thousand.
-
 Real overlap requires the GIL to be released inside the kernels — numpy's
 matmul does so for the dominant ``syrk``/``gemm`` steps, which is the same
 caveat the shared-memory scheduler documents in DESIGN.md.  On a
@@ -219,185 +211,29 @@ class DagExecutor:
                       acquire: Optional[Callable] = None,
                       release: Optional[Callable] = None,
                       max_workers: Optional[int] = None) -> DagRunStats:
-        """Execute several plans as one interleaved super-DAG.
+        """Run each ``(plan, a, b, c)`` entry through :meth:`execute`, in
+        order, against a workspace from ``acquire(plan, dtype)`` that
+        ``release(workspace)`` gets back even when the run fails.
 
-        ``entries`` is a sequence of ``(plan, a, b, c)`` tuples — the same
-        operands :meth:`execute` takes, one output buffer per entry.
-        Entries are independent by construction (each writes only its own
-        ``c`` and its own workspace), so *every* cross-entry step pair may
-        run concurrently; within an entry the plan's DAG serialises
-        conflicting steps exactly as :meth:`execute` does, which keeps each
-        entry's result bit-identical to its own sequential replay.
-
-        ``acquire(plan, dtype)`` / ``release(workspace)`` supply per-entry
-        scratch (typically :class:`~repro.engine.pool.WorkspacePool`
-        methods).  Workspaces are acquired when an entry is *admitted* and
-        released when its last step retires: admission is bounded to
-        roughly one entry per idle worker (``max(2, workers + 1)`` live
-        entries), so peak scratch stays flat no matter how long the batch
-        is, while the scheduler always has cross-entry work to fill
-        dependency-chain bubbles with.
-
-        Returns one :class:`DagRunStats` covering the whole batch
-        (``steps``/``edges`` summed, ``critical_path`` the max over
-        entries — the bound an infinitely wide machine couldn't beat).
+        Returns the entries' :class:`DagRunStats`: ``steps``/``edges``
+        summed, ``workers``/``critical_path`` the max over entries.
         """
         if not entries:
             raise ShapeError("execute_batch requires at least one entry")
+        runs = []
         for plan, a, b, c in entries:
-            if plan.dag is None:
-                raise ShapeError(f"plan {plan.key} was compiled without a "
-                                 "dependency DAG; recompile with "
-                                 "build_dag=True")
-            if plan.needs_workspace and acquire is None:
-                raise ShapeError(f"plan {plan.key} requires a workspace "
-                                 f"({plan.requirement}) but no acquire "
-                                 "callback was supplied")
-        n_entries = len(entries)
-        total = sum(len(plan.steps) for plan, _a, _b, _c in entries)
-        edges = sum(plan.dag.n_edges for plan, _a, _b, _c in entries)
-        crit = max(plan.dag.critical_path for plan, _a, _b, _c in entries)
-        workers = self.workers
-        if max_workers is not None:
-            workers = max(1, min(workers, int(max_workers)))
-        width = sum(plan.dag.max_width for plan, _a, _b, _c in entries)
-        n_helpers = min(workers, width, total) - 1
-        if n_helpers < 1:
-            # plan order is a valid topological order per entry, and
-            # entries are independent: sequential per-entry replay is the
-            # exact single-worker schedule
-            for plan, a, b, c in entries:
-                pw = qw = mw = None
-                ws = None
-                if plan.needs_workspace:
-                    ws = acquire(plan, a.dtype)
-                    pw, qw, mw = ws.flat_buffers()
-                try:
-                    for step in plan.steps:
-                        run_step(step, a, b, c, pw, qw, mw, alpha)
-                finally:
-                    if ws is not None and release is not None:
-                        release(ws)
-            return self._finish_batch(entries, total, edges, crit, workers=1)
-
-        cond = threading.Condition()
-        # live-entry bound: one entry per worker plus one in reserve keeps
-        # every worker fed without holding a workspace per batch item
-        max_active = max(2, workers + 1)
-        state: List[Optional[tuple]] = [None] * n_entries
-        left = [0] * n_entries
-        ready: List[Tuple[int, int, int]] = []  # (-priority, entry, step)
-        admit = {"next": 0, "active": 0}
-        remaining = [total]
-        failure: List[BaseException] = []
-        live_ws = {}
-
-        def admit_locked() -> None:
-            # caller holds ``cond``.  Every non-empty DAG has at least one
-            # zero-predecessor step, so each admission grows the heap and
-            # the loop below always makes progress.
-            while (admit["next"] < n_entries
-                   and admit["active"] < max_active
-                   and len(ready) < workers and not failure):
-                e = admit["next"]
-                admit["next"] += 1
-                plan, a, b, c = entries[e]
-                n_steps = len(plan.steps)
-                if not n_steps:
-                    continue
-                pw = qw = mw = None
-                if plan.needs_workspace:
-                    try:
-                        ws = acquire(plan, a.dtype)
-                    except BaseException as exc:
-                        failure.append(exc)
-                        cond.notify_all()
-                        return
-                    live_ws[e] = ws
-                    pw, qw, mw = ws.flat_buffers()
-                admit["active"] += 1
-                dag = plan.dag
-                prios = (dag.priorities if dag.priorities
-                         else (0,) * n_steps)
-                pending = list(dag.preds)
-                state[e] = (plan.steps, dag.succs, pending, prios,
-                            a, b, c, pw, qw, mw)
-                left[e] = n_steps
-                pushed = 0
-                for i, count in enumerate(pending):
-                    if count == 0:
-                        heapq.heappush(ready, (-prios[i], e, i))
-                        pushed += 1
-                if pushed:
-                    cond.notify_all()
-
-        def drain() -> None:
-            while True:
-                with cond:
-                    while True:
-                        if failure or not remaining[0]:
-                            return
-                        admit_locked()
-                        if ready:
-                            break
-                        cond.wait()
-                    _, e, idx = heapq.heappop(ready)
-                    (steps, succs, pending, prios,
-                     a, b, c, pw, qw, mw) = state[e]
-                try:
-                    run_step(steps[idx], a, b, c, pw, qw, mw, alpha)
-                except BaseException as exc:  # propagate to the caller
-                    with cond:
-                        failure.append(exc)
-                        cond.notify_all()
-                    return
-                ws_done = None
-                with cond:
-                    remaining[0] -= 1
-                    left[e] -= 1
-                    woken = 0
-                    for succ in succs[idx]:
-                        pending[succ] -= 1
-                        if not pending[succ]:
-                            heapq.heappush(ready, (-prios[succ], e, succ))
-                            woken += 1
-                    if not left[e]:
-                        admit["active"] -= 1
-                        ws_done = live_ws.pop(e, None)
-                        state[e] = None
-                        woken += 1  # freed admission capacity
-                    if woken or not remaining[0]:
-                        cond.notify_all()
-                if ws_done is not None and release is not None:
-                    release(ws_done)
-
-        helpers = self._submit_helpers(drain, n_helpers)
-        try:
-            drain()  # the caller is always a worker
-            for helper in helpers:
-                helper.result()
-        finally:
-            # on failure, entries may die mid-flight still holding scratch
-            with cond:
-                leftovers = list(live_ws.values())
-                live_ws.clear()
-            if release is not None:
-                for ws in leftovers:
+            ws = (acquire(plan, a.dtype)
+                  if plan.needs_workspace and acquire is not None else None)
+            try:
+                runs.append(self.execute(plan, a, c, alpha, ws, b=b,
+                                         max_workers=max_workers))
+            finally:
+                if ws is not None and release is not None:
                     release(ws)
-        if failure:
-            raise failure[0]
-        return self._finish_batch(entries, total, edges, crit,
-                                  workers=1 + n_helpers)
-
-    def _finish_batch(self, entries, total: int, edges: int, crit: int,
-                      workers: int) -> DagRunStats:
-        for plan, a, _b, _c in entries:
-            record_plan_counters(plan, a.dtype.itemsize)
-        with self._lock:
-            self.runs += 1
-            self.steps_retired += total
-        return DagRunStats(steps=total, edges=edges, workers=workers,
-                           critical_path=crit)
+        return DagRunStats(steps=sum(r.steps for r in runs),
+                           edges=sum(r.edges for r in runs),
+                           workers=max(r.workers for r in runs),
+                           critical_path=max(r.critical_path for r in runs))
 
     def _finish(self, plan: ExecutionPlan, a: np.ndarray, n: int,
                 dag, workers: int) -> DagRunStats:

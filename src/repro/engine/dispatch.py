@@ -38,8 +38,7 @@ from ..blas.kernels import scale, validate_b, validate_c, validate_matrix
 from ..cache.model import CacheModel, default_cache_model
 from ..config import get_config
 from ..errors import ConfigurationError, ShapeError
-from .backends import (Backend, PlanBackend, candidates, choose_heuristic,
-                       get_backend)
+from .backends import Backend, candidates, choose_heuristic, get_backend
 from .cache import PlanCache
 from .cpu import available_cpus
 from .dag import DagExecutor
@@ -188,11 +187,6 @@ class EngineStats:
     #: the per-panel retry budget (:data:`repro.engine.farm.MAX_RETRIES`)
     #: ran out
     farm_degraded: int = 0
-    #: batch invocations whose entries were interleaved through one
-    #: cross-entry super-DAG instead of executing serially
-    interleaved_batches: int = 0
-    #: batch entries those interleaved invocations carried in total
-    interleaved_items: int = 0
     #: completed matmul_* calls whose operand was structured (scipy
     #: sparse or :class:`repro.engine.sparse.LowRank`)
     sparse_runs: int = 0
@@ -596,64 +590,23 @@ class ExecutionEngine:
         """Shared mechanics of :meth:`run_batch` / :meth:`run_batch_atb`.
 
         ``prepare(item)`` validates one item and returns ``(a, b, shape,
-        c)``.  On a DAG-capable engine, plan-executed entries are
-        *interleaved*: their step DAGs merge into one cross-entry
-        super-DAG (each entry keeps its own output and its own
-        pool-acquired workspace — disjoint arena namespaces) so workers
-        stay busy across entries, small entries filling the bubbles left
-        by large ones; every entry's internal step order is still a
-        topological order of its own DAG, so each result is bit-identical
-        to the serial path.  Entries the super-DAG cannot carry —
-        non-plan backends, tuner explore decisions that must be timed
-        individually — run serially exactly as before, with workspaces
-        shared per plan key across the whole batch.  The batch counters
-        count only completed invocations.
+        c)``.  Every item then takes the single-request path — resolve,
+        then run, with the same DAG-or-sequential choice — except that
+        plan workspaces are held per plan key across the whole batch, so
+        items resolving to the same plan share one checked-out workspace.
+        The batch counters count only completed invocations.
         """
         if algo != "auto":
             get_backend(algo, op)  # reject unknown/unsupported up front
-        can_weave = (self.dag is not None
-                     and (self.parallel == "dag" or self._auto_workers > 1))
         held: dict = {}
         prepared = [prepare(item) for item in items]
-        woven: List[tuple] = []  # (plan, a, b, c, backend_name, reason)
         try:
             for a, b, shape, c in prepared:
                 model = cache if cache is not None else default_cache_model(a.dtype)
                 backend, reason = self._resolve_backend(
                     op, shape, a.dtype, model, algo)
-                if (can_weave and reason != "tuner_explore"
-                        and type(backend).run is PlanBackend.run):
-                    plan = self._plan(backend.name, backend.kinds[op], shape,
-                                      a.dtype, model)
-                    woven.append((plan, a, b, c, backend.name, reason))
-                    continue
                 self._run_backend(backend, op, shape, a, c, alpha, b,
                                   model, reason, held=held)
-            interleave = (len(woven) > 1
-                          and sum(t[0].n_steps for t in woven) >= _DAG_MIN_STEPS
-                          and all(t[0].dag is not None for t in woven))
-            if interleave:
-                # one cross-entry super-DAG; "auto" caps at the host cores
-                self.dag.execute_batch(
-                    [t[:4] for t in woven], alpha, acquire=self.pool.acquire,
-                    release=self.pool.release,
-                    max_workers=(self._auto_workers
-                                 if self.parallel == "auto" else None))
-                self._count(interleaved_batches=1,
-                            interleaved_items=len(woven))
-            else:
-                # too little work to interleave: replay the held-workspace
-                # serial path (exactly what PlanBackend.run does)
-                for plan, a, b, c, _, _ in woven:
-                    workspace = None
-                    if plan.needs_workspace:
-                        workspace = held.get(plan.key)
-                        if workspace is None:
-                            workspace = held[plan.key] = \
-                                self.pool.acquire(plan, a.dtype)
-                    self._execute(plan, a, c, alpha, workspace, b)
-            for *_, name, reason in woven:
-                self._count_run(name, reason)
             self._count(batch_calls=1, batch_items=len(prepared))
         finally:
             for workspace in held.values():
@@ -665,10 +618,11 @@ class ExecutionEngine:
                   cache: Optional[CacheModel] = None) -> List[np.ndarray]:
         """Compute ``alpha * A^T A`` for every matrix in ``matrices``.
 
-        Matrices resolving to the same plan are executed against a single
-        checked-out workspace, so a homogeneous batch compiles once and
-        allocates once no matter its length.  Results are identical to
-        calling :meth:`matmul_ata` in a loop.
+        Each matrix takes the :meth:`matmul_ata` path, DAG-or-sequential
+        choice included, and matrices resolving to the same plan share a
+        single checked-out workspace on every engine, so a homogeneous
+        batch compiles once and allocates once no matter its length.
+        Results are identical to calling :meth:`matmul_ata` in a loop.
         """
         def prepare(a: np.ndarray):
             validate_dense(a)
@@ -682,8 +636,9 @@ class ExecutionEngine:
         """Compute ``alpha * A^T B`` for every ``(A, B)`` pair in ``pairs``.
 
         The ``atb`` counterpart of :meth:`run_batch` — and the primitive
-        the serving layer coalesces concurrent ``atb`` requests into: pairs
-        resolving to the same plan share one checked-out workspace, so a
+        the serving layer coalesces concurrent ``atb`` requests into: each
+        pair takes the :meth:`matmul_atb` path and pairs resolving to the
+        same plan share one checked-out workspace on every engine, so a
         homogeneous batch compiles once and allocates once.  Results are
         identical to calling :meth:`matmul_atb` in a loop.
         """

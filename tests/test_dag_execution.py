@@ -320,42 +320,72 @@ class TestEngineWiring:
         assert np.array_equal(expected, got)
 
 
-class TestInterleaving:
-    def test_run_batch_bit_identical_and_counted(self, rng):
+#: every scheduling an engine can have: sequential, "auto" and forced DAG
+ENGINES = [(workers, parallel) for workers in (1, 2, 4)
+           for parallel in ("auto", "dag")]
+ENGINE_IDS = [f"w{workers}-{parallel}" for workers, parallel in ENGINES]
+
+
+class TestBatches:
+    """A batch is a loop over the single-request path on every engine:
+    results bit-identical to the per-entry loop, one held workspace per
+    plan key."""
+
+    @pytest.mark.parametrize("workers,parallel", ENGINES, ids=ENGINE_IDS)
+    def test_run_batch_bit_identical_and_counted(self, rng, workers,
+                                                 parallel):
         with configured(base_case_elements=256):
-            eng = ExecutionEngine(parallel="dag", workers=4)
+            eng = ExecutionEngine(parallel=parallel, workers=workers)
             mats = [rng.standard_normal(s)
                     for s in [(48, 32), (64, 64), (96, 40), (33, 17),
                               (64, 64)]]
-            outs = eng.run_batch(mats, alpha=1.25)
+            try:
+                outs = eng.run_batch(mats, alpha=1.25)
+            finally:
+                eng.close()
             ref_eng = ExecutionEngine()
             for out, a in zip(outs, mats):
                 assert np.array_equal(out, ref_eng.matmul_ata(a, alpha=1.25))
             stats = eng.stats()
-            assert stats.interleaved_batches == 1
-            assert stats.interleaved_items == len(mats)
+            assert stats.batch_calls == 1
+            assert stats.batch_items == len(mats)
 
-    def test_run_batch_atb_bit_identical(self, rng):
+    @pytest.mark.parametrize("workers,parallel", ENGINES, ids=ENGINE_IDS)
+    def test_run_batch_atb_bit_identical(self, rng, workers, parallel):
         with configured(base_case_elements=256):
-            eng = ExecutionEngine(parallel="dag", workers=4)
+            eng = ExecutionEngine(parallel=parallel, workers=workers)
             pairs = [(rng.standard_normal((m, n)), rng.standard_normal((m, k)))
                      for m, n, k in [(48, 32, 24), (64, 40, 40), (40, 64, 8)]]
-            outs = eng.run_batch_atb(pairs, alpha=0.5)
+            try:
+                outs = eng.run_batch_atb(pairs, alpha=0.5)
+            finally:
+                eng.close()
             ref_eng = ExecutionEngine()
             for out, (a, b) in zip(outs, pairs):
                 assert np.array_equal(
                     out, ref_eng.matmul_atb(a, b, alpha=0.5))
-            assert eng.stats().interleaved_batches == 1
+            stats = eng.stats()
+            assert stats.batch_calls == 1
+            assert stats.batch_items == len(pairs)
 
-    def test_sequential_engine_batches_do_not_interleave(self, rng):
+    @pytest.mark.parametrize("workers,parallel", ENGINES, ids=ENGINE_IDS)
+    def test_homogeneous_batch_holds_one_workspace(self, rng, workers,
+                                                   parallel):
+        mats = [rng.standard_normal((64, 64)) for _ in range(5)]
         with configured(base_case_elements=256):
-            eng = ExecutionEngine()
-            mats = [rng.standard_normal((48, 32)) for _ in range(3)]
-            outs = eng.run_batch(mats)
-            ref_eng = ExecutionEngine()
-            for out, a in zip(outs, mats):
-                assert np.array_equal(out, ref_eng.matmul_ata(a))
-            assert eng.stats().interleaved_batches == 0
+            single = ExecutionEngine(parallel=parallel, workers=workers)
+            eng = ExecutionEngine(parallel=parallel, workers=workers)
+            try:
+                single.matmul_ata(mats[0])
+                one_workspace = single.stats().pool_bytes_high
+                eng.run_batch(mats)
+            finally:
+                single.close()
+                eng.close()
+        stats = eng.stats()
+        assert one_workspace > 0
+        assert stats.pool_allocations + stats.pool_reuses == 1
+        assert stats.pool_bytes_high == one_workspace
 
     def test_execute_batch_direct(self, rng):
         with configured(base_case_elements=64):
