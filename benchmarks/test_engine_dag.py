@@ -25,8 +25,9 @@ import pytest
 from repro.bench.engine_bench import _best_of
 from repro.bench.harness import run_experiment
 from repro.bench.workloads import random_matrix
+from repro.blas.direct import blas_threads
 from repro.config import configured
-from repro.engine import ExecutionEngine
+from repro.engine import ExecutionEngine, available_cpus
 
 #: Large single call: ~136 chunky steps at this base case, critical path
 #: ~12% of the plan, available parallelism ~8 — enough width for 4 workers.
@@ -88,8 +89,9 @@ class TestDagSpeedup:
         assert dag_seconds <= 4 * seq_seconds
 
     def test_auto_mode_never_schedules_beyond_host_cores(self, large_matrix):
-        """On a single-core host "auto" must fall back to sequential
-        replay instead of paying GIL contention for nothing."""
+        """Where the bound BLAS already keeps every core busy (one core,
+        or 2 cores under a 2-thread OpenBLAS) "auto" must fall back to
+        sequential replay instead of paying contention for nothing."""
         engine = ExecutionEngine(workers=4, parallel="auto")
         with configured(base_case_elements=LARGE_BASE_CASE):
             try:
@@ -97,7 +99,7 @@ class TestDagSpeedup:
             finally:
                 engine.close()
         stats = engine.stats()
-        if CORES == 1:
+        if available_cpus() // (blas_threads() or 1) <= 1:
             assert stats.dag_runs == 0 and stats.sequential_runs == 1
         else:
             assert stats.dag_runs == 1 and stats.sequential_runs == 0

@@ -85,7 +85,6 @@ from .engine import (
     ChunkSource,
     ExecutionEngine,
     ExecutionPlan,
-    LowRank,
     PanelFarm,
     ShardedAtA,
     available_cpus,
@@ -138,7 +137,6 @@ __all__ = [
     "build_task_tree",
     "ExecutionEngine",
     "ExecutionPlan",
-    "LowRank",
     "PanelFarm",
     "ShardedAtA",
     "ChunkSource",

@@ -54,8 +54,8 @@ import numpy as np
 from ..errors import DTypeError
 from . import counters, kernels
 
-__all__ = ["is_available", "provider", "binding", "syrk_leaf", "direct_syrk",
-           "direct_gemm_t", "supported_dtype"]
+__all__ = ["is_available", "provider", "binding", "blas_threads", "syrk_leaf",
+           "direct_syrk", "direct_gemm_t", "supported_dtype"]
 
 # CBLAS enums (row-major convention keeps our C-contiguous arrays in place)
 _CBLAS_ROW_MAJOR = 101
@@ -87,6 +87,13 @@ class _CtypesProvider:
     def __init__(self, lib: ctypes.CDLL, prefix: str, suffix: str,
                  int_t) -> None:
         self.binding = (lib._name, f"{prefix}dsyrk{suffix}")
+        # the vendored OpenBLAS builds export their thread-count getter
+        # under the same suffix as their CBLAS symbols
+        self._threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}",
+                                None)
+        if self._threads is not None:
+            self._threads.restype = ctypes.c_int
+            self._threads.argtypes = []
         self._syrk = {}
         self._gemm = {}
         for dtype, char, scalar in ((np.dtype(np.float64), "d", ctypes.c_double),
@@ -219,6 +226,16 @@ def binding() -> Optional[Tuple[str, str]]:
     -....so", "scipy_cblas_dsyrk64_")`` for numpy's ILP64 build."""
     active = _provider()
     return active.binding if active is not None else None
+
+
+def blas_threads() -> Optional[int]:
+    """Threads the bound OpenBLAS runs each call on, or ``None`` when no
+    provider is bound or it exports no ``scipy_openblas_get_num_threads``
+    getter (a system CBLAS, for example)."""
+    active = _provider()
+    if active is None or active._threads is None:
+        return None
+    return int(active._threads())
 
 
 def _leading_dim(a: np.ndarray, c: np.ndarray) -> int:

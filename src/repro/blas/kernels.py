@@ -48,6 +48,7 @@ __all__ = [
     "validate_c",
     "validate_product",
     "tril_inplace",
+    "fold_lower",
     "symmetrize_from_lower",
 ]
 
@@ -130,7 +131,7 @@ def validate_product(a: np.ndarray, b: Optional[np.ndarray] = None,
     return the checked, or allocated, ``C``.
 
     This is the one statement of the operand rule; every A^T A / A^T B
-    entry point calls it, or (for a sparse, LowRank or out-of-core ``A``,
+    entry point calls it, or (for a sparse or out-of-core ``A``,
     which reuse the rule unchanged) its parts :func:`validate_b` and
     :func:`validate_c`.  In order: ``A`` is a floating ndarray; ``B`` has
     ``A``'s row count (:class:`ShapeError`) and dtype
@@ -341,6 +342,18 @@ def tril_inplace(c: np.ndarray) -> np.ndarray:
     iu = np.triu_indices(n, k=1)
     c[iu] = 0
     return c
+
+
+def fold_lower(c: np.ndarray, full: np.ndarray, alpha: float = 1.0) -> None:
+    """Accumulate ``alpha * full`` into ``c``'s lower triangle.
+
+    The fold of every backend that forms a full ``n x n`` product out of
+    place (the ``recursive_gemm`` oracle path, the sparse Gram).  With
+    the default ``alpha`` the result is bit-identical to adding ``full``
+    unscaled: ``1.0 * x`` is exact.
+    """
+    idx = np.tril_indices(c.shape[0])
+    c[idx] += alpha * full[idx]
 
 
 def symmetrize_from_lower(c: np.ndarray) -> np.ndarray:

@@ -135,8 +135,6 @@ from .ooc import (
     MemmapSource,
     OocRunStats,
     ShardedAtA,
-    SparseChunkSource,
-    SparseSource,
     as_source,
     matmul_ata_ooc,
     run_ooc,
@@ -152,7 +150,6 @@ from .plan import (
 from .pool import WorkspacePool
 from .sparse import (
     HAVE_SCIPY,
-    LowRank,
     SPARSE_BACKENDS,
     density_bucket,
     is_sparse,
@@ -195,8 +192,6 @@ __all__ = [
     "ArraySource",
     "MemmapSource",
     "ChunkSource",
-    "SparseSource",
-    "SparseChunkSource",
     "as_source",
     "matmul_ata_ooc",
     "run_ooc",
@@ -204,7 +199,6 @@ __all__ = [
     "FarmRunStats",
     "available_cpus",
     "HAVE_SCIPY",
-    "LowRank",
     "SPARSE_BACKENDS",
     "density_bucket",
     "is_sparse",

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..blas import direct as blas_direct
-from ..blas.kernels import gemm_flops, syrk_flops
+from ..blas.kernels import fold_lower, gemm_flops, syrk_flops
 from ..cache.model import CacheModel
 from ..errors import ShapeError
 
@@ -75,22 +75,16 @@ class Backend(abc.ABC):
 
     name: str = ""
     ops: frozenset = frozenset()
-    #: operand kinds this backend accepts ("dense", "sparse", "lowrank"
-    #: — see :func:`repro.engine.sparse.operand_kind`).  Every backend
-    #: predating structured operands declares only "dense", so dense
-    #: dispatch never sees a structured backend and stays bit-identical.
+    #: operand kinds this backend accepts ("dense" or "sparse" — see
+    #: :func:`repro.engine.sparse.operand_kind`).  Every backend
+    #: predating sparse operands declares only "dense", so dense
+    #: dispatch never sees a sparse backend and stays bit-identical.
     operands: frozenset = frozenset({"dense"})
 
     def supports(self, op: str, shape: Tuple[int, ...], dtype,
                  model: CacheModel) -> bool:
         """Whether this backend can serve ``op`` on ``shape``/``dtype``."""
         return op in self.ops
-
-    def supports_operand(self, op: str, operand, model: CacheModel) -> bool:
-        """Whether this backend accepts this *specific* structured operand
-        (e.g. ``banded_ata`` requires a ``dia_matrix``).  Only consulted
-        for non-dense kinds, after :meth:`supports` passes."""
-        return True
 
     def cost(self, op: str, shape: Tuple[int, ...], dtype,
              model: CacheModel) -> float:
@@ -100,9 +94,9 @@ class Backend(abc.ABC):
 
     def operand_cost(self, op: str, operand, shape: Tuple[int, ...], dtype,
                      model: CacheModel) -> float:
-        """Modeled cost given the actual operand — structured backends
-        override this to price nnz/bandwidth/rank, which plain shapes
-        cannot express.  Defaults to the shape-only :meth:`cost`."""
+        """Modeled cost given the actual operand — sparse backends
+        override this to price nnz, which plain shapes cannot express.
+        Defaults to the shape-only :meth:`cost`."""
         return self.cost(op, shape, dtype, model)
 
     @abc.abstractmethod
@@ -227,8 +221,7 @@ class _RecursiveGemmBackend(PlanBackend):
                             a.dtype, model)
         full = np.zeros((n, n), dtype=a.dtype)
         engine._execute(plan, a, full, alpha, None, a)
-        idx = np.tril_indices(n)
-        c[idx] += full[idx]
+        fold_lower(c, full)
 
 
 class BlasDirectBackend(Backend):
@@ -337,21 +330,15 @@ def backends_for(op: str) -> Tuple[Backend, ...]:
 
 
 def candidates(op: str, shape: Tuple[int, ...], dtype, model: CacheModel,
-               kind: str = "dense",
-               operand=None) -> Tuple[Backend, ...]:
+               kind: str = "dense") -> Tuple[Backend, ...]:
     """The backends whose ``supports`` hook accepts this request.
 
     ``kind`` selects the operand-kind axis (``"dense"`` by default —
-    structured backends declare other kinds and drop out, keeping the
-    dense candidate set byte-identical to the pre-sparse registry); when
-    an ``operand`` is supplied, ``supports_operand`` filters further.
+    sparse backends declare the other kind and drop out, keeping the
+    dense candidate set byte-identical to the pre-sparse registry).
     """
-    pool = tuple(b for b in backends_for(op)
+    return tuple(b for b in backends_for(op)
                  if kind in b.operands and b.supports(op, shape, dtype, model))
-    if operand is not None:
-        pool = tuple(b for b in pool
-                     if b.supports_operand(op, operand, model))
-    return pool
 
 
 def choose_heuristic(op: str, shape: Tuple[int, ...], dtype,
@@ -365,8 +352,8 @@ def choose_heuristic(op: str, shape: Tuple[int, ...], dtype,
     finite-cost one.  For ``ata`` this reproduces the historical rule
     exactly: ``syrk`` when the operand fits the cache model (or is 1×1),
     the Algorithm 1 recursion otherwise; for ``atb`` it picks FastStrassen.
-    With a structured ``operand``, ``operand_cost`` prices the candidates
-    instead, so nnz/bandwidth/rank inform the modeled choice.
+    With a sparse ``operand``, ``operand_cost`` prices the candidates
+    instead, so nnz informs the modeled choice.
     """
     pool = pool if pool is not None else candidates(op, shape, dtype, model)
     if not pool:

@@ -34,6 +34,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..blas.direct import blas_threads
 from ..blas.kernels import scale, validate_b, validate_c, validate_matrix
 from ..cache.model import CacheModel, default_cache_model
 from ..config import get_config
@@ -69,8 +70,8 @@ def validate_dense(a: np.ndarray, b: Optional[np.ndarray] = None) -> None:
 
 
 def validate_structured(a, b: Optional[np.ndarray] = None) -> None:
-    """:func:`validate_dense` for a sparse or :class:`LowRank` ``A``
-    (``B`` stays a dense ndarray)."""
+    """:func:`validate_dense` for a scipy sparse ``A`` (``B`` stays a
+    dense ndarray)."""
     validate_operand(a, "A")
     if b is not None:
         validate_b(a, b)
@@ -95,11 +96,6 @@ def explicit_backend(algo: str, op: str, shape: Tuple[int, ...], dtype,
         raise ShapeError(
             f"backend {algo!r} cannot serve {op!r} on shape {shape} "
             f"with dtype {np.dtype(dtype)} on this host")
-    if (operand is not None
-            and not backend.supports_operand(op, operand, model)):
-        raise ShapeError(
-            f"backend {algo!r} does not accept this {kind} operand "
-            f"(shape {shape})")
     return backend
 
 
@@ -187,14 +183,13 @@ class EngineStats:
     #: the per-panel retry budget (:data:`repro.engine.farm.MAX_RETRIES`)
     #: ran out
     farm_degraded: int = 0
-    #: completed matmul_* calls whose operand was structured (scipy
-    #: sparse or :class:`repro.engine.sparse.LowRank`)
+    #: completed matmul_* calls whose operand was scipy sparse
     sparse_runs: int = 0
-    #: structured runs served by the ``densify`` crossover backend — the
+    #: sparse runs served by the ``densify`` crossover backend — the
     #: measured tuner (or modeled heuristic) judged materialising the
     #: operand densely faster than staying sparse
     densify_crossovers: int = 0
-    #: stored entries (nnz) those structured runs processed in total
+    #: stored entries (nnz) those sparse runs processed in total
     sparse_nnz: int = 0
 
     @property
@@ -240,9 +235,11 @@ class ExecutionEngine:
         sequentially.
     parallel:
         ``"auto"`` (default) DAG-schedules plans with enough independent
-        steps when ``workers > 1``; ``"dag"`` forces DAG scheduling (with
-        ``workers == 1`` this is a deterministic dependency-ordered
-        replay).  Scheduling is fixed here, for every call the engine
+        steps when ``workers > 1``, on at most ``available_cpus() //
+        blas_threads()`` workers (the cores the bound BLAS leaves free;
+        sequential replay when that is one); ``"dag"`` forces DAG
+        scheduling (with ``workers == 1`` this is a deterministic
+        dependency-ordered replay).  Scheduling is fixed here, for every call the engine
         serves.
     tuner:
         Backend auto-tuning for ``algo="auto"`` requests.  ``None`` /
@@ -283,13 +280,20 @@ class ExecutionEngine:
         self._dag_capable = workers > 1 or parallel == "dag"
         self._lanes = min(self.workers, 4) if self._dag_capable else 1
         self.dag = DagExecutor(self.workers) if self._dag_capable else None
-        # "auto" never schedules more workers than the host has cores: on
-        # an under-provisioned host the GIL serialises the Python-level
-        # dispatch and DAG scheduling would only add overhead ("dag" still
-        # forces it, which is what the determinism tests rely on).  The
-        # count honours the affinity/cgroup mask, not the installed cores:
-        # a container pinned to 2 of 64 cores gets 2 auto workers
-        self._auto_workers = min(self.workers, available_cpus())
+        # "auto" never schedules more workers than the host has cores to
+        # spare: on an under-provisioned host the GIL serialises the
+        # Python-level dispatch and DAG scheduling would only add overhead
+        # ("dag" still forces it, which is what the determinism tests rely
+        # on).  The count honours the affinity/cgroup mask, not the
+        # installed cores (a container pinned to 2 of 64 cores gets 2 auto
+        # workers), and divides by the threads the bound BLAS already runs
+        # each leaf on: 2 cores under a 2-thread OpenBLAS leave no core for
+        # a second DAG worker.  A one-worker engine (the import-time
+        # default among them) never asks, so importing the package binds
+        # no BLAS library
+        self._auto_workers = (
+            min(self.workers, max(1, available_cpus() // (blas_threads() or 1)))
+            if self.workers > 1 else 1)
         if tuner is None or tuner == "off":
             self.tuner: Optional[BackendTuner] = None
         elif tuner == "measured":
@@ -351,18 +355,17 @@ class ExecutionEngine:
         execution is timed into the tuner's table.  Tuner decisions are
         filed under the engine's scheduling signature.
 
-        A structured ``operand`` (scipy sparse / :class:`LowRank`) flips
-        the candidate axis to its kind — only backends declaring that
-        kind are considered at every precedence level — and ``density``
-        scopes the tuner cell, so the sparse-vs-densify crossover is
-        measured per density bucket.  Dense requests (``operand=None``)
+        A scipy sparse ``operand`` flips the candidate axis to its kind
+        — only backends declaring that kind are considered at every
+        precedence level — and ``density`` scopes the tuner cell, so the
+        sparse-vs-densify crossover is measured per density bucket.  Dense requests (``operand=None``)
         resolve byte-identically to the pre-sparse engine.
         """
         if algo != "auto":
             return (explicit_backend(algo, op, shape, dtype, model, operand),
                     "explicit")
         kind = operand_kind(operand) if operand is not None else "dense"
-        pool = candidates(op, shape, dtype, model, kind=kind, operand=operand)
+        pool = candidates(op, shape, dtype, model, kind=kind)
         if self.tuner is not None and len(pool) > 1:
             name, explored = self.tuner.choose(op, shape, dtype,
                                                tuple(b.name for b in pool),
@@ -459,12 +462,11 @@ class ExecutionEngine:
             Cache model for the base-case predicates; defaults to the
             configured model for ``a``'s dtype.
 
-        ``a`` may also be a scipy sparse matrix or a
-        :class:`~repro.engine.sparse.LowRank` operand: dispatch then
-        selects among the structured backends (``sparse_gram`` /
-        ``densify`` / ``banded_ata`` / ``lowrank_gram``), with the
-        measured tuner arbitrating the sparse-vs-densify crossover per
-        density bucket.  ``c`` stays a dense ndarray either way.
+        ``a`` may also be a scipy sparse matrix (any format): dispatch
+        then selects between the sparse backends (``sparse_gram`` /
+        ``densify``), with the measured tuner arbitrating the
+        sparse-vs-densify crossover per density bucket.  ``c`` stays a
+        dense ndarray either way.
         """
         kind = operand_kind(a)
         (validate_dense if kind == "dense" else validate_structured)(a)
@@ -484,10 +486,9 @@ class ExecutionEngine:
         ``"recursive_gemm"`` forces the classical Algorithm 2 recursion
         and ``"blas_direct"`` a bound vendor ``?gemm``.
 
-        ``a`` may be a scipy sparse matrix or a
-        :class:`~repro.engine.sparse.LowRank` operand (``b`` and ``c``
-        stay dense): dispatch selects among the structured backends with
-        the tuner arbitrating sparse-vs-densify per density bucket.
+        ``a`` may be a scipy sparse matrix (``b`` and ``c`` stay dense):
+        dispatch selects between the sparse backends with the tuner
+        arbitrating sparse-vs-densify per density bucket.
         """
         kind = operand_kind(a)
         (validate_dense if kind == "dense" else validate_structured)(a, b)
@@ -500,7 +501,7 @@ class ExecutionEngine:
                      beta: float, algo: str,
                      cache: Optional[CacheModel]) -> np.ndarray:
         """Resolve, pre-scale ``c`` by ``beta`` and run one validated
-        request, counting a structured operand's run and nnz."""
+        request, counting a sparse operand's run and nnz."""
         model = cache if cache is not None else default_cache_model(a.dtype)
         operand = a if kind != "dense" else None
         density = density_bucket(a) if operand is not None else None
@@ -550,14 +551,6 @@ class ExecutionEngine:
         ``(C, OocRunStats)`` from the in-process executor (``procs=0``),
         ``(C, FarmRunStats)`` from the multi-process farm (``procs>=1``)."""
         if procs:
-            from .ooc import SparseChunkSource, SparseSource
-            if (operand_kind(a) != "dense"
-                    or isinstance(a, (SparseSource, SparseChunkSource))):
-                raise ShapeError(
-                    "the multi-process farm stages panels into dense "
-                    "shared-memory arenas and does not accept sparse "
-                    "operands; run with procs=0 (in-process streaming) or "
-                    "densify first")
             from .farm import PanelFarm
             return PanelFarm(self, procs=procs).run(
                 a, c, alpha, beta=beta, algo=algo, cache=cache,

@@ -69,11 +69,9 @@ from ..blas.kernels import scale, validate_c, validate_matrix
 from ..cache.model import CacheModel
 from ..errors import BudgetError, DTypeError, ShapeError
 from .plan import split_rows
-from .sparse import HAVE_SCIPY, _sps, is_sparse
 
 __all__ = ["ShardedAtA", "OocRunStats", "ArraySource", "MemmapSource",
-           "ChunkSource", "SparseSource", "SparseChunkSource", "as_source",
-           "matmul_ata_ooc", "run_ooc"]
+           "ChunkSource", "as_source", "matmul_ata_ooc", "run_ooc"]
 
 Bounds = Tuple[Tuple[int, int], ...]
 
@@ -181,10 +179,6 @@ class ChunkSource:
         check_chunk(chunk, self.shape[1], self.dtype)
         return chunk
 
-    @staticmethod
-    def _join(parts: list) -> np.ndarray:
-        return np.concatenate(parts)
-
     def panels(self, bounds: Bounds) -> Iterator[np.ndarray]:
         m = self.shape[0]
         pending: list = []          # buffered rows not yet handed out
@@ -226,7 +220,7 @@ class ChunkSource:
                     pending[0] = chunk[split:]
                     taken = need
             pending_rows -= need
-            panel = take[0] if len(take) == 1 else self._join(take)
+            panel = take[0] if len(take) == 1 else np.concatenate(take)
             consumed += need
             yield panel
         if pending_rows:
@@ -243,90 +237,18 @@ class ChunkSource:
                         f"stream carries more rows than the declared {m}")
 
 
-class SparseSource:
-    """Panel source over a scipy sparse matrix — panels are CSR row slices.
-
-    The matrix is normalised to CSR once (row slicing is a cheap
-    ``indptr`` walk there; CSC would pay a full conversion per panel) and
-    each scheduled panel is handed to the engine as a sparse matrix, so
-    per-panel dispatch — including the tuner-arbitrated sparse-vs-densify
-    crossover — applies at panel granularity and the full operand is
-    never densified.
-
-    The budget still charges the **dense-equivalent** panel window
-    (``rows * n * itemsize``), deliberately: the schedule must be a pure
-    function of ``(shape, dtype, budget)`` so results stay bit-identical
-    across source kinds, and a dense charge is the safe upper bound for
-    whatever a downstream ``densify`` pick materialises per panel.
-    """
-
-    def __init__(self, a) -> None:
-        if not is_sparse(a):
-            raise DTypeError(
-                "SparseSource expects a scipy sparse matrix, got "
-                f"{type(a).__name__}")
-        if len(a.shape) != 2:
-            raise ShapeError(f"A must be 2-dimensional, got shape {a.shape}")
-        self._a = a.tocsr()
-        self.shape = tuple(int(d) for d in a.shape)
-        self.dtype = np.dtype(a.dtype)
-
-    @property
-    def nnz(self) -> int:
-        return int(self._a.nnz)
-
-    def panels(self, bounds: Bounds):
-        for lo, hi in bounds:
-            yield self._a[lo:hi]
-
-
-class SparseChunkSource(ChunkSource):
-    """Forward-only iterator of sparse row chunks, stitched into panels.
-
-    The sparse counterpart of :class:`ChunkSource`: chunks are scipy
-    sparse matrices of ``n`` columns arriving in row order with arbitrary
-    heights; the same stitch buffer re-slices them into the scheduled
-    panel bounds (splitting only the boundary chunk — CSR row slicing —
-    and stacking with ``scipy.sparse.vstack``), with the same
-    forward-only, short-stream and over-long-stream validation.  Panels
-    come out as CSR, so the whole stream flows through sparse dispatch
-    without ever materialising ``A``.
-    """
-
-    def __init__(self, chunks, shape: Tuple[int, int], dtype) -> None:
-        if not HAVE_SCIPY:
-            raise DTypeError(
-                "SparseChunkSource requires scipy; stream dense chunks "
-                "through ChunkSource instead")
-        super().__init__(chunks, shape, dtype)
-
-    def _check(self, chunk):
-        if not is_sparse(chunk):
-            raise DTypeError(
-                "sparse stream chunk must be a scipy sparse "
-                f"matrix, got {type(chunk).__name__}")
-        check_chunk(chunk, self.shape[1], self.dtype)
-        return chunk.tocsr()
-
-    @staticmethod
-    def _join(parts: list):
-        return _sps.vstack(parts, format="csr")
-
-
-def as_source(a) -> Union[ArraySource, MemmapSource, ChunkSource,
-                          "SparseSource"]:
+def as_source(a) -> Union[ArraySource, MemmapSource, ChunkSource]:
     """Adapt ``a`` into a panel source.
 
-    ``np.memmap`` becomes a staging :class:`MemmapSource`, any other
-    ``ndarray`` a view-based :class:`ArraySource`, and a scipy sparse
-    matrix a CSR-slicing :class:`SparseSource`; objects already exposing
-    the source protocol (``shape``/``dtype``/``panels``) pass through.
-    Bare iterators are rejected — wrap them in a :class:`ChunkSource`
-    (dense chunks) or :class:`SparseChunkSource` (sparse chunks) with a
-    declared shape and dtype.
+    ``np.memmap`` becomes a staging :class:`MemmapSource` and any other
+    ``ndarray`` a view-based :class:`ArraySource`; objects already
+    exposing the source protocol (``shape``/``dtype``/``panels``) pass
+    through.  Anything else — a bare iterator, a scipy sparse matrix —
+    is refused with :class:`~repro.errors.ShapeError`: wrap a stream in
+    a :class:`ChunkSource` with a declared shape and dtype, and densify
+    a sparse matrix first.  Both executors call this before they touch
+    ``C``.
     """
-    if is_sparse(a):
-        return SparseSource(a)
     if isinstance(a, np.memmap):
         return MemmapSource(a)
     if isinstance(a, np.ndarray):
@@ -335,8 +257,7 @@ def as_source(a) -> Union[ArraySource, MemmapSource, ChunkSource,
         return a
     raise ShapeError(
         f"cannot adapt {type(a).__name__} into a panel source; pass an "
-        "ndarray, an np.memmap, a scipy sparse matrix, or a "
-        "ChunkSource(chunks, shape, dtype)")
+        "ndarray, an np.memmap or a ChunkSource(chunks, shape, dtype)")
 
 
 # ---------------------------------------------------------------------------

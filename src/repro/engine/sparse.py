@@ -1,15 +1,16 @@
 """Sparse and structured operands for the AtA / A^T B engine.
 
 Every path in the engine historically assumed dense ndarrays, but real
-Gram/covariance traffic is frequently sparse or structured — graph
-Laplacians, incidence matrices, low-rank factors.  This module makes
-those operands first class without perturbing the dense stack:
+Gram/covariance traffic is frequently sparse — graph Laplacians,
+incidence matrices.  This module makes scipy sparse matrices (any
+format: CSR, CSC, COO, DIA, ...) first class without perturbing the
+dense stack:
 
 * :func:`operand_kind` classifies an operand (``"dense"`` /
-  ``"sparse"`` / ``"lowrank"``); dense requests flow through dispatch
-  exactly as before (bit-identical — the sparse backends declare
-  ``operands = {"sparse"}`` etc. and vanish from dense candidate sets);
-* four registry backends serve the structured kinds:
+  ``"sparse"``); dense requests flow through dispatch exactly as before
+  (bit-identical — the sparse backends declare ``operands =
+  {"sparse"}`` and vanish from dense candidate sets);
+* two registry backends serve sparse operands:
 
   ``sparse_gram``
       scipy's sparse ``A^T A`` (and ``A^T B``), with the sparse Gram
@@ -24,47 +25,36 @@ those operands first class without perturbing the dense stack:
       :class:`~repro.engine.tuner.BackendTuner` embodies — so dispatch
       extends the tuner key with a :func:`density_bucket` dimension and
       lets measured timings arbitrate per (op, dtype, density-bucket,
-      shape-bucket);
-  ``banded_ata``
-      a structured fast path for ``scipy.sparse.dia_matrix`` operands:
-      the Gram of a matrix with ``nd`` stored diagonals touches only
-      ``nd``\\ ² diagonal pairs, each a vectorised elementwise product —
-      ``O(nd² · n)`` with no sparse intermediate at all;
-  ``lowrank_gram``
-      ``A = U Vᵀ`` (a :class:`LowRank` operand) never materialises
-      ``A``: ``AᵀA = V (UᵀU) Vᵀ`` costs ``O(mr² + n²r)`` and needs no
-      scipy — the one structured backend that stays available without
-      it.
+      shape-bucket).
 
 Absence contract
 ----------------
 scipy is **optional** here (the engine core never imports it eagerly):
 without it :data:`HAVE_SCIPY` is ``False``, :func:`is_sparse` returns
-``False`` for everything, the scipy-backed backends report
-``supports() == False`` and drop out of every candidate set, and dense
-dispatch is bit-identical to a build that never loaded this module.
+``False`` for everything, both backends report ``supports() == False``
+and drop out of every candidate set, and dense dispatch is
+bit-identical to a build that never loaded this module.
 The CI ``no-scipy`` lane asserts exactly that.
 
 Accuracy contract
 -----------------
-Each structured backend is deterministic — repeated calls on identical
+Each sparse backend is deterministic — repeated calls on identical
 operands are bit-identical (``np.array_equal``).  *Across* paths the
-contract is numerical, not bitwise: a sparse Gram, a banded Gram, the
-low-rank factorisation and the densified dense kernels each order their
-floating-point sums differently, so results agree to ``np.allclose``
-with tolerances scaled for the accumulation depth (the test suite pins
-``rtol = 1e-4`` for float32 and ``1e-10`` for float64 against the
-densified reference), mirroring the caveat the ooc panel sum already
-documents for differently-associated reductions.
+contract is numerical, not bitwise: a sparse Gram and the densified
+dense kernels order their floating-point sums differently, so results
+agree to ``np.allclose`` with tolerances scaled for the accumulation
+depth (the test suite pins ``rtol = 1e-4`` for float32 and ``1e-10``
+for float64 against the densified reference), mirroring the caveat the
+ooc panel sum already documents for differently-associated reductions.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..blas.kernels import gemm_flops, syrk_flops
+from ..blas.kernels import fold_lower
 from ..errors import DTypeError, ShapeError
 from .backends import Backend, choose_heuristic, register_backend
 
@@ -74,14 +64,13 @@ except Exception:  # pragma: no cover - environment-dependent
     _sps = None
 
 __all__ = ["HAVE_SCIPY", "is_sparse", "operand_kind", "density",
-           "density_bucket", "operand_nnz", "validate_operand", "LowRank",
-           "SparseGramBackend", "DensifyBackend", "BandedAtaBackend",
-           "LowRankGramBackend", "SPARSE_BACKENDS"]
+           "density_bucket", "operand_nnz", "validate_operand",
+           "SparseGramBackend", "DensifyBackend", "SPARSE_BACKENDS"]
 
 HAVE_SCIPY = _sps is not None
 
-#: names of the structured-operand backends this module registers
-SPARSE_BACKENDS = ("sparse_gram", "densify", "banded_ata", "lowrank_gram")
+#: names of the sparse-operand backends this module registers
+SPARSE_BACKENDS = ("sparse_gram", "densify")
 
 
 def is_sparse(a) -> bool:
@@ -90,64 +79,15 @@ def is_sparse(a) -> bool:
     return HAVE_SCIPY and _sps.issparse(a)
 
 
-class LowRank:
-    """A low-rank operand ``A = U Vᵀ`` held as its factors.
-
-    ``u`` is ``(m, r)`` and ``v`` is ``(n, r)``; the represented matrix
-    is ``(m, n)`` but is never materialised by the ``lowrank_gram``
-    backend (``AᵀA = V (UᵀU) Vᵀ``).  Needs no scipy.
-    """
-
-    def __init__(self, u: np.ndarray, v: np.ndarray) -> None:
-        for name, factor in (("U", u), ("V", v)):
-            if not isinstance(factor, np.ndarray):
-                raise DTypeError(f"LowRank {name} must be a numpy.ndarray, "
-                                 f"got {type(factor).__name__}")
-            if factor.ndim != 2:
-                raise ShapeError(f"LowRank {name} must be 2-dimensional, "
-                                 f"got shape {factor.shape}")
-            if factor.dtype.kind not in ("f", "c"):
-                raise DTypeError(f"LowRank {name} must have a floating "
-                                 f"dtype, got {factor.dtype}")
-        if u.shape[1] != v.shape[1]:
-            raise ShapeError("LowRank factors must share a rank, got "
-                             f"U {u.shape} and V {v.shape}")
-        if u.dtype != v.dtype:
-            raise DTypeError("LowRank factors must share a dtype, got "
-                             f"{u.dtype} and {v.dtype}")
-        self.u = u
-        self.v = v
-        self.shape: Tuple[int, int] = (u.shape[0], v.shape[0])
-        self.dtype = u.dtype
-        self.rank = int(u.shape[1])
-
-    @property
-    def nnz(self) -> int:
-        """Stored elements (the factors' — what the stats meter)."""
-        return int(self.u.size + self.v.size)
-
-    def toarray(self) -> np.ndarray:
-        """Materialise ``U Vᵀ`` (reference/testing; backends never do)."""
-        return self.u @ self.v.T
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return (f"LowRank(shape={self.shape}, rank={self.rank}, "
-                f"dtype={self.dtype})")
-
-
 def operand_kind(a) -> str:
-    """Classify an operand: ``"sparse"`` (scipy), ``"lowrank"``
-    (:class:`LowRank`) or ``"dense"`` (everything else — dense
-    validation rejects non-arrays downstream exactly as before)."""
-    if is_sparse(a):
-        return "sparse"
-    if isinstance(a, LowRank):
-        return "lowrank"
-    return "dense"
+    """Classify an operand: ``"sparse"`` (scipy) or ``"dense"``
+    (everything else — dense validation rejects non-arrays downstream
+    exactly as before)."""
+    return "sparse" if is_sparse(a) else "dense"
 
 
 def operand_nnz(a) -> int:
-    """Stored entries of a structured operand (dense: the full size)."""
+    """Stored entries of a sparse operand (dense: the full size)."""
     nnz = getattr(a, "nnz", None)
     if nnz is not None:
         return int(nnz)
@@ -155,9 +95,9 @@ def operand_nnz(a) -> int:
 
 
 def validate_operand(a, name: str = "A") -> None:
-    """Structural validation of a sparse/low-rank operand — the
-    counterpart of :func:`repro.blas.kernels.validate_matrix`, which
-    (deliberately) still rejects anything that is not an ndarray."""
+    """Structural validation of a sparse operand — the counterpart of
+    :func:`repro.blas.kernels.validate_matrix`, which (deliberately)
+    still rejects anything that is not an ndarray."""
     if len(a.shape) != 2:
         raise ShapeError(f"{name} must be 2-dimensional, got shape {a.shape}")
     if np.dtype(a.dtype).kind not in ("f", "c"):
@@ -165,7 +105,7 @@ def validate_operand(a, name: str = "A") -> None:
 
 
 def density(a) -> float:
-    """Stored-entry fraction ``nnz / (m * n)`` of a structured operand."""
+    """Stored-entry fraction ``nnz / (m * n)`` of a sparse operand."""
     m, n = a.shape
     if m < 1 or n < 1:
         return 0.0
@@ -184,13 +124,8 @@ def density_bucket(a) -> Optional[str]:
     dimension and stay byte-identical to every table written before
     this module existed.
     """
-    kind = operand_kind(a)
-    if kind == "dense":
+    if not is_sparse(a):
         return None
-    if kind == "lowrank":
-        # rank, not density, is the low-rank cost driver
-        bucket = 1 << max(0, int(a.rank) - 1).bit_length()
-        return f"r{bucket}"
     d = density(a)
     if d <= 0.0:
         return "d0"
@@ -198,15 +133,8 @@ def density_bucket(a) -> Optional[str]:
     return f"d2^-{exponent}"
 
 
-def _fold_lower(c: np.ndarray, full: np.ndarray, alpha: float) -> None:
-    """Accumulate ``alpha * full`` into ``c``'s lower triangle — the
-    same fold the dense ``recursive_gemm`` oracle path uses."""
-    idx = np.tril_indices(c.shape[0])
-    c[idx] += alpha * full[idx]
-
-
 class _StructuredBackend(Backend):
-    """Shared ``supports`` logic for the scipy-backed structured paths."""
+    """Shared ``supports`` logic for the scipy-backed sparse paths."""
 
     operands = frozenset({"sparse"})
 
@@ -243,7 +171,7 @@ class SparseGramBackend(_StructuredBackend):
             gram = (a.T @ a).tocsr()
             gram.sum_duplicates()
             gram.sort_indices()
-            _fold_lower(c, gram.toarray(), alpha)
+            fold_lower(c, gram.toarray(), alpha)
         else:
             c += alpha * np.asarray(a.T @ b)
 
@@ -276,82 +204,8 @@ class DensifyBackend(_StructuredBackend):
         backend.run(engine, op, dense, c, alpha, b, model, held)
 
 
-class BandedAtaBackend(_StructuredBackend):
-    """Banded ``A^T A`` over ``scipy.sparse.dia_matrix`` operands.
-
-    ``dia`` stores ``A[i, j] = data[k, j]`` where ``offsets[k] = j - i``,
-    so the Gram decomposes into diagonal pairs: entries of ``A^T A`` on
-    output diagonal ``d = o2 - o1 ≥ 0`` are the elementwise products
-    ``data[k1, j] * data[k2, j + d]`` over the columns where both
-    diagonals carry a valid row — ``O(nd² · n)`` vectorised numpy with
-    no sparse intermediate, versus the generic spgemm's index juggling.
-    """
-
-    name = "banded_ata"
-    ops = frozenset(("ata",))
-
-    def supports_operand(self, op, operand, model):
-        return HAVE_SCIPY and isinstance(operand, _sps.dia_matrix)
-
-    def operand_cost(self, op, operand, shape, dtype, model):
-        if not self.supports_operand(op, operand, model):
-            return float("inf")
-        nd = len(operand.offsets)
-        return float(nd * nd) * float(shape[1])
-
-    def run(self, engine, op, a, c, alpha, b, model,
-            held: Optional[dict] = None) -> None:
-        m, n = a.shape
-        data = a.data
-        offsets = [int(o) for o in a.offsets]
-        # pairs are walked in a fixed (k1, k2) order, so the float sum
-        # per output diagonal is associated identically on every run
-        for k1, o1 in enumerate(offsets):
-            for k2, o2 in enumerate(offsets):
-                d = o2 - o1
-                if d < 0:
-                    continue  # upper triangle; C stores the lower
-                # column validity: row i = j - o1 must exist for both
-                # diagonals and both columns must be in range
-                lo = max(0, o1, o2 - d)
-                hi = min(n, n - d, m + o1)
-                if hi <= lo:
-                    continue
-                j = np.arange(lo, hi)
-                c[j + d, j] += alpha * data[k1, j] * data[k2, j + d]
-
-
-class LowRankGramBackend(Backend):
-    """``A = U Vᵀ`` Gram via ``V (UᵀU) Vᵀ`` — no scipy, no dense ``A``."""
-
-    name = "lowrank_gram"
-    ops = frozenset(("ata", "atb"))
-    operands = frozenset({"lowrank"})
-
-    def supports(self, op, shape, dtype, model):
-        return op in self.ops and np.dtype(dtype).kind in ("f", "c")
-
-    def operand_cost(self, op, operand, shape, dtype, model):
-        m, n = operand.shape
-        r = operand.rank
-        if op == "ata":
-            return float(syrk_flops(m, r)) + float(gemm_flops(n, r, r)) \
-                + float(gemm_flops(r, n, n))
-        k = shape[2]
-        return float(gemm_flops(m, r, k)) + float(gemm_flops(r, n, k))
-
-    def run(self, engine, op, a, c, alpha, b, model,
-            held: Optional[dict] = None) -> None:
-        if op == "ata":
-            core = a.u.T @ a.u                       # (r, r)
-            _fold_lower(c, (a.v @ core) @ a.v.T, alpha)
-        else:
-            c += alpha * (a.v @ (a.u.T @ b))
-
-
 def _register_builtins() -> None:
-    for backend in (SparseGramBackend(), DensifyBackend(),
-                    BandedAtaBackend(), LowRankGramBackend()):
+    for backend in (SparseGramBackend(), DensifyBackend()):
         register_backend(backend)
 
 

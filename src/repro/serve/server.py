@@ -30,7 +30,7 @@ rules hold in one place:
   iteration (same-iteration submits coalesce); with every worker busy,
   queues hold, and each freed worker takes one batch from the queue
   whose oldest live request has waited longest.  A queue holding
-  ``max_batch`` live requests flushes at once.  Structured operands,
+  ``max_batch`` live requests flushes at once.  Sparse operands,
   out-of-core and stream requests take the *direct* route: each runs
   alone, a stream after a prepare step that spools its chunks;
 * **execute** — one runner hops to a small
@@ -382,11 +382,10 @@ class Server:
         round-robin.  The wire front door passes its per-connection id
         automatically.
 
-        A structured ``a`` (scipy sparse or
-        :class:`~repro.engine.sparse.LowRank`) takes the direct route:
-        it runs alone through the engine's structured dispatch — it
-        shares no plan with dense companions, so there is nothing to
-        batch it with — under the same lifecycle as every request.
+        A scipy sparse ``a`` takes the direct route: it runs alone
+        through the engine's sparse dispatch — it shares no plan with
+        dense companions, so there is nothing to batch it with — under
+        the same lifecycle as every request.
         """
         kind = operand_kind(a)
         return await self._serve(
@@ -753,7 +752,7 @@ class Server:
             algo=head.algo, alpha=head.alpha)
 
     def _engine_matmul(self, request: Request) -> np.ndarray:
-        """The engine call of a structured-operand request."""
+        """The engine call of a sparse-operand request."""
         if request.op == "ata":
             return self.engine.matmul_ata(request.a, alpha=request.alpha,
                                           algo=request.algo)

@@ -267,6 +267,28 @@ class TestEngineWiring:
         assert stats.sequential_runs == 0
         engine.close()
 
+    @pytest.mark.parametrize("blas, dag", [(2, False), (1, True),
+                                           (None, True)])
+    def test_auto_counts_blas_threads(self, rng, monkeypatch, blas, dag):
+        """"auto" DAG-schedules only when the cores outnumber the threads
+        the bound BLAS runs each leaf on: 2 cores under a 2-thread BLAS
+        replay sequentially.  An unbound BLAS (``None``) counts as one
+        thread."""
+        import repro.engine.cpu as cpu_mod
+        import repro.engine.dispatch as dispatch_mod
+        monkeypatch.setattr(cpu_mod.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(dispatch_mod, "blas_threads", lambda: blas)
+        engine = ExecutionEngine(workers=2)
+        try:
+            with configured(base_case_elements=64):
+                engine.matmul_ata(rng.standard_normal((96, 64)))
+        finally:
+            engine.close()
+        stats = engine.stats()
+        assert (stats.dag_runs, stats.sequential_runs) == \
+            ((1, 0) if dag else (0, 1))
+
     def test_invalid_parallel_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             ExecutionEngine(parallel="eventually")

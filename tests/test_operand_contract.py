@@ -2,10 +2,10 @@
 
 Every A^T A / A^T B entry point states its rule through
 :func:`repro.blas.kernels.validate_product` (or its parts ``validate_b`` /
-``validate_c`` for sparse, LowRank and out-of-core operands), so one table
+``validate_c`` for sparse and out-of-core operands), so one table
 checks them all: the same error types for the same bad operand, nothing
 written to ``C`` before a refusal, and an omitted ``C`` in ``A``'s dtype.
-Needs no scipy: the structured rows use :class:`LowRank`.
+The sparse rows pass ``A`` as CSR and skip themselves without scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.blas.blocked import blocked_gemm_t, blocked_syrk
 from repro.core.recursive_gemm import recursive_gemm
 from repro.core.strassen import fast_strassen
 from repro.engine import ExecutionEngine
-from repro.engine.sparse import LowRank
+from repro.engine.sparse import HAVE_SCIPY
 from repro.errors import DTypeError, ShapeError
 from repro.parallel.ata_shared import ata_shared
 
@@ -30,14 +30,18 @@ M, N, K = 12, 6, 4
 
 needs_direct = pytest.mark.skipif(not direct.is_available(),
                                   reason="no BLAS-direct provider bound")
+needs_scipy = pytest.mark.skipif(not HAVE_SCIPY, reason="needs scipy")
+
+if HAVE_SCIPY:
+    import scipy.sparse as sps
 
 
-def _lowrank(a):
-    """``A`` as the exact factorisation ``A = A I`` (lists pass through,
-    so the non-ndarray row reaches the engine's dense rule)."""
+def _csr(a):
+    """``A`` as a CSR matrix (lists pass through, so the non-ndarray row
+    reaches the engine's dense rule)."""
     if not isinstance(a, np.ndarray):
         return a
-    return LowRank(a, np.eye(a.shape[1], dtype=a.dtype))
+    return sps.csr_matrix(a)
 
 
 def _ooc(a, c):
@@ -54,8 +58,8 @@ ATA = [
     ("repro.ata", lambda a, c: repro.ata(a, c), ()),
     ("ata_shared", lambda a, c: ata_shared(a, c, threads=2), ()),
     ("matmul_ata", lambda a, c: ExecutionEngine().matmul_ata(a, c), ()),
-    ("matmul_ata[lowrank]",
-     lambda a, c: ExecutionEngine().matmul_ata(_lowrank(a), c), ()),
+    ("matmul_ata[csr]",
+     lambda a, c: ExecutionEngine().matmul_ata(_csr(a), c), (needs_scipy,)),
     ("matmul_ata_ooc", _ooc, ()),
 ]
 
@@ -69,8 +73,9 @@ ATB = [
     ("fast_strassen", lambda a, b, c: fast_strassen(a, b, c), ()),
     ("recursive_gemm", lambda a, b, c: recursive_gemm(a, b, c), ()),
     ("matmul_atb", lambda a, b, c: ExecutionEngine().matmul_atb(a, b, c), ()),
-    ("matmul_atb[lowrank]",
-     lambda a, b, c: ExecutionEngine().matmul_atb(_lowrank(a), b, c), ()),
+    ("matmul_atb[csr]",
+     lambda a, b, c: ExecutionEngine().matmul_atb(_csr(a), b, c),
+     (needs_scipy,)),
 ]
 
 

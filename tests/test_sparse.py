@@ -1,10 +1,10 @@
-"""Tests for first-class sparse & structured operands (ISSUE 10).
+"""Tests for first-class sparse operands.
 
-Covers the tentpole contracts:
+Covers the contracts:
 
 * **absence-clean** — without scipy, :data:`repro.engine.HAVE_SCIPY` is
-  ``False``, every scipy-backed structured backend reports
-  ``supports() == False`` and drops out of all candidate sets, and
+  ``False``, both sparse backends report ``supports() == False`` and
+  drop out of all candidate sets, and
   dense dispatch candidate sets are identical to a build that never
   imported the sparse module.  The CI ``no-scipy`` lane runs this file
   (alongside the dense engine suites) with scipy uninstalled; the
@@ -19,9 +19,8 @@ Covers the tentpole contracts:
   loudly, the tuner's table grows density-scoped cells
   (``...|d2^-k``), and dense keys stay byte-identical to pre-sparse
   tables.
-* **ooc integration** — ``as_source`` adopts scipy matrices, sparse
-  panel streams stitch across misaligned chunk boundaries, and the
-  multi-process farm rejects sparse operands cleanly.
+* **ooc refusal** — neither out-of-core executor takes a sparse
+  operand: ``as_source`` refuses it before ``C`` is touched.
 """
 
 import numpy as np
@@ -33,10 +32,6 @@ from repro.engine import (
     SPARSE_BACKENDS,
     BackendTuner,
     ExecutionEngine,
-    LowRank,
-    SparseChunkSource,
-    SparseSource,
-    as_source,
     density_bucket,
     get_backend,
     is_sparse,
@@ -96,15 +91,6 @@ class TestAbsenceClean:
             pool = candidates(op, shape, np.float64, model)
             assert not set(SPARSE_BACKENDS) & {b.name for b in pool}
 
-    def test_lowrank_needs_no_scipy(self):
-        # the one structured backend that stays live without scipy
-        rng = np.random.default_rng(7)
-        a = LowRank(rng.standard_normal((30, 3)),
-                    rng.standard_normal((20, 3)))
-        got = ExecutionEngine().matmul_ata(a)
-        want = dense_reference(a.toarray())
-        assert np.allclose(got, want, rtol=RTOL[np.dtype(np.float64)])
-
     def test_operand_kind_dense_for_everything_plain(self):
         assert operand_kind(np.zeros((2, 2))) == "dense"
         assert operand_kind("nonsense") == "dense"
@@ -113,7 +99,7 @@ class TestAbsenceClean:
     @without_scipy
     def test_scipy_backed_backends_report_unsupported(self):
         model = default_cache_model(np.float64)
-        for name in ("sparse_gram", "densify", "banded_ata"):
+        for name in SPARSE_BACKENDS:
             assert not get_backend(name).supports("ata", (64, 64),
                                                   np.float64, model)
 
@@ -121,13 +107,6 @@ class TestAbsenceClean:
     def test_is_sparse_false_for_everything(self):
         assert not is_sparse(np.zeros((3, 3)))
         assert not is_sparse(object())
-
-    @without_scipy
-    def test_sparse_sources_refuse_construction(self):
-        with pytest.raises(DTypeError):
-            SparseSource(np.zeros((3, 3)))
-        with pytest.raises(DTypeError):
-            SparseChunkSource(iter(()), (4, 4), np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +120,6 @@ class TestOperands:
         assert is_sparse(a)
         assert operand_nnz(a) == 5
         assert density(a) == pytest.approx(0.2)
-        lr = LowRank(np.ones((4, 2)), np.ones((3, 2)))
-        assert operand_kind(lr) == "lowrank"
-        assert lr.shape == (4, 3) and lr.rank == 2
-        assert operand_nnz(lr) == 4 * 2 + 3 * 2
 
     @needs_scipy
     def test_validate_operand_rejects_bad_structure(self):
@@ -153,19 +128,6 @@ class TestOperands:
             validate_operand(ints)
         with pytest.raises(DTypeError):
             ExecutionEngine().matmul_ata(ints)
-
-    def test_lowrank_validation(self):
-        ok = np.ones((3, 2))
-        with pytest.raises(DTypeError):
-            LowRank([[1.0]], ok)
-        with pytest.raises(ShapeError):
-            LowRank(np.ones(3), ok)
-        with pytest.raises(DTypeError):
-            LowRank(np.ones((3, 2), dtype=np.int64), ok)
-        with pytest.raises(ShapeError):
-            LowRank(np.ones((3, 2)), np.ones((3, 5)))
-        with pytest.raises(DTypeError):
-            LowRank(np.ones((3, 2)), np.ones((3, 2), dtype=np.float32))
 
     @needs_scipy
     def test_density_buckets_power_of_two(self):
@@ -176,8 +138,6 @@ class TestOperands:
         assert density_bucket(empty) == "d0"
         full = sps.csr_matrix(np.ones((4, 4)))
         assert density_bucket(full) == "d2^-0"
-        lr = LowRank(np.ones((10, 5)), np.ones((10, 5)))
-        assert density_bucket(lr) == "r8"
 
 
 # ---------------------------------------------------------------------------
@@ -205,42 +165,17 @@ class TestBackendCorrectness:
                            rtol=RTOL[np.dtype(np.float64)])
 
     def test_banded_matches_reference(self):
-        rng = np.random.default_rng(11)
-        n = 60
-        diags = rng.standard_normal((3, n))
-        a = sps.dia_matrix((diags, [-1, 0, 2]), shape=(n, n))
-        got = ExecutionEngine().matmul_ata(a, algo="banded_ata")
-        want = dense_reference(a.toarray())
-        assert np.allclose(got, want, rtol=RTOL[np.dtype(np.float64)])
-
-    def test_banded_rectangular_and_repeat_bit_identity(self):
+        # a DIA operand is one more scipy format: "auto" serves it with
+        # the two generic sparse backends under the rtol contract
         rng = np.random.default_rng(13)
         m, n = 40, 55
         diags = rng.standard_normal((4, n))
         a = sps.dia_matrix((diags, [-3, 0, 1, 7]), shape=(m, n))
-        engine = ExecutionEngine()
-        one = engine.matmul_ata(a, algo="banded_ata")
-        two = engine.matmul_ata(a, algo="banded_ata")
-        assert np.array_equal(one, two)  # deterministic pair walk
-        assert np.allclose(one, dense_reference(a.toarray()),
-                           rtol=RTOL[np.dtype(np.float64)])
-
-    def test_banded_requires_dia_operand(self):
-        rng = np.random.default_rng(5)
-        a = random_sparse(rng, 30, 30, 0.1, np.float64)  # csr, not dia
-        with pytest.raises(ShapeError, match="banded_ata"):
-            ExecutionEngine().matmul_ata(a, algo="banded_ata")
-
-    def test_lowrank_ata_and_atb(self):
-        rng = np.random.default_rng(21)
-        lr = LowRank(rng.standard_normal((80, 4)),
-                     rng.standard_normal((50, 4)))
-        got = ExecutionEngine().matmul_ata(lr, alpha=2.0, algo="lowrank_gram")
-        want = dense_reference(lr.toarray(), alpha=2.0)
-        assert np.allclose(got, want, rtol=RTOL[np.dtype(np.float64)])
-        b = rng.standard_normal((80, 8))
-        got_b = ExecutionEngine().matmul_atb(lr, b, algo="lowrank_gram")
-        assert np.allclose(got_b, dense_reference(lr.toarray(), "atb", b),
+        model = default_cache_model(np.float64)
+        pool = candidates("ata", a.shape, a.dtype, model, kind="sparse")
+        assert tuple(b.name for b in pool) == ("sparse_gram", "densify")
+        got = ExecutionEngine().matmul_ata(a)
+        assert np.allclose(got, dense_reference(a.toarray()),
                            rtol=RTOL[np.dtype(np.float64)])
 
     def test_structured_runs_are_deterministic(self):
@@ -343,49 +278,19 @@ class TestDispatch:
         engine.matmul_ata(np.random.default_rng(0).standard_normal((64, 64)))
         table = tuner.table_snapshot()
         assert table  # dense traffic did record
-        assert not any("|d2^-" in k or k.endswith("|d0") or "|r" in k
-                       for k in table)
+        assert not any("|d2^-" in k or k.endswith("|d0") for k in table)
 
 
 # ---------------------------------------------------------------------------
-# out-of-core sparse sources
+# out-of-core: sparse operands are refused up front
 # ---------------------------------------------------------------------------
 @needs_scipy
 class TestOocSparse:
-    def test_as_source_adopts_scipy_matrices(self):
-        a = sps.eye(12, format="coo") * 1.0
-        src = as_source(a)
-        assert isinstance(src, SparseSource)
-        assert src.shape == (12, 12) and src.nnz == 12
-
-    def test_sparse_ooc_matches_reference(self):
-        rng = np.random.default_rng(8)
-        a = random_sparse(rng, 300, 40, 0.05, np.float64)
-        engine = ExecutionEngine()
-        got = engine.matmul_ata_ooc(a, panel_rows=64)
-        want = dense_reference(a.toarray())
-        assert np.allclose(got, want, rtol=RTOL[np.dtype(np.float64)])
-
-    def test_sparse_chunk_stream_stitches_misaligned_chunks(self):
-        rng = np.random.default_rng(10)
-        dense = rng.standard_normal((100, 20))
-        dense[dense < 1.0] = 0.0
-        full = sps.csr_matrix(dense)
-        # chunk sizes deliberately misaligned with the 32-row panels
-        chunks = [full[0:13], full[13:50], full[50:81], full[81:100]]
-        src = SparseChunkSource(iter(chunks), (100, 20), np.float64)
-        engine = ExecutionEngine()
-        got = engine.matmul_ata_ooc(src, panel_rows=32)
-        want = engine.matmul_ata_ooc(full, panel_rows=32)
-        assert np.allclose(got, want, rtol=RTOL[np.dtype(np.float64)])
-
-    def test_short_stream_raises(self):
-        full = sps.csr_matrix(np.ones((40, 8)))
-        src = SparseChunkSource(iter([full[0:10]]), (40, 8), np.float64)
-        with pytest.raises(ShapeError):
-            ExecutionEngine().matmul_ata_ooc(src, panel_rows=16)
-
-    def test_farm_rejects_sparse(self):
+    @pytest.mark.parametrize("procs", [0, 2])
+    def test_run_ooc_refuses_sparse(self, procs):
         a = sps.eye(64, format="csr") * 1.0
-        with pytest.raises(ShapeError, match="farm"):
-            ExecutionEngine().run_ooc(a, procs=1)
+        c = np.random.default_rng(4).standard_normal((64, 64))
+        before = c.copy()
+        with pytest.raises(ShapeError, match="panel source"):
+            ExecutionEngine().run_ooc(a, c, procs=procs, panel_rows=16)
+        assert np.array_equal(c, before)
