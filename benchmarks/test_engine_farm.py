@@ -37,13 +37,24 @@ def reference(workload):
 
 
 class TestFarmAcceptance:
-    @pytest.mark.parametrize("procs", [1, 2, 4])
+    # the in-memory cases keep their historical ids; "memmap" is the
+    # on-disk operand the workers read from the file themselves
+    @pytest.mark.parametrize("kind, procs", [
+        pytest.param(kind, procs, id=f"{procs}" if kind == "array"
+                     else f"{kind}-{procs}")
+        for kind in ("array", "memmap") for procs in (1, 2, 4)])
     def test_bit_identical_at_every_worker_count(self, workload, reference,
-                                                 procs):
+                                                 kind, procs, tmp_path):
+        operand = workload
+        if kind == "memmap":
+            np.save(tmp_path / "a.npy", workload)
+            operand = np.load(tmp_path / "a.npy", mmap_mode="r")
         engine = ExecutionEngine()
         farm = PanelFarm(engine, procs=procs)
-        result, stats = farm.run(workload, algo="syrk", panel_rows=PANEL_ROWS)
+        result, stats = farm.run(operand, algo="syrk", panel_rows=PANEL_ROWS)
         assert stats.panels > 1
+        assert stats.staged_bytes == (0 if kind == "memmap"
+                                      else workload.nbytes)
         assert np.array_equal(result, reference)
 
     def test_resident_high_water_charged_against_budget(self, workload):
@@ -65,10 +76,14 @@ class TestRegisteredExperiment:
         (table,) = run_experiment("engine_farm", shape=(2048, 64),
                                   procs_sweep=[1, 2], repeats=1)
         records = table.as_records()
-        assert len(records) == 2
+        assert [(r["source"], r["procs"]) for r in records] == [
+            ("array", 1), ("array", 2), ("memmap", 1), ("memmap", 2)]
         for record in records:
             assert record["identical"] is True
             assert record["panels"] > 1
+            # the parent stages the array; workers read the memmap's file
+            assert record["staged_kb"] == (
+                2048 * 64 * 8 / 1024 if record["source"] == "array" else 0)
         # the farm's budget formula charges one more output arena per worker
         assert records[1]["resident_kb"] > records[0]["resident_kb"]
 

@@ -8,9 +8,16 @@ Gram updates into a pool of worker **processes**, each running the full
 engine stack (plan cache, workspace pool, backend registry, optional
 measured tuner) on its own interpreter:
 
-* panels are staged into per-worker ``multiprocessing.shared_memory``
-  arenas — the worker's kernels read the panel straight out of shared
-  memory; no pickling, no pipe copies of matrix data;
+* each worker owns a ``multiprocessing.shared_memory`` input arena and
+  its kernels read the panel straight out of it; no pickling, no pipe
+  copies of matrix data.  When ``A`` is a memmap of a shared file
+  mapping, the parent sends only row ranges and each worker reads its
+  panel from the file into its own arena with ``os.preadv`` (the file
+  is opened once per run and checked to be the mapped file by device
+  and inode); any
+  other source — an in-memory array, a chunk stream, a ``mode="c"``,
+  column-sliced or Fortran-order memmap — is staged by the parent, one
+  copy per panel into the worker's arena;
 * each worker computes a **partial Gram** ``alpha * A_p^T A_p`` into its
   own shared ``n x n`` output arena (a zeroed accumulator per panel);
 * the parent folds the partials into the resident ``C`` through a
@@ -66,12 +73,13 @@ accumulators and ``procs`` panel buffers::
 set when not even one-row panels fit.  At most ``procs`` panels are ever
 staged and un-folded at one instant — an out-of-order finisher idles
 until the fold reaches its panel — so the accounting above is a true
-high-water bound, not an estimate.  Recovery never raises it: a respawn
-allocates its fresh arenas only after copying nothing (the replacement
-input arena is filled *from* the doomed one before it is released, and
-the two coexist only for the duration of that copy), and the degraded
-in-process completion reads staged panels straight out of the surviving
-arenas instead of copying them.  The idle warm pool between runs (below)
+high-water bound, not an estimate.  Recovery never raises it for long:
+a respawned worker reading the file re-reads its panel; for a staged
+panel the replacement input arena is filled *from* the doomed one
+before it is released, and the two coexist only for the duration of
+that copy.  The degraded in-process completion reads a stream's staged
+panels straight out of the surviving arenas and re-reads every other
+panel from the source.  The idle warm pool between runs (below)
 holds ``procs * (panel_rows*n + n*n) * itemsize`` of arenas outside any
 run's budget.
 
@@ -109,18 +117,22 @@ the farm treats it as schedulable work:
    :func:`multiprocessing.connection.wait` over every worker's message
    pipe *and* process sentinel, so a death wakes it immediately — no
    liveness polling — and the failure is attributed to the exact panel
-   staged on the lost worker.
-2. **Respawn and replay.**  The lost panel's bytes still live in the
-   parent-owned input arena, so recovery never re-reads the (possibly
-   forward-only) source: a fresh worker is spawned on fresh arenas, the
-   panel bytes are carried across, and the task is re-sent.  Each panel
-   gets at most :data:`MAX_RETRIES` replays.
+   assigned to the lost worker.
+2. **Respawn and replay.**  A fresh worker is spawned on fresh arenas
+   and the task is re-sent.  A worker that reads the file re-reads its
+   panel; for a parent-staged panel the bytes still live in the
+   parent-owned input arena, so they are carried across and the
+   (possibly forward-only) source is never re-read.  Each panel gets at
+   most :data:`MAX_RETRIES` replays.
 3. **Graceful degradation.**  With retries exhausted (or a respawn
    itself failing), the farm finishes every remaining panel **in
    process** on the same ascending schedule, computing the identical
    kernel-on-zeros partials the workers would have — the result stays
    bit-identical to the fault-free run (under deterministic backend
    selection, the same condition cross-worker-count identity carries).
+   A random-access source (array or memmap) is re-read for every
+   panel; an arena a worker was filling from the file when it died is
+   never trusted.
 4. :class:`~repro.errors.FarmError` is raised only when the degraded
    completion itself fails, naming the lost panel and chaining the
    underlying error.
@@ -141,7 +153,7 @@ backends registered at runtime do not survive that fallback.
 Fault injection
 ---------------
 The ``farm.worker`` site (:mod:`repro.faults`) is probed by the *parent*
-once per staged panel and the fired token is shipped with the task, so
+once per task it sends and the fired token is shipped with the task, so
 trigger state survives the worker it kills: ``kill`` hard-exits the
 worker mid-task, ``raise`` fails it, ``slow`` delays the panel, and
 ``poison`` NaN-corrupts the partial (demonstrating what recovery cannot
@@ -170,7 +182,8 @@ from ..config import get_config, set_config
 from ..errors import FarmError, ShapeError
 from .backends import registry_generation
 from .cpu import available_cpus
-from .ooc import as_source, panel_schedule, prepare_output, working_set_bytes
+from .ooc import (ArraySource, MemmapSource, as_source, panel_schedule,
+                  prepare_output, short_stream_error, working_set_bytes)
 from .tuner import BackendTuner
 
 __all__ = ["PanelFarm", "FarmRunStats"]
@@ -223,25 +236,60 @@ def _attach(name: str) -> shared_memory.SharedMemory:
         resource_tracker.register = original
 
 
+def _read_rows(fd: int, arena, region, lo: int, hi: int) -> None:
+    """Fill the front of ``arena`` with rows ``[lo, hi)`` of the file
+    ``region`` describes, straight from ``fd`` (no intermediate copy)."""
+    size = (hi - lo) * region.row_bytes
+    offset = region.offset + lo * region.row_bytes
+    with arena[:size] as view:
+        done = 0
+        while done < size:
+            got = os.preadv(fd, [view[done:]], offset + done)
+            if got == 0:
+                raise ShapeError(
+                    f"{region.path} ended {size - done} bytes short of "
+                    f"rows [{lo}, {hi})")
+            done += got
+
+
+def _open_region(region) -> int:
+    """Open the file of ``region`` for reading and check that it is still
+    the mapped file (same device and inode)."""
+    fd = os.open(region.path, os.O_RDONLY | getattr(os, "O_CLOEXEC", 0))
+    try:
+        st = os.fstat(fd)
+        if (st.st_dev, st.st_ino) != (region.dev, region.ino):
+            raise ShapeError(
+                f"{region.path} no longer names the mapped file")
+    except Exception:
+        os.close(fd)
+        raise
+    return fd
+
+
 def _worker_main(worker_id: int, spec: dict, conn) -> None:
     """One run of a worker: build an engine, serve tasks until ``"end"``.
 
     ``spec["arenas"]`` holds the worker's attached input and output
-    arenas.  Each ``("task", panel_idx, rows, fault)`` message means "the
-    first ``rows`` rows of my input arena hold panel ``panel_idx``": the
-    worker enacts any shipped fault token, zeroes its output arena, runs
-    one ``matmul_ata`` on the shared panel view, and acks
-    ``("done", panel_idx)``.  ``("end",)`` closes the engine and returns.
-    Any exception is reported as ``("error", panel_idx, traceback)`` and
-    re-raised, which ends the worker — the parent decides whether to
-    respawn.
+    arenas.  Each ``("task", panel_idx, lo, hi, fault)`` message asks for
+    the partial Gram of rows ``[lo, hi)``: the worker enacts any shipped
+    fault token, reads the rows into the front of its input arena from
+    the file ``spec["file"]`` names (opened once per run) — or, without
+    one, finds them there already, staged by the parent — zeroes its
+    output arena, runs one ``matmul_ata`` on the panel view, and acks
+    ``("done", panel_idx)``.  ``("end",)`` closes the file and the engine
+    and returns.  Any exception is reported as ``("error", panel_idx,
+    traceback)`` and re-raised, which ends the worker — the parent
+    decides whether to respawn.
     """
     panel_idx: Optional[int] = None
+    fd = None
     try:
         set_config(spec["config"])
         in_shm, out_shm = spec["arenas"]
         n = spec["n"]
         dtype = np.dtype(spec["dtype"])
+        region = spec["file"]
         out = np.ndarray((n, n), dtype=dtype, buffer=out_shm.buf)
         from .dispatch import ExecutionEngine
         settings = dict(spec["engine"])
@@ -249,15 +297,20 @@ def _worker_main(worker_id: int, spec: dict, conn) -> None:
         engine = ExecutionEngine(
             **settings, tuner=None if tuner is None else BackendTuner(**tuner))
         try:
+            if region is not None:
+                fd = _open_region(region)
             while True:
                 message = conn.recv()
                 if message[0] != "task":
                     break  # "end"
-                _, panel_idx, rows, fault = message
+                _, panel_idx, lo, hi, fault = message
                 # kill exits here, raise lands in the except below, slow
                 # sleeps; "poison" comes back for the post-compute step
                 action = faults.perform(fault)
-                panel = np.ndarray((rows, n), dtype=dtype, buffer=in_shm.buf)
+                if fd is not None:
+                    _read_rows(fd, in_shm.buf, region, lo, hi)
+                panel = np.ndarray((hi - lo, n), dtype=dtype,
+                                   buffer=in_shm.buf)
                 out.fill(0)
                 engine.matmul_ata(panel, out, spec["alpha"],
                                   algo=spec["algo"], cache=spec["cache"])
@@ -266,6 +319,8 @@ def _worker_main(worker_id: int, spec: dict, conn) -> None:
                 conn.send(("done", panel_idx))
                 panel_idx = None
         finally:
+            if fd is not None:
+                os.close(fd)
             engine.close()
     except Exception:
         try:
@@ -327,7 +382,7 @@ def _checked_panel(panel, rows: int, n: int):
 
 class _Worker:
     """Parent-side handle of one worker slot: process, message pipe,
-    arenas, and the panel currently staged in its input arena."""
+    arenas, and the panel currently assigned to it."""
 
     __slots__ = ("wid", "process", "conn", "in_shm", "out_shm", "out_view",
                  "panel", "dead", "linked")
@@ -339,7 +394,7 @@ class _Worker:
         self.in_shm = in_shm
         self.out_shm = out_shm
         self.out_view = out_view
-        #: panel index staged in the input arena; stays set after "done"
+        #: panel index assigned to the worker; stays set after "done"
         #: (the arena keeps the bytes) until the partial is folded
         self.panel: Optional[int] = None
         self.dead = False
@@ -496,13 +551,15 @@ class _RunCounts:
     """Mutable per-run pool and recovery counters (frozen into the
     stats)."""
 
-    __slots__ = ("spawned", "respawns", "retried_panels", "degraded_panels")
+    __slots__ = ("spawned", "respawns", "retried_panels", "degraded_panels",
+                 "staged_bytes")
 
     def __init__(self) -> None:
         self.spawned = 0
         self.respawns = 0
         self.retried_panels = 0
         self.degraded_panels = 0
+        self.staged_bytes = 0
 
 
 class _DegradeSignal(Exception):
@@ -549,6 +606,11 @@ class FarmRunStats:
         Worker processes started for the run's initial pool: ``procs``
         for a cold pool, 0 for a warm one, plus replacements for pooled
         workers found dead at the start (respawns are counted apart).
+    staged_bytes:
+        Bytes the parent copied into worker input arenas: 0 when the
+        workers read their panels from the file themselves, ``m·n·itemsize``
+        when the parent stages every panel (plus each panel it carried
+        to a respawned worker).
     """
 
     panels: int
@@ -560,6 +622,7 @@ class FarmRunStats:
     retried_panels: int = 0
     degraded_panels: int = 0
     spawned: int = 0
+    staged_bytes: int = 0
 
     @property
     def degraded(self) -> bool:
@@ -575,11 +638,12 @@ class PanelFarm:
     engine:
         The parent-side :class:`~repro.engine.dispatch.ExecutionEngine`
         (default: the process-wide engine).  The parent runs no panel
-        kernels while the pool is healthy — it schedules, stages and
-        folds — but the farm mirrors this engine's scheduling (``workers``
-        and ``parallel``) and its tuner's table path, mode, explore budget
-        and persistence into every worker process, uses it directly for
-        degraded in-process completion, and records run statistics here.
+        kernels while the pool is healthy — it schedules, stages (unless
+        the workers read the file) and folds — but the farm mirrors this
+        engine's scheduling (``workers`` and ``parallel``) and its tuner's
+        table path, mode, explore budget and persistence into every worker
+        process, uses it directly for degraded in-process completion, and
+        records run statistics here.
     procs:
         Worker process count (``None`` resolves to
         :func:`~repro.engine.cpu.available_cpus`; must be >= 1 — for the
@@ -736,20 +800,25 @@ class PanelFarm:
                              respawns=counts.respawns,
                              retried_panels=counts.retried_panels,
                              degraded_panels=counts.degraded_panels,
-                             spawned=counts.spawned)
+                             spawned=counts.spawned,
+                             staged_bytes=counts.staged_bytes)
         self.engine._record_farm(stats)
         return c, stats
 
     def _fan_out(self, source, bounds, c: np.ndarray, alpha: float,
                  procs: int, widest: int, counts: _RunCounts, *,
                  algo, cache) -> None:
-        """Stage panels into worker arenas and fold partials into ``c``.
+        """Hand panels to workers and fold partials into ``c``.
 
-        Panels are staged in ascending order (a forward-only
-        :class:`ChunkSource` never rewinds) and folded in ascending
-        order (the fixed reduction tree).  A worker's arenas are reused
-        only after its previous partial is folded, so at most ``procs``
-        panels are in flight — exactly what the budget charged.
+        A memmap of a shared file mapping (:meth:`MemmapSource.file_region
+        <repro.engine.ooc.MemmapSource.file_region>`) is read by the
+        workers themselves: the parent only sends row ranges.  Any other
+        source is staged by the parent, one copy per panel into the
+        worker's input arena, in ascending order (a forward-only
+        :class:`ChunkSource` never rewinds).  Partials are folded in
+        ascending order (the fixed reduction tree).  A worker gets its
+        next panel only after its previous partial is folded, so at most
+        ``procs`` panels are in flight — exactly what the budget charged.
 
         Worker loss follows the heal → degrade → fail ladder of the
         module docstring; ``counts`` accumulates what the pool and
@@ -761,14 +830,31 @@ class PanelFarm:
         direct.is_available()  # bind BLAS once here, not in every fork
         config = get_config()
         engine_spec = self._worker_engine_spec()
+        region = (source.file_region() if isinstance(source, MemmapSource)
+                  else None)
         spec = {
-            "n": n, "dtype": dtype.str, "alpha": alpha,
+            "n": n, "dtype": dtype.str, "alpha": alpha, "file": region,
             "algo": algo, "cache": cache, "config": config, "engine": engine_spec,
         }
-        panels = source.panels(bounds)
+        random_access = isinstance(source, ArraySource)
+        panels = None if random_access else source.panels(bounds)
+
+        def read(panel_idx: int) -> np.ndarray:
+            """Panel ``panel_idx`` in the parent: a view of a random-access
+            source, else the stream's next panel (streams are read once,
+            in ascending order)."""
+            lo, hi = bounds[panel_idx]
+            if random_access:
+                return source.rows(lo, hi)
+            try:
+                panel = next(panels)
+            except StopIteration:
+                raise short_stream_error(panel_idx, len(bounds)) from None
+            return _checked_panel(panel, hi - lo, n)
+
         next_stage = 0
         next_fold = 0
-        staged = {}   # panel idx -> worker whose input arena holds its bytes
+        staged = {}   # panel idx -> worker whose input arena holds its rows
         ready = {}    # finished panel idx -> worker holding its partial
         retries = {}  # panel idx -> replays consumed
         pool = _take_idle_pool((config, engine_spec, registry_generation(),
@@ -784,26 +870,29 @@ class PanelFarm:
                     None, f"worker pool could not be spawned: {exc!r}"
                 ) from exc
 
+            def copy_rows(worker: _Worker, rows: np.ndarray) -> None:
+                """Copy a panel's bytes into the front of an input arena."""
+                arena = np.ndarray(rows.shape, dtype=dtype,
+                                   buffer=worker.in_shm.buf)
+                try:
+                    np.copyto(arena, rows)
+                finally:
+                    del arena  # release the buffer export before close()
+                counts.staged_bytes += rows.nbytes
+
             def send_task(worker: _Worker, panel_idx: int) -> None:
                 lo, hi = bounds[panel_idx]
                 worker.panel = panel_idx
                 staged[panel_idx] = worker
                 fault = faults.probe("farm.worker", index=panel_idx)
                 try:
-                    worker.conn.send(("task", panel_idx, hi - lo, fault))
+                    worker.conn.send(("task", panel_idx, lo, hi, fault))
                 except OSError:
                     pass  # worker already died; its sentinel reports it
 
             def stage(panel_idx: int, worker: _Worker) -> None:
-                lo, hi = bounds[panel_idx]
-                rows = hi - lo
-                panel = _checked_panel(next(panels), rows, n)
-                arena = np.ndarray((rows, n), dtype=dtype,
-                                   buffer=worker.in_shm.buf)
-                try:
-                    np.copyto(arena, panel)
-                finally:
-                    del arena  # release the buffer export before close()
+                if region is None:
+                    copy_rows(worker, read(panel_idx))
                 send_task(worker, panel_idx)
 
             def replace(worker: _Worker) -> _Worker:
@@ -815,19 +904,17 @@ class PanelFarm:
                         worker.panel,
                         f"worker {worker.process.name!r} could not be "
                         f"respawned: {exc!r}") from exc
-                if worker.panel is not None:
+                if worker.panel is not None and region is None:
                     # carry the lost panel's bytes across before the old
-                    # arena is released — the source never rewinds
+                    # arena is released — the source never rewinds; a
+                    # worker reading the file re-reads it instead
                     lo, hi = bounds[worker.panel]
-                    rows = hi - lo
-                    old = np.ndarray((rows, n), dtype=dtype,
+                    old = np.ndarray((hi - lo, n), dtype=dtype,
                                      buffer=worker.in_shm.buf)
-                    new = np.ndarray((rows, n), dtype=dtype,
-                                     buffer=fresh.in_shm.buf)
                     try:
-                        np.copyto(new, old)
+                        copy_rows(fresh, old)
                     finally:
-                        del old, new
+                        del old
                 _reap(worker)
                 workers[worker.wid] = fresh
                 counts.respawns += 1
@@ -923,9 +1010,10 @@ class PanelFarm:
             _end_run(workers)
             parked = True
         except _DegradeSignal as signal:
-            self._finish_in_process(c, alpha, bounds, next_fold, staged,
-                                    panels, counts, signal,
-                                    algo=algo, cache=cache)
+            self._finish_in_process(
+                c, alpha, bounds, next_fold, counts, signal,
+                {} if random_access else staged, read,
+                algo=algo, cache=cache)
         finally:
             if parked:
                 _park_idle_pool(pool)
@@ -933,20 +1021,23 @@ class PanelFarm:
                 _retire(workers)
 
     def _finish_in_process(self, c: np.ndarray, alpha: float, bounds,
-                           next_fold: int, staged, panels,
-                           counts: _RunCounts, signal: _DegradeSignal, *,
+                           next_fold: int, counts: _RunCounts,
+                           signal: _DegradeSignal, staged, read, *,
                            algo, cache) -> None:
         """Graceful degradation: complete the remaining panels in-process.
 
         Replays the exact fold the workers would have produced — one
         kernel-on-zeros partial per remaining panel, added in ascending
         order — so the healed result stays bit-identical to the
-        fault-free run.  Panels already staged are read straight out of
-        the surviving shared-memory arenas (the parent owns them; a dead
-        worker cannot take them along); panels beyond the staging
-        frontier keep streaming from the source, which is positioned
-        exactly there.  Raises :class:`FarmError` — the farm's only
-        failure mode left — when this last line of defence fails too.
+        fault-free run.  A panel of a stream that the parent already
+        staged is read straight out of the surviving arena
+        (``staged`` maps it to its worker; the parent owns the arena,
+        a dead worker cannot take it along); every other panel comes from
+        ``read`` — a random-access source is re-read, so a panel a worker
+        was reading from the file never comes from a half-filled arena,
+        and a stream is positioned exactly at the staging frontier.
+        Raises :class:`FarmError` — the farm's only failure mode left —
+        when this last line of defence fails too.
         """
         n = c.shape[1]
         partial = np.zeros_like(c)
@@ -954,13 +1045,13 @@ class PanelFarm:
         try:
             for panel_idx in range(next_fold, len(bounds)):
                 lo, hi = bounds[panel_idx]
-                rows = hi - lo
                 worker = staged.get(panel_idx)
                 if worker is not None:
-                    panel = np.ndarray((rows, n), dtype=c.dtype,
+                    panel = np.ndarray((hi - lo, n), dtype=c.dtype,
                                        buffer=worker.in_shm.buf)
                 else:
-                    panel = _checked_panel(next(panels), rows, n)
+                    # contiguous, like the arena panel a worker computes on
+                    panel = np.ascontiguousarray(read(panel_idx))
                 partial.fill(0)
                 try:
                     self.engine.matmul_ata(panel, partial, alpha, algo=algo,

@@ -49,8 +49,12 @@ adapters cover the practical cases (:func:`as_source` picks one):
   budget all the same, so schedules and results never depend on the
   source kind).
 * :class:`MemmapSource` — an ``np.memmap`` (or any array you want staged
-  explicitly); each panel is **copied** into RAM so the compute kernels
-  never fault pages mid-kernel.
+  explicitly); the in-process stream **copies** each panel into RAM so
+  the compute kernels never fault pages mid-kernel.  When the memmap is
+  a row-contiguous view of a shared file mapping,
+  :meth:`MemmapSource.file_region` names the file bytes behind it, and
+  the process farm's workers read their panels from the file themselves
+  (the parent copies nothing).
 * :class:`ChunkSource` — a forward-only iterator of row chunks with a
   declared ``(shape, dtype)``; chunk boundaries need not match panel
   boundaries (an internal stitch buffer re-slices them), so synthetic
@@ -60,7 +64,8 @@ adapters cover the practical cases (:func:`as_source` picks one):
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator, Optional, Tuple, Union
+import os
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -116,9 +121,55 @@ class ArraySource:
         self.shape = a.shape
         self.dtype = a.dtype
 
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``[lo, hi)`` as a view: an array source is random
+        access, so any panel can be read again (the farm's recovery
+        relies on it)."""
+        return self._a[lo:hi]
+
     def panels(self, bounds: Bounds) -> Iterator[np.ndarray]:
         for lo, hi in bounds:
-            yield self._a[lo:hi]
+            yield self.rows(lo, hi)
+
+
+class FileRegion(NamedTuple):
+    """Where a memmap's bytes live in its file: row ``r`` of ``A`` is the
+    ``row_bytes`` bytes at ``offset + r * row_bytes`` of the file
+    ``path``, which must still be the file ``(dev, ino)``."""
+
+    path: str
+    dev: int
+    ino: int
+    offset: int
+    row_bytes: int
+
+
+def _shared_file_mapping(lo: int, hi: int) -> Optional[Tuple[str, int, int,
+                                                             int]]:
+    """``(path, dev, inode, file offset of address lo)`` when the bytes
+    ``[lo, hi)`` of this process lie in one ``MAP_SHARED`` mapping of a
+    file, from the kernel's own table (``/proc/self/maps``); ``None``
+    otherwise, and wherever that table does not exist."""
+    try:
+        with open("/proc/self/maps") as fh:
+            table = fh.read()
+    except OSError:
+        return None
+    for line in table.splitlines():
+        fields = line.split(maxsplit=5)
+        start, end = (int(x, 16) for x in fields[0].split("-"))
+        if end <= lo:
+            continue
+        # the first mapping reaching past lo must hold the whole range
+        if start > lo or end < hi or len(fields) < 6:
+            return None
+        perms, offset, dev, inode, path = fields[1:]
+        if perms[3] != "s" or inode == "0":
+            return None  # private (copy-on-write) or anonymous
+        major, minor = (int(x, 16) for x in dev.split(":"))
+        return (path, os.makedev(major, minor), int(inode),
+                int(offset, 16) + lo - start)
+    return None
 
 
 class MemmapSource(ArraySource):
@@ -133,7 +184,34 @@ class MemmapSource(ArraySource):
 
     def panels(self, bounds: Bounds) -> Iterator[np.ndarray]:
         for lo, hi in bounds:
-            yield np.array(self._a[lo:hi], copy=True)
+            yield np.array(self.rows(lo, hi), copy=True)
+
+    def file_region(self) -> Optional[FileRegion]:
+        """The file bytes behind this memmap, or ``None`` when reading
+        the file would not give the memmap's values.
+
+        The region is derived from the mapping itself, not from
+        ``np.memmap.offset`` (which a sliced memmap inherits unchanged
+        from its parent).  ``None`` unless the rows are contiguous bytes
+        (no column slice, no Fortran order), the mapping is
+        ``MAP_SHARED`` (a ``mode="c"`` memmap keeps its in-memory writes
+        private) and its path still names the mapped file.
+        """
+        a = self._a
+        if not a.flags.c_contiguous:
+            return None
+        lo = a.ctypes.data
+        mapping = _shared_file_mapping(lo, lo + a.nbytes)
+        if mapping is None:
+            return None
+        path, dev, ino, offset = mapping
+        try:
+            st = os.stat(path)
+        except OSError:
+            return None  # unlinked, or renamed away
+        if (st.st_dev, st.st_ino) != (dev, ino):
+            return None  # the path now names another file
+        return FileRegion(path, dev, ino, offset, a.shape[1] * a.itemsize)
 
 
 class ChunkSource:
@@ -263,6 +341,15 @@ def as_source(a) -> Union[ArraySource, MemmapSource, ChunkSource]:
 # ---------------------------------------------------------------------------
 # executor
 # ---------------------------------------------------------------------------
+
+def short_stream_error(consumed: int, scheduled: int) -> ShapeError:
+    """The error of a source whose ``panels()`` stopped short: it would
+    otherwise yield a silently partial Gram."""
+    return ShapeError(
+        f"panel stream ended after {consumed} of {scheduled} scheduled "
+        "panels; the source delivered fewer panels than its declared "
+        "shape promised")
+
 
 def working_set_bytes(n: int, itemsize: int, outputs: int, rows: int) -> int:
     """Bytes an out-of-core executor holds with ``rows`` panel rows
@@ -476,12 +563,7 @@ class ShardedAtA:
             panel = None
             consumed += 1
         if consumed != len(bounds):
-            # a custom source whose panels() stops short would otherwise
-            # return a silently partial Gram — fail loudly instead
-            raise ShapeError(
-                f"panel stream ended after {consumed} of {len(bounds)} "
-                "scheduled panels; the source delivered fewer panels "
-                "than its declared shape promised")
+            raise short_stream_error(consumed, len(bounds))
         stats = OocRunStats(panels=len(bounds),
                             panel_rows=widest,
                             bytes_resident_high=resident_high,

@@ -21,6 +21,13 @@ The acceptance contract under test:
 * infeasible budgets fail up front with :class:`BudgetError` naming the
   farm's working set; feasible ones bound the resident high-water mark;
 * farm runs are visible in :class:`repro.engine.EngineStats`;
+* workers read a memmap of a shared file mapping from the file
+  themselves (``FarmRunStats.staged_bytes == 0``) at the offset the
+  mapping gives, and every memmap the file cannot stand in for (a
+  column slice, Fortran order, ``mode="c"``, a path renamed over) is
+  staged by the parent — same bits either way, healed or degraded;
+* a custom source that stops short fails with the in-process
+  :class:`ShapeError` and leaves no pool behind;
 * the warm pool: a run whose pool key matches reuses the previous run's
   workers and arenas (``spawned == 0``) with unchanged bits, any key
   change spawns a cold pool, and neither ``psm_*`` names nor idle
@@ -665,6 +672,142 @@ class TestWarmPool:
                 assert len({name.split("-")[0] for name in returns}) == 2
         finally:
             farm_mod.stop_idle_pool()  # no later run may reuse the wrapper
+
+
+# ---------------------------------------------------------------------------
+# the data path: workers read a shared file mapping themselves
+# ---------------------------------------------------------------------------
+
+def memmap_case(kind: str, a: np.ndarray, tmp_path):
+    """``(source, the values it holds, worker-read?)`` for one source
+    kind over the data of ``a``."""
+    path = tmp_path / "a.dat"
+    if kind == "array":
+        return a, a, False
+    if kind == "npy":
+        np.save(tmp_path / "a.npy", a)
+        mm = np.load(tmp_path / "a.npy", mmap_mode="r")
+        return mm, a, True
+    if kind == "fortran":
+        np.asfortranarray(a).T.tofile(path)
+        mm = np.memmap(path, dtype=a.dtype, mode="r", shape=a.shape,
+                       order="F")
+        return mm, a, False
+    a.tofile(path)
+    if kind == "cow":
+        mm = np.memmap(path, dtype=a.dtype, mode="c", shape=a.shape)
+        mm[7] = 3.0  # lives only in this process's private pages
+        return mm, np.array(mm), False
+    mm = np.memmap(path, dtype=a.dtype, mode="r", shape=a.shape)
+    if kind == "memmap":
+        return mm, a, True
+    if kind == "row_slice":
+        return mm[100:], a[100:], True
+    if kind == "column_slice":
+        return mm[:, 3:17], a[:, 3:17], False
+    assert kind == "renamed"
+    (a + 1.0).tofile(tmp_path / "b.dat")
+    os.replace(tmp_path / "b.dat", path)  # the mapping keeps the old file
+    return mm, a, False
+
+
+def fd_targets(pid: int) -> list:
+    """What the open descriptors of process ``pid`` point at."""
+    fd_dir = f"/proc/{pid}/fd"
+    targets = []
+    for fd in os.listdir(fd_dir):
+        try:
+            targets.append(os.readlink(os.path.join(fd_dir, fd)))
+        except OSError:
+            pass  # closed meanwhile
+    return targets
+
+
+class TestWorkerRead:
+    @pytest.mark.parametrize("kind", ["array", "memmap", "npy", "row_slice",
+                                      "column_slice", "fortran", "cow",
+                                      "renamed"])
+    def test_source_kind_picks_the_data_path(self, rng, tmp_path, kind):
+        """Each source equals the fold of the values it holds; a worker
+        reads the file only when the file holds exactly those values."""
+        a = rng.standard_normal((300, 24))
+        source, values, worker_read = memmap_case(kind, a, tmp_path)
+        got, stats = PanelFarm(ExecutionEngine(), procs=2).run(
+            source, panel_rows=37)
+        assert np.array_equal(got, fold_reference(values, 37))
+        assert stats.staged_bytes == (0 if worker_read else values.nbytes)
+
+    def test_killed_worker_rereads_its_panel(self, rng, tmp_path):
+        a = rng.standard_normal((300, 24))
+        mm, _, _ = memmap_case("memmap", a, tmp_path)
+        with configured(faults="farm.worker:kill@p1"):
+            got, stats = PanelFarm(ExecutionEngine(), procs=2).run(
+                mm, panel_rows=37)
+        assert np.array_equal(got, fold_reference(a, 37))
+        assert stats.respawns == 1 and stats.degraded_panels == 0
+        assert stats.staged_bytes == 0  # nothing carried across
+
+    def test_degraded_run_reads_the_source(self, rng, tmp_path):
+        """Degradation must not trust an arena a worker was filling from
+        the file when it died."""
+        a = rng.standard_normal((300, 24))
+        mm, _, _ = memmap_case("memmap", a, tmp_path)
+        with configured(faults="farm.worker:kill@p0*3"):
+            got, stats = PanelFarm(ExecutionEngine(), procs=2).run(
+                mm, panel_rows=37)
+        assert stats.degraded
+        assert np.array_equal(got, fold_reference(a, 37))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc")
+    def test_no_worker_keeps_the_file_open(self, rng, tmp_path):
+        """The pool is forked before the file is mapped: a worker forked
+        while a memmap is alive inherits CPython's duplicate of its
+        descriptor along with the mapping, and what is under test is the
+        descriptor the run itself opens."""
+        a = rng.standard_normal((300, 24))
+        farm_mod.stop_idle_pool()
+        syrk_farm_run(a, panel_rows=37)
+        mm, _, _ = memmap_case("memmap", a, tmp_path)
+        _, stats = syrk_farm_run(mm, panel_rows=37)
+        assert stats.spawned == 0 and stats.staged_bytes == 0
+        workers = farm_children()
+        assert len(workers) == 2
+        path = str(tmp_path / "a.dat")
+        for worker in workers:
+            assert path not in fd_targets(worker.pid)
+
+    def test_worker_refuses_a_replaced_file(self, rng, tmp_path):
+        """A path renamed over between the parent's check and the
+        worker's open is caught by the worker's device/inode check."""
+        from repro.engine.ooc import MemmapSource
+        a = rng.standard_normal((40, 8))
+        mm, _, _ = memmap_case("memmap", a, tmp_path)
+        region = MemmapSource(mm).file_region()
+        assert region is not None and region.offset == 0
+        a.tofile(tmp_path / "b.dat")
+        os.replace(tmp_path / "b.dat", tmp_path / "a.dat")
+        with pytest.raises(ShapeError, match="no longer names"):
+            farm_mod._open_region(region)
+
+    @pytest.mark.parametrize("procs", [0, 2])
+    def test_short_custom_source_is_a_shape_error(self, rng, procs):
+        a = rng.standard_normal((64, 8))
+
+        class ShortSource:
+            shape, dtype = a.shape, a.dtype
+
+            def panels(self, bounds):
+                for lo, hi in bounds[:-1]:
+                    yield a[lo:hi]
+
+        farm_mod.stop_idle_pool()
+        with pytest.raises(ShapeError, match="panel stream ended after 3 "
+                                             "of 4 scheduled panels"):
+            ExecutionEngine().run_ooc(ShortSource(), np.zeros((8, 8)),
+                                      panel_rows=16, procs=procs)
+        assert farm_children() == []
+        assert shm_litter() == []
 
 
 # ---------------------------------------------------------------------------
