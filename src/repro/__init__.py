@@ -39,7 +39,7 @@ on:
   twice each), degrading to bit-identical in-process
   completion when retries run out;
 * :mod:`repro.faults` — deterministic, seeded fault injection: named
-  sites across the farm, the out-of-core stream, serving and the tuner,
+  sites across the farm, the out-of-core stream and serving,
   armed by ``Config.faults`` / ``$REPRO_FAULTS``
   (e.g. ``farm.worker:kill@p3``) and zero-overhead no-ops otherwise.
 

@@ -1,5 +1,5 @@
 """Engine experiments: plan-cache amortisation, DAG-parallel execution,
-the default base case and measured backend auto-tuning.
+the default base case and the measured check of backend selection.
 
 ``engine_plan_cache`` measures compile-once/execute-many: under repeated
 traffic the recursion walk, the cache-fit checks and the workspace
@@ -30,6 +30,10 @@ the table records honestly; ``benchmarks/test_engine_dag.py`` enforces the
 ``engine_base_case`` sweeps ``base_case_elements`` over the benchmark's
 ``gram_dense`` shapes at default dispatch: the measurement behind the
 2**20-element default (see :data:`repro.config.DEFAULT_BASE_CASE_ELEMENTS`).
+
+``engine_backends`` times every candidate backend per shape at the
+default base case and reports whether the modeled heuristic that
+``algo="auto"`` dispatches through picks the measured winner.
 """
 
 from __future__ import annotations
@@ -39,15 +43,15 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from ..config import configured
-from ..engine import BackendTuner, ExecutionEngine
-from ..engine.backends import candidates
+from ..engine import ExecutionEngine
+from ..engine.backends import backends_for, candidates, choose_heuristic
 from ..cache.model import default_cache_model
 from .harness import register
 from .reporting import ExperimentTable
 from .workloads import random_matrix
 
 __all__ = ["engine_plan_cache", "engine_dag_parallel", "engine_base_case",
-           "engine_backend_tuner"]
+           "engine_backends"]
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -213,28 +217,43 @@ def engine_base_case(base_cases: Sequence[int] = (1 << 12, 1 << 16, 1 << 18,
     return [table]
 
 
-@register("engine_backend_tuner",
-          "Measured per-backend AtA and A^T B timings and the backend the "
-          "auto-tuner converges on, per shape",
-          "Engine architecture (DESIGN.md)")
-def engine_backend_tuner(sizes: Optional[Sequence[int]] = None,
-                         atb_shapes: Optional[Sequence[Tuple[int, int, int]]] = None,
-                         repeats: int = 5,
-                         base_case_elements: int = 256) -> List[ExperimentTable]:
-    """Measure every registered backend and show the tuner's verdict.
+def _verdict_row(op: str, shape: Tuple[int, ...], dtype, run,
+                 names: Sequence[str], repeats: int) -> list:
+    """Time every candidate backend of one request (warm plans, best of
+    ``repeats``) and set the measured winner beside the heuristic's pick:
+    ``[*seconds per name (None = unsupported), winner, heuristic,
+    heuristic_vs_winner, agrees]``."""
+    model = default_cache_model(dtype)
+    pool = candidates(op, shape, dtype, model)
+    measured = {}
+    for backend in pool:
+        run(backend.name)  # warm the plan and workspace
+        measured[backend.name] = _best_of(lambda: run(backend.name), repeats)
+    winner = min(measured, key=measured.get)
+    pick = choose_heuristic(op, shape, dtype, model, pool).name
+    return [*(measured.get(name) for name in names), winner, pick,
+            measured[pick] / measured[winner], pick == winner]
 
-    For each AtA size, every backend in the candidate set (``syrk``,
-    ``ata``, ``tiled``, ``recursive_gemm``, and ``blas_direct`` where a
-    provider could be bound) is timed on warm plans; the same timings are
-    fed into an in-memory :class:`~repro.engine.BackendTuner`, whose
-    exploit choice is the backend ``algo="auto"`` traffic converges on.
-    A second table does the same for the ``atb`` operation per
-    ``(m, n, k)`` shape (``strassen``, ``recursive_gemm``,
-    ``blas_direct``) — previously the tuner's ``atb`` buckets were never
-    exercised by the bench at all (ROADMAP leftover from PR 3).  The
-    point of the experiment is the paper's own lesson applied to serving:
-    which backend wins depends on the shape *and the machine*, so the
-    engine measures instead of modeling.
+
+@register("engine_backends",
+          "Measured per-backend AtA and A^T B timings beside the backend "
+          "the modeled heuristic picks, per shape",
+          "Engine architecture (DESIGN.md)")
+def engine_backends(sizes: Optional[Sequence[int]] = None,
+                    atb_shapes: Optional[Sequence[Tuple[int, int, int]]] = None,
+                    repeats: int = 3) -> List[ExperimentTable]:
+    """Time every candidate backend and check the heuristic's choice.
+
+    ``algo="auto"`` dispatches through
+    :func:`~repro.engine.backends.choose_heuristic`, which prices
+    backends with modeled costs, not timings.  This experiment is the measurement that keeps that model
+    honest: for each square AtA size and each ``(m, n, k)`` A^T B shape
+    it times every backend in the candidate set on warm plans at the
+    default base case, and reports the measured winner beside the
+    heuristic's pick.  ``heuristic_vs_winner`` is the slowdown the
+    heuristic's pick costs against the measured winner (1.0 where they
+    agree).  The default sizes sit on both sides of the heuristic's
+    ``syrk`` → ``ata`` flip (``n² > 2**20``).
 
     Parameters
     ----------
@@ -243,79 +262,39 @@ def engine_backend_tuner(sizes: Optional[Sequence[int]] = None,
     atb_shapes:
         ``(m, n, k)`` A^T B shapes to sweep.
     repeats:
-        Timing repeats per backend; the fastest run is kept (and recorded
-        into the tuner table).
-    base_case_elements:
-        Base-case threshold for the sweep.
+        Timing repeats per backend; the fastest run is kept.
     """
-    table = ExperimentTable(
-        "engine_backend_tuner",
-        "best measured AtA seconds per backend; 'winner' is the "
-        "measured-fastest backend at that size (the tuner's exploit "
-        "choice when the size has its own shape bucket)",
-        ["n", "backend", "best_seconds", "vs_winner", "winner"])
-    atb_table = ExperimentTable(
-        "engine_backend_tuner_atb",
-        "best measured A^T B seconds per backend; 'winner' is the "
-        "measured-fastest backend at that (m, n, k) shape",
-        ["m", "n", "k", "backend", "best_seconds", "vs_winner", "winner"])
-    sizes = sizes if sizes is not None else [96, 192, 384]
+    sizes = sizes if sizes is not None else [512, 1024, 2048]
     atb_shapes = (list(atb_shapes) if atb_shapes is not None
-                  else [(96, 96, 48), (192, 192, 96), (384, 192, 192)])
-    bucket_picks: List[str] = []
-    atb_bucket_picks: List[str] = []
-    with configured(base_case_elements=base_case_elements):
-        tuner = BackendTuner(persist=False)
-        for n in sizes:
-            a = random_matrix(n, n, seed=n)
-            model = default_cache_model(a.dtype)
-            pool = candidates("ata", (n, n), a.dtype, model)
-            engine = ExecutionEngine()
-            measured = {}
-            for backend in pool:
-                engine.matmul_ata(a, algo=backend.name)  # warm the plan
-                best = _best_of(
-                    lambda: engine.matmul_ata(a, algo=backend.name), repeats)
-                measured[backend.name] = best
-                tuner.record("ata", (n, n), a.dtype, backend.name, best)
-            # the per-size winner comes from this size's own measurements:
-            # tuner.best() answers per power-of-two *bucket*, which custom
-            # size lists may share across rows
-            winner = min(measured, key=measured.get)
-            bucket_picks.append(
-                f"n={n}->{tuner.best('ata', (n, n), a.dtype)}")
-            for name, best in sorted(measured.items(), key=lambda kv: kv[1]):
-                table.add_row(n, name, best, best / measured[winner], winner)
-        for m, n, k in atb_shapes:
-            a = random_matrix(m, n, seed=m + n)
-            b = random_matrix(m, k, seed=m + k + 1)
-            model = default_cache_model(a.dtype)
-            pool = candidates("atb", (m, n, k), a.dtype, model)
-            engine = ExecutionEngine()
-            measured = {}
-            for backend in pool:
-                engine.matmul_atb(a, b, algo=backend.name)  # warm the plan
-                best = _best_of(
-                    lambda: engine.matmul_atb(a, b, algo=backend.name),
-                    repeats)
-                measured[backend.name] = best
-                tuner.record("atb", (m, n, k), a.dtype, backend.name, best)
-            winner = min(measured, key=measured.get)
-            atb_bucket_picks.append(
-                f"({m},{n},{k})->{tuner.best('atb', (m, n, k), a.dtype)}")
-            for name, best in sorted(measured.items(), key=lambda kv: kv[1]):
-                atb_table.add_row(m, n, k, name, best,
-                                  best / measured[winner], winner)
-    table.add_note("timings feed the same per-(shape-bucket, dtype) table "
-                   "algo='auto' consults when a tuner is attached "
-                   "(ExecutionEngine(tuner='measured')); the table persists "
-                   "across runs at ~/.cache/repro/tuner.json "
-                   "($REPRO_TUNER_PATH), its cells keyed on the cache model "
-                   "like the plans they time")
-    table.add_note("tuner exploit picks per power-of-two bucket (sizes "
-                   "sharing a bucket share samples): "
-                   + "; ".join(bucket_picks))
-    atb_table.add_note("atb buckets key on all three dimensions (m, n, k), "
-                       "rounded up to powers of two; tuner exploit picks: "
-                       + "; ".join(atb_bucket_picks))
+                  else [(1024, 512, 512), (2048, 1024, 1024),
+                        (2048, 2048, 2048)])
+    verdict = ["winner", "heuristic", "heuristic_vs_winner", "agrees"]
+    ata_names = [b.name for b in backends_for("ata") if "dense" in b.operands]
+    atb_names = [b.name for b in backends_for("atb") if "dense" in b.operands]
+    table = ExperimentTable(
+        "engine_backends",
+        "best-of seconds per AtA backend (- = unsupported on this host), "
+        "the measured winner and the heuristic's pick",
+        ["n", *ata_names, *verdict])
+    atb_table = ExperimentTable(
+        "engine_backends_atb",
+        "best-of seconds per A^T B backend, the measured winner and the "
+        "heuristic's pick",
+        ["m", "n", "k", *atb_names, *verdict])
+    for n in sizes:
+        a = random_matrix(n, n, seed=n)
+        engine = ExecutionEngine()
+        table.add_row(n, *_verdict_row(
+            "ata", (n, n), a.dtype,
+            lambda name: engine.matmul_ata(a, algo=name), ata_names, repeats))
+    for m, n, k in atb_shapes:
+        a = random_matrix(m, n, seed=m + n)
+        b = random_matrix(m, k, seed=m + k + 1)
+        engine = ExecutionEngine()
+        atb_table.add_row(m, n, k, *_verdict_row(
+            "atb", (m, n, k), a.dtype,
+            lambda name: engine.matmul_atb(a, b, algo=name), atb_names,
+            repeats))
+    table.add_note("BLAS thread count is inherited from the environment; "
+                   "pin OPENBLAS_NUM_THREADS=1 to reproduce EXPERIMENTS.md")
     return [table, atb_table]

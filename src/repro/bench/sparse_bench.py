@@ -10,16 +10,14 @@ running the benchmark:
   modeled-cost dense heuristic's pick (plan cache and workspace pool
   included).
 
-Which side wins at a given density is a property of the host — BLAS
-quality, cache sizes, scipy build — which is exactly why dispatch hands
-the decision to the measured :class:`~repro.engine.tuner.BackendTuner`
-per density bucket rather than hard-coding a threshold.  The second
-table replays the same sweep through a tuner-attached engine with
-``algo="auto"`` and reports the per-bucket backend the measured table
-converged on, which is the acceptance evidence for the ISSUE 10 tuner
-contract (recorded container numbers live in EXPERIMENTS.md).
+Which side wins at a given density depends on the host — BLAS quality,
+cache sizes, scipy build — while ``algo="auto"`` dispatch picks by the
+backends' modeled ``operand_cost``.  Each row therefore sets the
+measured winner beside the heuristic's pick, so the table shows where
+the model and this host disagree (recorded numbers live in
+EXPERIMENTS.md).
 
-Without scipy the experiment returns its tables empty with an honest
+Without scipy the experiment returns its table empty with an honest
 note instead of failing — mirroring how the engine itself treats the
 dependency as optional.
 """
@@ -30,8 +28,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..engine import BackendTuner, ExecutionEngine
-from ..engine.sparse import HAVE_SCIPY, density_bucket
+from ..cache.model import default_cache_model
+from ..engine import ExecutionEngine
+from ..engine.backends import candidates, choose_heuristic
+from ..engine.sparse import HAVE_SCIPY, density
 from .engine_bench import _best_of
 from .harness import register
 from .reporting import ExperimentTable
@@ -52,7 +52,7 @@ def _random_sparse(m: int, n: int, dens: float, seed: int):
 
 @register("engine_sparse",
           "Sparse A^T A vs densify-and-run across a density sweep, with "
-          "the measured tuner's per-density-bucket verdicts",
+          "the modeled heuristic's pick per density",
           "Sparse & structured operands (DESIGN.md)")
 def engine_sparse(densities: Optional[Sequence[float]] = None,
                   m: int = 1024, n: int = 256,
@@ -65,10 +65,10 @@ def engine_sparse(densities: Optional[Sequence[float]] = None,
         Stored-entry fractions to sweep, descending.  The defaults span
         both sides of the crossover: near-dense operands favour
         ``densify`` (BLAS beats spgemm index juggling), genuinely
-        sparse ones favour ``sparse_gram``.  On the reference container
-        the flip sits between the ``d2^-1`` and ``d2^-2`` buckets
-        (stored fraction ~0.5) at the default shape — see
-        EXPERIMENTS.md for the recorded sweep.
+        sparse ones favour ``sparse_gram``.  At the default shape the
+        modeled crossover sits near density 0.71 and the measured one
+        between 0.5 and 0.75 — see EXPERIMENTS.md for the recorded
+        sweep.
     m, n:
         Operand shape; ``nnz²/m`` vs dense ``mn²`` work decides the
         crossover point, so both matter.
@@ -81,27 +81,19 @@ def engine_sparse(densities: Optional[Sequence[float]] = None,
     sweep = ExperimentTable(
         "engine_sparse",
         "seconds per A^T A at each density: sparse_gram vs densify "
-        "(fastest of repeats; winner = measured, not modeled)",
-        ["density", "bucket", "nnz", "sparse_seconds", "densify_seconds",
-         "densify_speedup", "winner"])
-    verdicts = ExperimentTable(
-        "engine_sparse_tuner",
-        "backend the measured tuner converged on per density bucket "
-        "(algo='auto' traffic; the dispatch-level crossover arbitration)",
-        ["bucket", "tuner_choice", "matches_measured"])
+        "(fastest of repeats), the measured winner and the backend "
+        "algo='auto' dispatches to (the modeled heuristic's pick)",
+        ["density", "stored", "nnz", "sparse_seconds", "densify_seconds",
+         "densify_speedup", "winner", "heuristic", "agrees"])
     if not HAVE_SCIPY:
-        note = ("scipy is not importable on this host; the sparse "
-                "backends report supports() == False and there is "
-                "nothing to measure")
-        sweep.add_note(note)
-        verdicts.add_note(note)
-        return [sweep, verdicts]
+        sweep.add_note("scipy is not importable on this host; the sparse "
+                       "backends report supports() == False and there is "
+                       "nothing to measure")
+        return [sweep]
 
     engine = ExecutionEngine()
-    winners = {}
     for dens in densities:
         a = _random_sparse(m, n, dens, seed=int(dens * 1e6) + 1)
-        bucket = density_bucket(a)
         engine.matmul_ata(a, algo="sparse_gram")  # warm both paths
         engine.matmul_ata(a, algo="densify")
         t_sparse = _best_of(
@@ -109,28 +101,19 @@ def engine_sparse(densities: Optional[Sequence[float]] = None,
         t_dense = _best_of(
             lambda: engine.matmul_ata(a, algo="densify"), repeats)
         winner = "densify" if t_dense < t_sparse else "sparse_gram"
-        winners[bucket] = winner
-        sweep.add_row(dens, bucket, int(a.nnz), t_sparse, t_dense,
-                      t_sparse / t_dense if t_dense else 0.0, winner)
+        model = default_cache_model(a.dtype)
+        pick = choose_heuristic(
+            "ata", a.shape, a.dtype, model,
+            candidates("ata", a.shape, a.dtype, model, kind="sparse"),
+            operand=a).name
+        sweep.add_row(dens, density(a), int(a.nnz), t_sparse, t_dense,
+                      t_sparse / t_dense if t_dense else 0.0, winner, pick,
+                      pick == winner)
+    sweep.add_note("density is the requested fraction; stored is nnz/(m·n) "
+                   "after duplicate coordinates fold, the figure the "
+                   "modeled costs read")
     sweep.add_note("the crossover density is where winner flips; dispatch "
-                   "does not hard-code it — the measured tuner arbitrates "
-                   "per (op, dtype, shape-bucket, density-bucket) cell")
-
-    # replay the sweep as algo="auto" traffic through a measured tuner and
-    # report what each density bucket's cell converged on
-    tuner = BackendTuner(persist=False, explore_budget=2)
-    tuned = ExecutionEngine(tuner=tuner)
-    for dens in densities:
-        a = _random_sparse(m, n, dens, seed=int(dens * 1e6) + 1)
-        for _ in range(8):  # explore both candidates, then exploit
-            tuned.matmul_ata(a)
-    for dens in densities:
-        a = _random_sparse(m, n, dens, seed=int(dens * 1e6) + 1)
-        bucket = density_bucket(a)
-        choice = tuner.best("ata", a.shape, a.dtype, density=bucket)
-        verdicts.add_row(bucket, choice or "(no samples)",
-                         choice == winners.get(bucket))
-    verdicts.add_note("tuner timings fold in first-call exploration noise, "
-                      "so near the crossover the verdict may differ from "
-                      "the best-of sweep; far from it they agree")
-    return [sweep, verdicts]
+                   "does not hard-code it — each backend's operand_cost "
+                   "hook models its work from nnz and the heuristic picks "
+                   "the cheaper")
+    return [sweep]

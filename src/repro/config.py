@@ -5,11 +5,10 @@ sub-problem "fits in cache" and then call a BLAS kernel (``?syrk`` or
 ``?gemm``).  The only tunable is therefore the base-case threshold, which
 this module exposes together with the few process-wide values that no
 call or constructor can carry (RNG seeding, the recursion safety valve,
-the input finiteness check, the tuner table's path and the default
-engine's tuner mode, the serving port and the fault-injection spec).
-Every other option is an argument of the call or constructor that uses
-it (``budget=``, ``procs=``, ``algo=``, ``Server(max_batch=...)``,
-``submit(timeout=...)``, ``BackendTuner(explore_budget=...)``).
+the input finiteness check, the serving port and the fault-injection
+spec).  Every other option is an argument of the call or constructor
+that uses it (``budget=``, ``procs=``, ``algo=``,
+``Server(max_batch=...)``, ``submit(timeout=...)``).
 
 Configuration is held in a module-level, immutable :class:`Config`
 instance, :data:`CONFIG`.  Code *reads* configuration through
@@ -61,9 +60,6 @@ DEFAULT_SEED = 0x5EED
 #: default for tests and benchmarks sharing one host.
 DEFAULT_SERVE_PORT = 0
 
-#: Modes the ``tuner_mode`` field / ``REPRO_TUNER`` env var accept.
-TUNER_MODES = ("off", "measured", "frozen")
-
 
 @dataclasses.dataclass(frozen=True)
 class Config:
@@ -86,10 +82,6 @@ class Config:
         Safety valve against pathological configurations (e.g. a base case
         of 0 elements).  The recursion depth of a well-formed call is
         bounded by ``ceil(log2(max(m, n)))``; this limit is far above that.
-    tuner_path:
-        Filesystem path of the measured auto-tuner's persisted timing
-        table (``$REPRO_TUNER_PATH``).  ``None`` resolves to
-        ``~/.cache/repro/tuner.json``.
     serve_port:
         Default TCP port of the serving network front door
         (:class:`repro.serve.NetServer`); ``0`` (default) binds an
@@ -100,25 +92,14 @@ class Config:
         (default) keeps every fault site a zero-overhead no-op — never
         set in production; this exists for chaos tests and failure
         drills.
-    tuner_mode:
-        How the *default* engine attaches the measured auto-tuner:
-        ``"off"`` (default) keeps heuristic dispatch, ``"measured"``
-        attaches a recording tuner (explores, then exploits — repeated
-        runs may time differently while exploring), ``"frozen"`` attaches
-        a read-only tuner that only ever exploits the persisted table —
-        deterministic backend choices across runs, falling back to the
-        heuristic for buckets the table has never sampled.  Engines
-        constructed explicitly pass their own ``tuner=``.
     """
 
     base_case_elements: int = DEFAULT_BASE_CASE_ELEMENTS
     strict_finite: bool = False
     seed: int = DEFAULT_SEED
     max_recursion_depth: int = 64
-    tuner_path: Any = None
     serve_port: int = DEFAULT_SERVE_PORT
     faults: str = ""
-    tuner_mode: str = "off"
 
     def __post_init__(self) -> None:
         self.validate()
@@ -144,11 +125,6 @@ class Config:
             # the faults module keyed on (spec, seed)
             from .faults import compile_spec
             compile_spec(self.faults, self.seed)
-        if self.tuner_mode not in TUNER_MODES:
-            raise ConfigurationError(
-                f"unknown tuner_mode {self.tuner_mode!r}; expected one of "
-                f"{TUNER_MODES}"
-            )
 
     def replace(self, **changes: Any) -> "Config":
         """Return a copy of this configuration with ``changes`` applied."""
@@ -161,10 +137,8 @@ class Config:
 _ENV_FIELDS = (
     ("REPRO_BASE_CASE", "base_case_elements", int),
     ("REPRO_SEED", "seed", int),
-    ("REPRO_TUNER_PATH", "tuner_path", str),
     ("REPRO_SERVE_PORT", "serve_port", int),         # 0 = ephemeral
     ("REPRO_FAULTS", "faults", str),                 # repro.faults grammar
-    ("REPRO_TUNER", "tuner_mode", str),              # one of TUNER_MODES
 )
 
 

@@ -34,20 +34,13 @@ dispatch) builds on:
   ``run`` hooks; custom backends plug in via
   :func:`~repro.engine.backends.register_backend` and are immediately
   dispatchable by name;
-* :mod:`repro.engine.tuner` — the **measured auto-tuner**:
-  :class:`~repro.engine.tuner.BackendTuner` feeds a per-(shape-bucket,
-  dtype) timing table from real executions, explores under-sampled
-  backends within a bounded budget, then dispatches ``algo="auto"``
-  traffic to the measured-fastest backend; the table persists as one
-  flat JSON table whose cell keys carry the cache model, as plan keys
-  do;
 * :mod:`repro.engine.ooc` — the **out-of-core executor**:
   :class:`~repro.engine.ooc.ShardedAtA` streams row panels of inputs
   that exceed memory (arrays, ``np.memmap``, chunk streams) through the
   engine under a per-call byte budget (``budget=``), accumulating ``C += A_p^T A_p`` in a
   deterministic fixed panel order, one panel resident at a time; each
-  panel is an ordinary engine call, so plans,
-  pooled workspaces and the tuner amortise at panel granularity;
+  panel is an ordinary engine call, so plans and
+  pooled workspaces amortise at panel granularity;
 * :mod:`repro.engine.farm` — the **multi-process panel farm**:
   :class:`~repro.engine.farm.PanelFarm` fans the same panel schedule out
   to worker processes over ``multiprocessing.shared_memory`` arenas
@@ -59,7 +52,8 @@ dispatch) builds on:
   the affinity-aware :func:`~repro.engine.cpu.available_cpus`;
 * :mod:`repro.engine.dispatch` — the **front-end**:
   :func:`~repro.engine.dispatch.matmul_ata` resolves each request
-  through explicit ``algo=`` > measured tuner > modeled-cost heuristic,
+  through explicit ``algo=``, else the modeled-cost heuristic
+  (:func:`~repro.engine.backends.choose_heuristic`),
   :func:`~repro.engine.dispatch.run_batch` /
   :func:`~repro.engine.dispatch.run_batch_atb` execute a homogeneous batch
   against a single compiled plan and checked-out workspace, and
@@ -69,8 +63,8 @@ dispatch) builds on:
 
 The asyncio serving layer (:mod:`repro.serve`) sits on top of this
 package: a :class:`~repro.serve.Server` coalesces concurrent clients'
-requests into the batch entry points so they share one warm plan cache,
-workspace pool and tuner table.
+requests into the batch entry points so they share one warm plan cache
+and workspace pool.
 
 The plan-key contract
 ---------------------
@@ -151,11 +145,9 @@ from .pool import WorkspacePool
 from .sparse import (
     HAVE_SCIPY,
     SPARSE_BACKENDS,
-    density_bucket,
     is_sparse,
     operand_kind,
 )
-from .tuner import BackendTuner, default_tuner_path, shape_bucket
 
 __all__ = [
     "ExecutionEngine",
@@ -170,15 +162,12 @@ __all__ = [
     "Backend",
     "PlanBackend",
     "BlasDirectBackend",
-    "BackendTuner",
     "backend_names",
     "backends_for",
     "choose_heuristic",
     "get_backend",
     "register_backend",
     "unregister_backend",
-    "default_tuner_path",
-    "shape_bucket",
     "compile_plan",
     "execute_plan",
     "split_rows",
@@ -200,7 +189,6 @@ __all__ = [
     "available_cpus",
     "HAVE_SCIPY",
     "SPARSE_BACKENDS",
-    "density_bucket",
     "is_sparse",
     "operand_kind",
 ]

@@ -12,9 +12,8 @@ to the three hooks the engine needs —
 ``cost(op, shape, dtype, model)``
     a *modeled* cost used by the deterministic heuristic chooser (the
     pre-registry dispatch rules, expressed as data); ``inf`` means "never
-    pick me heuristically" — the measured auto-tuner
-    (:mod:`repro.engine.tuner`) is what lets such backends win, by timing
-    them instead of modeling them;
+    pick me heuristically" — such a backend runs only when named by an
+    explicit ``algo=``;
 ``run(engine, op, a, c, alpha, b, model, held)``
     execute the operation, using the engine's plan cache / workspace pool
     / DAG scheduler as appropriate.
@@ -38,11 +37,12 @@ Built-in backends
 
 Every backend is deterministic: repeated calls on identical inputs are
 bit-identical (``np.array_equal``).  Outputs *across* backends agree only
-numerically (different kernel orders round differently), which is why the
-auto-tuner reorders which backend wins but never mixes their outputs.
+numerically (different kernel orders round differently), which is why
+dispatch picks one backend per request and never mixes their outputs.
 
 Custom backends register through :func:`register_backend`; dispatch
-(``algo="<name>"``) and the tuner pick them up immediately.
+(``algo="<name>"``, and the heuristic when their ``cost`` is finite)
+picks them up immediately.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class Backend(abc.ABC):
     def cost(self, op: str, shape: Tuple[int, ...], dtype,
              model: CacheModel) -> float:
         """Modeled cost for the heuristic chooser (``inf`` = never pick
-        heuristically; the measured tuner may still explore it)."""
+        heuristically; only an explicit ``algo=`` runs it)."""
         return float("inf")
 
     def operand_cost(self, op: str, operand, shape: Tuple[int, ...], dtype,
@@ -345,7 +345,7 @@ def choose_heuristic(op: str, shape: Tuple[int, ...], dtype,
                      model: CacheModel,
                      pool: Optional[Tuple[Backend, ...]] = None,
                      operand=None) -> Backend:
-    """Deterministic modeled-cost selection (the pre-tuner dispatch rules).
+    """Deterministic modeled-cost selection: ``algo="auto"``'s chooser.
 
     Picks the supporting backend with the lowest ``cost`` hook, breaking
     ties by registration order; backends reporting ``inf`` lose to any

@@ -2,8 +2,8 @@
 
 :class:`ExecutionEngine` ties the engine pieces together: it resolves each
 request to an execution :class:`~repro.engine.backends.Backend` (explicit
-``algo=``, a measured :class:`~repro.engine.tuner.BackendTuner` decision,
-or the deterministic modeled-cost heuristic — in that order), and provides
+``algo=`` first, else the deterministic modeled-cost heuristic
+:func:`~repro.engine.backends.choose_heuristic`), and provides
 the services backends execute through: the plan cache, the workspace pool
 and the sequential/DAG schedulers.  A module-level default engine serves the
 library's own rewired call sites (:mod:`repro.apps`,
@@ -14,15 +14,8 @@ Algorithm selection is **pluggable**: nothing in this module enumerates
 algorithms.  ``algo=`` strings are looked up in the backend registry
 (:mod:`repro.engine.backends`), so a backend registered at runtime is
 immediately dispatchable, and the set a given operation accepts is exactly
-``backend_names(op)``.
-
-With ``tuner="measured"`` (or an explicit :class:`BackendTuner`),
-``algo="auto"`` consults the tuner's per-(shape-bucket, dtype) timing
-table: under-sampled backends are explored with real traffic until the
-exploration budget is met, after which every call dispatches to the
-measured-fastest backend; timings persist across processes (see
-:mod:`repro.engine.tuner`).  The tuner only reorders *which* backend wins
-— each backend's output remains bit-identical to its direct call.
+``backend_names(op)``.  Each backend's output is bit-identical to its
+direct call; dispatch only selects among them.
 """
 
 from __future__ import annotations
@@ -30,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import Counter
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,8 +38,7 @@ from .cpu import available_cpus
 from .dag import DagExecutor
 from .plan import ExecutionPlan, compile_plan, execute_plan
 from .pool import WorkspacePool
-from .sparse import density_bucket, operand_kind, operand_nnz, validate_operand
-from .tuner import BackendTuner
+from .sparse import operand_kind, operand_nnz, validate_operand
 
 __all__ = ["ExecutionEngine", "EngineStats", "default_engine",
            "matmul_ata", "matmul_atb", "run_batch", "run_batch_atb",
@@ -108,8 +100,8 @@ _DAG_MIN_STEPS = 8
 
 @dataclasses.dataclass(frozen=True)
 class EngineStats:
-    """A point-in-time snapshot of an engine's cache, pool, scheduler,
-    backend and tuner accounting.  The plan, pool and DAG fields are read
+    """A point-in-time snapshot of an engine's cache, pool, scheduler and
+    backend accounting.  The plan, pool and DAG fields are read
     from those objects; every other int field is a key of the engine's
     tally (see :meth:`ExecutionEngine._count`)."""
 
@@ -137,9 +129,7 @@ class EngineStats:
     backend_runs: Mapping[str, int] = dataclasses.field(
         default_factory=dict, metadata={"label": "backend"})
     #: the same executions by why dispatch chose their backend:
-    #: ``explicit`` (``algo=``), ``tuner_explore`` / ``tuner_exploit``
-    #: (a measured tuner decision)
-    #: or ``heuristic`` (the modeled-cost fallback)
+    #: ``explicit`` (``algo=``) or ``heuristic`` (the modeled cost)
     dispatch_reasons: Mapping[str, int] = dataclasses.field(
         default_factory=dict, metadata={"label": "reason"})
     #: completed ``run_batch`` / ``run_batch_atb`` invocations
@@ -186,8 +176,8 @@ class EngineStats:
     #: completed matmul_* calls whose operand was scipy sparse
     sparse_runs: int = 0
     #: sparse runs served by the ``densify`` crossover backend — the
-    #: measured tuner (or modeled heuristic) judged materialising the
-    #: operand densely faster than staying sparse
+    #: modeled heuristic judged materialising the operand densely faster
+    #: than staying sparse
     densify_crossovers: int = 0
     #: stored entries (nnz) those sparse runs processed in total
     sparse_nnz: int = 0
@@ -204,16 +194,6 @@ class EngineStats:
     @property
     def mean_batch_size(self) -> float:
         return self.batch_items / self.batch_calls if self.batch_calls else 0.0
-
-    @property
-    def tuner_hits(self) -> int:
-        """Tuner decisions served from the measured table (exploit)."""
-        return self.dispatch_reasons.get("tuner_exploit", 0)
-
-    @property
-    def tuner_explores(self) -> int:
-        """Tuner decisions that sampled an under-measured backend."""
-        return self.dispatch_reasons.get("tuner_explore", 0)
 
 
 class ExecutionEngine:
@@ -241,15 +221,6 @@ class ExecutionEngine:
         scheduling (with ``workers == 1`` this is a deterministic
         dependency-ordered replay).  Scheduling is fixed here, for every call the engine
         serves.
-    tuner:
-        Backend auto-tuning for ``algo="auto"`` requests.  ``None`` /
-        ``"off"`` (default) uses the deterministic modeled-cost heuristic;
-        ``"measured"`` attaches a :class:`~repro.engine.tuner.BackendTuner`
-        persisting to the configured table path; ``"frozen"`` attaches a
-        read-only tuner that only exploits the persisted table (falling
-        through to the heuristic on unsampled buckets — deterministic
-        choices across runs); an explicit :class:`BackendTuner` instance
-        is used as-is (several engines may share one).
 
     Notes
     -----
@@ -259,15 +230,13 @@ class ExecutionEngine:
     :func:`repro.blas.direct.direct_syrk`) because plans replay the exact
     kernel sequence of the recursion, and DAG scheduling orders every pair
     of conflicting steps exactly as the sequential replay does (see
-    :mod:`repro.engine.dag`).  The tuner never perturbs a backend's
-    output; it only selects among backends.  The engine is safe to use
+    :mod:`repro.engine.dag`).  The engine is safe to use
     from multiple threads: plans are immutable and each concurrent
     execution checks out its own workspace.
     """
 
     def __init__(self, plan_capacity: int = 128, pool_size: int = 8,
-                 workers: int = 1, parallel: str = "auto",
-                 tuner: Union[str, BackendTuner, None] = None) -> None:
+                 workers: int = 1, parallel: str = "auto") -> None:
         if parallel not in _PARALLEL_MODES:
             raise ConfigurationError(f"unknown parallel mode {parallel!r}; "
                                      "expected 'auto' or 'dag'")
@@ -294,30 +263,8 @@ class ExecutionEngine:
         self._auto_workers = (
             min(self.workers, max(1, available_cpus() // (blas_threads() or 1)))
             if self.workers > 1 else 1)
-        if tuner is None or tuner == "off":
-            self.tuner: Optional[BackendTuner] = None
-        elif tuner == "measured":
-            self.tuner = BackendTuner()
-        elif tuner == "frozen":
-            self.tuner = BackendTuner(frozen=True)
-        elif isinstance(tuner, BackendTuner):
-            self.tuner = tuner
-        else:
-            raise ConfigurationError(
-                f"unknown tuner {tuner!r}; expected 'off', 'measured', "
-                "'frozen' or a BackendTuner instance")
-        # timings from a DAG-parallel engine describe different executions
-        # than a sequential engine's, so tuner cells key on this signature
-        # (None = sequential) and engines with different scheduling never
-        # cross-pollute a shared table.  "auto"'s small-plan sequential
-        # fallback still files under this signature: which schedule a
-        # call takes depends on a plan not yet chosen when the tuner is
-        # consulted
-        self._tuner_sched = (f"w{self.workers}l{self._lanes}"
-                             if self._dag_capable else None)
-        # per-engine accounting (a shared BackendTuner's lifetime counters
-        # would misattribute other engines' decisions): ``_tally`` holds
-        # the EngineStats fields by name, the other two count executions
+        # per-engine accounting: ``_tally`` holds the EngineStats fields by
+        # name, the other two count executions
         self._tally: Counter = Counter()
         self._backend_runs: Counter = Counter()
         self._dispatch_reasons: Counter = Counter()
@@ -344,59 +291,31 @@ class ExecutionEngine:
     # -- backend resolution -------------------------------------------------
     def _resolve_backend(self, op: str, shape: Tuple[int, ...], dtype,
                          model: CacheModel, algo: str,
-                         operand=None, density: Optional[str] = None
-                         ) -> Tuple[Backend, str]:
+                         operand=None) -> Tuple[Backend, str]:
         """Resolve a request to a backend.
 
         Returns ``(backend, reason)``.  ``reason`` names the precedence
-        level that decided — ``"explicit"`` ``algo`` >
-        ``"tuner_explore"`` / ``"tuner_exploit"`` > ``"heuristic"``
-        (modeled cost) — and a ``"tuner_explore"``
-        execution is timed into the tuner's table.  Tuner decisions are
-        filed under the engine's scheduling signature.
-
-        A scipy sparse ``operand`` flips the candidate axis to its kind
-        — only backends declaring that kind are considered at every
-        precedence level — and ``density`` scopes the tuner cell, so the
-        sparse-vs-densify crossover is measured per density bucket.  Dense requests (``operand=None``)
-        resolve byte-identically to the pre-sparse engine.
+        level that decided: ``"explicit"`` ``algo``, else ``"heuristic"``
+        (modeled cost).  A scipy sparse ``operand`` flips the candidate
+        axis to its kind — only backends declaring that kind are
+        considered — and its density feeds the sparse backends' cost
+        hooks.  Dense requests (``operand=None``) resolve byte-identically
+        to the pre-sparse engine.
         """
         if algo != "auto":
             return (explicit_backend(algo, op, shape, dtype, model, operand),
                     "explicit")
         kind = operand_kind(operand) if operand is not None else "dense"
         pool = candidates(op, shape, dtype, model, kind=kind)
-        if self.tuner is not None and len(pool) > 1:
-            name, explored = self.tuner.choose(op, shape, dtype,
-                                               tuple(b.name for b in pool),
-                                               model=model,
-                                               sched=self._tuner_sched,
-                                               density=density)
-            if name is not None:  # a frozen tuner may abstain
-                backend = next(b for b in pool if b.name == name)
-                return (backend,
-                        "tuner_explore" if explored else "tuner_exploit")
         return (choose_heuristic(op, shape, dtype, model, pool,
                                  operand=operand), "heuristic")
 
-    def _run_backend(self, backend: Backend, op: str, shape: Tuple[int, ...],
-                     a: np.ndarray, c: np.ndarray, alpha: float,
-                     b: Optional[np.ndarray], model: CacheModel, reason: str,
-                     held: Optional[dict] = None,
-                     density: Optional[str] = None) -> None:
-        """Execute through ``backend`` and count the run under ``reason``.
-
-        Only explore decisions are timed into the tuner's table, in the
-        cell (engine signature, ``density``) they were chosen in: more
-        samples of a converged winner could never flip the decision."""
-        if reason == "tuner_explore":
-            start = self.tuner.timer()
-            backend.run(self, op, a, c, alpha, b, model, held)
-            self.tuner.record(op, shape, a.dtype, backend.name,
-                              self.tuner.timer() - start, model=model,
-                              sched=self._tuner_sched, density=density)
-        else:
-            backend.run(self, op, a, c, alpha, b, model, held)
+    def _run_backend(self, backend: Backend, op: str, a: np.ndarray,
+                     c: np.ndarray, alpha: float, b: Optional[np.ndarray],
+                     model: CacheModel, reason: str,
+                     held: Optional[dict] = None) -> None:
+        """Execute through ``backend`` and count the run under ``reason``."""
+        backend.run(self, op, a, c, alpha, b, model, held)
         self._count_run(backend.name, reason)
 
     def _count_run(self, backend: str, reason: str) -> None:
@@ -452,9 +371,8 @@ class ExecutionEngine:
             ``beta == 0`` overwrites it, so an unset ``c`` — NaN, Inf —
             need not be zeroed first, as in BLAS ``?syrk``).
         algo:
-            ``"auto"`` resolves through the configured backend override,
-            the measured tuner (when attached) or the modeled-cost
-            heuristic (``syrk`` when the operand fits the cache model, the
+            ``"auto"`` resolves through the modeled-cost heuristic
+            (``syrk`` when the operand fits the cache model, the
             Algorithm 1 plan otherwise).  Any registered backend name
             (``"ata"``, ``"syrk"``, ``"tiled"``, ``"recursive_gemm"``,
             ``"blas_direct"``, …) forces that path.
@@ -464,8 +382,8 @@ class ExecutionEngine:
 
         ``a`` may also be a scipy sparse matrix (any format): dispatch
         then selects between the sparse backends (``sparse_gram`` /
-        ``densify``), with the measured tuner arbitrating the
-        sparse-vs-densify crossover per density bucket.  ``c`` stays a
+        ``densify``) by their modeled cost at the operand's density.
+        ``c`` stays a
         dense ndarray either way.
         """
         kind = operand_kind(a)
@@ -487,8 +405,8 @@ class ExecutionEngine:
         and ``"blas_direct"`` a bound vendor ``?gemm``.
 
         ``a`` may be a scipy sparse matrix (``b`` and ``c`` stay dense):
-        dispatch selects between the sparse backends with the tuner
-        arbitrating sparse-vs-densify per density bucket.
+        dispatch selects between the sparse backends by modeled cost, as
+        in :meth:`matmul_ata`.
         """
         kind = operand_kind(a)
         (validate_dense if kind == "dense" else validate_structured)(a, b)
@@ -504,12 +422,10 @@ class ExecutionEngine:
         request, counting a sparse operand's run and nnz."""
         model = cache if cache is not None else default_cache_model(a.dtype)
         operand = a if kind != "dense" else None
-        density = density_bucket(a) if operand is not None else None
         backend, reason = self._resolve_backend(
-            op, shape, a.dtype, model, algo, operand=operand, density=density)
+            op, shape, a.dtype, model, algo, operand=operand)
         scale(c, beta)
-        self._run_backend(backend, op, shape, a, c, alpha, b, model, reason,
-                          density=density)
+        self._run_backend(backend, op, a, c, alpha, b, model, reason)
         if operand is not None:
             self._count(sparse_runs=1, sparse_nnz=operand_nnz(a),
                         densify_crossovers=int(backend.name == "densify"))
@@ -598,8 +514,8 @@ class ExecutionEngine:
                 model = cache if cache is not None else default_cache_model(a.dtype)
                 backend, reason = self._resolve_backend(
                     op, shape, a.dtype, model, algo)
-                self._run_backend(backend, op, shape, a, c, alpha, b,
-                                  model, reason, held=held)
+                self._run_backend(backend, op, a, c, alpha, b, model, reason,
+                                  held=held)
             self._count(batch_calls=1, batch_items=len(prepared))
         finally:
             for workspace in held.values():
@@ -644,8 +560,8 @@ class ExecutionEngine:
 
     # -- maintenance --------------------------------------------------------
     def stats(self) -> EngineStats:
-        """Snapshot the plan-cache, workspace-pool, DAG-scheduler, backend
-        and tuner accounting.  The tally is copied under one lock hold, so
+        """Snapshot the plan-cache, workspace-pool, DAG-scheduler and
+        backend accounting.  The tally is copied under one lock hold, so
         the snapshot never mixes two halves of one update."""
         with self._stats_lock:
             tally = dict(self._tally)
@@ -669,29 +585,22 @@ class ExecutionEngine:
             **tally)
 
     def clear(self) -> None:
-        """Drop all cached plans and pooled workspaces (stats and tuner
-        table retained)."""
+        """Drop all cached plans and pooled workspaces (stats retained)."""
         self.plans.invalidate()
         self.pool.clear()
 
     def close(self) -> None:
-        """Release the DAG executor's helper threads, flush the tuner
-        table and stop the farm's idle warm pool (engine stays usable;
-        threads and pool are recreated on the next run needing them)."""
+        """Release the DAG executor's helper threads and stop the farm's
+        idle warm pool (engine stays usable; threads and pool are
+        recreated on the next run needing them)."""
         if self.dag is not None:
             self.dag.shutdown()
-        if self.tuner is not None:
-            self.tuner.flush()
         from .farm import stop_idle_pool
         stop_idle_pool()
 
 
-#: The process-wide engine serving the library's rewired call sites.  Its
-#: tuner attachment reads ``Config.tuner_mode`` / ``REPRO_TUNER`` once at
-#: import: ``"frozen"`` is the warm-table determinism story — repeated
-#: runs over a persisted table make identical backend choices (see
-#: :class:`repro.engine.tuner.BackendTuner`).
-_DEFAULT_ENGINE = ExecutionEngine(tuner=get_config().tuner_mode)
+#: The process-wide engine serving the library's rewired call sites.
+_DEFAULT_ENGINE = ExecutionEngine()
 
 
 def default_engine() -> ExecutionEngine:

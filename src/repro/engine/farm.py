@@ -5,8 +5,8 @@ processes over shared memory, healing worker loss in flight.
 engine *in-process*: one Python interpreter, one GIL, one core.  The
 farm keeps its schedule and budget discipline but moves the per-panel
 Gram updates into a pool of worker **processes**, each running the full
-engine stack (plan cache, workspace pool, backend registry, optional
-measured tuner) on its own interpreter:
+engine stack (plan cache, workspace pool, backend registry) on its own
+interpreter:
 
 * each worker owns a ``multiprocessing.shared_memory`` input arena and
   its kernels read the panel straight out of it; no pickling, no pipe
@@ -97,8 +97,8 @@ no panel was lost, so it is not a respawn (``FarmRunStats.spawned``
 counts it).  A run that degrades or raises stops its pool.
 
 Each run is one :func:`_worker_main` call in every worker, on a fresh
-engine closed when the run ends, so per-run state (plan cache, tuner
-flush) behaves as with a fresh process; :meth:`PanelFarm.run` returns
+engine closed when the run ends, so per-run state (plan cache, DAG
+threads) behaves as with a fresh process; :meth:`PanelFarm.run` returns
 only after every kept worker has reported the call returned.  The
 parent creates each arena under a name, the worker attaches and acks,
 and the parent then unlinks the name: the mappings live on in both
@@ -184,7 +184,6 @@ from .backends import registry_generation
 from .cpu import available_cpus
 from .ooc import (ArraySource, MemmapSource, as_source, panel_schedule,
                   prepare_output, short_stream_error, working_set_bytes)
-from .tuner import BackendTuner
 
 __all__ = ["PanelFarm", "FarmRunStats"]
 
@@ -292,10 +291,7 @@ def _worker_main(worker_id: int, spec: dict, conn) -> None:
         region = spec["file"]
         out = np.ndarray((n, n), dtype=dtype, buffer=out_shm.buf)
         from .dispatch import ExecutionEngine
-        settings = dict(spec["engine"])
-        tuner = settings.pop("tuner", None)
-        engine = ExecutionEngine(
-            **settings, tuner=None if tuner is None else BackendTuner(**tuner))
+        engine = ExecutionEngine(**spec["engine"])
         try:
             if region is not None:
                 fd = _open_region(region)
@@ -640,10 +636,9 @@ class PanelFarm:
         (default: the process-wide engine).  The parent runs no panel
         kernels while the pool is healthy — it schedules, stages (unless
         the workers read the file) and folds — but the farm mirrors this
-        engine's scheduling (``workers`` and ``parallel``) and its tuner's
-        table path, mode, explore budget and persistence into every worker
-        process, uses it directly for degraded in-process completion, and
-        records run statistics here.
+        engine's scheduling (``workers`` and ``parallel``) into every
+        worker process, uses it directly for degraded in-process
+        completion, and records run statistics here.
     procs:
         Worker process count (``None`` resolves to
         :func:`~repro.engine.cpu.available_cpus`; must be >= 1 — for the
@@ -684,22 +679,6 @@ class PanelFarm:
             remedy=f"shrink the panel or run fewer than procs={procs} "
                    "workers")
         return bounds, budget, min(procs, len(bounds))
-
-    def _worker_engine_spec(self) -> dict:
-        """Constructor kwargs mirroring the parent engine into a worker;
-        ``"tuner"``, when present, holds :class:`BackendTuner` kwargs."""
-        engine = self.engine
-        spec = {"workers": engine.workers, "parallel": engine.parallel}
-        tuner = engine.tuner
-        if tuner is not None:
-            # each worker gets its own tuner on the parent's table, in
-            # the parent's mode: merge-on-save (repro.engine.tuner) makes
-            # sharing the file safe — the processes union their samples
-            # instead of clobbering — and a frozen parent stays read-only
-            spec["tuner"] = {"path": tuner.path, "frozen": tuner.frozen,
-                             "explore_budget": tuner.explore_budget,
-                             "persist": tuner.persist}
-        return spec
 
     # -- worker lifecycle ---------------------------------------------------
     @staticmethod
@@ -829,7 +808,9 @@ class PanelFarm:
         context = _farm_context()
         direct.is_available()  # bind BLAS once here, not in every fork
         config = get_config()
-        engine_spec = self._worker_engine_spec()
+        # constructor kwargs mirroring the parent engine into each worker
+        engine_spec = {"workers": self.engine.workers,
+                       "parallel": self.engine.parallel}
         region = (source.file_region() if isinstance(source, MemmapSource)
                   else None)
         spec = {

@@ -4,7 +4,7 @@ The Gram product is a sum over rows — ``A^T A = Σ_p A_p^T A_p`` for any
 row partition of ``A`` — which makes it the textbook out-of-core workload:
 stream budget-sized row panels of ``A``, run each panel's Gram update
 through the in-memory :class:`~repro.engine.dispatch.ExecutionEngine`
-(reusing its plan cache, workspace pool, backend registry/tuner and DAG
+(reusing its plan cache, workspace pool, backend registry and DAG
 workers per panel), and accumulate into one resident ``C``.  The input
 never has to fit in memory; only the **working set** does:
 
@@ -526,8 +526,7 @@ class ShardedAtA:
         panel height, which the budget still *validates*.  ``algo`` and
         ``cache`` pass through to every per-panel
         :meth:`~repro.engine.dispatch.ExecutionEngine.matmul_ata` call,
-        so backend selection (including a measured tuner) applies at
-        panel granularity.  With a single-panel schedule the one engine
+        so backend selection applies at panel granularity.  With a single-panel schedule the one engine
         call is exactly ``matmul_ata(a, c, alpha, beta=beta, ...)``.
         """
         source = as_source(a)

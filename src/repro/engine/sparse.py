@@ -20,12 +20,10 @@ dense stack:
       the crossover path: materialise ``A`` densely once, then run the
       modeled-cost *dense* heuristic's pick directly (plan cache,
       workspace pool and all).  Which side of the sparse-vs-densify
-      crossover wins is a property of the data's density *and the
-      machine* — exactly the lesson the measured
-      :class:`~repro.engine.tuner.BackendTuner` embodies — so dispatch
-      extends the tuner key with a :func:`density_bucket` dimension and
-      lets measured timings arbitrate per (op, dtype, density-bucket,
-      shape-bucket).
+      crossover wins depends on the operand's density: each backend's
+      ``operand_cost`` hook models its work from ``nnz``, and dispatch's
+      heuristic picks the cheaper (on 1024×256 float64 the modeled
+      crossover sits near density 0.71).
 
 Absence contract
 ----------------
@@ -64,7 +62,7 @@ except Exception:  # pragma: no cover - environment-dependent
     _sps = None
 
 __all__ = ["HAVE_SCIPY", "is_sparse", "operand_kind", "density",
-           "density_bucket", "operand_nnz", "validate_operand",
+           "operand_nnz", "validate_operand",
            "SparseGramBackend", "DensifyBackend", "SPARSE_BACKENDS"]
 
 HAVE_SCIPY = _sps is not None
@@ -110,27 +108,6 @@ def density(a) -> float:
     if m < 1 or n < 1:
         return 0.0
     return operand_nnz(a) / float(m * n)
-
-
-def density_bucket(a) -> Optional[str]:
-    """Power-of-two density bucket for the tuner key, e.g. ``"d2^-4"``
-    for densities in ``(2^-5, 2^-4]``.
-
-    The measured sparse-vs-densify crossover is a function of density,
-    so tuner cells must not mix a 0.5%-dense operand's timings with a
-    50%-dense one's; power-of-two buckets keep the table small the same
-    way :func:`~repro.engine.tuner.shape_bucket` does for shapes.
-    Dense operands return ``None`` — their tuner keys carry no density
-    dimension and stay byte-identical to every table written before
-    this module existed.
-    """
-    if not is_sparse(a):
-        return None
-    d = density(a)
-    if d <= 0.0:
-        return "d0"
-    exponent = max(0, min(30, int(np.ceil(-np.log2(min(d, 1.0))))))
-    return f"d2^-{exponent}"
 
 
 class _StructuredBackend(Backend):
@@ -183,7 +160,7 @@ class DensifyBackend(_StructuredBackend):
     executed directly (no re-entrant dispatch), so a densified run uses
     the same plan cache and workspace pool as native dense traffic and
     stays deterministic.  Whether densifying beats staying sparse is the
-    measured crossover the tuner arbitrates per density bucket.
+    modeled crossover of the two backends' ``operand_cost`` hooks.
     """
 
     name = "densify"

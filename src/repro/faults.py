@@ -20,7 +20,7 @@ Spec grammar
 
     spec    := entry ("," entry)*
     entry   := site ":" action "@" trigger ["*" repeat]
-    site    := dotted name ("farm.worker", "serve.batch", "tuner.save", …)
+    site    := dotted name ("farm.worker", "serve.batch", "ooc.stream", …)
     action  := "kill" | "raise" | "poison" | "truncate" | "slow"[seconds]
     trigger := "p" N        fire when the site's reported index equals N
              | "n" N        fire on the site's Nth evaluation (0-based)
@@ -81,12 +81,6 @@ Known sites
                           request the dead connection had in flight
                           (they ledger as ``cancelled``, never leaking
                           admission slots); ``slow`` stalls the read loop
-``tuner.lock``            per lock-sidecar cleanup attempt; ``raise``
-                          makes the unlink fail (must stay silent — lock
-                          hygiene is best-effort, never a save failure)
-``tuner.save``            per tuner persistence attempt; ``raise`` makes
-                          the save fail (must stay silent — the
-                          never-raises contract)
 ========================  ==================================================
 """
 

@@ -4,7 +4,7 @@ This package is the roadmap's "async serving front-end": concurrent
 clients ``await`` :meth:`Server.submit` and the server coalesces their
 requests — per ``(operation, algorithm, dtype, shape-bucket, alpha)``
 queue — into the engine's batch entry points, so heavy traffic shares one
-warm plan cache, workspace pool and tuner table instead of each client
+warm plan cache and workspace pool instead of each client
 paying the recursion bookkeeping alone.  Admission control bounds the
 in-flight work (:class:`~repro.errors.QueueFullError` backpressure, plus
 a per-client fair share raising

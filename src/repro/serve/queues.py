@@ -5,10 +5,10 @@ A :class:`BatchQueue` holds the pending requests of one coalescing key —
 them as one ``run_batch`` / ``run_batch_atb`` call: at once when
 ``max_batch`` requests are waiting, else when a worker is free and this
 queue's oldest live request has waited longest.  Shapes are bucketed
-with the auto-tuner's power-of-two :func:`~repro.engine.tuner.shape_bucket`:
-the batch entry points resolve plans per matrix, so requests in one
-bucket need not match exactly — bucketing just keeps traffic that *will*
-share warm plans and workspaces together, and traffic that won't apart.
+to powers of two (:func:`shape_bucket`): the batch entry points resolve
+plans per matrix, so requests in one bucket need not match exactly —
+bucketing just keeps traffic that *will* share warm plans and workspaces
+together, and traffic that won't apart.
 
 Everything in this module runs on the server's event loop (appends from
 ``submit``, takes from the dispatcher), so no locking is needed here;
@@ -20,14 +20,18 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.tuner import shape_bucket
 from .stats import QueueStats
 
 __all__ = ["BatchQueue", "Request", "queue_key"]
+
+
+def shape_bucket(shape: Sequence[int]) -> Tuple[int, ...]:
+    """Round every dimension up to the next power of two (minimum 1)."""
+    return tuple(1 << max(0, int(dim) - 1).bit_length() for dim in shape)
 
 
 def queue_key(op: str, algo: str, dtype, shape: Tuple[int, ...],

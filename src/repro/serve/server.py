@@ -4,8 +4,8 @@ A :class:`Server` accepts ``await server.submit(a, op="ata"|"atb", ...)``
 coroutines from any number of concurrent clients and turns them into few,
 large :meth:`~repro.engine.ExecutionEngine.run_batch` /
 :meth:`~repro.engine.ExecutionEngine.run_batch_atb` calls on **one shared
-engine**, so every client benefits from the same warm plan cache,
-workspace pool and tuner table.
+engine**, so every client benefits from the same warm plan cache and
+workspace pool.
 
 Every request — ``submit``, ``submit_ooc`` and ``submit_stream`` alike —
 follows one lifecycle, so the admission, fairness, deadline and ledger

@@ -193,6 +193,21 @@ class TestFigureExperiments:
         pre = next(r for r in records if "pre-allocated" in r["strategy"])
         assert naive["allocations"] > pre["allocations"]
 
+    def test_engine_backends_verdicts(self):
+        """One row per shape: every candidate's best-of seconds, the
+        measured winner and the heuristic's pick beside it."""
+        ata, atb = run_experiment("engine_backends", sizes=[32, 64],
+                                  atb_shapes=[(32, 16, 16)], repeats=1)
+        assert len(ata.rows) == 2 and len(atb.rows) == 1
+        for table in (ata, atb):
+            for record in table.as_records():
+                assert record[record["winner"]] > 0
+                # both shapes fit the base case: one syrk / one gemm leaf
+                assert record["heuristic"] in ("syrk", "strassen")
+                assert record["agrees"] == (record["heuristic"]
+                                            == record["winner"])
+                assert record["heuristic_vs_winner"] >= 1.0
+
     def test_ablation_communication_bounds(self):
         (table,) = run_experiment("ablation_communication", sizes=(96,), processes=(4, 8))
         for record in table.as_records():

@@ -25,10 +25,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             Config(max_recursion_depth=0)
 
-    def test_invalid_tuner_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Config(tuner_mode="warm").validate()
-
     def test_replace_returns_new_instance(self):
         cfg = Config()
         other = cfg.replace(base_case_elements=128)
@@ -84,9 +80,9 @@ class TestSetConfig:
 class TestEnvKnobs:
     def test_env_parsing(self, monkeypatch):
         from repro.config import _config_from_env
-        monkeypatch.setenv("REPRO_TUNER", "frozen")
+        monkeypatch.setenv("REPRO_SERVE_PORT", "8123")
         cfg = _config_from_env()
-        assert cfg.tuner_mode == "frozen"
+        assert cfg.serve_port == 8123
 
     @pytest.mark.parametrize("variable,value", [
         ("REPRO_BASE_CASE", "abc"),

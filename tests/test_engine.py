@@ -310,7 +310,7 @@ class TestCompilePlan:
 
 
 class TestBackendStats:
-    """EngineStats carries per-backend run counts and tuner counters."""
+    """EngineStats carries per-backend run counts and dispatch reasons."""
 
     def test_backend_runs_counted_per_backend(self, engine, rng):
         a = rng.standard_normal((48, 32))
@@ -335,58 +335,15 @@ class TestBackendStats:
             engine.run_batch([rng.standard_normal((52, 36)) for _ in range(3)])
         assert engine.stats().backend_runs == {"ata": 3}
 
-    def test_tuner_counters_zero_without_tuner(self, engine, rng):
-        engine.matmul_ata(rng.standard_normal((8, 8)))
-        stats = engine.stats()
-        assert stats.tuner_hits == 0 and stats.tuner_explores == 0
-
-    def test_tuner_counters_reflect_decisions(self, rng, tmp_path):
-        from repro.engine import BackendTuner, backend_names
-
-        class Clock:
-            t = 0.0
-
-            def __call__(self):
-                type(self).t += 0.5
-                return self.t
-
-        with configured(base_case_elements=64):
-            engine = ExecutionEngine(tuner=BackendTuner(
-                str(tmp_path / "t.json"), explore_budget=1, timer=Clock()))
-            a = rng.standard_normal((64, 64))
-            for _ in range(len(backend_names("ata")) + 2):
-                engine.matmul_ata(a)
-            stats = engine.stats()
-        assert stats.tuner_explores >= 1
-        assert stats.tuner_hits >= 1
-        assert stats.tuner_explores + stats.tuner_hits == stats.total_backend_runs
-
     @pytest.mark.parametrize("route, reason", [
         ("explicit", "explicit"),
-        ("tuner_explore", "tuner_explore"),
-        ("tuner_exploit", "tuner_exploit"),
         ("heuristic", "heuristic"),
-        ("frozen_abstains", "heuristic"),
     ])
-    def test_dispatch_reason_per_route(self, rng, tmp_path, route, reason):
+    def test_dispatch_reason_per_route(self, rng, route, reason):
         """Every resolution route counts its last call under its reason."""
-        from repro.engine import BackendTuner, backend_names
-
         a = rng.standard_normal((64, 64))
-        table = str(tmp_path / "t.json")
-        calls, tuner = 1, None
-        if route == "tuner_explore":
-            tuner = BackendTuner(table, explore_budget=1)
-        elif route == "tuner_exploit":
-            # one explore per candidate, then the table is converged
-            tuner = BackendTuner(table, explore_budget=1)
-            calls = len(backend_names("ata")) + 1
-        elif route == "frozen_abstains":
-            tuner = BackendTuner(table, frozen=True)  # empty table
         with configured(base_case_elements=64):
-            engine = ExecutionEngine(tuner=tuner)
-            for _ in range(calls - 1):
-                engine.matmul_ata(a)
+            engine = ExecutionEngine()
             before = engine.stats().dispatch_reasons
             engine.matmul_ata(a, algo="tiled" if route == "explicit" else "auto")
         after = engine.stats()

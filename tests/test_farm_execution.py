@@ -251,35 +251,6 @@ class TestWiring:
                                                   panel_rows=21)
         assert direct._LOADED
 
-    @pytest.mark.parametrize("frozen", [False, True])
-    def test_workers_use_the_parent_tuner(self, rng, tmp_path, frozen):
-        """Workers tune into the parent tuner's table, under its explore
-        budget and its engine's scheduling signature, never into the
-        configured default path; a frozen parent's workers write
-        nothing."""
-        import json
-
-        from repro.engine import BackendTuner
-        decoy = tmp_path / "decoy.json"
-        table = tmp_path / "table.json"
-        a = rng.standard_normal((60, 12))
-        with configured(tuner_path=str(decoy)):
-            engine = ExecutionEngine(
-                workers=2, tuner=BackendTuner(str(table), explore_budget=1,
-                                              frozen=frozen))
-            try:
-                got, _ = engine.run_ooc(a, procs=1, panel_rows=20)
-            finally:
-                engine.close()
-        assert np.allclose(np.tril(got), np.tril(a.T @ a))
-        assert not decoy.exists()
-        if frozen:
-            assert not table.exists()
-        else:
-            cells = json.loads(table.read_text())["cells"]
-            assert cells
-            assert all(key.endswith("|w2l2") for key in cells), sorted(cells)
-
     def test_invalid_procs_rejected(self):
         with pytest.raises(ShapeError):
             PanelFarm(ExecutionEngine(), procs=0)

@@ -15,8 +15,6 @@ documented response — not merely "it survived":
   :class:`~repro.errors.DeadlineError`, never poison their batch, and
   the admission ledger reconciles every request's fate under load;
   :func:`repro.serve.retry` absorbs transient backpressure;
-* **tuner** — an injected save failure honours the never-raises
-  contract;
 * the spec grammar itself: malformed specs fail at configuration time,
   and seeded probability triggers fire reproducibly.
 
@@ -37,7 +35,6 @@ import repro
 from repro import DeadlineError, FaultInjected, QueueFullError, faults
 from repro.config import configured, set_config, _config_from_env
 from repro.engine import ExecutionEngine, PanelFarm, ShardedAtA
-from repro.engine.tuner import BackendTuner
 from repro.errors import ConfigurationError, ShapeError
 from repro.serve import Server, retry
 
@@ -59,7 +56,7 @@ class TestSpecGrammar:
     def test_actions_triggers_and_repeat(self):
         plan = faults.compile_spec(
             "farm.worker:kill@p3,serve.batch:raise@0.1,"
-            "ooc.stream:truncate@n2*3,tuner.save:slow0.25@always", seed=7)
+            "ooc.stream:truncate@n2*3,serve.engine:slow0.25@always", seed=7)
         rules = {rule.site: rule
                  for site in plan._by_site for rule in plan._by_site[site]}
         assert rules["farm.worker"].action == "kill"
@@ -68,7 +65,7 @@ class TestSpecGrammar:
         assert rules["serve.batch"].trigger_kind == "prob"
         assert rules["serve.batch"].repeat is None  # unlimited default
         assert rules["ooc.stream"].repeat == 3
-        assert rules["tuner.save"].seconds == 0.25
+        assert rules["serve.engine"].seconds == 0.25
 
     @pytest.mark.parametrize("bad", [
         "farm.worker",                 # no action/trigger
@@ -392,28 +389,14 @@ class TestRetryHelper:
 
 
 # ---------------------------------------------------------------------------
-# tuner: save failures stay silent
-# ---------------------------------------------------------------------------
-
-class TestTunerSaveFault:
-    def test_injected_save_failure_is_silent(self, tmp_path):
-        tuner = BackendTuner(str(tmp_path / "table.json"))
-        tuner.record("ata", (64, 64), np.float64, "syrk", 1.0)
-        with configured(faults="tuner.save:raise@always"):
-            assert tuner.save() is False  # swallowed, per the contract
-        assert tuner.save() is True       # disarmed: persists normally
-        assert (tmp_path / "table.json").exists()
-
-
-# ---------------------------------------------------------------------------
 # config plumbing for the fault spec
 # ---------------------------------------------------------------------------
 
 class TestConfigKnobs:
     def test_env_round_trip(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "tuner.save:raise@always")
+        monkeypatch.setenv("REPRO_FAULTS", "serve.batch:raise@always")
         cfg = _config_from_env()
-        assert cfg.faults == "tuner.save:raise@always"
+        assert cfg.faults == "serve.batch:raise@always"
 
     def test_bad_env_spec_fails_at_config_time(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "not a spec")

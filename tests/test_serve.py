@@ -28,6 +28,7 @@ from repro.config import configured
 from repro.engine import ExecutionEngine
 from repro.engine.backends import get_backend
 from repro.serve import Server, queue_key
+from repro.serve.queues import shape_bucket
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -274,6 +275,12 @@ class TestCoalescing:
             queue_key("ata", "auto", np.float64, (200, 48), 1.0)
         assert queue_key("ata", "auto", np.float64, (96, 48), 1.0) != \
             queue_key("ata", "auto", np.float32, (96, 48), 1.0)
+
+    def test_shape_bucket_powers_of_two(self):
+        assert shape_bucket((1, 1)) == (1, 1)
+        assert shape_bucket((64, 64)) == (64, 64)
+        assert shape_bucket((65, 33)) == (128, 64)
+        assert shape_bucket((100, 3, 17)) == (128, 4, 32)
 
     def test_wait_and_run_time_accounting(self, rng):
         mats = [rng.standard_normal((64, 32)) for _ in range(12)]

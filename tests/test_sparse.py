@@ -15,10 +15,10 @@ Covers the contracts:
   ``rtol = 1e-4`` for float32 and ``1e-10`` for float64 (the documented
   contract in :mod:`repro.engine.sparse`), swept over density × dtype ×
   shape by hypothesis.
-* **dispatch precedence** — explicit ``algo=`` rejects kind mismatches
-  loudly, the tuner's table grows density-scoped cells
-  (``...|d2^-k``), and dense keys stay byte-identical to pre-sparse
-  tables.
+* **dispatch** — explicit ``algo=`` rejects kind mismatches loudly, and
+  ``algo="auto"`` flips from ``densify`` to ``sparse_gram`` at the
+  density the backends' modeled ``operand_cost`` hooks put the
+  crossover.
 * **ooc refusal** — neither out-of-core executor takes a sparse
   operand: ``as_source`` refuses it before ``C`` is touched.
 """
@@ -30,16 +30,13 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import (
     HAVE_SCIPY,
     SPARSE_BACKENDS,
-    BackendTuner,
     ExecutionEngine,
-    density_bucket,
     get_backend,
     is_sparse,
     operand_kind,
 )
 from repro.engine.backends import candidates
 from repro.engine.sparse import density, operand_nnz, validate_operand
-from repro.engine.tuner import shape_bucket
 from repro.errors import DTypeError, ShapeError
 from repro.cache.model import default_cache_model
 
@@ -94,7 +91,6 @@ class TestAbsenceClean:
     def test_operand_kind_dense_for_everything_plain(self):
         assert operand_kind(np.zeros((2, 2))) == "dense"
         assert operand_kind("nonsense") == "dense"
-        assert density_bucket(np.zeros((4, 4))) is None
 
     @without_scipy
     def test_scipy_backed_backends_report_unsupported(self):
@@ -128,16 +124,6 @@ class TestOperands:
             validate_operand(ints)
         with pytest.raises(DTypeError):
             ExecutionEngine().matmul_ata(ints)
-
-    @needs_scipy
-    def test_density_buckets_power_of_two(self):
-        rng = np.random.default_rng(0)
-        a = random_sparse(rng, 64, 64, 0.05, np.float64)  # 2^-5 < .05 < 2^-4
-        assert density_bucket(a) == "d2^-5"
-        empty = sps.csr_matrix((8, 8), dtype=np.float64)
-        assert density_bucket(empty) == "d0"
-        full = sps.csr_matrix(np.ones((4, 4)))
-        assert density_bucket(full) == "d2^-0"
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +198,7 @@ class TestBackendCorrectness:
 
 
 # ---------------------------------------------------------------------------
-# dispatch precedence, stats, tuner density cells
+# dispatch precedence, stats, the modeled crossover
 # ---------------------------------------------------------------------------
 class TestDispatch:
     @needs_scipy
@@ -254,31 +240,19 @@ class TestDispatch:
         assert after.densify_crossovers == 1
 
     @needs_scipy
-    def test_tuner_grows_density_scoped_cells(self, tmp_path):
-        rng = np.random.default_rng(6)
-        a = random_sparse(rng, 64, 64, 0.05, np.float64)
-        tuner = BackendTuner(str(tmp_path / "t.json"), persist=False)
-        engine = ExecutionEngine(tuner=tuner)
-        for _ in range(6):
-            engine.matmul_ata(a)
-        bucket = "x".join(map(str, shape_bucket((64, 64))))
-        table = tuner.table_snapshot()
-        keys = [k for k in table if k.endswith("|d2^-5")]
-        assert keys, f"no density-scoped cells in {sorted(table)}"
-        assert all(f"|{bucket}|" in k for k in keys)
-        # the measured winner per density cell steers later auto traffic
-        choice = tuner.best("ata", (64, 64), np.float64, density="d2^-5")
-        if choice is not None:
-            assert choice in SPARSE_BACKENDS
-
-    @needs_scipy
-    def test_dense_tuner_keys_carry_no_density(self, tmp_path):
-        tuner = BackendTuner(str(tmp_path / "t.json"), persist=False)
-        engine = ExecutionEngine(tuner=tuner)
-        engine.matmul_ata(np.random.default_rng(0).standard_normal((64, 64)))
-        table = tuner.table_snapshot()
-        assert table  # dense traffic did record
-        assert not any("|d2^-" in k or k.endswith("|d0") for k in table)
+    @pytest.mark.parametrize("dens, backend", [
+        (0.9, "densify"), (0.75, "densify"), (0.5, "sparse_gram"),
+        (0.25, "sparse_gram"), (0.1, "sparse_gram"), (0.01, "sparse_gram"),
+    ])
+    def test_modeled_crossover_1024x256(self, dens, backend):
+        """On 1024x256 float64 CSR the modeled costs cross near density
+        0.71 (2·nnz²/m against the dense syrk's ~m·n²), so auto
+        dispatch densifies above it and stays sparse below."""
+        a = sps.random(1024, 256, density=dens, format="csr",
+                       dtype=np.float64, random_state=7)
+        engine = ExecutionEngine()
+        engine.matmul_ata(a)
+        assert engine.stats().backend_runs == {backend: 1}
 
 
 # ---------------------------------------------------------------------------
