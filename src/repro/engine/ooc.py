@@ -85,19 +85,6 @@ Bounds = Tuple[Tuple[int, int], ...]
 # sources
 # ---------------------------------------------------------------------------
 
-def check_chunk(chunk, n: int, dtype: np.dtype) -> None:
-    """The per-chunk rule of every row stream: ``n`` columns wide and of
-    the stream's ``dtype`` — declared up front by a :class:`ChunkSource`,
-    fixed by the first chunk of a served stream."""
-    if len(chunk.shape) != 2 or chunk.shape[1] != n:
-        raise ShapeError(
-            f"stream chunk must have shape (rows, {n}), got {chunk.shape}")
-    if np.dtype(chunk.dtype) != dtype:
-        raise DTypeError(
-            f"stream chunk dtype {chunk.dtype} does not match the "
-            f"declared {dtype}")
-
-
 class ArraySource:
     """Panel source over an in-memory ``ndarray`` — panels are row views.
 
@@ -252,9 +239,17 @@ class ChunkSource:
         self.dtype = np.dtype(dtype)
 
     def _check(self, chunk) -> np.ndarray:
-        """Validate one delivered chunk and return it ready to stitch."""
+        """Validate one delivered chunk — ``n`` columns wide, of the
+        declared dtype — and return it ready to stitch."""
         chunk = np.asarray(chunk)
-        check_chunk(chunk, self.shape[1], self.dtype)
+        n = self.shape[1]
+        if len(chunk.shape) != 2 or chunk.shape[1] != n:
+            raise ShapeError(
+                f"stream chunk must have shape (rows, {n}), got {chunk.shape}")
+        if chunk.dtype != self.dtype:
+            raise DTypeError(
+                f"stream chunk dtype {chunk.dtype} does not match the "
+                f"declared {self.dtype}")
         return chunk
 
     def panels(self, bounds: Bounds) -> Iterator[np.ndarray]:

@@ -21,10 +21,14 @@ funnels every decoded request into one :class:`Server`, so wire traffic
 inherits the same coalescing, admission, fairness, deadline and ledger
 guarantees; :class:`Client` is the matching connector.
 
+The serving tier takes in-memory operands, dense or CSR.  Out-of-core
+work — an operand larger than RAM, as an array, a memmap or a chunk
+iterator — goes through :func:`repro.run_ooc` instead.
+
 Public surface:
 
-* :class:`Server` — the front-end (``submit`` / ``submit_ooc`` /
-  ``submit_stream`` / ``close`` / ``stats`` / ``metrics_text``);
+* :class:`Server` — the front-end (``submit`` / ``close`` / ``stats``
+  / ``metrics_text``);
 * :class:`NetServer` / :class:`Client` — the TCP tier;
 * :class:`ServerStats` / :class:`QueueStats` / :class:`ClientStats` —
   accounting snapshots;

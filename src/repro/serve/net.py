@@ -22,12 +22,12 @@ already happen for in-process submits.  What the wire tier *does* own:
   releases their admission slots.  Nothing leaks: the reconciliation
   identity ``submitted == completed + failed + rejected + cancelled +
   expired`` keeps holding with chaos on;
-* **streaming** — ``stream_begin`` / ``stream_chunk`` / ``stream_end``
-  frames feed :meth:`Server.submit_stream` through a small bounded
-  queue, so a matrix far larger than RAM flows socket → spool file →
-  out-of-core panels without ever being resident;
 * **metrics** — a ``metrics`` frame answers with
   :meth:`Server.metrics_text`, the Prometheus-style scrape.
+
+The wire knows three operations: ``hello``, ``submit`` and ``metrics``.
+Any other frame is a :class:`~repro.errors.ProtocolError` that ends the
+connection.
 
 :class:`Client` is the thin counterpart: one connection, one reader
 task, request-id-multiplexed futures, ``submit(attempts=N)`` integrating
@@ -64,41 +64,6 @@ from .retry import retry
 from .server import Server
 
 __all__ = ["NetServer", "Client"]
-
-#: in-flight row-chunk frames per wire stream before the reader applies
-#: TCP backpressure (small: chunks are large, the spool drains fast)
-_STREAM_QUEUE_DEPTH = 4
-
-_END = object()    # clean end-of-stream sentinel
-_ABORT = object()  # connection-died sentinel
-
-
-class _StreamEntry:
-    """Server-side state of one in-progress wire stream."""
-
-    __slots__ = ("queue", "task")
-
-    def __init__(self, queue: "asyncio.Queue", task: "asyncio.Task") -> None:
-        self.queue = queue
-        self.task = task
-
-
-async def _guarded_put(entry: _StreamEntry, item) -> None:
-    """Put ``item`` unless the consuming task already settled.
-
-    A plain ``queue.put`` could block forever against a consumer that
-    died early (say, a mid-stream shape error); racing the put against
-    the consumer's task keeps the reader loop live either way — once
-    the task is done further chunks are just discarded (the error is
-    reported at ``stream_end``).
-    """
-    if entry.task.done():
-        return
-    put = asyncio.ensure_future(entry.queue.put(item))
-    await asyncio.wait({put, entry.task},
-                       return_when=asyncio.FIRST_COMPLETED)
-    if not put.done():
-        put.cancel()
 
 
 class _ConnectionAborted(Exception):
@@ -174,7 +139,6 @@ class NetServer:
         conn_seq = next(self._conn_ids)
         write_lock = asyncio.Lock()
         requests: Set[asyncio.Task] = set()
-        streams: Dict[int, _StreamEntry] = {}
         try:
             client = await self._handshake(reader, writer, conn_seq)
             frames = 0
@@ -192,12 +156,12 @@ class NetServer:
                 header, payload = await read_frame(reader)
                 frames += 1
                 await self._dispatch(header, payload, writer, write_lock,
-                                     client, requests, streams)
+                                     client, requests)
         except asyncio.CancelledError:
             # NetServer.close() cancelling this handler: absorb the
             # cancel and run the same teardown as a dropped connection,
             # so the handler task finishes cleanly instead of logging a
-            # cancelled-task exception through the streams machinery
+            # cancelled-task exception
             pass
         except (asyncio.IncompleteReadError, ConnectionError,
                 _ConnectionAborted, ProtocolError) as exc:
@@ -214,14 +178,9 @@ class NetServer:
             # a request task cancels the future it awaits, so the ledger
             # books these as `cancelled` and their admission slots free —
             # a dropped or half-open connection must never leak inflight.
-            for request in list(requests):
+            pending = list(requests)
+            for request in pending:
                 request.cancel()
-            for entry in list(streams.values()):
-                entry.task.cancel()
-                while not entry.queue.empty():
-                    entry.queue.get_nowait()
-                entry.queue.put_nowait(_ABORT)
-            pending = list(requests) + [e.task for e in streams.values()]
             # the teardown awaits absorb a NetServer.close() cancel too:
             # the handler must finish settling its requests either way
             if pending:
@@ -270,7 +229,7 @@ class NetServer:
         return client
 
     async def _dispatch(self, header, payload, writer, write_lock,
-                        client, requests, streams) -> None:
+                        client, requests) -> None:
         op = header.get("op")
         if op == "submit":
             request = asyncio.ensure_future(self._serve_submit(
@@ -284,12 +243,6 @@ class NetServer:
                                   {"op": "metrics",
                                    "id": header.get("id")},
                                   text)
-        elif op == "stream_begin":
-            await self._stream_begin(header, client, streams)
-        elif op == "stream_chunk":
-            await self._stream_chunk(header, payload, streams)
-        elif op == "stream_end":
-            await self._stream_end(header, writer, write_lock, streams)
         else:
             raise ProtocolError(f"unknown wire operation {op!r}")
 
@@ -329,57 +282,6 @@ class NetServer:
                 await write_frame(writer, header, payload)
         except (ConnectionError, RuntimeError):
             pass  # peer is gone; the teardown path settles the ledger
-
-    async def _stream_begin(self, header, client, streams) -> None:
-        request_id = header.get("id")
-        if request_id in streams:
-            raise ProtocolError(
-                f"stream id {request_id!r} is already open")
-        queue: "asyncio.Queue" = asyncio.Queue(_STREAM_QUEUE_DEPTH)
-
-        async def chunks():
-            while True:
-                item = await queue.get()
-                if item is _ABORT:
-                    raise ConnectionResetError(
-                        "connection lost mid-stream")
-                if item is _END:
-                    return
-                yield item
-
-        task = asyncio.ensure_future(self.server.submit_stream(
-            chunks(), algo=header.get("algo", "auto"),
-            alpha=header.get("alpha", 1.0),
-            timeout=header.get("timeout"), client=client))
-        streams[request_id] = _StreamEntry(queue, task)
-
-    async def _stream_chunk(self, header, payload, streams) -> None:
-        entry = streams.get(header.get("id"))
-        if entry is None:
-            raise ProtocolError(
-                f"stream_chunk for unknown stream id {header.get('id')!r}")
-        await _guarded_put(entry, unpack_array(header, payload))
-
-    async def _stream_end(self, header, writer, write_lock,
-                          streams) -> None:
-        request_id = header.get("id")
-        entry = streams.pop(request_id, None)
-        if entry is None:
-            raise ProtocolError(
-                f"stream_end for unknown stream id {request_id!r}")
-        await _guarded_put(entry, _END)
-        try:
-            result = await entry.task
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            await self._reply(writer, write_lock,
-                              error_header(request_id, exc), b"")
-            return
-        meta, raw = pack_array(result)
-        await self._reply(writer, write_lock,
-                          {"op": "result", "id": request_id, **meta}, raw)
-
 
 class Client:
     """One multiplexed connection to a :class:`NetServer`.
@@ -499,18 +401,13 @@ class Client:
                 future.set_exception(exc)
 
     # -- the request side ---------------------------------------------------
-    def _register(self) -> tuple:
-        if self._writer is None or self._closed:
-            raise ServerClosedError("client is not connected")
-        request_id = next(self._ids)
-        future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        return request_id, future
-
     async def _roundtrip(self, header: Dict[str, Any],
                          payload: bytes) -> Any:
-        request_id, future = self._register()
-        header["id"] = request_id
+        if self._writer is None or self._closed:
+            raise ServerClosedError("client is not connected")
+        request_id = header["id"] = next(self._ids)
+        future = asyncio.get_running_loop().create_future()
+        self._pending[request_id] = future
         try:
             async with self._write_lock:
                 await write_frame(self._writer, header, payload)
@@ -555,40 +452,6 @@ class Client:
             return await self._roundtrip(dict(header), payload)
         return await retry(lambda: self._roundtrip(dict(header), payload),
                            attempts=attempts, **retry_kwargs)
-
-    async def submit_stream(self, chunks, *, algo: str = "auto",
-                            alpha: float = 1.0,
-                            timeout: Optional[float] = None) -> np.ndarray:
-        """Stream row-chunks of A to the server's out-of-core path;
-        mirrors :meth:`Server.submit_stream` over the wire (the matrix
-        is never resident on either side)."""
-        request_id, future = self._register()
-        begin = {"op": "stream_begin", "id": request_id, "algo": algo,
-                 "alpha": float(alpha)}
-        if timeout is not None:
-            begin["timeout"] = float(timeout)
-        try:
-            async with self._write_lock:
-                await write_frame(self._writer, begin)
-            if hasattr(chunks, "__aiter__"):
-                async for chunk in chunks:
-                    await self._send_chunk(request_id, chunk)
-            else:
-                for chunk in chunks:
-                    await self._send_chunk(request_id, chunk)
-            async with self._write_lock:
-                await write_frame(self._writer,
-                                  {"op": "stream_end", "id": request_id})
-            return await future
-        finally:
-            self._pending.pop(request_id, None)
-
-    async def _send_chunk(self, request_id: int, chunk) -> None:
-        meta, raw = pack_array(np.asarray(chunk))
-        async with self._write_lock:
-            await write_frame(self._writer,
-                              {"op": "stream_chunk", "id": request_id,
-                               **meta}, raw)
 
     async def metrics(self) -> str:
         """Fetch the server's Prometheus-style metrics scrape."""

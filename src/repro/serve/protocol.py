@@ -31,6 +31,7 @@ client so :class:`~repro.errors.QueueFullError` backpressure (and its
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Any, Dict, Optional, Tuple
 
@@ -211,7 +212,8 @@ def unpack_array(header: Dict[str, Any], payload: bytes, prefix: str = "",
     """Rebuild the array a :func:`pack_array` fragment describes.
 
     Reads ``header[f"{prefix}dtype"]`` / ``[f"{prefix}shape"]`` and
-    slices ``payload`` from ``offset``; a size mismatch raises
+    slices ``payload`` from ``offset``; a size mismatch, a negative
+    dimension or a shape numpy cannot index raises
     :class:`ProtocolError` (never a silent short array).  The result
     is a fresh writable array — it does not alias ``payload``.
     """
@@ -222,14 +224,22 @@ def unpack_array(header: Dict[str, Any], payload: bytes, prefix: str = "",
         raise ProtocolError(
             f"frame header carries no decodable {prefix or 'array '}"
             f"dtype/shape: {exc}") from exc
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    if any(n < 0 for n in shape):
+        raise ProtocolError(
+            f"frame header declares a negative dimension: shape {shape}")
+    count = math.prod(shape)  # exact: an int64 product would wrap
     nbytes = count * dtype.itemsize
     if offset + nbytes > len(payload):
         raise ProtocolError(
             f"frame payload holds {len(payload) - offset} bytes from "
             f"offset {offset}; shape {shape} of {dtype} needs {nbytes}")
     flat = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
-    return flat.reshape(shape).copy()
+    try:
+        return flat.reshape(shape).copy()
+    except ValueError as exc:  # an empty shape with a dimension >= 2**63
+        raise ProtocolError(
+            f"frame header shape {shape} is not an array shape: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,9 @@ def queue_key(op: str, algo: str, dtype, shape: Tuple[int, ...],
 class Request:
     """One admitted request, carried from admission to settlement —
     in a queue until its batch forms on the coalesced route, alone on
-    the direct route (where a stream's ``a`` is set by its prepare
-    step)."""
+    the direct route."""
 
-    a: Optional[np.ndarray]
+    a: np.ndarray
     b: Optional[np.ndarray]
     op: str
     algo: str

@@ -7,9 +7,8 @@ large :meth:`~repro.engine.ExecutionEngine.run_batch` /
 engine**, so every client benefits from the same warm plan cache and
 workspace pool.
 
-Every request — ``submit``, ``submit_ooc`` and ``submit_stream`` alike —
-follows one lifecycle, so the admission, fairness, deadline and ledger
-rules hold in one place:
+Every request — dense or CSR — follows one lifecycle, so the admission,
+fairness, deadline and ledger rules hold in one place:
 
 * **admit** — one prologue binds the event loop, refuses submits after
   :meth:`close` (:class:`~repro.errors.ServerClosedError`), parses
@@ -30,9 +29,8 @@ rules hold in one place:
   iteration (same-iteration submits coalesce); with every worker busy,
   queues hold, and each freed worker takes one batch from the queue
   whose oldest live request has waited longest.  A queue holding
-  ``max_batch`` live requests flushes at once.  Sparse operands,
-  out-of-core and stream requests take the *direct* route: each runs
-  alone, a stream after a prepare step that spools its chunks;
+  ``max_batch`` live requests flushes at once.  Sparse (CSR) operands
+  take the *direct* route: each runs alone;
 * **execute** — one runner hops to a small
   :class:`~concurrent.futures.ThreadPoolExecutor` (the loop stays
   responsive while numpy grinds), times the engine call, and delivers
@@ -54,6 +52,11 @@ requests that formed the batch) and never mixes backends inside a batch
 ``tests/test_serve.py`` asserts ``np.array_equal`` against direct engine
 calls for every algorithm, operation and dtype under concurrent clients.
 
+The server serves in-memory operands only.  An operand larger than RAM
+goes through :func:`repro.run_ooc` (or
+:meth:`~repro.engine.ExecutionEngine.run_ooc`) directly, which streams
+arrays, memmaps and :class:`~repro.engine.ooc.ChunkSource` iterators.
+
 Quickstart
 ----------
 >>> import asyncio, numpy as np
@@ -71,23 +74,19 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import functools
-import tempfile
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from typing import Awaitable, Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
 
 from .. import faults
-from ..blas.kernels import validate_matrix
 from ..cache.model import default_cache_model
 from ..engine import ExecutionEngine
-from ..engine.backends import get_backend
 from ..engine.dispatch import (explicit_backend, validate_dense,
                                validate_structured)
-from ..engine.ooc import check_chunk
 from ..engine.sparse import operand_kind
 from ..errors import (
     ConfigurationError,
@@ -305,16 +304,6 @@ class Server:
                              a.dtype, default_cache_model(a.dtype),
                              None if kind == "dense" else a)
 
-    @staticmethod
-    def _validate_ooc(a: Optional[np.ndarray], algo: str) -> None:
-        """Pre-admission check of an out-of-core or stream request (a
-        stream has no operand yet).  ``algo`` is checked by name only:
-        the engine resolves it per panel shape."""
-        if a is not None:
-            validate_dense(a)
-        if algo != "auto":
-            get_backend(algo, "ata")  # unknown name -> ShapeError
-
     # -- admission ----------------------------------------------------------
     def _client_entry(self, client: str) -> Counter:
         """The (lazily created) per-client ledger entry; callers hold
@@ -386,96 +375,14 @@ class Server:
         through the engine's sparse dispatch — it shares no plan with
         dense companions, so there is nothing to batch it with — under
         the same lifecycle as every request.
-        """
-        kind = operand_kind(a)
-        return await self._serve(
-            lambda: self._validate(op, a, b, algo, kind),
-            None if kind == "dense" else self._engine_matmul,
-            op=op, a=a, b=b, algo=algo, alpha=alpha, timeout=timeout,
-            client=client)
 
-    async def submit_ooc(self, a: np.ndarray, *, algo: str = "auto",
-                         alpha: float = 1.0,
-                         timeout: Optional[float] = None,
-                         client: str = "anonymous",
-                         budget: int = 0,
-                         panel_rows: Optional[int] = None,
-                         procs: int = 0) -> np.ndarray:
-        """Serve one ``alpha * A^T A`` request through the out-of-core
-        panel path instead of the coalescing queues.
-
-        ``a`` is typically a :class:`numpy.memmap` (or any 2-D float
-        array) too tall to be worth materialising per-request copies of:
-        the request takes the direct route — there is nothing to
-        coalesce a multi-gigabyte operand with — and runs
-        :meth:`~repro.engine.ExecutionEngine.run_ooc` on the executor,
-        streaming panels through the shared engine's plan cache.  All
-        the *other* serving guarantees are the one lifecycle's: the
-        request passes admission control (and the fairness share for
-        ``client``), holds its slot until settled, honours ``timeout``
-        with :class:`DeadlineError`, is ledgered like any other request,
-        and is awaited by :meth:`close`.  ``budget``, ``panel_rows`` and
-        ``procs`` pass through to ``run_ooc``.
-        """
-        ooc_kwargs = dict(budget=budget, panel_rows=panel_rows, procs=procs)
-        return await self._serve(
-            lambda: self._validate_ooc(a, algo),
-            functools.partial(self._engine_ooc, ooc_kwargs),
-            a=a, algo=algo, alpha=alpha, timeout=timeout, client=client)
-
-    async def submit_stream(self, chunks, *, algo: str = "auto",
-                            alpha: float = 1.0,
-                            timeout: Optional[float] = None,
-                            client: str = "anonymous",
-                            budget: int = 0,
-                            panel_rows: Optional[int] = None,
-                            procs: int = 0) -> np.ndarray:
-        """Serve ``alpha * A^T A`` of a matrix delivered as an iterator
-        of row-chunks, without ever materialising it in memory.
-
-        ``chunks`` is a sync or async iterable of 2-D arrays sharing a
-        dtype and column count.  The request is a :meth:`submit_ooc`
-        request with one prepare step in front of the out-of-core call:
-        the chunks are spooled in arrival order to an anonymous
-        temporary file, wrapped as a read-only :class:`numpy.memmap`.
-        The admission slot is claimed before spooling starts, so
-        streaming clients feel backpressure too.  This is how the wire
-        front door serves batches far larger than RAM: frames stream off
-        the socket straight into the spool.  ``budget``, ``panel_rows``
-        and ``procs`` pass through to ``run_ooc``.
-        """
-        ooc_kwargs = dict(budget=budget, panel_rows=panel_rows, procs=procs)
-        return await self._serve(
-            lambda: self._validate_ooc(None, algo),
-            functools.partial(self._engine_ooc, ooc_kwargs),
-            prepare=functools.partial(self._spool, chunks),
-            a=None, algo=algo, alpha=alpha, timeout=timeout, client=client)
-
-    @staticmethod
-    def _request_shape(op: str, a: np.ndarray,
-                       b: Optional[np.ndarray]) -> tuple:
-        if op == "ata":
-            return a.shape
-        return (a.shape[0], a.shape[1], b.shape[1])
-
-    # -- the request lifecycle: admit -> route -> execute -> settle ----------
-    async def _serve(self, validate: Callable[[], None],
-                     execute: Optional[Callable[[Request], np.ndarray]],
-                     *, a, algo: str, alpha, timeout, client,
-                     op: str = "ata", b: Optional[np.ndarray] = None,
-                     prepare: Optional[Callable[[Request], Awaitable[None]]]
-                     = None) -> np.ndarray:
-        """Carry one request from submission to its settled result.
-
-        **Admit**: bind the loop, refuse submits after :meth:`close`,
-        parse ``alpha`` and ``timeout``, run ``validate``, claim an
-        admission and fair-share slot, create the future whose
-        done-callback settles the ledger, and arm the deadline timer.
-        **Route**: with no ``execute`` the request joins its coalescing
-        queue; otherwise it takes the direct route and runs alone as
-        ``execute(request)``, after the optional async ``prepare(request)``
-        step.  **Execute** and **settle** are :meth:`_run`'s, for both
-        routes.
+        This method is that lifecycle.  **Admit**: bind the loop, refuse
+        submits after :meth:`close`, parse ``alpha`` and ``timeout``,
+        validate the operands, claim an admission and fair-share slot,
+        create the future whose done-callback settles the ledger, and
+        arm the deadline timer.  **Route**: a dense request joins its
+        coalescing queue; a CSR request runs alone.  **Execute** and
+        **settle** are :meth:`_run`'s, for both routes.
         """
         loop = self._bind_loop()
         if self._closing:
@@ -486,7 +393,8 @@ class Server:
             raise ConfigurationError(
                 f"timeout must be >= 0 seconds, got {timeout}")
         client = str(client)
-        validate()
+        kind = operand_kind(a)
+        self._validate(op, a, b, algo, kind)
         self._admit(client)
         future = loop.create_future()
         future.add_done_callback(
@@ -494,11 +402,11 @@ class Server:
         request = Request(a=a, b=b, op=op, algo=algo, alpha=alpha,
                           future=future, client=client)
         queue = None
-        if execute is None:
+        if kind == "dense":
             queue = self._enqueue(request)
         else:
-            self._spawn(self._run([request], lambda: [execute(request)],
-                                  prepare=prepare))
+            self._spawn(self._run(
+                [request], lambda: [self._engine_matmul(request)]))
         if timeout > 0:
             deadline_timer = loop.call_later(
                 timeout, self._expire, future, timeout, queue)
@@ -506,6 +414,13 @@ class Server:
             future.add_done_callback(
                 lambda _, handle=deadline_timer: handle.cancel())
         return await future
+
+    @staticmethod
+    def _request_shape(op: str, a: np.ndarray,
+                       b: Optional[np.ndarray]) -> tuple:
+        if op == "ata":
+            return a.shape
+        return (a.shape[0], a.shape[1], b.shape[1])
 
     def _enqueue(self, request: Request) -> BatchQueue:
         """The coalesced route: park ``request`` in its queue, then flush
@@ -530,42 +445,13 @@ class Server:
         return queue
 
     def _spawn(self, coro) -> None:
-        """Run ``coro`` as a task that :meth:`close` awaits."""
+        """Run ``coro`` — one :meth:`_run` — as a task that :meth:`close`
+        awaits.  The task holds an executor worker from here until
+        :meth:`_run` releases it."""
+        self._running += 1
         task = self._loop.create_task(coro)
         self._batch_tasks.add(task)
         task.add_done_callback(self._batch_tasks.discard)
-
-    async def _spool(self, chunks, request: Request) -> None:
-        """The prepare step of a stream request: spool ``chunks`` to an
-        anonymous temporary file and map it read-only as ``request.a``
-        (the mapping keeps the unlinked file alive once it is closed)."""
-        loop = asyncio.get_running_loop()
-        rows = 0
-        cols: Optional[int] = None
-        dtype: Optional[np.dtype] = None
-        with tempfile.TemporaryFile(prefix="repro-serve-stream-") as spool:
-            def spool_chunk(chunk) -> int:
-                nonlocal cols, dtype
-                validate_matrix(chunk, "stream chunk")
-                if cols is None:  # the first chunk fixes the stream's kind
-                    cols, dtype = chunk.shape[1], chunk.dtype
-                check_chunk(chunk, cols, dtype)
-                spool.write(np.ascontiguousarray(chunk))
-                return chunk.shape[0]
-
-            if hasattr(chunks, "__aiter__"):
-                async for chunk in chunks:
-                    rows += await loop.run_in_executor(
-                        self._executor, spool_chunk, chunk)
-            else:
-                for chunk in chunks:
-                    rows += await loop.run_in_executor(
-                        self._executor, spool_chunk, chunk)
-            if rows == 0:
-                raise ShapeError("stream produced no rows")
-            spool.flush()
-            request.a = np.memmap(spool, dtype=dtype, mode="r",
-                                  shape=(rows, cols))
 
     def _expire(self, future: "asyncio.Future", timeout: float,
                 queue: Optional[BatchQueue]) -> None:
@@ -636,7 +522,6 @@ class Server:
         with self._lock:
             waits = queue.note_dispatch(batch)  # samples the clock per batch
             self._metrics.observe_dispatch(waits, len(batch))
-        self._running += 1
         self._spawn(self._run(
             batch, functools.partial(self._engine_batch, batch), queue))
         return True
@@ -653,27 +538,20 @@ class Server:
 
     async def _run(self, batch: List[Request],
                    call: Callable[[], List[np.ndarray]],
-                   queue: Optional[BatchQueue] = None,
-                   prepare: Optional[Callable[[Request], Awaitable[None]]]
-                   = None) -> None:
+                   queue: Optional[BatchQueue] = None) -> None:
         """Execute one coalesced batch, or one direct-route request, on
         the executor and settle its futures.
 
         Results are zipped back positionally onto the batch; a failure
         reaches every live request in it; a shutdown that cancels this
         task fails them with :class:`ServerClosedError`.  Requests that
-        already settled (cancelled or expired) are skipped.  A batch
-        claims its worker at dispatch, a direct request after ``prepare``.
+        already settled (cancelled or expired) are skipped.  The worker
+        that :meth:`_spawn` claimed for this task is released here, on
+        either route.
         """
         loop = asyncio.get_running_loop()
-        holding = queue is not None
         try:
             try:
-                if prepare is not None:
-                    await prepare(batch[0])
-                if not holding:
-                    self._running += 1
-                    holding = True
                 results = await loop.run_in_executor(
                     self._executor, self._execute, call, queue)
             except asyncio.CancelledError:
@@ -695,9 +573,8 @@ class Server:
             if queue is not None:
                 queue.outstanding -= 1
                 self._maybe_retire(queue)
-            if holding:
-                self._running -= 1
-                self._dispatch(freed=True)
+            self._running -= 1
+            self._dispatch(freed=True)
 
     def _maybe_retire(self, queue: BatchQueue) -> None:
         """Drop a fully drained queue from the live map, folding its
@@ -752,18 +629,12 @@ class Server:
             algo=head.algo, alpha=head.alpha)
 
     def _engine_matmul(self, request: Request) -> np.ndarray:
-        """The engine call of a sparse-operand request."""
+        """The engine call of a direct-route (CSR) request."""
         if request.op == "ata":
             return self.engine.matmul_ata(request.a, alpha=request.alpha,
                                           algo=request.algo)
         return self.engine.matmul_atb(request.a, request.b,
                                       alpha=request.alpha, algo=request.algo)
-
-    def _engine_ooc(self, ooc_kwargs: dict, request: Request) -> np.ndarray:
-        """The engine call of an out-of-core or stream request."""
-        result, _ = self.engine.run_ooc(request.a, alpha=request.alpha,
-                                        algo=request.algo, **ooc_kwargs)
-        return result
 
     # -- shutdown -----------------------------------------------------------
     async def close(self, *, drain: bool = True) -> None:

@@ -82,7 +82,7 @@ class GatedEngine(ExecutionEngine):
         self.gate.set()
         #: set by every entry point on arrival, before it waits
         self.entered = threading.Event()
-        #: the operand :meth:`hold` submits; ``run_ooc`` fails on it
+        #: the operand :meth:`hold` submits; ``run_batch`` fails on it
         self.holder = np.zeros((2, 2))
 
     def _wait(self) -> None:
@@ -97,26 +97,23 @@ class GatedEngine(ExecutionEngine):
         self._wait()
         return super().matmul_atb(*args, **kwargs)
 
-    def run_batch(self, *args, **kwargs):
+    def run_batch(self, matrices, *args, **kwargs):
         self._wait()
-        return super().run_batch(*args, **kwargs)
-
-    def run_ooc(self, a, *args, **kwargs):
-        self._wait()
-        if a is self.holder:
+        if any(a is self.holder for a in matrices):
             raise RuntimeError("held worker released")
-        return super().run_ooc(a, *args, **kwargs)
+        return super().run_batch(matrices, *args, **kwargs)
 
     async def hold(self, server) -> "asyncio.Future":
         """Close the gate and occupy one of ``server``'s executor workers
-        with a holder: an out-of-core request that blocks until the gate
-        opens, then fails with :class:`RuntimeError`, so it adds no
-        completion to the ledger.  Returns the holder's task once the
-        holder is blocked inside the engine on a worker thread."""
+        with a holder: a dense request, dispatched as a batch of its own,
+        that blocks until the gate opens, then fails with
+        :class:`RuntimeError`, so it adds no completion to the ledger.
+        Returns the holder's task once the holder is blocked inside the
+        engine on a worker thread.  Its one-request batch shows in the
+        server's batch counters."""
         self.gate.clear()
         self.entered.clear()
-        holder = asyncio.ensure_future(
-            server.submit_ooc(self.holder))
+        holder = asyncio.ensure_future(server.submit(self.holder))
         for _ in range(60_000):
             if self.entered.is_set():
                 return holder

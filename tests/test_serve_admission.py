@@ -546,7 +546,7 @@ class TestLiveCountFlushThreshold:
             # only one live future — the batch must NOT dispatch yet
             live = asyncio.ensure_future(server.submit(a))
             await asyncio.sleep(0.05)
-            assert server.stats().batches == 0
+            assert server.stats().batches == 1  # the holder's alone
             # the second live request reaches the threshold for real
             companion = asyncio.ensure_future(server.submit(a))
             await asyncio.sleep(0)
@@ -556,8 +556,7 @@ class TestLiveCountFlushThreshold:
                 await holder
             stats = server.stats()
             await server.close()
-            assert stats.batches == 1
-            assert stats.max_batch_size == 2
+            assert stats.size_histogram == {1: 1, 2: 1}
             assert _reconciled(stats) and stats.cancelled == 1
         run(scenario())
 
@@ -605,7 +604,9 @@ class TestIdleRebindRetiresHuskQueues:
             except asyncio.CancelledError:
                 pass
             # the queue still holds the husk behind the busy worker
-            assert len(server._queues) == 1
+            # (beside the holder's own queue, still running)
+            assert len(server._queues) == 2
+            assert any("a3.0" in key for key in server._queues)
             gated_engine.gate.set()
             with pytest.raises(RuntimeError):
                 await holder

@@ -1,9 +1,9 @@
 """The one serving request lifecycle: admit -> route -> execute -> settle.
 
-Every request kind — a dense in-memory submit (coalesced route), a CSR
-submit, ``submit_ooc`` on a memmap and ``submit_stream`` (direct route)
-— passes through the same admission prologue and the same settlement,
-so the refusal, fairness, deadline and ledger rules are one contract:
+Both request kinds — a dense submit (coalesced route) and a CSR submit
+(direct route) — pass through the same admission prologue and the same
+settlement, so the refusal, fairness, deadline and ledger rules are one
+contract:
 
 * a submit after ``close()`` raises :class:`ServerClosedError` and adds
   nothing to the ledger;
@@ -16,7 +16,7 @@ so the refusal, fairness, deadline and ledger rules are one contract:
 
 The suite also pins the operand rules shared by the engine and the
 server (one error type for one malformed request, on every surface), the
-wire's handling of a malformed ``stream_begin``, and the demand-driven
+wire's handling of a malformed ``submit`` header, and the demand-driven
 dispatch rule of the coalesced route: a queue dispatches as soon as an
 executor worker is free, holds while every worker is busy, and a freed
 worker serves the key whose oldest live request has waited longest —
@@ -75,56 +75,22 @@ def _csr(rng, m, n, dtype=np.float64):
                                dtype=dtype, random_state=rng)
 
 
-def _submitter(kind, rng, tmp_path):
-    """``submit(server, **kw)`` issuing one fresh request of ``kind``."""
-    a = rng.standard_normal((64, 16))
+def _operand(kind, rng):
+    """One fresh ``a`` of ``kind``: a dense array or a CSR matrix."""
     if kind == "dense":
-        return lambda server, **kw: server.submit(a, **kw)
-    if kind == "csr":
-        sparse = _csr(rng, 64, 16)
-        return lambda server, **kw: server.submit(sparse, **kw)
-    if kind == "ooc":
-        mapped = np.memmap(tmp_path / "a.bin", dtype=a.dtype, mode="w+",
-                           shape=a.shape)
-        mapped[:] = a
-        mapped.flush()
-        return lambda server, **kw: server.submit_ooc(mapped, procs=0, **kw)
-    assert kind == "stream"
-    return lambda server, **kw: server.submit_stream(
-        iter([a[:40], a[40:]]), procs=0, **kw)
+        return rng.standard_normal((64, 16))
+    return _csr(rng, 64, 16)
 
 
-KINDS = ["dense", pytest.param("csr", marks=needs_scipy), "ooc", "stream"]
-
-
-def test_misspelt_out_of_core_keyword_is_refused_before_admission(rng):
-    """``submit_ooc`` and ``submit_stream`` name the ``run_ooc`` options
-    they forward, so a misspelt one is a :class:`TypeError` at the call:
-    nothing is admitted, spooled or ledgered."""
-    a = rng.standard_normal((64, 16))
-    spooled = []
-
-    def chunks():
-        spooled.append(True)
-        yield a
-
-    async def scenario():
-        async with Server(ExecutionEngine()) as server:
-            with pytest.raises(TypeError):
-                await server.submit_ooc(a, panel_row=8)
-            with pytest.raises(TypeError):
-                await server.submit_stream(chunks(), pannel_rows=8)
-            return server.stats()
-
-    stats = run(scenario())
-    assert stats.submitted == 0 and stats.failed == 0 and _reconciled(stats)
-    assert not spooled
+KINDS = ["dense", pytest.param("csr", marks=needs_scipy)]
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_request_kinds_share_one_contract(kind, rng, tmp_path,
-                                         gated_engine):
-    submit = _submitter(kind, rng, tmp_path)
+def test_request_kinds_share_one_contract(kind, rng, gated_engine):
+    a = _operand(kind, rng)
+
+    def submit(server, **kw):
+        return server.submit(a, **kw)
 
     async def scenario():
         engine = gated_engine
@@ -203,10 +169,10 @@ def test_structured_atb_dtype_mismatch_raises_one_type_everywhere(rng):
     assert raised == [DTypeError] * 3
 
 
-def test_bad_stream_begin_fields_get_a_typed_reply(rng):
-    """A ``stream_begin`` whose ``alpha`` is not a number is refused at
-    its ``stream_end`` with a typed error frame; the connection stays up
-    and its next ``submit`` is served."""
+def test_bad_submit_fields_get_a_typed_reply(rng):
+    """A ``submit`` frame whose ``alpha`` is not a number gets a typed
+    error frame with its id; the connection stays up and its next
+    ``submit`` is served."""
     a = rng.standard_normal((24, 8))
 
     async def scenario():
@@ -218,12 +184,10 @@ def test_bad_stream_begin_fields_get_a_typed_reply(rng):
                  "encodings": ["json"]}))
             await writer.drain()
             await read_frame(reader)  # hello reply
-            writer.write(encode_frame(
-                {"op": "stream_begin", "id": 1, "alpha": "not-a-number"}))
             meta, raw = pack_array(a)
             writer.write(encode_frame(
-                {"op": "stream_chunk", "id": 1, **meta}, raw))
-            writer.write(encode_frame({"op": "stream_end", "id": 1}))
+                {"op": "submit", "id": 1, "req_op": "ata",
+                 "alpha": "not-a-number", **meta}, raw))
             await writer.drain()
             header, _ = await read_frame(reader)
             assert header["op"] == "error" and header["id"] == 1
@@ -282,7 +246,8 @@ def test_requests_hold_while_the_worker_is_busy(rng, gated_engine):
         for a in mats:
             waiters.append(asyncio.ensure_future(server.submit(a)))
             await asyncio.sleep(0)
-        assert server.stats().depth == 3 and server.stats().batches == 0
+        # only the holder's batch has gone
+        assert server.stats().depth == 3 and server.stats().batches == 1
         gated_engine.gate.set()
         results = await asyncio.gather(*waiters)
         with pytest.raises(RuntimeError):
@@ -293,7 +258,7 @@ def test_requests_hold_while_the_worker_is_busy(rng, gated_engine):
     results, stats = run(scenario())
     for a, c in zip(mats, results):
         assert np.array_equal(c, gated_engine.matmul_ata(a))
-    assert stats.size_histogram == {3: 1}
+    assert stats.size_histogram == {1: 1, 3: 1}
     assert _reconciled(stats)
 
 
@@ -329,11 +294,11 @@ def test_freed_worker_serves_the_oldest_waiting_key(rng, gated_engine):
         alphas.append(kwargs["alpha"])
         return run_batch(matrices, **kwargs)
 
-    gated_engine.run_batch = recording_run_batch
-
     async def scenario():
         server = Server(gated_engine)
         holder = await gated_engine.hold(server)
+        # record from here on: the holder's batch is already running
+        gated_engine.run_batch = recording_run_batch
         doomed = asyncio.ensure_future(server.submit(a, alpha=1.0))
         await asyncio.sleep(0)
         first_b = asyncio.ensure_future(server.submit(a, alpha=2.0))
@@ -341,7 +306,7 @@ def test_freed_worker_serves_the_oldest_waiting_key(rng, gated_engine):
         doomed.cancel()
         later_a = asyncio.ensure_future(server.submit(a, alpha=1.0))
         await asyncio.sleep(0)
-        assert len(server._queues) == 2
+        assert len(server._queues) == 3  # A, B and the holder's
         gated_engine.gate.set()
         await asyncio.gather(first_b, later_a)
         with pytest.raises(RuntimeError):
@@ -355,44 +320,44 @@ def test_freed_worker_serves_the_oldest_waiting_key(rng, gated_engine):
     assert _reconciled(stats)
 
 
+@needs_scipy
 def test_direct_route_traffic_cannot_starve_a_held_request(rng):
     """Direct-route requests claim a worker without waiting for a free
     one, so the busy count can exceed ``workers``.  Two clients keep one
-    out-of-core request each in flight on a one-worker server, each
-    resubmitting when its request finishes, so the busy count swings
-    between 2 and 1 and never reaches 0; a dense request queued behind
-    them must still be served while they cycle."""
+    CSR request each in flight on a one-worker server, each resubmitting
+    when its request finishes, so the busy count swings between 2 and 1
+    and never reaches 0; a dense request queued behind them must still
+    be served while they cycle."""
     a = rng.standard_normal((32, 16))
-    tall = rng.standard_normal((64, 16))
+    sparse = _csr(rng, 64, 16)
 
     class PerRequestGateEngine(ExecutionEngine):
         #: id of a submitted operand -> (operand, the gate it waits on)
         gates = {}
 
-        def run_ooc(self, a, **kwargs):
+        def matmul_ata(self, a, *args, **kwargs):
             assert self.gates[id(a)][1].wait(WAIT), \
                 "test never opened the gate"
-            return super().run_ooc(a, **kwargs)
+            return super().matmul_ata(a, *args, **kwargs)
 
     async def scenario():
         x1_gate, y1_gate, x2_gate = (threading.Event() for _ in range(3))
         engine = PerRequestGateEngine()
         async with Server(engine, workers=1) as server:
-            def ooc(client, gate):
-                operand = tall.copy()
+            def direct(client, gate):
+                operand = sparse.copy()
                 engine.gates[id(operand)] = (operand, gate)
-                return asyncio.ensure_future(server.submit_ooc(
-                    operand, client=client, procs=0))
+                return asyncio.ensure_future(
+                    server.submit(operand, client=client))
 
-            x1, y1 = ooc("x", x1_gate), ooc("y", y1_gate)
+            x1, y1 = direct("x", x1_gate), direct("y", y1_gate)
             await asyncio.sleep(0)  # both admitted; both claim a worker
             dense = asyncio.ensure_future(server.submit(a))
             await asyncio.sleep(0)  # queued: the busy count is 2
             x1_gate.set()
             await x1  # busy count 2 -> 1
-            x2 = ooc("x", x2_gate)
-            await asyncio.sleep(0)
-            await asyncio.sleep(0)  # x2 admitted, then claims a worker
+            x2 = direct("x", x2_gate)
+            await asyncio.sleep(0)  # x2 admitted; it claims a worker
             y1_gate.set()
             await y1  # y's request finishes while x2 is held
             try:
@@ -430,31 +395,3 @@ def test_close_without_drain_fails_requests_a_dispatch_was_scheduled_for(
     assert all(isinstance(o, ServerClosedError) for o in outcomes)
     assert stats.failed == 3 and stats.completed == 0
     assert _reconciled(stats)
-
-
-def test_a_spooling_stream_does_not_hold_the_worker(rng):
-    """A stream claims its worker only once its chunks are spooled, so a
-    dense request is served while the stream's upload is still open."""
-    a = rng.standard_normal((32, 16))
-
-    async def scenario():
-        more = asyncio.Event()
-
-        async def chunks():
-            yield a[:16]
-            await more.wait()
-            yield a[16:]
-
-        async with Server(ExecutionEngine()) as server:
-            stream = asyncio.ensure_future(
-                server.submit_stream(chunks(), procs=0))
-            await asyncio.sleep(0)
-            dense = await asyncio.wait_for(server.submit(a), WAIT / 2)
-            more.set()
-            return dense, await stream
-
-    dense, streamed = run(scenario())
-    reference = ExecutionEngine()
-    assert np.array_equal(dense, reference.matmul_ata(a))
-    assert np.allclose(streamed, reference.matmul_ata(a))
-    reference.close()

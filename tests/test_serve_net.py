@@ -14,8 +14,9 @@ including when the ``serve.conn`` chaos site kills connections mid-batch
 (dropped requests settle as ``cancelled``; nothing leaks ``inflight``).
 The suite also covers the versioned handshake, malformed-frame handling,
 remote-error rehydration (``QueueFullError`` stays retryable through
-:func:`repro.serve.retry` across the wire), the streaming path, and the
-Prometheus-style metrics scrape.
+:func:`repro.serve.retry` across the wire), the refusal of frames
+outside the three wire operations, and the Prometheus-style metrics
+scrape.
 """
 
 import asyncio
@@ -29,7 +30,6 @@ from repro.config import configured
 from repro.engine import HAVE_SCIPY, ExecutionEngine
 from repro.errors import (
     DeadlineError,
-    DTypeError,
     ProtocolError,
     ServerClosedError,
     ShapeError,
@@ -88,6 +88,24 @@ class TestFraming:
         meta, raw = pack_array(np.ones((4, 4)))
         with pytest.raises(ProtocolError):
             unpack_array(meta, bytes(raw)[:-8])
+
+    @pytest.mark.parametrize("shape", [[4, -1], [-1, 8], [-2, -4]])
+    def test_negative_dimension_raises_protocol_error(self, shape):
+        """A negative dimension is refused, never inferred by numpy's
+        ``reshape(-1)`` against a payload that happens to fit."""
+        meta, raw = pack_array(np.ones((4, 4)))
+        with pytest.raises(ProtocolError, match="negative"):
+            unpack_array({**meta, "shape": shape}, bytes(raw))
+
+    @pytest.mark.parametrize("shape", [[2**32, 2**32], [2**62, 4],
+                                       [0, 2**63]])
+    def test_overflowing_shape_raises_protocol_error(self, shape):
+        """A shape whose element count overflows int64, or that numpy
+        cannot index, is refused as a protocol error, not a bare
+        ``ValueError``."""
+        meta, raw = pack_array(np.ones((4, 4)))
+        with pytest.raises(ProtocolError):
+            unpack_array({**meta, "shape": shape}, bytes(raw))
 
     def test_frame_bytes_are_unchanged(self):
         """Golden bytes: the JSON frame layout is the wire contract."""
@@ -235,6 +253,32 @@ class TestHandshake:
                 assert header["op"] == "error"
                 writer.close()
         run(scenario())
+
+    def test_stream_frame_is_an_unknown_op(self, rng):
+        """The wire has no streaming operation: a ``stream_begin`` frame
+        gets a ``ProtocolError`` reply and admits nothing."""
+        async def scenario():
+            async with NetServer(max_inflight=4) as net:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", net.port)
+                writer.write(encode_frame(
+                    {"op": "hello", "version": PROTOCOL_VERSION,
+                     "encodings": ["json"]}))
+                await writer.drain()
+                await read_frame(reader)  # hello reply
+                writer.write(encode_frame(
+                    {"op": "stream_begin", "id": 1, "alpha": 1.0}))
+                await writer.drain()
+                header, _ = await read_frame(reader)
+                writer.close()
+                await writer.wait_closed()
+                return header, net.server.stats()
+
+        header, stats = run(scenario())
+        assert header["op"] == "error"
+        assert header["error"] == "ProtocolError"
+        assert "stream_begin" in header["message"]
+        assert stats.submitted == 0 and _reconciled(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -449,97 +493,6 @@ class TestConnectionChaos:
                 stats = net.server.stats()
                 assert _reconciled(stats)
                 assert stats.cancelled > 0
-        run(scenario())
-
-
-# ---------------------------------------------------------------------------
-# streaming
-# ---------------------------------------------------------------------------
-
-class TestWireStreaming:
-    def test_streamed_matrix_matches_direct_ata(self, rng):
-        a = rng.standard_normal((160, 48))
-
-        async def scenario():
-            reference = ExecutionEngine()
-            async with NetServer() as net:
-                async with Client(port=net.port) as client:
-                    def chunks():
-                        for i in range(0, a.shape[0], 32):
-                            yield a[i:i + 32]
-                    c = await client.submit_stream(chunks())
-            assert np.allclose(c, reference.matmul_ata(a))
-            reference.close()
-        run(scenario())
-
-    def test_stream_shape_mismatch_reports_error(self, rng):
-        async def scenario():
-            async with NetServer() as net:
-                async with Client(port=net.port) as client:
-                    def chunks():
-                        yield rng.standard_normal((16, 8))
-                        yield rng.standard_normal((16, 9))  # column drift
-                    with pytest.raises(ShapeError):
-                        await client.submit_stream(chunks())
-                stats = net.server.stats()
-                assert stats.failed == 1
-                assert _reconciled(stats)
-        run(scenario())
-
-    def test_stream_dtype_drift_reports_dtype_error(self, rng):
-        """A chunk whose dtype differs from the first chunk's fails the
-        request with the ``DTypeError`` a ChunkSource raises, in process
-        and over the wire, and the ledger still reconciles."""
-        def chunks():
-            yield rng.standard_normal((16, 8))
-            yield rng.standard_normal((16, 8)).astype(np.float32)
-
-        async def scenario():
-            server = Server()
-            with pytest.raises(DTypeError):
-                await server.submit_stream(chunks(), client="drift")
-            stats = server.stats()
-            await server.close()
-            assert stats.clients["drift"].failed == 1
-            assert _reconciled(stats)
-            async with NetServer() as net:
-                async with Client(port=net.port) as client:
-                    with pytest.raises(DTypeError):
-                        await client.submit_stream(chunks())
-                stats = net.server.stats()
-                assert stats.failed == 1
-                assert _reconciled(stats)
-        run(scenario())
-
-    def test_in_process_submit_stream_matches_and_ledgers(self, rng):
-        a = rng.standard_normal((128, 32))
-
-        async def scenario():
-            server = Server()
-            async def chunks():
-                for i in range(0, a.shape[0], 64):
-                    yield a[i:i + 64]
-            c = await server.submit_stream(chunks(), client="streamer")
-            reference = server.engine.matmul_ata(a)
-            stats = server.stats()
-            await server.close()
-            assert np.allclose(c, reference)
-            assert stats.clients["streamer"].completed == 1
-            assert _reconciled(stats)
-        run(scenario())
-
-    def test_submit_ooc_serves_memmap_sized_requests(self, rng):
-        a = rng.standard_normal((256, 48))
-
-        async def scenario():
-            server = Server()
-            c = await server.submit_ooc(a, client="ooc")
-            reference = server.engine.matmul_ata(a)
-            stats = server.stats()
-            await server.close()
-            assert np.allclose(c, reference)
-            assert stats.clients["ooc"].completed == 1
-            assert _reconciled(stats)
         run(scenario())
 
 
